@@ -55,6 +55,7 @@ from .integration import (
     system_entails,
     system_entails_at,
     system_leq,
+    system_verdict,
     validate_system,
 )
 from .logics import (
@@ -73,7 +74,6 @@ from .theories import (
     FlatTheory,
     Sequent,
     SequentTheory,
-    State,
     analogy,
     bottom_theory,
     check_theory_morphism,

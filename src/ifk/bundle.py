@@ -118,9 +118,17 @@ def _parse_theory(raw, where: str) -> SequentTheory:
         raise BundleError(f"{where}: {exc}") from exc
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    out = {}
+    for key, value in pairs:
+        _expect(key not in out, f"duplicate JSON key {key!r}")
+        out[key] = value
+    return out
+
+
 def parse_bundle(text: str) -> Bundle:
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise BundleError(exc.msg, line=exc.lineno, column=exc.colno) from exc
     _expect(isinstance(raw, dict), "bundle: expected a JSON object")

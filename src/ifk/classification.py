@@ -10,7 +10,8 @@ original instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import CapExceeded, IfkError, ValidationResult
@@ -37,6 +38,22 @@ class Classification:
             self, "incidence", frozenset((i, t) for i, t in self.incidence)
         )
 
+    # Incidence indexes, built on first use and freed with the classification;
+    # equality and hashing read the fields only.
+    @cached_property
+    def _intents(self) -> dict[str, frozenset[str]]:
+        out: dict[str, set[str]] = {i: set() for i in self.instances}
+        for i, t in self.incidence:
+            out[i].add(t)
+        return {i: frozenset(ts) for i, ts in out.items()}
+
+    @cached_property
+    def _extents(self) -> dict[str, frozenset[str]]:
+        out: dict[str, set[str]] = {t: set() for t in self.types}
+        for i, t in self.incidence:
+            out[t].add(i)
+        return {t: frozenset(xs) for t, xs in out.items()}
+
 
 @dataclass(frozen=True, eq=True)
 class Infomorphism:
@@ -51,10 +68,10 @@ class Infomorphism:
     instance_map: Mapping[str, str]
 
     def __post_init__(self):
-        object.__setattr__(self, "type_map", dict(self.type_map))
-        object.__setattr__(self, "instance_map", dict(self.instance_map))
+        object.__setattr__(self, "type_map", MappingProxyType(dict(self.type_map)))
+        object.__setattr__(self, "instance_map", MappingProxyType(dict(self.instance_map)))
 
-    # dict fields make the generated hash unusable; identity by fields is enough
+    # mapping fields make the generated hash unusable; identity by fields is enough
     __hash__ = None  # type: ignore[assignment]
 
 
@@ -73,27 +90,11 @@ def validate_classification(c: Classification) -> ValidationResult:
     return ValidationResult.from_defects(defects)
 
 
-@lru_cache(maxsize=None)
-def _intents(c: Classification) -> dict[str, frozenset[str]]:
-    out: dict[str, set[str]] = {i: set() for i in c.instances}
-    for i, t in c.incidence:
-        out[i].add(t)
-    return {i: frozenset(ts) for i, ts in out.items()}
-
-
-@lru_cache(maxsize=None)
-def _extents(c: Classification) -> dict[str, frozenset[str]]:
-    out: dict[str, set[str]] = {t: set() for t in c.types}
-    for i, t in c.incidence:
-        out[t].add(i)
-    return {t: frozenset(xs) for t, xs in out.items()}
-
-
 def intent(c: Classification, i: str) -> frozenset[str]:
     """All types incident with instance ``i``."""
     if i not in c.instances:
         raise IfkError(f"unknown instance: {i}")
-    return _intents(c)[i]
+    return c._intents[i]
 
 
 def extent(c: Classification, types: Iterable[str]) -> frozenset[str]:
@@ -103,7 +104,7 @@ def extent(c: Classification, types: Iterable[str]) -> frozenset[str]:
     if unknown:
         raise IfkError(f"unknown type(s): {', '.join(sorted(unknown))}")
     result = set(c.instances)
-    table = _extents(c)
+    table = c._extents
     for t in types:
         result &= table[t]
     return frozenset(result)
@@ -201,7 +202,7 @@ def lift_to_theory_classification(
     subsets = [frozenset()]
     for t in sorted(c.types):
         subsets += [s | {t} for s in subsets]
-    table = _intents(c)
+    table = c._intents
     incidence = [
         (i, theory_type_name(s))
         for i in sorted(c.instances)

@@ -1,6 +1,6 @@
 """Command-line front end: one subcommand per construction, deterministic
-JSON (or DOT) reports, exit 0 on success, 1 on defects in the input, 2 on
-usage errors."""
+JSON (or DOT) reports, exit 0 on success, 1 on defects in the input or an
+internal failure, 2 on usage errors."""
 
 from __future__ import annotations
 
@@ -13,7 +13,12 @@ from typing import Sequence
 from .bundle import Bundle, parse_bundle, parse_sequent, sequent_to_obj
 from .errors import BundleError, CapExceeded, IfkError
 from .fca import lattice, lattice_dot
-from .integration import integrate, is_monocosmic, is_pointwise_consistent
+from .integration import (
+    VERDICT_MONOCOSMIC,
+    VERDICT_POINTWISE_INCONSISTENT,
+    integrate,
+    system_verdict,
+)
 from .theories import DEFAULT_SEQUENT_CAP, close, entails, sequent_key
 
 from .diagrams import DEFAULT_INSTANCE_CAP, sum_classification
@@ -32,15 +37,13 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ifk", description="information-flow toolkit")
     parser.add_argument("--output", metavar="FILE", default=None,
                         help="write the report here instead of stdout")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized self-checks")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
     def command(name, **kwargs):
         p = sub.add_parser(name, **kwargs)
-        # the global flags are accepted on either side of the command name;
+        # the global flag is accepted on either side of the command name;
         # SUPPRESS keeps the subparser from clobbering a top-level value
         p.add_argument("--output", metavar="FILE", default=argparse.SUPPRESS)
-        p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
         p.add_argument("bundle", metavar="BUNDLE", help="bundle JSON file")
         return p
 
@@ -190,15 +193,14 @@ def _cmd_integrate(args) -> str:
 def _cmd_consistency(args) -> str:
     bundle = _load(args.bundle)
     system = _pick(bundle.systems, args.system, "system")
-    pointwise = is_pointwise_consistent(system)
-    mono = is_monocosmic(system)
-    if not pointwise:
-        verdict = "pointwise-inconsistent"
-    elif mono:
-        verdict = "monocosmic"
-    else:
-        verdict = "polycosmic"
-    return _emit({"pointwise": pointwise, "monocosmic": mono, "verdict": verdict})
+    verdict = system_verdict(system)
+    return _emit(
+        {
+            "pointwise": verdict != VERDICT_POINTWISE_INCONSISTENT,
+            "monocosmic": verdict == VERDICT_MONOCOSMIC,
+            "verdict": verdict,
+        }
+    )
 
 
 _HANDLERS = {
@@ -212,6 +214,10 @@ _HANDLERS = {
 }
 
 
+def _failure(kind: str, **details) -> str:
+    return _emit({"ok": False, "error": {"kind": kind, **details}})
+
+
 def _dispatch(argv: Sequence[str]) -> tuple[int, str, str | None]:
     parser = _build_parser()
     try:
@@ -219,32 +225,20 @@ def _dispatch(argv: Sequence[str]) -> tuple[int, str, str | None]:
         if args.command is None:
             raise _UsageError("a command is required")
     except _UsageError as exc:
-        report = _emit({"ok": False, "error": {"kind": "usage", "message": str(exc)}})
-        return 2, report, None
+        return 2, _failure("usage", message=str(exc)), None
     try:
         return 0, _HANDLERS[args.command](args), args.output
     except _UsageError as exc:
-        report = _emit({"ok": False, "error": {"kind": "usage", "message": str(exc)}})
-        return 2, report, args.output
+        return 2, _failure("usage", message=str(exc)), args.output
     except CapExceeded as exc:
-        report = _emit(
-            {
-                "ok": False,
-                "error": {
-                    "kind": "cap-exceeded",
-                    "phase": exc.phase,
-                    "required": exc.required,
-                    "cap": exc.cap,
-                },
-            }
-        )
+        report = _failure("cap-exceeded", phase=exc.phase, required=exc.required, cap=exc.cap)
         return 1, report, args.output
     except BundleError as exc:
-        report = _emit({"ok": False, "error": {"kind": "bundle", "message": str(exc)}})
-        return 1, report, args.output
+        return 1, _failure("bundle", message=str(exc)), args.output
     except IfkError as exc:
-        report = _emit({"ok": False, "error": {"kind": "invalid", "message": str(exc)}})
-        return 1, report, args.output
+        return 1, _failure("invalid", message=str(exc)), args.output
+    except Exception as exc:  # any input ends in a JSON report, never a traceback
+        return 1, _failure("internal", message=f"{type(exc).__name__}: {exc}"), args.output
 
 
 def run(argv: Sequence[str]) -> tuple[int, str]:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .classification import Classification, Infomorphism, check_infomorphism
@@ -37,6 +38,11 @@ class ShapeGraph:
                 raise IfkError(f"edge {e} has undeclared endpoint")
 
 
+def _frozen_maps(items) -> Mapping[str, Mapping[str, str]]:
+    """Read-only view of a map of maps, given as (key, inner map) pairs."""
+    return MappingProxyType({k: MappingProxyType(dict(m)) for k, m in items})
+
+
 @dataclass(frozen=True)
 class LanguageDiagram:
     shape: ShapeGraph
@@ -47,9 +53,9 @@ class LanguageDiagram:
         object.__setattr__(
             self,
             "node_language",
-            {n: frozenset(ts) for n, ts in self.node_language.items()},
+            MappingProxyType({n: frozenset(ts) for n, ts in self.node_language.items()}),
         )
-        object.__setattr__(self, "edge_map", {e: dict(m) for e, m in self.edge_map.items()})
+        object.__setattr__(self, "edge_map", _frozen_maps(self.edge_map.items()))
         missing = self.shape.nodes - self.node_language.keys()
         if missing:
             raise IfkError(f"no language for node(s): {', '.join(sorted(missing))}")
@@ -125,8 +131,8 @@ class ClsDiagram:
     edge_info: Mapping[str, Infomorphism]
 
     def __post_init__(self):
-        object.__setattr__(self, "node_cls", dict(self.node_cls))
-        object.__setattr__(self, "edge_info", dict(self.edge_info))
+        object.__setattr__(self, "node_cls", MappingProxyType(dict(self.node_cls)))
+        object.__setattr__(self, "edge_info", MappingProxyType(dict(self.edge_info)))
         missing = self.shape.nodes - self.node_cls.keys()
         if missing:
             raise IfkError(f"no classification for node(s): {', '.join(sorted(missing))}")
@@ -154,7 +160,7 @@ class Channel:
     legs: Mapping[str, Infomorphism]
 
     def __post_init__(self):
-        object.__setattr__(self, "legs", dict(self.legs))
+        object.__setattr__(self, "legs", MappingProxyType(dict(self.legs)))
 
 
 def tuple_instance_name(components: Mapping[str, str]) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .classification import Classification, _extents, _intents
+from .classification import Classification, extent
 from .errors import CapExceeded, IfkError
 
 CONCEPT_TYPE_GUARD = 20
@@ -44,19 +44,12 @@ def derive(
         if unknown:
             raise IfkError(f"unknown instance(s): {', '.join(sorted(unknown))}")
         result = set(c.types)
-        table = _intents(c)
+        table = c._intents
         for i in s:
             result &= table[i]
         return frozenset(result)
     if side == "types":
-        unknown = s - c.types
-        if unknown:
-            raise IfkError(f"unknown type(s): {', '.join(sorted(unknown))}")
-        result = set(c.instances)
-        table = _extents(c)
-        for t in s:
-            result &= table[t]
-        return frozenset(result)
+        return extent(c, s)
     raise IfkError(f"side must be 'instances' or 'types', got {side!r}")
 
 

@@ -22,21 +22,14 @@ from .theories import (
     FlatTheory,
     Sequent,
     SequentTheory,
+    _require_total,
+    _require_within,
     entails,
     flat_closure,
     flat_entails,
     satisfying_states,
     theory_of_states,
 )
-
-
-def _require_total(type_map: Mapping[str, str], domain: frozenset[str], codomain: frozenset[str]):
-    missing = domain - type_map.keys()
-    if missing:
-        raise IfkError(f"type map not total, missing: {', '.join(sorted(missing))}")
-    bad = {t for t in domain if type_map[t] not in codomain}
-    if bad:
-        raise IfkError(f"type map lands outside the target language at: {', '.join(sorted(bad))}")
 
 
 def direct_flow(
@@ -69,11 +62,7 @@ class InverseFlowTheory:
         self.target = target
 
     def entails(self, s: Sequent) -> bool:
-        outside = s.types() - self.types
-        if outside:
-            raise IfkError(
-                f"sequent uses types outside the language: {', '.join(sorted(outside))}"
-            )
+        _require_within(self.types, s)
         return entails(self.target, s.rename(self.type_map))
 
     def materialize(self, cap: int = DEFAULT_SEQUENT_CAP) -> SequentTheory:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 from .classification import Classification, Infomorphism, check_infomorphism
@@ -22,6 +23,7 @@ from .diagrams import (
     LanguageColimit,
     LanguageDiagram,
     ShapeGraph,
+    _frozen_maps,
     colimit_language,
 )
 from .errors import CapExceeded, IfkError, ValidationResult
@@ -53,15 +55,17 @@ class InformationSystem:
     edge_instance_map: Mapping[str, Mapping[str, str] | None] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "node_theory", dict(self.node_theory))
-        object.__setattr__(self, "edge_type_map", {e: dict(m) for e, m in self.edge_type_map.items()})
+        object.__setattr__(self, "node_theory", MappingProxyType(dict(self.node_theory)))
+        object.__setattr__(self, "edge_type_map", _frozen_maps(self.edge_type_map.items()))
         object.__setattr__(
-            self, "node_cls", {n: c for n, c in self.node_cls.items() if c is not None}
+            self,
+            "node_cls",
+            MappingProxyType({n: c for n, c in self.node_cls.items() if c is not None}),
         )
         object.__setattr__(
             self,
             "edge_instance_map",
-            {e: dict(m) for e, m in self.edge_instance_map.items() if m is not None},
+            _frozen_maps((e, m) for e, m in self.edge_instance_map.items() if m is not None),
         )
         missing = self.shape.nodes - self.node_theory.keys()
         if missing:
@@ -240,25 +244,30 @@ def system_entails_at(s: InformationSystem, node: str, q: Sequent) -> bool:
     return entails(sum_theory, q.rename(colim.cocone[node]))
 
 
+def system_verdict(s: InformationSystem) -> str:
+    """The cosmological verdict of the system, as ``integrate`` reports it."""
+    _require_valid(s)
+    _, images, sum_theory = _sum_parts(s)
+    return _verdict(images, sum_theory)
+
+
 def is_pointwise_consistent(s: InformationSystem) -> bool:
     """Each node theory flowed to the sum language is individually consistent."""
-    _require_valid(s)
-    _, images, _ = _sum_parts(s)
-    return all(is_consistent(img) for img in images.values())
+    return system_verdict(s) != VERDICT_POINTWISE_INCONSISTENT
 
 
 def is_monocosmic(s: InformationSystem) -> bool:
-    """The union of the flowed node theories is consistent over the sum language."""
-    _require_valid(s)
-    _, _, sum_theory = _sum_parts(s)
-    return is_consistent(sum_theory)
+    """The union of the flowed node theories is consistent over the sum language.
+
+    The union contains every flowed theory's axioms, so this implies
+    pointwise consistency.
+    """
+    return system_verdict(s) == VERDICT_MONOCOSMIC
 
 
 def is_polycosmic(s: InformationSystem) -> bool:
     """Pointwise consistent but jointly inconsistent at the sum."""
-    _require_valid(s)
-    _, images, sum_theory = _sum_parts(s)
-    return all(is_consistent(img) for img in images.values()) and not is_consistent(sum_theory)
+    return system_verdict(s) == VERDICT_POLYCOSMIC
 
 
 def _require_comparable(s1: InformationSystem, s2: InformationSystem) -> None:

@@ -18,6 +18,7 @@ from .theories import (
     DEFAULT_SEQUENT_CAP,
     Sequent,
     SequentTheory,
+    _require_within,
     _sat,
     satisfying_states,
     theory_leq,
@@ -51,9 +52,7 @@ def _instance_states(c: Classification, instances) -> set[frozenset[str]]:
 
 def natural_entails(c: Classification, s: Sequent) -> bool:
     """Virtual form of the natural theory: satisfaction by every instance."""
-    outside = s.types() - c.types
-    if outside:
-        raise IfkError(f"sequent uses types outside the language: {', '.join(sorted(outside))}")
+    _require_within(c.types, s)
     return all(
         _sat(s.antecedent, s.consequent, x) for x in _instance_states(c, c.instances)
     )

@@ -70,14 +70,6 @@ class SequentTheory:
 
 
 @dataclass(frozen=True)
-class State:
-    holds: frozenset[str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "holds", frozenset(self.holds))
-
-
-@dataclass(frozen=True)
 class FlatTheory:
     types: frozenset[str]
     members: frozenset[str]
@@ -93,18 +85,18 @@ def _sat(antecedent: frozenset[str], consequent: frozenset[str], holds: frozense
     return not (antecedent <= holds and consequent.isdisjoint(holds))
 
 
-def state_satisfies(s: Sequent, x: State, sigma: Iterable[str] | None = None) -> bool:
-    """Satisfaction of one sequent in one state.
+def state_satisfies(s: Sequent, holds: frozenset[str], sigma: Iterable[str] | None = None) -> bool:
+    """Satisfaction of one sequent in the state where exactly ``holds`` holds.
 
     When ``sigma`` is given, both the sequent and the state must stay
     inside it.
     """
     if sigma is not None:
         sigma = frozenset(sigma)
-        outside = (s.types() | x.holds) - sigma
+        outside = (s.types() | holds) - sigma
         if outside:
             raise IfkError(f"type(s) outside the language: {', '.join(sorted(outside))}")
-    return _sat(s.antecedent, s.consequent, x.holds)
+    return _sat(s.antecedent, s.consequent, holds)
 
 
 def all_states(types: Iterable[str]) -> Iterator[frozenset[str]]:
@@ -307,16 +299,20 @@ def analogy(t: SequentTheory, renaming: Mapping[str, str]) -> SequentTheory:
 # ---------------------------------------------------------------------------
 # theory morphisms and flat theories
 
+def _require_total(type_map: Mapping[str, str], domain: frozenset[str], codomain: frozenset[str]):
+    missing = domain - type_map.keys()
+    if missing:
+        raise IfkError(f"type map not total, missing: {', '.join(sorted(missing))}")
+    bad = {t for t in domain if type_map[t] not in codomain}
+    if bad:
+        raise IfkError(f"type map lands outside the target language at: {', '.join(sorted(bad))}")
+
+
 def check_theory_morphism(
     f: Mapping[str, str], t1: SequentTheory, t2: SequentTheory
 ):
     """``f`` is a theory morphism when every axiom image is a theorem of ``t2``."""
-    missing = t1.types - f.keys()
-    if missing:
-        raise IfkError(f"type map not total, missing: {', '.join(sorted(missing))}")
-    bad = {t for t in t1.types if f[t] not in t2.types}
-    if bad:
-        raise IfkError(f"type map lands outside the target language at: {', '.join(sorted(bad))}")
+    _require_total(f, t1.types, t2.types)
     defects = tuple(
         a for a in sorted(t1.axioms, key=sequent_key) if not entails(t2, a.rename(f))
     )

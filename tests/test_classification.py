@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 
 import pytest
 from hypothesis import given
@@ -211,3 +213,13 @@ def test_intent_is_maximal_among_classifying_theories(c):
         for theory in subsets:
             if i in extent(c, theory):
                 assert theory <= intent(c, i)
+
+
+def test_classification_is_freed_after_lookups():
+    c = Classification("c", ["i"], ["t"], [("i", "t")])
+    assert intent(c, "i") == {"t"}
+    assert extent(c, ["t"]) == {"i"}
+    ref = weakref.ref(c)
+    del c
+    gc.collect()
+    assert ref() is None

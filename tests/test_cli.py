@@ -50,6 +50,20 @@ def test_parse_duplicate_identifiers():
         parse_bundle(json.dumps(doc))
 
 
+def test_parse_rejects_duplicate_json_keys(tmp_path):
+    twice = '{"theories": {"t": {"types": []}, "t": {"types": ["a"]}}}'
+    nested = '{"theories": {"t": {"types": [], "types": ["a"]}}}'
+    with pytest.raises(BundleError, match="duplicate JSON key 't'"):
+        parse_bundle(twice)
+    with pytest.raises(BundleError, match="duplicate JSON key 'types'"):
+        parse_bundle(nested)
+    bad = tmp_path / "twice.json"
+    bad.write_text(twice)
+    status, report = run(["validate", str(bad)])
+    assert status == 1
+    assert json.loads(report)["error"]["kind"] == "bundle"
+
+
 def test_parse_rejects_invariance_violation():
     doc = {
         "classifications": {
@@ -121,6 +135,26 @@ def test_validate_invalid_bundle(tmp_path):
 def test_unknown_command_is_usage_error():
     status, report = run(["frobnicate", "x.json"])
     assert status == 2
+
+
+def test_seed_flag_is_usage_error():
+    status, report = run(["--seed", "1", "validate", str(FIXTURES / "vee.json")])
+    assert status == 2
+    assert json.loads(report)["error"]["kind"] == "usage"
+
+
+def test_unexpected_exception_is_internal_error(monkeypatch):
+    def overflow(theory, q):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("ifk.cli.entails", overflow)
+    args = ["entails", "--theory", "tiny", "--sequent", "a |- b", str(FIXTURES / "classics.json")]
+    status, report = run(args)
+    assert status == 1
+    assert json.loads(report) == {
+        "ok": False,
+        "error": {"kind": "internal", "message": "RecursionError: maximum recursion depth exceeded"},
+    }
 
 
 def test_close_command_matches_library():

@@ -9,8 +9,10 @@ from ifk import (
     Classification,
     ClsDiagram,
     IfkError,
+    InformationSystem,
     Infomorphism,
     LanguageDiagram,
+    SequentTheory,
     ShapeGraph,
     check_infomorphism,
     colimit_language,
@@ -326,3 +328,34 @@ def test_non_covering_channel_is_rejected():
     bad = Channel(ch.core, {**ch.legs, "M": bad_leg})
     with pytest.raises(IfkError, match="does not cover"):
         mediating_morphism(ch, bad, d)
+
+
+def test_mapping_fields_are_read_only():
+    c = Classification("c", ["i"], ["t"], [("i", "t")])
+    shape = ShapeGraph(["a", "b"], [("e", "a", "b")])
+    f = Infomorphism("e", c, c, {"t": "t"}, {"i": "i"})
+    d = ClsDiagram(shape, {"a": c, "b": c}, {"e": f})
+    lang = d.language_diagram()
+    top = SequentTheory(["t"], [])
+    s = InformationSystem(
+        shape, {"a": top, "b": top}, {"e": {"t": "t"}}, d.node_cls, {"e": {"i": "i"}}
+    )
+    views = [
+        f.type_map,
+        f.instance_map,
+        d.node_cls,
+        d.edge_info,
+        lang.node_language,
+        lang.edge_map,
+        lang.edge_map["e"],
+        sum_classification(d).legs,
+        s.node_theory,
+        s.edge_type_map,
+        s.edge_type_map["e"],
+        s.node_cls,
+        s.edge_instance_map,
+        s.edge_instance_map["e"],
+    ]
+    for view in views:
+        with pytest.raises(TypeError):
+            view["x"] = "x"

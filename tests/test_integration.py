@@ -11,6 +11,7 @@ from ifk import (
     close,
     entails,
     integrate,
+    is_consistent,
     is_monocosmic,
     is_pointwise_consistent,
     is_polycosmic,
@@ -18,6 +19,7 @@ from ifk import (
     system_entails,
     system_entails_at,
     system_leq,
+    system_verdict,
     validate_system,
     verify_channel_covers,
 )
@@ -248,6 +250,14 @@ def test_monocosmic_implies_pointwise():
         s = support.rand_system(rng)
         if is_monocosmic(s):
             assert is_pointwise_consistent(s)
+        verdict = system_verdict(s)
+        result = integrate(s, delta_bound=1)
+        assert result.verdict == verdict
+        if is_consistent(result.sum_theory):
+            assert verdict == VERDICT_MONOCOSMIC
+        assert is_pointwise_consistent(s) == (verdict != VERDICT_POINTWISE_INCONSISTENT)
+        assert is_monocosmic(s) == (verdict == VERDICT_MONOCOSMIC)
+        assert is_polycosmic(s) == (verdict == VERDICT_POLYCOSMIC)
 
 
 # ---------------------------------------------------------------------------

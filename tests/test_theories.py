@@ -10,7 +10,6 @@ from ifk import (
     IfkError,
     Sequent,
     SequentTheory,
-    State,
     analogy,
     bottom_theory,
     check_theory_morphism,
@@ -42,25 +41,25 @@ def theory(types, *axioms):
 # satisfaction
 
 def test_state_fails_unwitnessed_sequent():
-    assert state_satisfies(seq("h", "p"), State(frozenset({"h"}))) is False
+    assert state_satisfies(seq("h", "p"), frozenset({"h"})) is False
 
 
 def test_state_satisfies_when_antecedent_broken():
-    assert state_satisfies(seq("h", "p"), State(frozenset())) is True
+    assert state_satisfies(seq("h", "p"), frozenset()) is True
 
 
 def test_overlapping_sequents_hold_in_every_state():
     for holds in all_states({"a", "b", "c"}):
-        assert state_satisfies(seq("a b", "b"), State(holds))
+        assert state_satisfies(seq("a b", "b"), holds)
 
 
 def test_empty_sequent_fails_in_the_empty_state():
-    assert state_satisfies(seq("", ""), State(frozenset())) is False
+    assert state_satisfies(seq("", ""), frozenset()) is False
 
 
 def test_state_satisfies_language_check():
     with pytest.raises(IfkError, match="outside the language"):
-        state_satisfies(seq("h", "p"), State(frozenset({"h"})), sigma={"h"})
+        state_satisfies(seq("h", "p"), frozenset({"h"}), sigma={"h"})
 
 
 # ---------------------------------------------------------------------------
