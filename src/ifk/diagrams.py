@@ -11,10 +11,10 @@ mediating infomorphism.
 
 from __future__ import annotations
 
-import math
+import itertools
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterator, Mapping
 
 from .classification import Classification, Infomorphism, check_infomorphism
 from .errors import CapExceeded, IfkError, ValidationResult
@@ -75,6 +75,10 @@ class LanguageColimit:
     types: frozenset[str]
     cocone: Mapping[str, Mapping[str, str]]
     members: Mapping[str, frozenset[tuple[str, str]]]
+
+    def __post_init__(self):
+        object.__setattr__(self, "cocone", _frozen_maps(self.cocone.items()))
+        object.__setattr__(self, "members", MappingProxyType(dict(self.members)))
 
 
 def _find(parent: dict, x):
@@ -167,39 +171,66 @@ def tuple_instance_name(components: Mapping[str, str]) -> str:
     return "tup:" + ",".join(f"{n}.{x}" for n, x in sorted(components.items()))
 
 
-def _compatible_tuples(d: ClsDiagram) -> list[dict[str, str]]:
+def _compatible_tuples(d: ClsDiagram, budget: int) -> Iterator[dict[str, str]]:
     """Enumerate node-indexed instance tuples compatible with every edge.
 
-    Nodes are assigned in sorted order; an edge constraint is applied as
-    soon as both its endpoints are assigned.
+    Nodes are assigned breadth-first along the edges, from the least
+    unassigned node, so that every node but a component's first meets an
+    edge constraint as soon as it is assigned; partial tuples then stay
+    compatible tuples of a connected part of the diagram.  Partial tuples
+    can still multiply and die at a later node, so each one extended to
+    the next node is charged to ``budget`` and the search stops with
+    ``CapExceeded`` past it.  When every node has an instance, the charge
+    stays below the node count times the instance product.
     """
-    nodes = sorted(d.shape.nodes)
-    position = {n: k for k, n in enumerate(nodes)}
+    adjacent: dict[str, set[str]] = {n: set() for n in d.shape.nodes}
+    for _, src, dst in d.shape.edges:
+        adjacent[src].add(dst)
+        adjacent[dst].add(src)
+    nodes: list[str] = []
+    position: dict[str, int] = {}
+    for root in sorted(d.shape.nodes):
+        if root in position:
+            continue
+        k = position[root] = len(nodes)
+        nodes.append(root)
+        while k < len(nodes):
+            for m in sorted(adjacent[nodes[k]]):
+                if m not in position:
+                    position[m] = len(nodes)
+                    nodes.append(m)
+            k += 1
     checks_at: dict[int, list[tuple[str, str, str]]] = {k: [] for k in range(len(nodes))}
     for e, src, dst in sorted(d.shape.edges):
         checks_at[max(position[src], position[dst])].append((e, src, dst))
-
-    out: list[dict[str, str]] = []
-
-    def extend(k: int, partial: dict[str, str]):
-        if k == len(nodes):
-            out.append(dict(partial))
-            return
-        node = nodes[k]
-        for x in sorted(d.node_cls[node].instances):
-            partial[node] = x
-            ok = True
-            for e, src, dst in checks_at[k]:
-                f = d.edge_info[e]
-                if f.instance_map[partial[dst]] != partial[src]:
-                    ok = False
-                    break
-            if ok:
-                extend(k + 1, partial)
-            del partial[node]
-
-    extend(0, {})
-    return out
+    if not nodes:
+        yield {}
+        return
+    choices = [sorted(d.node_cls[n].instances) for n in nodes]
+    if not all(choices):
+        return  # a node without instances admits no tuple
+    spent = 0
+    partial: dict[str, str] = {}
+    pending = [iter(choices[0])]  # remaining choices at each assigned depth
+    while pending:
+        k = len(pending) - 1
+        x = next(pending[-1], None)
+        if x is None:
+            pending.pop()
+            partial.pop(nodes[k], None)
+            continue
+        partial[nodes[k]] = x
+        if all(
+            d.edge_info[e].instance_map[partial[dst]] == partial[src]
+            for e, src, dst in checks_at[k]
+        ):
+            if k + 1 == len(nodes):
+                yield dict(partial)
+                continue
+            spent += 1
+            if spent > budget:
+                raise CapExceeded("sum classification search (lower bound)", spent, budget)
+            pending.append(iter(choices[k + 1]))
 
 
 def sum_classification(d: ClsDiagram, instance_cap: int = DEFAULT_INSTANCE_CAP) -> Channel:
@@ -208,13 +239,17 @@ def sum_classification(d: ClsDiagram, instance_cap: int = DEFAULT_INSTANCE_CAP) 
     Core types are the language-colimit classes; core instances are the
     edge-compatible tuples; a tuple falls under a class when its
     component at any member node does (invariance makes the choice of
-    member immaterial).
+    member immaterial).  The cap counts compatible tuples as they are
+    found, so a large instance product with few compatible tuples passes;
+    the search for them may extend ``instance_cap`` partial tuples per
+    node.  Either limit stops the enumeration where it is reached, so the
+    size it reports is a lower bound.
     """
-    required = math.prod(len(c.instances) for c in d.node_cls.values())
-    if required > instance_cap:
-        raise CapExceeded("sum classification instances", required, instance_cap)
+    found = _compatible_tuples(d, instance_cap * len(d.shape.nodes))
+    tuples = list(itertools.islice(found, instance_cap + 1))
+    if len(tuples) > instance_cap:
+        raise CapExceeded("sum classification instances (lower bound)", len(tuples), instance_cap)
     colim = colimit_language(d.language_diagram())
-    tuples = _compatible_tuples(d)
     names = [tuple_instance_name(tup) for tup in tuples]
     if len(set(names)) != len(names):
         raise IfkError("tuple name collision; rename node or instance identifiers")

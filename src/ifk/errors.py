@@ -13,7 +13,9 @@ class CapExceeded(IfkError):
     """A materialization would exceed its size cap.
 
     Caps make exponential blow-ups opt-in; the error reports the size that
-    would have been required so callers can re-run with a larger cap.
+    would have been required so callers can re-run with a larger cap.  A
+    phase marked "(lower bound)" stopped counting at the cap, so the size
+    it reports is the least that would be required.
     """
 
     def __init__(self, phase: str, required: int, cap: int):

@@ -13,6 +13,7 @@ instances matter (borrowing).
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .classification import Classification, Infomorphism
@@ -58,7 +59,7 @@ class InverseFlowTheory:
     ):
         self.types = frozenset(source_types)
         _require_total(type_map, self.types, target.types)
-        self.type_map = dict(type_map)
+        self.type_map = MappingProxyType(dict(type_map))
         self.target = target
 
     def entails(self, s: Sequent) -> bool:

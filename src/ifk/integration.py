@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping
 
@@ -106,39 +107,45 @@ class InformationSystem:
             )
         return ClsDiagram(self.shape, self.node_cls, infos)
 
+    # Computed on first use and kept: the fields are read-only, so a
+    # system is validated once however many commands consult it.
+    @cached_property
+    def _validation(self) -> ValidationResult:
+        defects = []
+        for e, src, dst in sorted(self.shape.edges):
+            try:
+                result = check_theory_morphism(
+                    self.edge_type_map[e], self.node_theory[src], self.node_theory[dst]
+                )
+            except IfkError as exc:
+                defects.append(("edge", e, str(exc)))
+                continue
+            defects.extend(("edge", e, "axiom", a) for a in result.defects)
+            imap = self.edge_instance_map.get(e)
+            if imap is not None:
+                if src not in self.node_cls or dst not in self.node_cls:
+                    defects.append(("edge", e, "instance map without classifications"))
+                    continue
+                info = Infomorphism(
+                    name=e,
+                    source=self.node_cls[src],
+                    target=self.node_cls[dst],
+                    type_map=self.edge_type_map[e],
+                    instance_map=imap,
+                )
+                try:
+                    check = check_infomorphism(info)
+                except IfkError as exc:
+                    defects.append(("edge", e, str(exc)))
+                    continue
+                defects.extend(("edge", e, "invariance", viol) for viol in check.defects)
+        return ValidationResult.from_defects(defects)
+
 
 def validate_system(s: InformationSystem) -> ValidationResult:
     """Every edge map is a theory morphism; supplied instance maps give
     valid infomorphisms.  Defects carry the failing edge and element."""
-    defects = []
-    for e, src, dst in sorted(s.shape.edges):
-        try:
-            result = check_theory_morphism(
-                s.edge_type_map[e], s.node_theory[src], s.node_theory[dst]
-            )
-        except IfkError as exc:
-            defects.append(("edge", e, str(exc)))
-            continue
-        defects.extend(("edge", e, "axiom", a) for a in result.defects)
-        imap = s.edge_instance_map.get(e)
-        if imap is not None:
-            if src not in s.node_cls or dst not in s.node_cls:
-                defects.append(("edge", e, "instance map without classifications"))
-                continue
-            info = Infomorphism(
-                name=e,
-                source=s.node_cls[src],
-                target=s.node_cls[dst],
-                type_map=s.edge_type_map[e],
-                instance_map=imap,
-            )
-            try:
-                check = check_infomorphism(info)
-            except IfkError as exc:
-                defects.append(("edge", e, str(exc)))
-                continue
-            defects.extend(("edge", e, "invariance", viol) for viol in check.defects)
-    return ValidationResult.from_defects(defects)
+    return s._validation
 
 
 @dataclass(frozen=True)
@@ -227,8 +234,8 @@ def integrate(
         cocone=colim.cocone,
         sum_members=colim.members,
         sum_theory=sum_theory,
-        closure_handles=handles,
-        deltas=deltas,
+        closure_handles=MappingProxyType(handles),
+        deltas=MappingProxyType(deltas),
         verdict=_verdict(images, sum_theory),
     )
 

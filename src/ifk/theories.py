@@ -8,22 +8,28 @@ over a finite language this semantic reading coincides with closure
 under the usual structural rules.
 
 Entailment is decided by refutation: each sequent is a clause (some
-antecedent type fails or some consequent type holds), the query adds
-unit assertions for its antecedent and against its consequent, and a
-backtracking search with unit propagation tests unsatisfiability.  A
-full 2^|types| state-enumeration oracle is kept alongside for checking.
+antecedent type fails or some consequent type holds), and a query asks
+whether the axioms stay satisfiable with the antecedent assumed to hold
+and the consequent to fail.  Each theory is compiled once, on its first
+query, into a ``CompiledTheory``: int clauses with two watched literals,
+searched iteratively (so no theory is too deep for the interpreter's
+stack), learning clauses that later queries reuse.
+A full 2^|types| state-enumeration oracle is kept alongside for checking.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .classification import Classification, extent
 from .errors import CapExceeded, IfkError, ValidationResult
 
 DEFAULT_SEQUENT_CAP = 65536  # 4^8: materialized closures up to 8 types
+MODELS_KEPT = 32  # recent models a compiled theory tries before searching
 
 
 @dataclass(frozen=True)
@@ -67,6 +73,16 @@ class SequentTheory:
         for a in self.axioms:
             if not a.types() <= self.types:
                 raise IfkError(f"axiom {a!r} uses types outside the language")
+
+    # The entailment engine, compiled on first query and freed with the
+    # theory; equality and hashing read the fields only.
+    @cached_property
+    def _compiled(self) -> "CompiledTheory":
+        return CompiledTheory(self)
+
+    def __getstate__(self):
+        # the engine holds a lock; a copy compiles its own on first query
+        return {k: v for k, v in self.__dict__.items() if k != "_compiled"}
 
 
 @dataclass(frozen=True)
@@ -117,66 +133,199 @@ def satisfying_states(t: SequentTheory) -> list[frozenset[str]]:
 
 
 # ---------------------------------------------------------------------------
-# backtracking engine
+# compiled engine
 
-def _clauses(t: SequentTheory, index: Mapping[str, int]) -> list[frozenset[int]]:
-    out = []
-    for a in t.axioms:
-        clause = frozenset(
-            [-(index[g] + 1) for g in a.antecedent] + [index[d] + 1 for d in a.consequent]
-        )
-        out.append(clause)
-    return out
+class CompiledTheory:
+    """A theory compiled once into int clauses, answering many queries.
 
+    Type k of the sorted language is variable k; literal ``2k`` says the
+    type holds and ``2k + 1`` that it fails, so ``lit ^ 1`` negates.
+    The sequent <G |- D> is the clause "some g fails or some d holds";
+    tautological sequents are dropped and an empty one makes the theory
+    unsatisfiable.  Every longer clause watches its first two literals
+    (Moskewicz et al., "Chaff", 2001), and the propagation forced by
+    unit axioms is settled once, at level 0.
 
-def _assign(clauses: list[set[int]], lit: int) -> list[set[int]] | None:
-    out = []
-    for c in clauses:
-        if lit in c:
-            continue
-        if -lit in c:
-            reduced = c - {-lit}
-            if not reduced:
-                return None
-            out.append(reduced)
-        else:
-            out.append(c)
-    return out
+    ``solve`` searches iteratively with a trail and undo.  Assumptions
+    are decided first, one level each, as in MiniSat (Een & Sorensson,
+    2003), so a clause learned from a conflict is a resolvent of the
+    axioms alone and stays valid for every later query.  The models that
+    satisfiable queries end in are kept too, the most recent first: a
+    query that one of them satisfies is answered without a search.  The
+    search state is shared between queries; a lock serializes them.
+    """
 
+    def __init__(self, t: SequentTheory):
+        self.index = {typ: k for k, typ in enumerate(sorted(t.types))}
+        n = len(self.index)
+        self._value = [0] * (2 * n)  # per literal: 1 true, -1 false, 0 free
+        self._level = [0] * n
+        self._reason: list[list[int] | None] = [None] * n
+        self._watches: list[list[list[int]]] = [[] for _ in range(2 * n)]
+        self._trail: list[int] = []
+        self._limits: list[int] = []  # trail length where each decision level starts
+        self._head = 0  # trail position of the next literal to propagate
+        self._free = 0  # no variable below this one is free
+        self._lock = threading.Lock()
+        self._unsat = False
+        self._models: list[int] = []
+        for a in sorted(t.axioms, key=sequent_key):
+            clause = {2 * self.index[g] + 1 for g in a.antecedent}
+            clause |= {2 * self.index[d] for d in a.consequent}
+            if any(lit ^ 1 in clause for lit in clause):
+                continue  # holds in every state
+            clause = sorted(clause)
+            if len(clause) > 1:
+                self._watches[clause[0]].append(clause)
+                self._watches[clause[1]].append(clause)
+            elif not clause or self._value[clause[0]] == -1:
+                self._unsat = True
+            elif not self._value[clause[0]]:
+                self._enqueue(clause[0], None)
+        if not self._unsat:
+            self._unsat = self._propagate() is not None
 
-def _search(clauses: list[set[int]]) -> bool:
-    while True:
-        if not clauses:
-            return True
-        unit = next((next(iter(c)) for c in clauses if len(c) == 1), None)
-        if unit is None:
-            break
-        clauses = _assign(clauses, unit)
-        if clauses is None:
-            return False
-    var = min(abs(l) for c in clauses for l in c)
-    for lit in (var, -var):
-        branch = _assign(clauses, lit)
-        if branch is not None and _search(branch):
-            return True
-    return False
+    def solve(self, assumptions: list[int]) -> bool:
+        """Some state satisfies every axiom and every assumed literal."""
+        want = 0
+        for lit in assumptions:
+            want |= 1 << lit
+        with self._lock:
+            if self._unsat:
+                return False
+            for model in self._models:
+                if model & want == want:
+                    return True
+            try:
+                found = self._solve(assumptions)
+                if found:
+                    model = sum(1 << lit for lit in self._trail)
+                    self._models = [model, *self._models[: MODELS_KEPT - 1]]
+                return found
+            finally:
+                self._backtrack(0)
 
+    def _solve(self, assumptions: list[int]) -> bool:
+        value, limits = self._value, self._limits
+        while True:
+            conflict = self._propagate()
+            if conflict is not None:
+                if not limits:
+                    self._unsat = True  # the axioms alone conflict
+                    return False
+                learnt, level = self._analyze(conflict)
+                self._backtrack(level)
+                if len(learnt) > 1:
+                    self._watches[learnt[0]].append(learnt)
+                    self._watches[learnt[1]].append(learnt)
+                    self._enqueue(learnt[0], learnt)
+                else:
+                    self._enqueue(learnt[0], None)
+                continue
+            while len(limits) < len(assumptions):
+                lit = assumptions[len(limits)]
+                if value[lit] == -1:
+                    return False  # the axioms and earlier assumptions refute it
+                limits.append(len(self._trail))
+                if value[lit] == 0:
+                    self._enqueue(lit, None)
+                    break
+            else:
+                v = self._free
+                while v < len(self._level) and value[2 * v]:
+                    v += 1
+                self._free = v
+                if v == len(self._level):
+                    return True
+                limits.append(len(self._trail))
+                self._enqueue(2 * v + 1, None)  # try "fails" first
 
-def _satisfiable(clause_sets: list[frozenset[int]]) -> bool:
-    clauses = []
-    for c in clause_sets:
-        if not c:
-            return False
-        if any(-l in c for l in c):
-            continue  # internally complementary: satisfied either way
-        clauses.append(set(c))
-    return _search(clauses)
+    def _enqueue(self, lit: int, reason: list[int] | None) -> None:
+        self._value[lit] = 1
+        self._value[lit ^ 1] = -1
+        self._level[lit >> 1] = len(self._limits)
+        self._reason[lit >> 1] = reason
+        self._trail.append(lit)
+
+    def _propagate(self) -> list[int] | None:
+        """Unit propagation over the watches; returns a falsified clause."""
+        value, watches, trail = self._value, self._watches, self._trail
+        while self._head < len(trail):
+            false_lit = trail[self._head] ^ 1
+            self._head += 1
+            ws = watches[false_lit]
+            kept = 0
+            for pos, c in enumerate(ws):
+                if c[0] == false_lit:
+                    c[0], c[1] = c[1], false_lit
+                if value[c[0]] == 1:
+                    ws[kept] = c
+                    kept += 1
+                    continue
+                for k in range(2, len(c)):
+                    if value[c[k]] != -1:
+                        c[1], c[k] = c[k], false_lit
+                        watches[c[1]].append(c)
+                        break
+                else:
+                    ws[kept] = c
+                    kept += 1
+                    if value[c[0]] == -1:
+                        ws[kept:pos + 1] = []
+                        return c
+                    self._enqueue(c[0], c)
+            del ws[kept:]
+        return None
+
+    def _analyze(self, conflict: list[int]) -> tuple[list[int], int]:
+        """First-UIP learning: the learned clause and the level to return to."""
+        level, reason, trail = self._level, self._reason, self._trail
+        top = len(self._limits)
+        learnt = [0]
+        seen: set[int] = set()
+        pending, lit, pos, clause = 0, -1, len(trail), conflict
+        while True:
+            for q in clause:
+                v = q >> 1
+                if q != lit and v not in seen and level[v]:
+                    seen.add(v)
+                    if level[v] == top:
+                        pending += 1
+                    else:
+                        learnt.append(q)
+            pos -= 1
+            while trail[pos] >> 1 not in seen:
+                pos -= 1
+            lit = trail[pos]
+            pending -= 1
+            if not pending:
+                break
+            clause = reason[lit >> 1]
+        learnt[0] = lit ^ 1
+        if len(learnt) == 1:
+            return learnt, 0
+        k = max(range(1, len(learnt)), key=lambda j: level[learnt[j] >> 1])
+        learnt[1], learnt[k] = learnt[k], learnt[1]
+        return learnt, level[learnt[1] >> 1]
+
+    def _backtrack(self, level: int) -> None:
+        if len(self._limits) <= level:
+            return
+        start = self._limits[level]
+        value = self._value
+        undone = self._trail[start:]
+        for lit in undone:
+            value[lit] = value[lit ^ 1] = 0
+        if undone:
+            self._free = min(self._free, min(undone) >> 1)
+        del self._trail[start:]
+        del self._limits[level:]
+        self._head = start
 
 
 def is_consistent(t: SequentTheory) -> bool:
     """Some state over the language satisfies every axiom."""
-    index = {typ: k for k, typ in enumerate(sorted(t.types))}
-    return _satisfiable(_clauses(t, index))
+    return t._compiled.solve([])
 
 
 def is_consistent_by_enumeration(t: SequentTheory) -> bool:
@@ -196,11 +345,12 @@ def entails(t: SequentTheory, s: Sequent) -> bool:
     test unsatisfiability.
     """
     _require_within(t.types, s)
-    index = {typ: k for k, typ in enumerate(sorted(t.types))}
-    clauses = _clauses(t, index)
-    clauses += [frozenset([index[g] + 1]) for g in s.antecedent]
-    clauses += [frozenset([-(index[d] + 1)]) for d in s.consequent]
-    return not _satisfiable(clauses)
+    if not s.antecedent.isdisjoint(s.consequent):
+        return True  # holds in every state
+    c = t._compiled
+    return not c.solve(
+        [2 * c.index[g] for g in s.antecedent] + [2 * c.index[d] + 1 for d in s.consequent]
+    )
 
 
 def entails_by_enumeration(t: SequentTheory, s: Sequent) -> bool:

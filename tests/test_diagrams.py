@@ -17,6 +17,7 @@ from ifk import (
     check_infomorphism,
     colimit_language,
     compose_infomorphisms,
+    integrate,
     mediating_morphism,
     sum_classification,
     verify_channel_covers,
@@ -126,6 +127,53 @@ def test_sum_instance_cap():
     with pytest.raises(CapExceeded) as err:
         sum_classification(d, instance_cap=3)
     assert err.value.required == 4
+
+
+def test_sum_cap_charges_compatible_tuples_only():
+    # the edge pairs each instance with one partner: 10 tuples out of a
+    # product of 100
+    c1 = Classification("n", [f"i{k}" for k in range(10)], [], [])
+    c2 = Classification("m", [f"j{k}" for k in range(10)], [], [])
+    f = Infomorphism("e", c1, c2, {}, {f"j{k}": f"i{k}" for k in range(10)})
+    d = ClsDiagram(ShapeGraph(["n", "m"], [("e", "n", "m")]), {"n": c1, "m": c2}, {"e": f})
+    assert len(sum_classification(d, instance_cap=10).core.instances) == 10
+    with pytest.raises(CapExceeded) as err:
+        sum_classification(d, instance_cap=9)
+    assert err.value.required == 10
+
+
+def late_dying_diagram(k: int, m: int) -> ClsDiagram:
+    # root a; every instance of each b-node fits a, but each d-node admits
+    # one instance of its b-node: m^k partial tuples over the b-nodes die at
+    # the d-nodes, which come after every b-node, and one tuple survives
+    a = Classification("a", ["a0"], [], [])
+    node_cls, edges, infos = {"a": a}, [], {}
+    for i in range(k):
+        b = Classification(f"b{i:02}", [f"b{i}_{j}" for j in range(m)], [], [])
+        c = Classification(f"d{i:02}", [f"d{i}"], [], [])
+        node_cls[b.name], node_cls[c.name] = b, c
+        edges += [(f"ab{i}", "a", b.name), (f"bd{i}", b.name, c.name)]
+        infos[f"ab{i}"] = Infomorphism(f"ab{i}", a, b, {}, {x: "a0" for x in b.instances})
+        infos[f"bd{i}"] = Infomorphism(f"bd{i}", b, c, {}, {f"d{i}": f"b{i}_0"})
+    return ClsDiagram(ShapeGraph(node_cls, edges), node_cls, infos)
+
+
+def test_sum_search_is_capped_when_partial_tuples_die_late():
+    assert len(sum_classification(late_dying_diagram(3, 4)).core.instances) == 1
+    # 4^12 partial tuples: the search stops at 4096 per node (25 nodes)
+    with pytest.raises(CapExceeded) as err:
+        sum_classification(late_dying_diagram(12, 4))
+    assert err.value.phase == "sum classification search (lower bound)"
+    assert (err.value.required, err.value.cap) == (4096 * 25 + 1, 4096 * 25)
+    # the budget never refuses a diagram whose instance product is within the cap
+    assert len(sum_classification(late_dying_diagram(6, 4), instance_cap=4096).core.instances) == 1
+    # nor one with an empty node, whatever the other nodes hold
+    d = late_dying_diagram(12, 4)
+    empty = Classification("z", [], [], [])
+    d = ClsDiagram(
+        ShapeGraph(d.shape.nodes | {"z"}, d.shape.edges), {**d.node_cls, "z": empty}, d.edge_info
+    )
+    assert sum_classification(d).core.instances == frozenset()
 
 
 def vee_cls_diagram():
@@ -340,6 +388,8 @@ def test_mapping_fields_are_read_only():
     s = InformationSystem(
         shape, {"a": top, "b": top}, {"e": {"t": "t"}}, d.node_cls, {"e": {"i": "i"}}
     )
+    colim = colimit_language(lang)
+    result = integrate(s)
     views = [
         f.type_map,
         f.instance_map,
@@ -355,6 +405,15 @@ def test_mapping_fields_are_read_only():
         s.node_cls,
         s.edge_instance_map,
         s.edge_instance_map["e"],
+        colim.cocone,
+        colim.cocone["a"],
+        colim.members,
+        result.cocone,
+        result.cocone["a"],
+        result.sum_members,
+        result.closure_handles,
+        result.deltas,
+        result.closure_handles["a"].type_map,
     ]
     for view in views:
         with pytest.raises(TypeError):

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import ifk.integration
+
 from ifk import (
     Classification,
     IfkError,
@@ -23,11 +25,12 @@ from ifk import (
     validate_system,
     verify_channel_covers,
 )
+from ifk.bundle import parse_bundle
 from ifk.integration import VERDICT_MONOCOSMIC, VERDICT_POINTWISE_INCONSISTENT, VERDICT_POLYCOSMIC
 from ifk.theories import Sequent, all_states
 
 import support
-from conftest import clash_system, seq, vee_system
+from conftest import FIXTURES, seq, vee_system
 
 
 def single_node_system(theory: SequentTheory) -> InformationSystem:
@@ -148,6 +151,22 @@ def test_vee_deltas_against_state_enumeration(vee):
                 expected.add(q)
     result = integrate(vee, delta_bound=1)
     assert set(result.deltas["O2"]) == expected
+
+
+def test_system_is_validated_once(monkeypatch):
+    calls = []
+    check = ifk.integration.check_theory_morphism
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(ifk.integration, "check_theory_morphism", counted)
+    system = parse_bundle((FIXTURES / "vee.json").read_text()).systems["vee"]
+    integrate(system, delta_bound=1)
+    system_verdict(system)
+    assert validate_system(system).ok
+    assert len(calls) == len(system.shape.edges)
 
 
 def test_integrate_rejects_invalid_system():

@@ -1,4 +1,7 @@
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given
@@ -111,6 +114,105 @@ def test_engine_matches_enumeration_oracle():
         s = support.rand_sequent(rng, types)
         assert entails(t, s) == entails_by_enumeration(t, s)
         assert is_consistent(t) == is_consistent_by_enumeration(t)
+
+
+@pytest.mark.parametrize("m", [1500, 5000])
+def test_deep_reversed_chains(m):
+    # c(k+1) |- c(k): refuting c(lo) |- c(hi) leaves hi - lo - 1 types free,
+    # far more than the interpreter's recursion limit
+    types = [f"c{k:05d}" for k in range(m + 1)]
+    t = SequentTheory(types, [Sequent({types[k + 1]}, {types[k]}) for k in range(m)])
+    lo, hi = 3, m - 3
+    assert is_consistent(t)
+    assert entails(t, Sequent({types[hi]}, {types[lo]}))
+    assert not entails(t, Sequent({types[lo]}, {types[hi]}))
+    # pinning both ends makes the chain contradict itself
+    pinned = expand(t, [Sequent((), {types[m]}), Sequent({types[0]}, ())])
+    assert not is_consistent(pinned)
+    assert entails(pinned, Sequent({types[lo]}, {types[hi]}))
+
+
+def hard_sequent(rng, sigma):
+    """Three types split at random between the sides: near 4.26 such axioms
+    per type a theory sits in the hard region, where queries meet
+    conflicts and the engine learns clauses."""
+    picked = rng.sample(sigma, 3)
+    ant = [x for x in picked if rng.random() < 0.5]
+    return Sequent(ant, set(picked) - set(ant))
+
+
+def test_compiled_theory_answers_interleaved_queries():
+    # one theory object serves every query in turn, so anything the engine
+    # keeps between queries must leave later answers unchanged
+    rng = random.Random(0xC0DE)
+    sigma = [f"t{k}" for k in range(8)]
+    fixed = [
+        theory(""),  # the empty language
+        theory("", seq("", "")),
+        theory("a b", seq("", "")),  # the empty axiom <|->
+        theory("a b", seq("a", "a"), seq("b", "a b")),  # only tautologies
+        theory("a b c", seq("", "a"), seq("a", "b"), seq("b", "")),  # inconsistent
+        theory("a b c", seq("a", "a"), seq("a", "b"), seq("b c", "")),
+    ]
+    randomized = [
+        SequentTheory(sigma, [hard_sequent(rng, sigma) for _ in range(n)])
+        for n in (12, 20, 28, 34, 34, 34, 40, 40)
+    ]
+    cases = 0
+    for t in fixed + randomized:
+        for _ in range(150):
+            if rng.random() < 0.15:
+                assert is_consistent(t) == is_consistent_by_enumeration(t)
+            else:
+                s = support.rand_sequent(rng, t.types, 3)
+                if t.types and rng.random() < 0.2:
+                    shared = rng.choice(sorted(t.types))
+                    s = Sequent(s.antecedent | {shared}, s.consequent | {shared})
+                assert entails(t, s) == entails_by_enumeration(t, s), (t, s)
+            cases += 1
+    print(f"interleaved queries on {len(fixed) + len(randomized)} theories: {cases} cases")
+
+
+def test_compiled_theory_serves_concurrent_queries():
+    # threads share one compiled theory; an entailed query propagates along
+    # the chain, and another thread's search running meanwhile would see
+    # and undo its assignments
+    m = 400
+    types = [f"c{k:03d}" for k in range(m)]
+    t = SequentTheory(types, [Sequent({types[k + 1]}, {types[k]}) for k in range(m - 1)])
+    rng = random.Random(0x7EAD)
+    pairs = [tuple(rng.sample(range(m), 2)) for _ in range(200)]
+    wrong = []
+
+    def work(offset):
+        try:
+            for k in range(len(pairs)):
+                a, b = pairs[(k * 7 + offset) % len(pairs)]
+                if entails(t, Sequent({types[a]}, {types[b]})) != (a > b):
+                    wrong.append((a, b))
+        except Exception as exc:  # a corrupted search may fail outright
+            wrong.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not wrong
+
+
+def test_theory_pickles_after_queries():
+    t = theory("a b", seq("a", "b"))
+    assert entails(t, seq("a", "a b"))
+    copy = pickle.loads(pickle.dumps(t))
+    assert copy == t
+    assert entails(copy, seq("a", "b")) and not entails(copy, seq("b", "a"))
 
 
 # ---------------------------------------------------------------------------
