@@ -40,6 +40,7 @@ from .fca import (
 from .flow import (
     InverseFlowTheory,
     borrowing_holds,
+    check_theory_morphism,
     direct_flow,
     flat_direct_flow,
     flat_inverse_flow,
@@ -76,7 +77,6 @@ from .theories import (
     SequentTheory,
     analogy,
     bottom_theory,
-    check_theory_morphism,
     close,
     contract,
     entails,

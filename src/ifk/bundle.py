@@ -20,7 +20,7 @@ from .classification import (
 )
 from .diagrams import ShapeGraph
 from .errors import BundleError, IfkError
-from .integration import InformationSystem, validate_system
+from .integration import InformationSystem, _require_valid
 from .theories import Sequent, SequentTheory, sequent_key
 
 TOP_LEVEL_KEYS = ("classifications", "theories", "infomorphisms", "systems")
@@ -134,17 +134,20 @@ def parse_bundle(text: str) -> Bundle:
     _expect(isinstance(raw, dict), "bundle: expected a JSON object")
     unknown = set(raw) - set(TOP_LEVEL_KEYS)
     _expect(not unknown, f"bundle: unknown top-level keys {sorted(unknown)}")
+    sections = {key: raw.get(key, {}) for key in TOP_LEVEL_KEYS}
+    for key, body in sections.items():
+        _expect(isinstance(body, dict), f"{key}: expected an object")
 
     bundle = Bundle()
-    for name, body in (raw.get("classifications") or {}).items():
+    for name, body in sections["classifications"].items():
         _expect(valid_identifier(name), f"classifications: bad name {name!r}")
         bundle.classifications[name] = _parse_classification(
             name, body, f"classifications.{name}"
         )
-    for name, body in (raw.get("theories") or {}).items():
+    for name, body in sections["theories"].items():
         _expect(valid_identifier(name), f"theories: bad name {name!r}")
         bundle.theories[name] = _parse_theory(body, f"theories.{name}")
-    for name, body in (raw.get("infomorphisms") or {}).items():
+    for name, body in sections["infomorphisms"].items():
         where = f"infomorphisms.{name}"
         _expect(valid_identifier(name), f"infomorphisms: bad name {name!r}")
         _expect(isinstance(body, dict), f"{where}: expected an object")
@@ -169,7 +172,7 @@ def parse_bundle(text: str) -> Bundle:
             b, t, side = result.defects[0]
             raise BundleError(f"{where}: invariance fails at ({b}, {t}, {side})")
         bundle.infomorphisms[name] = info
-    for name, body in (raw.get("systems") or {}).items():
+    for name, body in sections["systems"].items():
         where = f"systems.{name}"
         _expect(valid_identifier(name), f"systems: bad name {name!r}")
         bundle.systems[name] = _parse_system(bundle, body, where)
@@ -224,11 +227,9 @@ def _parse_system(bundle: Bundle, raw, where: str) -> InformationSystem:
             node_cls=node_cls,
             edge_instance_map=edge_instance_map,
         )
+        _require_valid(system)
     except IfkError as exc:
         raise BundleError(f"{where}: {exc}") from exc
-    result = validate_system(system)
-    if not result.ok:
-        raise BundleError(f"{where}: invalid system: {result.defects[0]}")
     return system
 
 
@@ -239,7 +240,7 @@ def sequent_to_obj(s: Sequent) -> dict:
     return {"ant": sorted(s.antecedent), "con": sorted(s.consequent)}
 
 
-def _classification_to_obj(c: Classification) -> dict:
+def classification_to_obj(c: Classification) -> dict:
     return {
         "instances": sorted(c.instances),
         "types": sorted(c.types),
@@ -247,10 +248,18 @@ def _classification_to_obj(c: Classification) -> dict:
     }
 
 
-def _theory_to_obj(t: SequentTheory) -> dict:
+def theory_to_obj(t: SequentTheory) -> dict:
     return {
         "types": sorted(t.types),
         "axioms": [sequent_to_obj(a) for a in sorted(t.axioms, key=sequent_key)],
+    }
+
+
+def maps_to_obj(f: Infomorphism) -> dict:
+    """The type and instance maps of an infomorphism."""
+    return {
+        "type_map": dict(sorted(f.type_map.items())),
+        "instance_map": dict(sorted(f.instance_map.items())),
     }
 
 
@@ -271,18 +280,17 @@ def _theory_name_of(bundle: Bundle, t: SequentTheory) -> str:
 def serialize_bundle(bundle: Bundle) -> str:
     doc = {
         "classifications": {
-            name: _classification_to_obj(c)
+            name: classification_to_obj(c)
             for name, c in sorted(bundle.classifications.items())
         },
         "theories": {
-            name: _theory_to_obj(t) for name, t in sorted(bundle.theories.items())
+            name: theory_to_obj(t) for name, t in sorted(bundle.theories.items())
         },
         "infomorphisms": {
             name: {
                 "source": _cls_name_of(bundle, f.source),
                 "target": _cls_name_of(bundle, f.target),
-                "type_map": dict(sorted(f.type_map.items())),
-                "instance_map": dict(sorted(f.instance_map.items())),
+                **maps_to_obj(f),
             }
             for name, f in sorted(bundle.infomorphisms.items())
         },

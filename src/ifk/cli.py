@@ -10,7 +10,15 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .bundle import Bundle, parse_bundle, parse_sequent, sequent_to_obj
+from .bundle import (
+    Bundle,
+    classification_to_obj,
+    maps_to_obj,
+    parse_bundle,
+    parse_sequent,
+    sequent_to_obj,
+    theory_to_obj,
+)
 from .errors import BundleError, CapExceeded, IfkError
 from .fca import lattice, lattice_dot
 from .integration import (
@@ -19,7 +27,7 @@ from .integration import (
     integrate,
     system_verdict,
 )
-from .theories import DEFAULT_SEQUENT_CAP, close, entails, sequent_key
+from .theories import DEFAULT_SEQUENT_CAP, close, entails
 
 from .diagrams import DEFAULT_INSTANCE_CAP, sum_classification
 
@@ -101,14 +109,7 @@ def _cmd_validate(args) -> str:
 def _cmd_close(args) -> str:
     bundle = _load(args.bundle)
     theory = _pick(bundle.theories, args.theory, "theory")
-    closed = close(theory, args.cap)
-    return _emit(
-        {
-            "theory": args.theory,
-            "types": sorted(closed.types),
-            "axioms": [sequent_to_obj(a) for a in sorted(closed.axioms, key=sequent_key)],
-        }
-    )
+    return _emit({"theory": args.theory, **theory_to_obj(close(theory, args.cap))})
 
 
 def _cmd_entails(args) -> str:
@@ -141,22 +142,11 @@ def _cmd_sum(args) -> str:
     bundle = _load(args.bundle)
     system = _pick(bundle.systems, args.system, "system")
     channel = sum_classification(system.cls_diagram(), args.instance_cap)
-    core = channel.core
     return _emit(
         {
             "system": args.system,
-            "core": {
-                "instances": sorted(core.instances),
-                "types": sorted(core.types),
-                "incidence": [[i, t] for i, t in sorted(core.incidence)],
-            },
-            "legs": {
-                n: {
-                    "type_map": dict(sorted(leg.type_map.items())),
-                    "instance_map": dict(sorted(leg.instance_map.items())),
-                }
-                for n, leg in sorted(channel.legs.items())
-            },
+            "core": classification_to_obj(channel.core),
+            "legs": {n: maps_to_obj(leg) for n, leg in sorted(channel.legs.items())},
         }
     )
 
@@ -179,9 +169,7 @@ def _cmd_integrate(args) -> str:
                     for cls, group in sorted(result.sum_members.items())
                 },
             },
-            "sum_theory_axioms": [
-                sequent_to_obj(a) for a in sorted(result.sum_theory.axioms, key=sequent_key)
-            ],
+            "sum_theory_axioms": theory_to_obj(result.sum_theory)["axioms"],
             "deltas": {
                 n: [sequent_to_obj(q) for q in qs] for n, qs in sorted(result.deltas.items())
             },

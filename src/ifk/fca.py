@@ -61,11 +61,11 @@ def _intent_closure(c: Classification, s: frozenset[str]) -> frozenset[str]:
     return derive(c, "instances", derive(c, "types", s))
 
 
-def concepts(c: Classification, guard: int = CONCEPT_TYPE_GUARD) -> tuple[FormalConcept, ...]:
+def concepts(c: Classification) -> tuple[FormalConcept, ...]:
     """All concepts, by next-closure over type subsets, in canonical order
     (extent size, then lexicographic extent)."""
-    if len(c.types) > guard:
-        raise CapExceeded("concept enumeration", len(c.types), guard)
+    if len(c.types) > CONCEPT_TYPE_GUARD:
+        raise CapExceeded("concept enumeration", len(c.types), CONCEPT_TYPE_GUARD)
     attrs = sorted(c.types)
 
     def next_closed(current: frozenset[str]) -> frozenset[str] | None:
@@ -105,8 +105,8 @@ def concepts_by_enumeration(c: Classification) -> tuple[FormalConcept, ...]:
     return tuple(sorted(found, key=_concept_key))
 
 
-def lattice(c: Classification, guard: int = CONCEPT_TYPE_GUARD) -> ConceptLattice:
-    cs = concepts(c, guard)
+def lattice(c: Classification) -> ConceptLattice:
+    cs = concepts(c)
     order = frozenset(
         (i, j)
         for i, ci in enumerate(cs)
@@ -116,37 +116,26 @@ def lattice(c: Classification, guard: int = CONCEPT_TYPE_GUARD) -> ConceptLattic
     return ConceptLattice(cs, order)
 
 
-def _lookup_extent(l: ConceptLattice, extent: frozenset[str]) -> FormalConcept:
+def _bound(l: ConceptLattice, i: int, j: int, side: Literal["extent", "intent"]) -> FormalConcept:
+    """The concept whose ``side`` is the intersection of concept i's and j's."""
+    for k in (i, j):
+        if not 0 <= k < len(l.concepts):
+            raise IfkError(f"unknown concept index: {k}")
+    wanted = getattr(l.concepts[i], side) & getattr(l.concepts[j], side)
     for concept in l.concepts:
-        if concept.extent == extent:
+        if getattr(concept, side) == wanted:
             return concept
     raise IfkError("lattice is missing a meet/join; was it built by lattice()?")
-
-
-def _lookup_intent(l: ConceptLattice, intent: frozenset[str]) -> FormalConcept:
-    for concept in l.concepts:
-        if concept.intent == intent:
-            return concept
-    raise IfkError("lattice is missing a meet/join; was it built by lattice()?")
-
-
-def _check_index(l: ConceptLattice, k: int) -> None:
-    if not 0 <= k < len(l.concepts):
-        raise IfkError(f"unknown concept index: {k}")
 
 
 def meet(l: ConceptLattice, i: int, j: int) -> FormalConcept:
     """Extent intersection; extents are closed under intersection."""
-    _check_index(l, i)
-    _check_index(l, j)
-    return _lookup_extent(l, l.concepts[i].extent & l.concepts[j].extent)
+    return _bound(l, i, j, "extent")
 
 
 def join(l: ConceptLattice, i: int, j: int) -> FormalConcept:
     """Intent intersection; intents are closed under intersection."""
-    _check_index(l, i)
-    _check_index(l, j)
-    return _lookup_intent(l, l.concepts[i].intent & l.concepts[j].intent)
+    return _bound(l, i, j, "intent")
 
 
 def object_concept(c: Classification, i: str) -> FormalConcept:
@@ -173,10 +162,10 @@ def _covers(l: ConceptLattice) -> list[tuple[int, int]]:
 
 
 def _label(concept: FormalConcept) -> str:
-    return (
-        "{" + ",".join(sorted(concept.extent)) + "} | {"
-        + ",".join(sorted(concept.intent)) + "}"
-    )
+    """The concept as DOT string content: identifiers may hold ``"`` and ``\\``."""
+    extent_, intent_ = (",".join(sorted(side)) for side in (concept.extent, concept.intent))
+    text = "{" + extent_ + "} | {" + intent_ + "}"
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def lattice_dot(l: ConceptLattice) -> str:

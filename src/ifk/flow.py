@@ -13,24 +13,33 @@ instances matter (borrowing).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .classification import Classification, Infomorphism
-from .errors import IfkError
+from .errors import IfkError, ValidationResult
 from .theories import (
     DEFAULT_SEQUENT_CAP,
     FlatTheory,
     Sequent,
     SequentTheory,
-    _require_total,
     _require_within,
-    entails,
     flat_closure,
     flat_entails,
     satisfying_states,
+    sequent_key,
     theory_of_states,
 )
+
+
+def _require_total(type_map: Mapping[str, str], domain: frozenset[str], codomain: frozenset[str]):
+    missing = domain - type_map.keys()
+    if missing:
+        raise IfkError(f"type map not total, missing: {', '.join(sorted(missing))}")
+    bad = {t for t in domain if type_map[t] not in codomain}
+    if bad:
+        raise IfkError(f"type map lands outside the target language at: {', '.join(sorted(bad))}")
 
 
 def direct_flow(
@@ -42,14 +51,19 @@ def direct_flow(
     return SequentTheory(target_types, frozenset(a.rename(type_map) for a in t.axioms))
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class InverseFlowTheory:
     """Query view of a theory pulled back along a type map.
 
     Axioms are never stored; entailment of a source sequent is answered
-    by translating it forward and asking the target theory.  The full
-    axiom set (everything the pullback entails) can be materialized
-    under a cap.
+    by mapping both of its sides forward into the target theory's
+    compiled engine.  The full axiom set (everything the pullback
+    entails) can be materialized under a cap.
     """
+
+    types: frozenset[str]
+    type_map: Mapping[str, str]
+    target: SequentTheory
 
     def __init__(
         self,
@@ -57,14 +71,19 @@ class InverseFlowTheory:
         target: SequentTheory,
         source_types: Iterable[str],
     ):
-        self.types = frozenset(source_types)
-        _require_total(type_map, self.types, target.types)
-        self.type_map = MappingProxyType(dict(type_map))
-        self.target = target
+        types = frozenset(source_types)
+        _require_total(type_map, types, target.types)
+        object.__setattr__(self, "types", types)
+        object.__setattr__(self, "type_map", MappingProxyType(dict(type_map)))
+        object.__setattr__(self, "target", target)
 
     def entails(self, s: Sequent) -> bool:
+        """The target theory entails the image of ``s`` along the type map."""
         _require_within(self.types, s)
-        return entails(self.target, s.rename(self.type_map))
+        f = self.type_map
+        return self.target._compiled.entails(
+            (f[t] for t in s.antecedent), (f[t] for t in s.consequent)
+        )
 
     def materialize(self, cap: int = DEFAULT_SEQUENT_CAP) -> SequentTheory:
         # every sequent the pullback entails, i.e. the inverse image of the
@@ -79,6 +98,18 @@ def inverse_flow(
     type_map: Mapping[str, str], target: SequentTheory, source_types: Iterable[str]
 ) -> InverseFlowTheory:
     return InverseFlowTheory(type_map, target, source_types)
+
+
+def check_theory_morphism(
+    f: Mapping[str, str], t1: SequentTheory, t2: SequentTheory
+) -> ValidationResult:
+    """``f`` is a theory morphism when every axiom image is a theorem of
+    ``t2``; the defects are the axioms of ``t1`` that the pullback of
+    ``t2`` along ``f`` does not entail."""
+    pullback = InverseFlowTheory(f, t2, t1.types)
+    return ValidationResult.from_defects(
+        tuple(a for a in sorted(t1.axioms, key=sequent_key) if not pullback.entails(a))
+    )
 
 
 def flat_direct_flow(

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .classification import Classification, Infomorphism, check_infomorphism
 from .diagrams import (
@@ -28,12 +28,11 @@ from .diagrams import (
     colimit_language,
 )
 from .errors import CapExceeded, IfkError, ValidationResult
-from .flow import InverseFlowTheory, direct_flow, inverse_flow
+from .flow import InverseFlowTheory, check_theory_morphism, direct_flow, inverse_flow
 from .theories import (
     DEFAULT_SEQUENT_CAP,
     Sequent,
     SequentTheory,
-    check_theory_morphism,
     entails,
     is_consistent,
     sequent_key,
@@ -45,6 +44,17 @@ DEFAULT_DELTA_BOUND = 2
 VERDICT_MONOCOSMIC = "monocosmic"
 VERDICT_POLYCOSMIC = "polycosmic"
 VERDICT_POINTWISE_INCONSISTENT = "pointwise-inconsistent"
+
+
+class _SystemSum(NamedTuple):
+    """A system flowed to its sum: the language colimit, each node theory's
+    image there, the sum theory (the union of the images) and, per node,
+    the sum theory pulled back along the node's cocone leg."""
+
+    colimit: LanguageColimit
+    images: Mapping[str, SequentTheory]
+    theory: SequentTheory
+    handles: Mapping[str, InverseFlowTheory]
 
 
 @dataclass(frozen=True)
@@ -93,22 +103,29 @@ class InformationSystem:
         bare = self.shape.nodes - self.node_cls.keys()
         if bare:
             raise IfkError(f"node(s) without classification: {', '.join(sorted(bare))}")
-        infos = {}
-        for e, src, dst in sorted(self.shape.edges):
-            imap = self.edge_instance_map.get(e)
-            if imap is None:
+        for e, _, _ in sorted(self.shape.edges):
+            if e not in self.edge_instance_map:
                 raise IfkError(f"edge {e} has no instance map")
-            infos[e] = Infomorphism(
+        return ClsDiagram(self.shape, self.node_cls, self._infomorphisms)
+
+    # Computed on first use and kept: the fields are read-only, so a
+    # system is validated, and flowed to its sum, once however many
+    # commands consult it.
+    @cached_property
+    def _infomorphisms(self) -> Mapping[str, Infomorphism]:
+        """One infomorphism per edge whose instance map joins two classified nodes."""
+        return MappingProxyType({
+            e: Infomorphism(
                 name=e,
                 source=self.node_cls[src],
                 target=self.node_cls[dst],
                 type_map=self.edge_type_map[e],
-                instance_map=imap,
+                instance_map=self.edge_instance_map[e],
             )
-        return ClsDiagram(self.shape, self.node_cls, infos)
+            for e, src, dst in sorted(self.shape.edges)
+            if e in self.edge_instance_map and {src, dst} <= self.node_cls.keys()
+        })
 
-    # Computed on first use and kept: the fields are read-only, so a
-    # system is validated once however many commands consult it.
     @cached_property
     def _validation(self) -> ValidationResult:
         defects = []
@@ -121,18 +138,11 @@ class InformationSystem:
                 defects.append(("edge", e, str(exc)))
                 continue
             defects.extend(("edge", e, "axiom", a) for a in result.defects)
-            imap = self.edge_instance_map.get(e)
-            if imap is not None:
-                if src not in self.node_cls or dst not in self.node_cls:
+            if e in self.edge_instance_map:
+                info = self._infomorphisms.get(e)
+                if info is None:
                     defects.append(("edge", e, "instance map without classifications"))
                     continue
-                info = Infomorphism(
-                    name=e,
-                    source=self.node_cls[src],
-                    target=self.node_cls[dst],
-                    type_map=self.edge_type_map[e],
-                    instance_map=imap,
-                )
                 try:
                     check = check_infomorphism(info)
                 except IfkError as exc:
@@ -140,6 +150,22 @@ class InformationSystem:
                     continue
                 defects.extend(("edge", e, "invariance", viol) for viol in check.defects)
         return ValidationResult.from_defects(defects)
+
+    @cached_property
+    def _sum(self) -> _SystemSum:
+        colim = colimit_language(self.language_diagram())
+        images = {
+            n: direct_flow(colim.cocone[n], self.node_theory[n], colim.types)
+            for n in self.shape.nodes
+        }
+        theory = SequentTheory(
+            colim.types, frozenset().union(*(img.axioms for img in images.values()))
+        )
+        handles = {
+            n: inverse_flow(colim.cocone[n], theory, self.node_theory[n].types)
+            for n in self.shape.nodes
+        }
+        return _SystemSum(colim, MappingProxyType(images), theory, MappingProxyType(handles))
 
 
 def validate_system(s: InformationSystem) -> ValidationResult:
@@ -165,18 +191,6 @@ def _require_valid(s: InformationSystem) -> None:
         raise IfkError(f"invalid system: {result.defects[0]}")
 
 
-def _sum_parts(
-    s: InformationSystem,
-) -> tuple[LanguageColimit, dict[str, SequentTheory], SequentTheory]:
-    colim = colimit_language(s.language_diagram())
-    images = {
-        n: direct_flow(colim.cocone[n], s.node_theory[n], colim.types)
-        for n in s.shape.nodes
-    }
-    axioms = frozenset().union(*(img.axioms for img in images.values())) if images else frozenset()
-    return colim, images, SequentTheory(colim.types, axioms)
-
-
 def bounded_sequents(types: frozenset[str], bound: int):
     """All sequents over ``types`` with at most ``bound`` types per side."""
     elems = sorted(types)
@@ -190,14 +204,6 @@ def bounded_sequents(types: frozenset[str], bound: int):
             yield Sequent(g, d)
 
 
-def _verdict(images: dict[str, SequentTheory], sum_theory: SequentTheory) -> str:
-    if not all(is_consistent(img) for img in images.values()):
-        return VERDICT_POINTWISE_INCONSISTENT
-    if is_consistent(sum_theory):
-        return VERDICT_MONOCOSMIC
-    return VERDICT_POLYCOSMIC
-
-
 def integrate(
     s: InformationSystem,
     delta_bound: int = DEFAULT_DELTA_BOUND,
@@ -209,11 +215,7 @@ def integrate(
     node's closure handle but not by its own theory.
     """
     _require_valid(s)
-    colim, images, sum_theory = _sum_parts(s)
-    handles = {
-        n: inverse_flow(colim.cocone[n], sum_theory, s.node_theory[n].types)
-        for n in s.shape.nodes
-    }
+    colim, _, sum_theory, handles = s._sum
     deltas: dict[str, tuple[Sequent, ...]] = {}
     for n in sorted(s.shape.nodes):
         t_n = s.node_theory[n]
@@ -234,9 +236,9 @@ def integrate(
         cocone=colim.cocone,
         sum_members=colim.members,
         sum_theory=sum_theory,
-        closure_handles=MappingProxyType(handles),
+        closure_handles=handles,
         deltas=MappingProxyType(deltas),
-        verdict=_verdict(images, sum_theory),
+        verdict=system_verdict(s),
     )
 
 
@@ -247,15 +249,17 @@ def system_entails_at(s: InformationSystem, node: str, q: Sequent) -> bool:
     outside = q.types() - s.node_theory[node].types
     if outside:
         raise IfkError(f"sequent uses types outside the node language: {', '.join(sorted(outside))}")
-    colim, _, sum_theory = _sum_parts(s)
-    return entails(sum_theory, q.rename(colim.cocone[node]))
+    return s._sum.handles[node].entails(q)
 
 
 def system_verdict(s: InformationSystem) -> str:
     """The cosmological verdict of the system, as ``integrate`` reports it."""
     _require_valid(s)
-    _, images, sum_theory = _sum_parts(s)
-    return _verdict(images, sum_theory)
+    if not all(is_consistent(img) for img in s._sum.images.values()):
+        return VERDICT_POINTWISE_INCONSISTENT
+    if is_consistent(s._sum.theory):
+        return VERDICT_MONOCOSMIC
+    return VERDICT_POLYCOSMIC
 
 
 def is_pointwise_consistent(s: InformationSystem) -> bool:
@@ -299,9 +303,7 @@ def system_leq(s1: InformationSystem, s2: InformationSystem) -> bool:
 def system_entails(s1: InformationSystem, s2: InformationSystem) -> bool:
     """The closure of ``s1`` lies pointwise below ``s2``."""
     _require_comparable(s1, s2)
-    colim, _, sum_theory = _sum_parts(s1)
+    handles = s1._sum.handles
     return all(
-        entails(sum_theory, a.rename(colim.cocone[n]))
-        for n in s1.shape.nodes
-        for a in s2.node_theory[n].axioms
+        handles[n].entails(a) for n in s1.shape.nodes for a in s2.node_theory[n].axioms
     )

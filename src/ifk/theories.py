@@ -26,7 +26,7 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .classification import Classification, extent
-from .errors import CapExceeded, IfkError, ValidationResult
+from .errors import CapExceeded, IfkError
 
 DEFAULT_SEQUENT_CAP = 65536  # 4^8: materialized closures up to 8 types
 MODELS_KEPT = 32  # recent models a compiled theory tries before searching
@@ -184,6 +184,15 @@ class CompiledTheory:
                 self._enqueue(clause[0], None)
         if not self._unsat:
             self._unsat = self._propagate() is not None
+
+    def entails(self, antecedent: Iterable[str], consequent: Iterable[str]) -> bool:
+        """The axioms entail <antecedent |- consequent>, each side naming types of the language."""
+        index = self.index
+        holds = {index[g] for g in antecedent}
+        fails = {index[d] for d in consequent}
+        if not holds.isdisjoint(fails):
+            return True  # holds in every state
+        return not self.solve([2 * v for v in holds] + [2 * v + 1 for v in fails])
 
     def solve(self, assumptions: list[int]) -> bool:
         """Some state satisfies every axiom and every assumed literal."""
@@ -345,12 +354,7 @@ def entails(t: SequentTheory, s: Sequent) -> bool:
     test unsatisfiability.
     """
     _require_within(t.types, s)
-    if not s.antecedent.isdisjoint(s.consequent):
-        return True  # holds in every state
-    c = t._compiled
-    return not c.solve(
-        [2 * c.index[g] for g in s.antecedent] + [2 * c.index[d] + 1 for d in s.consequent]
-    )
+    return t._compiled.entails(s.antecedent, s.consequent)
 
 
 def entails_by_enumeration(t: SequentTheory, s: Sequent) -> bool:
@@ -425,11 +429,7 @@ def contract(t: SequentTheory, axioms: Iterable[Sequent]) -> SequentTheory:
 
 
 def expand(t: SequentTheory, axioms: Iterable[Sequent]) -> SequentTheory:
-    axioms = frozenset(axioms)
-    for a in axioms:
-        if not a.types() <= t.types:
-            raise IfkError(f"axiom {a!r} is outside the language")
-    return SequentTheory(t.types, t.axioms | axioms)
+    return SequentTheory(t.types, t.axioms | frozenset(axioms))
 
 
 def revise(t: SequentTheory, delete: Iterable[Sequent], add: Iterable[Sequent]) -> SequentTheory:
@@ -447,27 +447,7 @@ def analogy(t: SequentTheory, renaming: Mapping[str, str]) -> SequentTheory:
 
 
 # ---------------------------------------------------------------------------
-# theory morphisms and flat theories
-
-def _require_total(type_map: Mapping[str, str], domain: frozenset[str], codomain: frozenset[str]):
-    missing = domain - type_map.keys()
-    if missing:
-        raise IfkError(f"type map not total, missing: {', '.join(sorted(missing))}")
-    bad = {t for t in domain if type_map[t] not in codomain}
-    if bad:
-        raise IfkError(f"type map lands outside the target language at: {', '.join(sorted(bad))}")
-
-
-def check_theory_morphism(
-    f: Mapping[str, str], t1: SequentTheory, t2: SequentTheory
-):
-    """``f`` is a theory morphism when every axiom image is a theorem of ``t2``."""
-    _require_total(f, t1.types, t2.types)
-    defects = tuple(
-        a for a in sorted(t1.axioms, key=sequent_key) if not entails(t2, a.rename(f))
-    )
-    return ValidationResult.from_defects(defects)
-
+# flat theories
 
 def flat_entails(c: Classification, ft: FlatTheory, typ: str) -> bool:
     """Every instance classified by the whole flat theory is classified by ``typ``."""

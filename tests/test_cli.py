@@ -64,6 +64,19 @@ def test_parse_rejects_duplicate_json_keys(tmp_path):
     assert json.loads(report)["error"]["kind"] == "bundle"
 
 
+def test_parse_rejects_sections_that_are_not_objects(tmp_path):
+    bad = tmp_path / "bad.json"
+    for section in ("classifications", "theories", "infomorphisms", "systems"):
+        for value in ([], [1], "x", None):
+            bad.write_text(json.dumps({section: value}))
+            status, report = run(["validate", str(bad)])
+            assert status == 1, (section, value)
+            assert json.loads(report)["error"] == {
+                "kind": "bundle",
+                "message": f"{section}: expected an object",
+            }
+
+
 def test_parse_rejects_invariance_violation():
     doc = {
         "classifications": {

@@ -418,3 +418,6 @@ def test_mapping_fields_are_read_only():
     for view in views:
         with pytest.raises(TypeError):
             view["x"] = "x"
+    # a handle is shared by every later query on the system
+    with pytest.raises(AttributeError):
+        result.closure_handles["a"].target = top

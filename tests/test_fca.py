@@ -180,6 +180,31 @@ def test_concept_intents_are_flat_closures(clf_a):
         assert closed.members == concept.intent
 
 
+def test_dot_export_of_plain_names_is_pinned(clf_a):
+    assert lattice_dot(lattice(clf_a)) == (
+        "digraph concept_lattice {\n"
+        "  rankdir=BT;\n"
+        "  node [shape=box];\n"
+        '  c0 [label="{} | {car,human,philosopher}"];\n'
+        '  c1 [label="{aristotle} | {human,philosopher}"];\n'
+        '  c2 [label="{civic87} | {car}"];\n'
+        '  c3 [label="{aristotle,civic87} | {}"];\n'
+        "  c0 -> c1;\n"
+        "  c0 -> c2;\n"
+        "  c1 -> c3;\n"
+        "  c2 -> c3;\n"
+        "}\n"
+    )
+
+
+def test_dot_labels_escape_quotes_and_backslashes():
+    # identifiers exclude only whitespace, so both characters can occur
+    c = Classification("q", ['a"b', "c\\d"], ["t"], [('a"b', "t")])
+    lines = lattice_dot(lattice(c)).splitlines()
+    assert '  c0 [label="{a\\"b} | {t}"];' in lines
+    assert '  c1 [label="{a\\"b,c\\\\d} | {}"];' in lines
+
+
 def test_dot_export_is_deterministic_and_covers_only(clf_a):
     l = lattice(clf_a)
     dot = lattice_dot(l)

@@ -12,6 +12,7 @@ from ifk import (
     bottom_theory,
     close,
     direct_flow,
+    entails_by_enumeration,
     flat_closure,
     flat_direct_flow,
     flat_entails,
@@ -90,6 +91,28 @@ def test_inverse_flow_checks_language():
     inv = inverse_flow({"x": "h"}, theory("h"), {"x"})
     with pytest.raises(IfkError, match="outside the language"):
         inv.entails(seq("z", ""))
+
+
+def test_handle_matches_enumeration_of_the_image():
+    # more source than target types: every map merges types, so a query
+    # with disjoint sides can have an image whose sides overlap
+    rng = random.Random(67)
+    cases = merged = 0
+    for _ in range(150):
+        dst = [f"u{k}" for k in range(rng.randint(1, 3))]
+        src = [f"x{k}" for k in range(rng.randint(len(dst) + 1, 5))]
+        f = support.rand_type_map(rng, src, dst)
+        target = support.rand_theory(rng, dst, 4)
+        handle = inverse_flow(f, target, src)
+        for _ in range(12):
+            q = support.rand_sequent(rng, src)
+            image = q.rename(f)
+            if q.antecedent.isdisjoint(q.consequent):
+                merged += not image.antecedent.isdisjoint(image.consequent)
+            assert handle.entails(q) == entails_by_enumeration(target, image)
+            cases += 1
+    assert merged > 100
+    print(f"handle vs enumeration: {cases} queries, {merged} with sides merged by the map")
 
 
 def test_materialized_inverse_flow_matches_queries():

@@ -169,6 +169,26 @@ def test_system_is_validated_once(monkeypatch):
     assert len(calls) == len(system.shape.edges)
 
 
+def test_system_sum_is_built_once(monkeypatch):
+    calls = []
+    colimit = ifk.integration.colimit_language
+
+    def counted(d):
+        calls.append(d)
+        return colimit(d)
+
+    monkeypatch.setattr(ifk.integration, "colimit_language", counted)
+    system = vee_system()
+    integrate(system, delta_bound=1)
+    assert system_verdict(system) == VERDICT_MONOCOSMIC
+    assert is_monocosmic(system)
+    assert system_entails_at(system, "O2", seq("philosopher", "mortal_gr"))
+    assert not system_entails_at(system, "O2", seq("human", "philosopher"))
+    assert system_entails_at(system, "O1", seq("person", "mortal"))
+    assert system_entails(system, system)
+    assert len(calls) == 1
+
+
 def test_integrate_rejects_invalid_system():
     t1 = SequentTheory({"x"}, {seq("", "x")})
     t2 = SequentTheory({"h"}, {seq("h", "")})
