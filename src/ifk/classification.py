@@ -74,6 +74,12 @@ class Infomorphism:
     # mapping fields make the generated hash unusable; identity by fields is enough
     __hash__ = None  # type: ignore[assignment]
 
+    # The invariance check, run on first use and kept: every field is
+    # read-only, so each caller that validates this link reads one result.
+    @cached_property
+    def _invariance(self) -> ValidationResult:
+        return check_infomorphism(self)
+
 
 def validate_classification(c: Classification) -> ValidationResult:
     """Check identifier well-formedness and incidence references."""

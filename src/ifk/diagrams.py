@@ -146,7 +146,7 @@ class ClsDiagram:
             f = self.edge_info[e]
             if f.source != self.node_cls[src] or f.target != self.node_cls[dst]:
                 raise IfkError(f"edge {e}: infomorphism endpoints do not match the shape")
-            result = check_infomorphism(f)
+            result = f._invariance
             if not result.ok:
                 raise IfkError(f"edge {e}: invariance fails at {result.defects[0]}")
 

@@ -2,18 +2,30 @@
 
 Derivation maps an instance set to its common types and a type set to
 its common instances; a concept is a fixed pair of the two.  Concepts
-are enumerated by lectic next-closure over type subsets, with a naive
-all-pairs scan kept as the testing oracle, and form a complete lattice
-under extent inclusion.
+are enumerated by lectic next-closure over type subsets (Ganter, 1984),
+with a naive all-pairs scan kept as the testing oracle, and form a
+complete lattice under extent inclusion.
+
+Enumeration, the order, the covers and meet/join run on bit masks:
+sorted instances and sorted types are bit positions, so an extent or an
+intent is one int, intersection is ``&`` and inclusion is
+``a & ~b == 0``.  Per instance, the set of concepts holding it is a
+mask too, so the concepts above one concept are the AND of those sets
+over its extent.  Its upper covers are the minimal strict supersets of
+its extent (Lindig, "Fast Concept Analysis", 2000): the concepts above
+it that lie above none of the others.  Names are converted only at the
+boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Literal
 
 from .classification import Classification, extent
 from .errors import CapExceeded, IfkError
+from .theories import _bits, _columns, _common, _mask
 
 CONCEPT_TYPE_GUARD = 20
 
@@ -32,6 +44,22 @@ class FormalConcept:
 class ConceptLattice:
     concepts: tuple[FormalConcept, ...]
     order: frozenset[tuple[int, int]]  # (i, j): concept i <= concept j
+
+    # Built on first use; equality and hashing read the fields only.
+    @cached_property
+    def _sides(self) -> dict[str, tuple[list[int], dict[int, int]]]:
+        """Per side ("extent", "intent"): each concept's mask, and the
+        first concept holding each mask."""
+        out = {}
+        for side in ("extent", "intent"):
+            sets = [getattr(k, side) for k in self.concepts]
+            index = {x: b for b, x in enumerate(sorted(frozenset().union(*sets)))}
+            masks = [_mask(index, s) for s in sets]
+            first: dict[int, int] = {}
+            for k, m in enumerate(masks):
+                first.setdefault(m, k)
+            out[side] = (masks, first)
+        return out
 
 
 def derive(
@@ -57,35 +85,47 @@ def _concept_key(concept: FormalConcept) -> tuple[int, tuple[str, ...]]:
     return (len(concept.extent), tuple(sorted(concept.extent)))
 
 
-def _intent_closure(c: Classification, s: frozenset[str]) -> frozenset[str]:
-    return derive(c, "instances", derive(c, "types", s))
+def _names(names: list[str], m: int) -> frozenset[str]:
+    return frozenset(names[k] for k in _bits(m))
+
+
+def _concepts(c: Classification) -> tuple[tuple[FormalConcept, ...], list[int]]:
+    """Every concept, by next-closure on masks, in canonical order, and
+    the mask of each extent."""
+    if len(c.types) > CONCEPT_TYPE_GUARD:
+        raise CapExceeded("concept enumeration", len(c.types), CONCEPT_TYPE_GUARD)
+    instances, types = sorted(c.instances), sorted(c.types)
+    position = {i: j for j, i in enumerate(instances)}
+    extents = [_mask(position, c._extents[t]) for t in types]
+    everyone = (1 << len(instances)) - 1
+
+    def closure(b: int) -> tuple[int, int]:
+        e = _common(extents, b, everyone)
+        return e, sum(1 << k for k, x in enumerate(extents) if not e & ~x)
+
+    found = [closure(0)]
+    while True:
+        b = found[-1][1]
+        for k in reversed(range(len(types))):
+            bit = 1 << k
+            if b & bit:
+                continue
+            prefix = b & (bit - 1)
+            e, candidate = closure(prefix | bit)
+            if not candidate & ~prefix & (bit - 1):  # adds no type before k
+                found.append((e, candidate))
+                break
+        else:
+            break
+    found.sort(key=lambda concept: (concept[0].bit_count(), list(_bits(concept[0]))))
+    cs = tuple(FormalConcept(_names(instances, e), _names(types, b)) for e, b in found)
+    return cs, [e for e, _ in found]
 
 
 def concepts(c: Classification) -> tuple[FormalConcept, ...]:
     """All concepts, by next-closure over type subsets, in canonical order
     (extent size, then lexicographic extent)."""
-    if len(c.types) > CONCEPT_TYPE_GUARD:
-        raise CapExceeded("concept enumeration", len(c.types), CONCEPT_TYPE_GUARD)
-    attrs = sorted(c.types)
-
-    def next_closed(current: frozenset[str]) -> frozenset[str] | None:
-        for k in reversed(range(len(attrs))):
-            a = attrs[k]
-            if a in current:
-                continue
-            prefix = frozenset(x for x in current if x < a)
-            candidate = _intent_closure(c, prefix | {a})
-            if all(x >= a for x in candidate - prefix):
-                return candidate
-        return None
-
-    intents = []
-    closed = _intent_closure(c, frozenset())
-    while closed is not None:
-        intents.append(closed)
-        closed = next_closed(closed)
-    found = [FormalConcept(derive(c, "types", i), i) for i in intents]
-    return tuple(sorted(found, key=_concept_key))
+    return _concepts(c)[0]
 
 
 def concepts_by_enumeration(c: Classification) -> tuple[FormalConcept, ...]:
@@ -105,15 +145,17 @@ def concepts_by_enumeration(c: Classification) -> tuple[FormalConcept, ...]:
     return tuple(sorted(found, key=_concept_key))
 
 
+def _up_sets(extents: list[int]) -> list[int]:
+    """Per concept, the concepts whose extent contains its own (bit k: concept k)."""
+    holding = _columns(extents, max(extents, default=0).bit_length())
+    everything = (1 << len(extents)) - 1
+    return [_common(holding, e, everything) for e in extents]
+
+
 def lattice(c: Classification) -> ConceptLattice:
-    cs = concepts(c)
-    order = frozenset(
-        (i, j)
-        for i, ci in enumerate(cs)
-        for j, cj in enumerate(cs)
-        if ci.extent <= cj.extent
-    )
-    return ConceptLattice(cs, order)
+    cs, extents = _concepts(c)
+    ups = _up_sets(extents)
+    return ConceptLattice(cs, frozenset((i, j) for i, up in enumerate(ups) for j in _bits(up)))
 
 
 def _bound(l: ConceptLattice, i: int, j: int, side: Literal["extent", "intent"]) -> FormalConcept:
@@ -121,11 +163,11 @@ def _bound(l: ConceptLattice, i: int, j: int, side: Literal["extent", "intent"])
     for k in (i, j):
         if not 0 <= k < len(l.concepts):
             raise IfkError(f"unknown concept index: {k}")
-    wanted = getattr(l.concepts[i], side) & getattr(l.concepts[j], side)
-    for concept in l.concepts:
-        if getattr(concept, side) == wanted:
-            return concept
-    raise IfkError("lattice is missing a meet/join; was it built by lattice()?")
+    masks, first = l._sides[side]
+    k = first.get(masks[i] & masks[j])
+    if k is None:
+        raise IfkError("lattice is missing a meet/join; was it built by lattice()?")
+    return l.concepts[k]
 
 
 def meet(l: ConceptLattice, i: int, j: int) -> FormalConcept:
@@ -153,12 +195,18 @@ def attribute_concept(c: Classification, t: str) -> FormalConcept:
 
 
 def _covers(l: ConceptLattice) -> list[tuple[int, int]]:
-    strict = {(i, j) for i, j in l.order if i != j}
-    return sorted(
-        (i, j)
-        for i, j in strict
-        if not any((i, k) in strict and (k, j) in strict for k in range(len(l.concepts)))
-    )
+    """Sorted pairs (i, j) where concept j is an upper cover of concept i:
+    the minimal strict supersets of each extent, which are the concepts
+    strictly above i that lie strictly above none of the others."""
+    extents, _ = l._sides["extent"]
+    strict = [up & ~(1 << i) for i, up in enumerate(_up_sets(extents))]
+    covers = []
+    for i, above in enumerate(strict):
+        beyond = 0
+        for k in _bits(above):
+            beyond |= strict[k]
+        covers += [(i, j) for j in _bits(above & ~beyond)]
+    return covers
 
 
 def _label(concept: FormalConcept) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .classification import Classification, Infomorphism
 from .errors import IfkError, ValidationResult
@@ -25,11 +25,10 @@ from .theories import (
     Sequent,
     SequentTheory,
     _require_within,
+    _theory_of_masks,
     flat_closure,
     flat_entails,
-    satisfying_states,
     sequent_key,
-    theory_of_states,
 )
 
 
@@ -86,12 +85,25 @@ class InverseFlowTheory:
         )
 
     def materialize(self, cap: int = DEFAULT_SEQUENT_CAP) -> SequentTheory:
-        # every sequent the pullback entails, i.e. the inverse image of the
-        # target closure; checked against the target's models rather than
-        # one solver call per candidate
-        models = satisfying_states(self.target)
-        pulled = [frozenset(x for x in self.types if self.type_map[x] in m) for m in models]
-        return theory_of_states(self.types, pulled, cap, "inverse flow materialization")
+        """Every sequent the pullback entails: the theory of the target's
+        models pulled back to the source language.
+
+        A source state is such a pullback exactly when the target
+        theory is consistent with the images of its types holding and
+        the images of the other source types failing, so the pulled-back
+        states take one engine query per source state, 2^|source types|
+        in all, whatever the size of the target.
+        """
+        names = sorted(self.types)
+
+        def pulled() -> Iterator[int]:
+            engine = self.target._compiled
+            holds = [2 * engine.index[self.type_map[s]] for s in names]
+            for y in range(1 << len(names)):
+                if engine.solve([lit if y >> k & 1 else lit ^ 1 for k, lit in enumerate(holds)]):
+                    yield y
+
+        return _theory_of_masks(names, pulled(), cap, "inverse flow materialization")
 
 
 def inverse_flow(

@@ -18,7 +18,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .classification import Classification, Infomorphism, check_infomorphism
+from .classification import Classification, Infomorphism
 from .diagrams import (
     ClsDiagram,
     LanguageColimit,
@@ -144,7 +144,7 @@ class InformationSystem:
                     defects.append(("edge", e, "instance map without classifications"))
                     continue
                 try:
-                    check = check_infomorphism(info)
+                    check = info._invariance
                 except IfkError as exc:
                     defects.append(("edge", e, str(exc)))
                     continue

@@ -9,6 +9,7 @@ logic over that classification, up to closure.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .classification import Classification, Infomorphism, intent
@@ -18,9 +19,13 @@ from .theories import (
     DEFAULT_SEQUENT_CAP,
     Sequent,
     SequentTheory,
+    _mask,
+    _models,
     _require_within,
     _sat,
-    satisfying_states,
+    _theory_of_masks,
+    _violating,
+    sequent_key,
     theory_leq,
     theory_of_states,
 )
@@ -39,15 +44,32 @@ class LocalLogic:
         stray = self.normal - self.classification.instances
         if stray:
             raise IfkError(f"normal instances not declared: {', '.join(sorted(stray))}")
-        for i in sorted(self.normal):
+        bad = _violators(self.theory, self.classification, self.normal)
+        if bad:
+            i = min(bad)
             holds = intent(self.classification, i)
-            for a in self.theory.axioms:
-                if not _sat(a.antecedent, a.consequent, holds):
-                    raise IfkError(f"normal instance {i} violates axiom {a!r}")
+            a = next(
+                a
+                for a in sorted(self.theory.axioms, key=sequent_key)
+                if not _sat(a.antecedent, a.consequent, holds)
+            )
+            raise IfkError(f"normal instance {i} violates axiom {a!r}")
 
 
 def _instance_states(c: Classification, instances) -> set[frozenset[str]]:
     return {intent(c, i) for i in instances}
+
+
+def _states(t: SequentTheory, c: Classification, instances) -> dict[str, int]:
+    """Each instance's intent as a mask over the language of ``t``."""
+    return {i: _mask(t._index, intent(c, i)) for i in instances}
+
+
+def _violators(t: SequentTheory, c: Classification, instances) -> set[str]:
+    """The ``instances`` whose intent violates some axiom of ``t``."""
+    state = _states(t, c, instances)
+    bad = _violating(t, state.values())
+    return {i for i, x in state.items() if x in bad}
 
 
 def natural_entails(c: Classification, s: Sequent) -> bool:
@@ -72,11 +94,7 @@ def natural_logic(c: Classification, cap: int = DEFAULT_SEQUENT_CAP) -> LocalLog
 
 def is_sound(l: LocalLogic) -> bool:
     """Every instance, normal or not, satisfies every axiom."""
-    return all(
-        _sat(a.antecedent, a.consequent, x)
-        for x in _instance_states(l.classification, l.classification.instances)
-        for a in l.theory.axioms
-    )
+    return not _violators(l.theory, l.classification, l.classification.instances)
 
 
 def is_complete(l: LocalLogic) -> bool:
@@ -86,30 +104,22 @@ def is_complete(l: LocalLogic) -> bool:
     this is equivalent to: every state satisfying the theory is the
     intent of some normal instance.
     """
-    normal_states = _instance_states(l.classification, l.normal)
-    return all(x in normal_states for x in satisfying_states(l.theory))
+    normal_states = set(_states(l.theory, l.classification, l.normal).values())
+    return all(x in normal_states for x in _models(l.theory))
 
 
 def restriction(l: LocalLogic, cap: int = DEFAULT_SEQUENT_CAP) -> LocalLogic:
     """The sound logic with theory: theorems of ``l`` satisfied by every instance."""
-    states = _instance_states(l.classification, l.classification.instances) | set(
-        satisfying_states(l.theory)
-    )
-    theory = theory_of_states(l.classification.types, states, cap, "logic restriction")
-    return LocalLogic(l.classification, theory, l.classification.instances)
+    c = l.classification
+    states = itertools.chain(_states(l.theory, c, c.instances).values(), _models(l.theory))
+    theory = _theory_of_masks(list(l.theory._index), states, cap, "logic restriction")
+    return LocalLogic(c, theory, c.instances)
 
 
 def normalize(l: LocalLogic) -> LocalLogic:
     """Grow the normal set to every instance whose intent satisfies the theory."""
-    normal = frozenset(
-        i
-        for i in l.classification.instances
-        if all(
-            _sat(a.antecedent, a.consequent, intent(l.classification, i))
-            for a in l.theory.axioms
-        )
-    )
-    return LocalLogic(l.classification, l.theory, normal)
+    c = l.classification
+    return LocalLogic(c, l.theory, c.instances - _violators(l.theory, c, c.instances))
 
 
 def logic_direct_image(f: Infomorphism, l: LocalLogic) -> LocalLogic:

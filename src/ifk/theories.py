@@ -15,6 +15,18 @@ query, into a ``CompiledTheory``: int clauses with two watched literals,
 searched iteratively (so no theory is too deep for the interpreter's
 stack), learning clauses that later queries reuse.
 A full 2^|types| state-enumeration oracle is kept alongside for checking.
+
+Materializations (closures, state sets, theories of state sets) run on
+one bit-mask kernel shared with the engine: type k of the sorted
+language is bit k, a state is the int of the types holding in it, and
+a sequent is a pair of masks ``(g, d)`` that state ``x`` satisfies when
+``g & ~x or d & x``.  Each theory computes its index and axiom masks
+once.  The theory of a state set is read off two tables over the
+deduplicated states, indexed by mask: the states where every type of
+``g`` holds and the states where no type of ``d`` holds; ``<g |- d>``
+is a theorem when the two are disjoint.  Output sequents share one
+table of 2^|types| frozensets, and every cap is charged before any
+state is enumerated.
 """
 
 from __future__ import annotations
@@ -38,8 +50,10 @@ class Sequent:
     consequent: frozenset[str]
 
     def __post_init__(self):
-        object.__setattr__(self, "antecedent", frozenset(self.antecedent))
-        object.__setattr__(self, "consequent", frozenset(self.consequent))
+        # materializations pass shared frozensets, which need no copy
+        if type(self.antecedent) is not frozenset or type(self.consequent) is not frozenset:
+            object.__setattr__(self, "antecedent", frozenset(self.antecedent))
+            object.__setattr__(self, "consequent", frozenset(self.consequent))
 
     def types(self) -> frozenset[str]:
         return self.antecedent | self.consequent
@@ -70,19 +84,34 @@ class SequentTheory:
     def __post_init__(self):
         object.__setattr__(self, "types", frozenset(self.types))
         object.__setattr__(self, "axioms", frozenset(self.axioms))
-        for a in self.axioms:
-            if not a.types() <= self.types:
-                raise IfkError(f"axiom {a!r} uses types outside the language")
+        # each distinct side is checked once; materialized axioms share theirs
+        sides = {a.antecedent for a in self.axioms} | {a.consequent for a in self.axioms}
+        if not all(side <= self.types for side in sides):
+            a = next(a for a in self.axioms if not a.types() <= self.types)
+            raise IfkError(f"axiom {a!r} uses types outside the language")
 
-    # The entailment engine, compiled on first query and freed with the
-    # theory; equality and hashing read the fields only.
+    # Derived on first use and freed with the theory: the mask index, the
+    # axiom masks and the entailment engine built from them.  Equality
+    # and hashing read the fields only.
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        """Type k of the sorted language is bit k of every mask."""
+        return {typ: k for k, typ in enumerate(sorted(self.types))}
+
+    @cached_property
+    def _masks(self) -> list[tuple[int, int]]:
+        """Every axiom as its (antecedent, consequent) masks, sorted."""
+        sides = {a.antecedent for a in self.axioms} | {a.consequent for a in self.axioms}
+        mask = {side: _mask(self._index, side) for side in sides}
+        return sorted((mask[a.antecedent], mask[a.consequent]) for a in self.axioms)
+
     @cached_property
     def _compiled(self) -> "CompiledTheory":
         return CompiledTheory(self)
 
     def __getstate__(self):
-        # the engine holds a lock; a copy compiles its own on first query
-        return {k: v for k, v in self.__dict__.items() if k != "_compiled"}
+        # the engine holds a lock; a copy derives its own on first use
+        return {"types": self.types, "axioms": self.axioms}
 
 
 @dataclass(frozen=True)
@@ -123,13 +152,109 @@ def all_states(types: Iterable[str]) -> Iterator[frozenset[str]]:
             yield frozenset(combo)
 
 
+# ---------------------------------------------------------------------------
+# mask kernel
+
+def _bits(m: int) -> Iterator[int]:
+    """Positions of the set bits of ``m``, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _mask(index: Mapping[str, int], names: Iterable[str]) -> int:
+    m = 0
+    for name in names:
+        m |= 1 << index[name]
+    return m
+
+
+def _models(t: SequentTheory) -> Iterator[int]:
+    """Masks of the states satisfying every axiom, in ``all_states`` order."""
+    masks = t._masks
+    for r in range(len(t.types) + 1):
+        for combo in itertools.combinations(range(len(t.types)), r):
+            x = sum(1 << k for k in combo)
+            if all(g & ~x or d & x for g, d in masks):
+                yield x
+
+
+def _columns(states: list[int], n: int) -> list[int]:
+    """Per type k, the positions in ``states`` of the states where k holds."""
+    columns = [0] * n
+    for j, x in enumerate(states):
+        for k in _bits(x):
+            columns[k] |= 1 << j
+    return columns
+
+
+def _common(columns: list[int], m: int, everywhere: int) -> int:
+    """The positions in ``everywhere`` where every member of ``m`` holds."""
+    for k in _bits(m):
+        everywhere &= columns[k]
+    return everywhere
+
+
+def _violating(t: SequentTheory, states: Iterable[int]) -> set[int]:
+    """The ``states`` violating some axiom of ``t``."""
+    states = list(set(states))
+    columns = _columns(states, len(t.types))
+    everywhere = (1 << len(states)) - 1
+    missing: dict[int, int] = {}  # d -> the states where no type of d holds
+    out, last, above = 0, None, 0
+    for g, d in t._masks:  # sorted, so axioms sharing g come together
+        if g != last:
+            if out == everywhere:
+                break
+            last, above = g, _common(columns, g, everywhere)
+        if above & ~out:
+            m = missing.get(d)
+            if m is None:
+                m = everywhere
+                for k in _bits(d):
+                    m &= ~columns[k]
+                missing[d] = m
+            out |= above & m
+    return {x for j, x in enumerate(states) if out >> j & 1}
+
+
+def _theory_of_masks(
+    names: list[str], states: Iterable[int], cap: int, phase: str
+) -> SequentTheory:
+    """Every sequent over the sorted ``names`` that all ``states`` satisfy.
+
+    The cap is charged before ``states`` is read, so a lazy iterable is
+    never enumerated past it.
+    """
+    n = len(names)
+    required = 4 ** n
+    if required > cap:
+        raise CapExceeded(phase, required, cap)
+    states = list(set(states))
+    columns = _columns(states, n)
+    # indexed by mask: the states where every type of it holds, where none does
+    above = missing = [(1 << len(states)) - 1]
+    subsets = [frozenset()]
+    for name, column in zip(names, columns):
+        above = above + [a & column for a in above]
+        missing = missing + [m & ~column for m in missing]
+        subsets += [s | {name} for s in subsets]
+    return SequentTheory(
+        frozenset(names),
+        frozenset(
+            Sequent(g, d)
+            for g, a in zip(subsets, above)
+            for d, m in zip(subsets, missing)
+            if not a & m
+        ),
+    )
+
+
 def satisfying_states(t: SequentTheory) -> list[frozenset[str]]:
     """All states over the language satisfying every axiom (2^|types| scan)."""
-    return [
-        x
-        for x in all_states(t.types)
-        if all(_sat(a.antecedent, a.consequent, x) for a in t.axioms)
-    ]
+    names = list(t._index)
+    return [frozenset(names[k] for k in _bits(x)) for x in _models(t)]
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +281,7 @@ class CompiledTheory:
     """
 
     def __init__(self, t: SequentTheory):
-        self.index = {typ: k for k, typ in enumerate(sorted(t.types))}
+        self.index = t._index
         n = len(self.index)
         self._value = [0] * (2 * n)  # per literal: 1 true, -1 false, 0 free
         self._level = [0] * n
@@ -169,12 +294,10 @@ class CompiledTheory:
         self._lock = threading.Lock()
         self._unsat = False
         self._models: list[int] = []
-        for a in sorted(t.axioms, key=sequent_key):
-            clause = {2 * self.index[g] + 1 for g in a.antecedent}
-            clause |= {2 * self.index[d] for d in a.consequent}
-            if any(lit ^ 1 in clause for lit in clause):
+        for g, d in t._masks:
+            if g & d:
                 continue  # holds in every state
-            clause = sorted(clause)
+            clause = sorted([2 * k + 1 for k in _bits(g)] + [2 * k for k in _bits(d)])
             if len(clause) > 1:
                 self._watches[clause[0]].append(clause)
                 self._watches[clause[1]].append(clause)
@@ -338,7 +461,10 @@ def is_consistent(t: SequentTheory) -> bool:
 
 
 def is_consistent_by_enumeration(t: SequentTheory) -> bool:
-    return bool(satisfying_states(t))
+    """State-enumeration oracle for ``is_consistent``; kept independent of the engine."""
+    return any(
+        all(_sat(a.antecedent, a.consequent, x) for a in t.axioms) for x in all_states(t.types)
+    )
 
 
 def _require_within(types: frozenset[str], s: Sequent) -> None:
@@ -377,25 +503,19 @@ def theory_of_states(
     cap: int = DEFAULT_SEQUENT_CAP,
     phase: str = "theory materialization",
 ) -> SequentTheory:
-    """Materialize every sequent over ``types`` satisfied by all ``states``."""
-    types = frozenset(types)
-    required = 4 ** len(types)
-    if required > cap:
-        raise CapExceeded(phase, required, cap)
-    states = list(states)
-    subsets = list(all_states(types))
-    axioms = frozenset(
-        Sequent(g, d)
-        for g in subsets
-        for d in subsets
-        if all(_sat(g, d, x) for x in states)
-    )
-    return SequentTheory(types, axioms)
+    """Materialize every sequent over ``types`` satisfied by all ``states``.
+
+    Types of a state outside ``types`` do not bear on satisfaction.
+    """
+    names = sorted(frozenset(types))
+    index = {name: k for k, name in enumerate(names)}
+    masks = (_mask(index, (name for name in x if name in index)) for x in states)
+    return _theory_of_masks(names, masks, cap, phase)
 
 
 def close(t: SequentTheory, cap: int = DEFAULT_SEQUENT_CAP) -> SequentTheory:
     """Materialize the closure: all sequents over the language entailed by ``t``."""
-    return theory_of_states(t.types, satisfying_states(t), cap, "theory closure")
+    return _theory_of_masks(list(t._index), _models(t), cap, "theory closure")
 
 
 def theory_leq(t1: SequentTheory, t2: SequentTheory) -> bool:

@@ -18,7 +18,7 @@ from ifk import (
     intent,
     validate_system,
 )
-from ifk.theories import _sat
+from ifk.theories import _sat, all_states
 
 
 def rand_classification(
@@ -209,3 +209,21 @@ def sound_theory(rng: random.Random, c: Classification, max_axioms: int = 3) -> 
                 axioms.append(s)
                 break
     return SequentTheory(c.types, frozenset(axioms))
+
+
+def plain_satisfying_states(t: SequentTheory) -> list[frozenset[str]]:
+    """The states satisfying every axiom of ``t``, by a plain 2^n frozenset scan."""
+    return [
+        x
+        for x in all_states(t.types)
+        if all(_sat(a.antecedent, a.consequent, x) for a in t.axioms)
+    ]
+
+
+def plain_theory_of_states(types, states) -> frozenset[Sequent]:
+    """Every sequent over ``types`` that all ``states`` satisfy, by a plain
+    4^n frozenset scan."""
+    subsets = list(all_states(types))
+    return frozenset(
+        Sequent(g, d) for g in subsets for d in subsets if all(_sat(g, d, x) for x in states)
+    )

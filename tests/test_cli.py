@@ -313,3 +313,48 @@ def test_integrate_cli_equals_library(vee):
         for n, qs in result.deltas.items()
     }
     assert doc["sum"]["types"] == sorted(result.sum_types)
+
+
+def test_sum_checks_each_edge_once(tmp_path, monkeypatch):
+    import ifk.bundle
+    import ifk.classification
+    import ifk.diagrams
+    import ifk.integration
+
+    calls = []
+    check = ifk.classification.check_infomorphism
+
+    def counted(f):
+        calls.append(f.name)
+        return check(f)
+
+    # every module that imports the checker by name, so no call escapes
+    for module in (ifk.bundle, ifk.classification, ifk.diagrams, ifk.integration):
+        if hasattr(module, "check_infomorphism"):
+            monkeypatch.setattr(module, "check_infomorphism", counted)
+    leaves = ["O1", "O2", "O3"]
+    doc = {
+        "classifications": {
+            "M": {"instances": ["m"], "types": ["x"], "incidence": [["m", "x"]]},
+            **{n: {"instances": ["o"], "types": ["y"], "incidence": [["o", "y"]]} for n in leaves},
+        },
+        "theories": {"TM": {"types": ["x"], "axioms": []}, "TO": {"types": ["y"], "axioms": []}},
+        "systems": {
+            "star": {
+                "nodes": {
+                    "M": {"theory": "TM", "classification": "M"},
+                    **{n: {"theory": "TO", "classification": n} for n in leaves},
+                },
+                "edges": [
+                    {"id": f"e{n}", "src": "M", "dst": n, "type_map": {"x": "y"},
+                     "instance_map": {"o": "m"}}
+                    for n in leaves
+                ],
+            }
+        },
+    }
+    path = tmp_path / "star.json"
+    path.write_text(json.dumps(doc))
+    status, report = run(["sum", "--system", "star", str(path)])
+    assert status == 0, report
+    assert sorted(calls) == ["eO1", "eO2", "eO3"]

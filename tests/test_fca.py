@@ -215,3 +215,33 @@ def test_dot_export_is_deterministic_and_covers_only(clf_a):
     assert dot.count("->") == 4
     # no transitive edge bottom -> top
     assert "  c0 -> c3;" not in dot
+
+
+def test_dot_edges_are_the_transitive_reduction_of_the_extent_order():
+    rng = random.Random(0xFCA)
+    cases = duplicated = empty = edges = 0
+    for _ in range(60):
+        types = [f"t{k}" for k in range(rng.randint(0, 6))]
+        rows = [frozenset(t for t in types if rng.random() < 0.4) for _ in range(rng.randint(0, 5))]
+        rows += rng.sample(rows, rng.randint(0, len(rows)))  # instances sharing an intent
+        incidence = [(f"i{k}", t) for k, row in enumerate(rows) for t in row]
+        c = Classification("C", [f"i{k}" for k in range(len(rows))], types, incidence)
+        l = lattice(c)
+        extents = [k.extent for k in l.concepts]
+        assert l.order == {(i, j) for i, a in enumerate(extents) for j, b in enumerate(extents) if a <= b}
+        strict = {(i, j) for i, j in l.order if i != j}
+        reduction = {
+            (i, j)
+            for i, j in strict
+            if not any((i, k) in strict and (k, j) in strict for k in range(len(extents)))
+        }
+        dot = lattice_dot(l).splitlines()
+        found = {tuple(int(x[1:]) for x in line.strip(" ;").split(" -> ")) for line in dot if "->" in line}
+        assert found == reduction
+        cases += 1
+        duplicated += len(set(rows)) < len(rows)
+        empty += any(not any(t in row for row in rows) for t in types)
+        edges += len(found)
+    assert duplicated > 10 and empty > 10
+    print(f"cover edges vs transitive reduction: {cases} contexts ({duplicated} with shared "
+          f"intents, {empty} with an empty type extent), {edges} edges")

@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 
 from ifk import (
+    CapExceeded,
     Classification,
     FlatTheory,
     IfkError,
@@ -22,6 +24,7 @@ from ifk import (
     theory_leq,
     top_theory,
 )
+from ifk.theories import theory_of_states
 
 import support
 from conftest import seq
@@ -126,6 +129,34 @@ def test_materialized_inverse_flow_matches_queries():
             assert inv.entails(a)
         # materialized pullbacks are closed
         assert close(materialized) == materialized
+
+
+def test_materialize_is_the_theory_of_the_pulled_models():
+    rng = random.Random(0x9B)
+    cases = merging = 0
+    for _ in range(120):
+        dst = [f"u{k}" for k in range(rng.randint(1, 4))]
+        src = [f"x{k}" for k in range(rng.randint(0, 5))]
+        f = support.rand_type_map(rng, src, dst)
+        target = support.rand_theory(rng, dst, 4)
+        pulled = [
+            frozenset(s for s in src if f[s] in m) for m in support.plain_satisfying_states(target)
+        ]
+        assert inverse_flow(f, target, src).materialize() == theory_of_states(src, pulled)
+        cases += 1
+        merging += len(set(f.values())) < len(src)
+    assert merging > 60
+    print(f"materialize vs pulled models: {cases} maps, {merging} not injective")
+
+
+def test_materialize_charges_the_cap_before_any_query():
+    target = top_theory({f"u{k}" for k in range(40)})
+    handle = inverse_flow({f"x{k}": f"u{k}" for k in range(9)}, target, [f"x{k}" for k in range(9)])
+    start = time.monotonic()
+    with pytest.raises(CapExceeded) as err:
+        handle.materialize()
+    assert time.monotonic() - start < 1
+    assert (err.value.phase, err.value.required) == ("inverse flow materialization", 4 ** 9)
 
 
 def test_inverse_flow_of_intersection_is_intersection_of_inverse_flows():

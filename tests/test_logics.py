@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 
 from ifk import (
+    CapExceeded,
     Classification,
     IfkError,
     LocalLogic,
@@ -94,6 +96,17 @@ def test_restriction_drops_refuted_axiom(clf_a):
     assert is_sound(restricted)
     assert seq("car", "human") not in restricted.theory.axioms
     assert not entails(restricted.theory, seq("car", "human"))
+
+
+def test_restriction_charges_the_cap_before_enumerating_states():
+    types = [f"t{k}" for k in range(40)]
+    c = Classification("wide", ["i"], types, [("i", "t0")])
+    logic = LocalLogic(c, SequentTheory(types, frozenset()), {"i"})
+    start = time.monotonic()
+    with pytest.raises(CapExceeded) as err:
+        restriction(logic)
+    assert time.monotonic() - start < 1
+    assert (err.value.phase, err.value.required) == ("logic restriction", 4 ** 40)
 
 
 def test_restriction_of_natural_logic_is_natural(clf_a):

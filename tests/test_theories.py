@@ -2,6 +2,7 @@ import pickle
 import random
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given
@@ -30,7 +31,7 @@ from ifk import (
     theory_leq,
     top_theory,
 )
-from ifk.theories import all_states, sequent_key
+from ifk.theories import all_states, satisfying_states, sequent_key, theory_of_states
 
 import support
 from conftest import seq
@@ -241,6 +242,39 @@ def test_close_cap():
     with pytest.raises(CapExceeded) as err:
         close(t)
     assert err.value.required == 4 ** 9
+
+
+def test_close_charges_the_cap_before_enumerating_states():
+    # 2^40 states: a closure that enumerated them before the cap would not end
+    t = top_theory({f"t{k}" for k in range(40)})
+    start = time.monotonic()
+    with pytest.raises(CapExceeded) as err:
+        close(t)
+    assert time.monotonic() - start < 1
+    assert (err.value.phase, err.value.required) == ("theory closure", 4 ** 40)
+
+
+def test_mask_kernel_matches_plain_scans():
+    rng = random.Random(0x3A5C)
+    state_sets = theories = 0
+    for n in range(6):
+        types = [f"t{k}" for k in range(n)]
+        subsets = list(all_states(types))
+        # the empty state set first; random draws repeat states
+        draws = [[]] + [
+            [rng.choice(subsets) for _ in range(rng.randint(1, 2 ** n + 2))]
+            for _ in range(8 if n < 5 else 3)
+        ]
+        for states in draws:
+            expected = support.plain_theory_of_states(types, states)
+            assert theory_of_states(types, states).axioms == expected
+            state_sets += 1
+            t = support.rand_theory(rng, types, max_axioms=2 * n)
+            models = support.plain_satisfying_states(t)
+            assert satisfying_states(t) == models
+            assert close(t).axioms == support.plain_theory_of_states(types, models)
+            theories += 1
+    print(f"mask kernel vs plain scans: {state_sets} state sets, {theories} theories, 0-5 types")
 
 
 def test_tautology_characterization_small():
