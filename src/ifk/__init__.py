@@ -1,95 +1,55 @@
 """ifk: classifications, infomorphisms, sequent theories, information
 flow, colimit channels, semantic integration and concept lattices, all
-at finite scale."""
+at finite scale.
 
-from .classification import (
-    Classification,
-    Infomorphism,
-    check_infomorphism,
-    compose_infomorphisms,
-    extent,
-    identity_infomorphism,
-    instance_leq,
-    intent,
-    lift_to_theory_classification,
-    validate_classification,
-)
-from .diagrams import (
-    Channel,
-    ClsDiagram,
-    LanguageDiagram,
-    ShapeGraph,
-    colimit_language,
-    mediating_morphism,
-    sum_classification,
-    verify_channel_covers,
-)
-from .errors import BundleError, CapExceeded, IfkError, ValidationResult
-from .fca import (
-    ConceptLattice,
-    FormalConcept,
-    attribute_concept,
-    concepts,
-    derive,
-    join,
-    lattice,
-    lattice_dot,
-    meet,
-    object_concept,
-)
-from .flow import (
-    InverseFlowTheory,
-    borrowing_holds,
-    check_theory_morphism,
-    direct_flow,
-    flat_direct_flow,
-    flat_inverse_flow,
-    inverse_flow,
-)
-from .integration import (
-    InformationSystem,
-    IntegrationResult,
-    integrate,
-    is_monocosmic,
-    is_pointwise_consistent,
-    is_polycosmic,
-    system_entails,
-    system_entails_at,
-    system_leq,
-    system_verdict,
-    validate_system,
-)
-from .logics import (
-    LocalLogic,
-    is_complete,
-    is_sound,
-    logic_direct_image,
-    logic_inverse_image,
-    logic_leq,
-    natural_entails,
-    natural_logic,
-    normalize,
-    restriction,
-)
-from .theories import (
-    FlatTheory,
-    Sequent,
-    SequentTheory,
-    analogy,
-    bottom_theory,
-    close,
-    contract,
-    entails,
-    entails_by_enumeration,
-    expand,
-    flat_closure,
-    flat_entails,
-    is_consistent,
-    is_consistent_by_enumeration,
-    revise,
-    state_satisfies,
-    theory_leq,
-    top_theory,
-)
+Exports load lazily (PEP 562): ``import ifk`` imports no submodule, and
+each name imports its module on first access, so a caller pays only for
+the constructions it uses.  ``from ifk import *`` loads them all.
+"""
 
+import importlib
+
+# submodule -> the names it exports
+_EXPORTS = {
+    "classification": """Classification Infomorphism check_infomorphism
+        compose_infomorphisms extent identity_infomorphism instance_leq intent
+        lift_to_theory_classification validate_classification""",
+    "diagrams": """Channel ClsDiagram LanguageDiagram ShapeGraph colimit_language
+        mediating_morphism sum_classification verify_channel_covers""",
+    "errors": "BundleError CapExceeded IfkError ValidationResult",
+    "fca": """ConceptLattice FormalConcept attribute_concept concepts derive join
+        lattice lattice_dot meet object_concept""",
+    "flow": """InverseFlowTheory borrowing_holds check_theory_morphism direct_flow
+        flat_direct_flow flat_inverse_flow inverse_flow""",
+    "integration": """InformationSystem IntegrationResult integrate is_monocosmic
+        is_pointwise_consistent is_polycosmic system_entails system_entails_at
+        system_leq system_verdict validate_system""",
+    "logics": """LocalLogic is_complete is_sound logic_direct_image
+        logic_inverse_image logic_leq natural_entails natural_logic normalize
+        restriction""",
+    "theories": """FlatTheory Sequent SequentTheory analogy bottom_theory close
+        contract entails entails_by_enumeration expand flat_closure flat_entails
+        is_consistent is_consistent_by_enumeration revise state_satisfies
+        theory_leq top_theory""",
+}
+
+# exported name -> the submodule that defines it
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _MODULE_OF:
+        value = getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    elif name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | _MODULE_OF.keys() | _EXPORTS.keys())

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .classification import (
     Classification,
@@ -18,10 +19,11 @@ from .classification import (
     valid_identifier,
     validate_classification,
 )
-from .diagrams import ShapeGraph
 from .errors import BundleError, IfkError
-from .integration import InformationSystem, _require_valid
 from .theories import Sequent, SequentTheory, sequent_key
+
+if TYPE_CHECKING:
+    from .integration import InformationSystem
 
 TOP_LEVEL_KEYS = ("classifications", "theories", "infomorphisms", "systems")
 
@@ -180,6 +182,10 @@ def parse_bundle(text: str) -> Bundle:
 
 
 def _parse_system(bundle: Bundle, raw, where: str) -> InformationSystem:
+    # systems need the colimit and flow modules; a bundle without them never loads them
+    from .diagrams import ShapeGraph
+    from .integration import InformationSystem, _require_valid
+
     _expect(isinstance(raw, dict), f"{where}: expected an object")
     nodes_raw = raw.get("nodes", {})
     _expect(isinstance(nodes_raw, dict), f"{where}.nodes: expected an object")

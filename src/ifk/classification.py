@@ -9,7 +9,7 @@ original instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -22,6 +22,31 @@ DEFAULT_THEORY_TYPE_CAP = 4096
 def valid_identifier(name: str) -> bool:
     """Identifiers are non-empty strings without whitespace."""
     return isinstance(name, str) and bool(name) and not any(ch.isspace() for ch in name)
+
+
+def _plain(value):
+    """A read-only map as plain dicts, recursively; pickle cannot copy the views."""
+    if isinstance(value, MappingProxyType):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
+
+
+def _read_only(value):
+    """Every dict of ``_plain``'s output a read-only view again."""
+    if isinstance(value, dict):
+        return MappingProxyType({k: _read_only(v) for k, v in value.items()})
+    return value
+
+
+def _rebuild(cls, args):
+    return cls(*map(_read_only, args))
+
+
+def _reduce_read_only(self):
+    """``__reduce__`` of a frozen dataclass holding read-only maps: pickle
+    and deep copy rebuild it through its constructor from plain dicts, so
+    its cached properties are not copied."""
+    return _rebuild, (type(self), tuple(_plain(getattr(self, f.name)) for f in fields(self)))
 
 
 @dataclass(frozen=True)
@@ -73,6 +98,7 @@ class Infomorphism:
 
     # mapping fields make the generated hash unusable; identity by fields is enough
     __hash__ = None  # type: ignore[assignment]
+    __reduce__ = _reduce_read_only
 
     # The invariance check, run on first use and kept: every field is
     # read-only, so each caller that validates this link reads one result.

@@ -1,10 +1,14 @@
 """Command-line front end: one subcommand per construction, deterministic
 JSON (or DOT) reports, exit 0 on success, 1 on defects in the input or an
-internal failure, 2 on usage errors."""
+internal failure, 2 on usage errors.
+
+Each command imports the modules only it runs, so that `ifk entails`, for
+one, starts without loading colimits, flows or concept lattices."""
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -19,17 +23,8 @@ from .bundle import (
     sequent_to_obj,
     theory_to_obj,
 )
-from .errors import BundleError, CapExceeded, IfkError
-from .fca import lattice, lattice_dot
-from .integration import (
-    VERDICT_MONOCOSMIC,
-    VERDICT_POINTWISE_INCONSISTENT,
-    integrate,
-    system_verdict,
-)
-from .theories import DEFAULT_SEQUENT_CAP, close, entails
-
-from .diagrams import DEFAULT_INSTANCE_CAP, sum_classification
+from .errors import DEFAULT_INSTANCE_CAP, DEFAULT_SEQUENT_CAP, BundleError, CapExceeded, IfkError
+from .theories import close, entails
 
 
 class _UsageError(Exception):
@@ -41,6 +36,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@functools.cache  # one parser serves every in-process run
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ifk", description="information-flow toolkit")
     parser.add_argument("--output", metavar="FILE", default=None,
@@ -122,6 +118,8 @@ def _cmd_entails(args) -> str:
 
 
 def _cmd_lattice(args) -> str:
+    from .fca import lattice, lattice_dot
+
     bundle = _load(args.bundle)
     c = _pick(bundle.classifications, args.classification, "classification")
     l = lattice(c)
@@ -139,6 +137,8 @@ def _cmd_lattice(args) -> str:
 
 
 def _cmd_sum(args) -> str:
+    from .diagrams import sum_classification
+
     bundle = _load(args.bundle)
     system = _pick(bundle.systems, args.system, "system")
     channel = sum_classification(system.cls_diagram(), args.instance_cap)
@@ -152,6 +152,8 @@ def _cmd_sum(args) -> str:
 
 
 def _cmd_integrate(args) -> str:
+    from .integration import integrate
+
     bundle = _load(args.bundle)
     system = _pick(bundle.systems, args.system, "system")
     result = integrate(system, delta_bound=args.delta_bound, cap=args.cap)
@@ -179,6 +181,8 @@ def _cmd_integrate(args) -> str:
 
 
 def _cmd_consistency(args) -> str:
+    from .integration import VERDICT_MONOCOSMIC, VERDICT_POINTWISE_INCONSISTENT, system_verdict
+
     bundle = _load(args.bundle)
     system = _pick(bundle.systems, args.system, "system")
     verdict = system_verdict(system)

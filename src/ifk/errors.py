@@ -4,6 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# Default caps, kept here so a caller can read them without importing the
+# module that enforces them.
+DEFAULT_SEQUENT_CAP = 65536  # 4^8: materialized closures up to 8 types
+DEFAULT_INSTANCE_CAP = 4096
+
 
 class IfkError(Exception):
     """Raised when an operation is called outside its contract."""

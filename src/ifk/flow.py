@@ -76,6 +76,9 @@ class InverseFlowTheory:
         object.__setattr__(self, "type_map", MappingProxyType(dict(type_map)))
         object.__setattr__(self, "target", target)
 
+    def __reduce__(self):  # pickle cannot copy the read-only map
+        return InverseFlowTheory, (dict(self.type_map), self.target, self.types)
+
     def entails(self, s: Sequent) -> bool:
         """The target theory entails the image of ``s`` along the type map."""
         _require_within(self.types, s)

@@ -38,9 +38,8 @@ from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .classification import Classification, extent
-from .errors import CapExceeded, IfkError
+from .errors import DEFAULT_SEQUENT_CAP, CapExceeded, IfkError
 
-DEFAULT_SEQUENT_CAP = 65536  # 4^8: materialized closures up to 8 types
 MODELS_KEPT = 32  # recent models a compiled theory tries before searching
 
 

@@ -1,6 +1,11 @@
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).parent.parent / "src" / "ifk"
 
@@ -24,3 +29,80 @@ def test_library_imports_only_the_standard_library():
             ]
     assert len(modules) > 5
     assert foreign == []
+
+
+# the names `from ifk import *` has exported since the package had no __all__
+EXPORTED = """
+    BundleError CapExceeded Channel Classification ClsDiagram ConceptLattice FlatTheory
+    FormalConcept IfkError Infomorphism InformationSystem IntegrationResult
+    InverseFlowTheory LanguageDiagram LocalLogic Sequent SequentTheory ShapeGraph
+    ValidationResult analogy attribute_concept borrowing_holds bottom_theory
+    check_infomorphism check_theory_morphism close colimit_language compose_infomorphisms
+    concepts contract derive direct_flow entails entails_by_enumeration expand extent
+    flat_closure flat_direct_flow flat_entails flat_inverse_flow identity_infomorphism
+    instance_leq integrate intent inverse_flow is_complete is_consistent
+    is_consistent_by_enumeration is_monocosmic is_pointwise_consistent is_polycosmic
+    is_sound join lattice lattice_dot lift_to_theory_classification logic_direct_image
+    logic_inverse_image logic_leq mediating_morphism meet natural_entails natural_logic
+    normalize object_concept restriction revise state_satisfies sum_classification
+    system_entails system_entails_at system_leq system_verdict theory_leq top_theory
+    validate_classification validate_system verify_channel_covers
+""".split()
+
+HEAVY = ("ifk.fca", "ifk.integration", "ifk.diagrams", "ifk.flow", "ifk.logics")
+
+
+def _modules_loaded_by(*command_lines) -> set[str]:
+    """The ifk modules a fresh interpreter holds after running the commands;
+    in-process, sys.modules is shared with every other test."""
+    script = (
+        "import json, sys\n"
+        "from ifk.cli import run\n"
+        f"for argv in {list(command_lines)!r}:\n"
+        "    status, _ = run(argv)\n"
+        "    assert status == 0, argv\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('ifk'))))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return set(json.loads(out.stdout))
+
+
+def test_theory_commands_load_no_colimit_flow_or_lattice_module(tmp_path):
+    bundle = tmp_path / "theory.json"
+    bundle.write_text(json.dumps(
+        {"theories": {"T": {"types": ["a", "b"], "axioms": [{"ant": ["a"], "con": ["b"]}]}}}
+    ))
+    loaded = _modules_loaded_by(
+        ["validate", str(bundle)],
+        ["entails", "--theory", "T", "--sequent", "a |- b", str(bundle)],
+        ["close", "--theory", "T", str(bundle)],
+    )
+    assert "ifk.theories" in loaded
+    assert loaded.isdisjoint(HEAVY)
+
+
+def test_lattice_command_does_not_load_integration(tmp_path):
+    bundle = tmp_path / "classification.json"
+    bundle.write_text(json.dumps(
+        {"classifications": {"C": {"instances": ["i"], "types": ["t"], "incidence": [["i", "t"]]}}}
+    ))
+    loaded = _modules_loaded_by(["lattice", "--classification", "C", str(bundle)])
+    assert "ifk.fca" in loaded
+    assert "ifk.integration" not in loaded
+
+
+def test_lazy_exports_keep_the_public_names():
+    import ifk
+
+    assert len(EXPORTED) == 78
+    assert sorted(ifk.__all__) == sorted(EXPORTED)
+    star: dict = {}
+    exec("from ifk import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == sorted(EXPORTED)
+    assert ifk.fca.lattice is ifk.lattice
+    assert ifk.theories.Sequent is ifk.Sequent
+    with pytest.raises(AttributeError, match="nope"):
+        ifk.nope
