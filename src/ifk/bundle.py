@@ -133,6 +133,8 @@ def parse_bundle(text: str) -> Bundle:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise BundleError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except RecursionError as exc:
+        raise BundleError("bundle: nesting too deep") from exc
     _expect(isinstance(raw, dict), "bundle: expected a JSON object")
     unknown = set(raw) - set(TOP_LEVEL_KEYS)
     _expect(not unknown, f"bundle: unknown top-level keys {sorted(unknown)}")

@@ -42,10 +42,10 @@ def _rebuild(cls, args):
     return cls(*map(_read_only, args))
 
 
-def _reduce_read_only(self):
-    """``__reduce__`` of a frozen dataclass holding read-only maps: pickle
-    and deep copy rebuild it through its constructor from plain dicts, so
-    its cached properties are not copied."""
+def _reduce_fields(self):
+    """``__reduce__`` of a frozen dataclass: pickle and deep copy rebuild it
+    through its constructor from its fields (read-only maps as plain
+    dicts), so nothing it derived on first use is copied."""
     return _rebuild, (type(self), tuple(_plain(getattr(self, f.name)) for f in fields(self)))
 
 
@@ -62,6 +62,8 @@ class Classification:
         object.__setattr__(
             self, "incidence", frozenset((i, t) for i, t in self.incidence)
         )
+
+    __reduce__ = _reduce_fields
 
     # Incidence indexes, built on first use and freed with the classification;
     # equality and hashing read the fields only.
@@ -98,7 +100,7 @@ class Infomorphism:
 
     # mapping fields make the generated hash unusable; identity by fields is enough
     __hash__ = None  # type: ignore[assignment]
-    __reduce__ = _reduce_read_only
+    __reduce__ = _reduce_fields
 
     # The invariance check, run on first use and kept: every field is
     # read-only, so each caller that validates this link reads one result.

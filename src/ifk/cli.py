@@ -36,6 +36,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _size(text: str) -> int:
+    """A cap or bound flag: a non-negative int."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 @functools.cache  # one parser serves every in-process run
 def _build_parser() -> _Parser:
     parser = _Parser(prog="ifk", description="information-flow toolkit")
@@ -55,7 +66,7 @@ def _build_parser() -> _Parser:
 
     p = command("close", help="materialize the closure of a theory")
     p.add_argument("--theory", required=True)
-    p.add_argument("--cap", type=int, default=DEFAULT_SEQUENT_CAP)
+    p.add_argument("--cap", type=_size, default=DEFAULT_SEQUENT_CAP)
 
     p = command("entails", help="decide entailment of a sequent")
     p.add_argument("--theory", required=True)
@@ -67,12 +78,12 @@ def _build_parser() -> _Parser:
 
     p = command("sum", help="sum channel of a fully classified system")
     p.add_argument("--system", required=True)
-    p.add_argument("--instance-cap", type=int, default=DEFAULT_INSTANCE_CAP)
+    p.add_argument("--instance-cap", type=_size, default=DEFAULT_INSTANCE_CAP)
 
     p = command("integrate", help="system closure with bounded deltas")
     p.add_argument("--system", required=True)
-    p.add_argument("--delta-bound", type=int, default=2)
-    p.add_argument("--cap", type=int, default=DEFAULT_SEQUENT_CAP)
+    p.add_argument("--delta-bound", type=_size, default=2)
+    p.add_argument("--cap", type=_size, default=DEFAULT_SEQUENT_CAP)
 
     p = command("consistency", help="cosmological verdict for a system")
     p.add_argument("--system", required=True)
@@ -85,9 +96,11 @@ def _emit(doc) -> str:
 
 def _load(path: str) -> Bundle:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _UsageError(f"cannot read bundle file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise BundleError(f"bundle: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
     return parse_bundle(text)
 
 
@@ -242,7 +255,11 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
 def main(argv: Sequence[str] | None = None) -> int:
     status, report, output = _dispatch(sys.argv[1:] if argv is None else argv)
     if output:
-        Path(output).write_text(report)
+        try:
+            Path(output).write_text(report)
+        except OSError as exc:
+            sys.stdout.write(_failure("usage", message=f"cannot write report file: {exc}"))
+            return 2
     else:
         sys.stdout.write(report)
     return status

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .classification import Classification, Infomorphism, _reduce_read_only, check_infomorphism
+from .classification import Classification, Infomorphism, _reduce_fields, check_infomorphism
 from .errors import DEFAULT_INSTANCE_CAP, CapExceeded, IfkError, ValidationResult
 
 
@@ -46,7 +46,7 @@ class LanguageDiagram:
     shape: ShapeGraph
     node_language: Mapping[str, frozenset[str]]
     edge_map: Mapping[str, Mapping[str, str]]
-    __reduce__ = _reduce_read_only
+    __reduce__ = _reduce_fields
 
     def __post_init__(self):
         object.__setattr__(
@@ -74,7 +74,7 @@ class LanguageColimit:
     types: frozenset[str]
     cocone: Mapping[str, Mapping[str, str]]
     members: Mapping[str, frozenset[tuple[str, str]]]
-    __reduce__ = _reduce_read_only
+    __reduce__ = _reduce_fields
 
     def __post_init__(self):
         object.__setattr__(self, "cocone", _frozen_maps(self.cocone.items()))
@@ -133,7 +133,7 @@ class ClsDiagram:
     shape: ShapeGraph
     node_cls: Mapping[str, Classification]
     edge_info: Mapping[str, Infomorphism]
-    __reduce__ = _reduce_read_only
+    __reduce__ = _reduce_fields
 
     def __post_init__(self):
         object.__setattr__(self, "node_cls", MappingProxyType(dict(self.node_cls)))
@@ -163,7 +163,7 @@ class ClsDiagram:
 class Channel:
     core: Classification
     legs: Mapping[str, Infomorphism]
-    __reduce__ = _reduce_read_only
+    __reduce__ = _reduce_fields
 
     def __post_init__(self):
         object.__setattr__(self, "legs", MappingProxyType(dict(self.legs)))

@@ -6,14 +6,16 @@ are enumerated by lectic next-closure over type subsets (Ganter, 1984),
 with a naive all-pairs scan kept as the testing oracle, and form a
 complete lattice under extent inclusion.
 
-Enumeration, the order, the covers and meet/join run on bit masks:
-sorted instances and sorted types are bit positions, so an extent or an
-intent is one int, intersection is ``&`` and inclusion is
-``a & ~b == 0``.  Per instance, the set of concepts holding it is a
-mask too, so the concepts above one concept are the AND of those sets
-over its extent.  Its upper covers are the minimal strict supersets of
-its extent (Lindig, "Fast Concept Analysis", 2000): the concepts above
-it that lie above none of the others.  Names are converted only at the
+A lattice stores only its concepts.  Its order (extent inclusion), its
+covers and its meet/join lookups are derived from them on first use, on
+bit masks like the enumeration: sorted instances and sorted types are
+bit positions, so an extent or an intent is one int, intersection is
+``&`` and inclusion is ``a & ~b == 0``.  Per instance, the set of
+concepts holding it is a mask too, so the up-set of a concept, which the
+order and the covers both read, is the AND of those sets over its
+extent.  Its upper covers are the minimal strict supersets of its
+extent (Lindig, "Fast Concept Analysis", 2000): the concepts above it
+that lie above none of the others.  Names are converted only at the
 boundary.
 """
 
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Literal
 
-from .classification import Classification, extent
+from .classification import Classification, _reduce_fields, extent
 from .errors import CapExceeded, IfkError
 from .theories import _bits, _columns, _common, _mask
 
@@ -43,9 +45,11 @@ class FormalConcept:
 @dataclass(frozen=True)
 class ConceptLattice:
     concepts: tuple[FormalConcept, ...]
-    order: frozenset[tuple[int, int]]  # (i, j): concept i <= concept j
 
-    # Built on first use; equality and hashing read the fields only.
+    __reduce__ = _reduce_fields
+
+    # Derived on first use from the concepts, which alone fix equality
+    # and hashing.
     @cached_property
     def _sides(self) -> dict[str, tuple[list[int], dict[int, int]]]:
         """Per side ("extent", "intent"): each concept's mask, and the
@@ -60,6 +64,19 @@ class ConceptLattice:
                 first.setdefault(m, k)
             out[side] = (masks, first)
         return out
+
+    @cached_property
+    def _ups(self) -> list[int]:
+        """Per concept, the concepts whose extent contains its own (bit k: concept k)."""
+        extents, _ = self._sides["extent"]
+        holding = _columns(extents, max(extents, default=0).bit_length())
+        everything = (1 << len(extents)) - 1
+        return [_common(holding, e, everything) for e in extents]
+
+    @cached_property
+    def order(self) -> frozenset[tuple[int, int]]:
+        """(i, j): concept i <= concept j, that is, its extent is contained in j's."""
+        return frozenset((i, j) for i, up in enumerate(self._ups) for j in _bits(up))
 
 
 def derive(
@@ -89,9 +106,9 @@ def _names(names: list[str], m: int) -> frozenset[str]:
     return frozenset(names[k] for k in _bits(m))
 
 
-def _concepts(c: Classification) -> tuple[tuple[FormalConcept, ...], list[int]]:
-    """Every concept, by next-closure on masks, in canonical order, and
-    the mask of each extent."""
+def concepts(c: Classification) -> tuple[FormalConcept, ...]:
+    """All concepts, by next-closure on masks over type subsets, in
+    canonical order (extent size, then lexicographic extent)."""
     if len(c.types) > CONCEPT_TYPE_GUARD:
         raise CapExceeded("concept enumeration", len(c.types), CONCEPT_TYPE_GUARD)
     instances, types = sorted(c.instances), sorted(c.types)
@@ -118,14 +135,7 @@ def _concepts(c: Classification) -> tuple[tuple[FormalConcept, ...], list[int]]:
         else:
             break
     found.sort(key=lambda concept: (concept[0].bit_count(), list(_bits(concept[0]))))
-    cs = tuple(FormalConcept(_names(instances, e), _names(types, b)) for e, b in found)
-    return cs, [e for e, _ in found]
-
-
-def concepts(c: Classification) -> tuple[FormalConcept, ...]:
-    """All concepts, by next-closure over type subsets, in canonical order
-    (extent size, then lexicographic extent)."""
-    return _concepts(c)[0]
+    return tuple(FormalConcept(_names(instances, e), _names(types, b)) for e, b in found)
 
 
 def concepts_by_enumeration(c: Classification) -> tuple[FormalConcept, ...]:
@@ -145,17 +155,8 @@ def concepts_by_enumeration(c: Classification) -> tuple[FormalConcept, ...]:
     return tuple(sorted(found, key=_concept_key))
 
 
-def _up_sets(extents: list[int]) -> list[int]:
-    """Per concept, the concepts whose extent contains its own (bit k: concept k)."""
-    holding = _columns(extents, max(extents, default=0).bit_length())
-    everything = (1 << len(extents)) - 1
-    return [_common(holding, e, everything) for e in extents]
-
-
 def lattice(c: Classification) -> ConceptLattice:
-    cs, extents = _concepts(c)
-    ups = _up_sets(extents)
-    return ConceptLattice(cs, frozenset((i, j) for i, up in enumerate(ups) for j in _bits(up)))
+    return ConceptLattice(concepts(c))
 
 
 def _bound(l: ConceptLattice, i: int, j: int, side: Literal["extent", "intent"]) -> FormalConcept:
@@ -198,8 +199,7 @@ def _covers(l: ConceptLattice) -> list[tuple[int, int]]:
     """Sorted pairs (i, j) where concept j is an upper cover of concept i:
     the minimal strict supersets of each extent, which are the concepts
     strictly above i that lie strictly above none of the others."""
-    extents, _ = l._sides["extent"]
-    strict = [up & ~(1 << i) for i, up in enumerate(_up_sets(extents))]
+    strict = [up & ~(1 << i) for i, up in enumerate(l._ups)]
     covers = []
     for i, above in enumerate(strict):
         beyond = 0

@@ -18,7 +18,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .classification import Classification, Infomorphism, _reduce_read_only
+from .classification import Classification, Infomorphism, _reduce_fields
 from .diagrams import (
     ClsDiagram,
     LanguageColimit,
@@ -64,7 +64,7 @@ class InformationSystem:
     edge_type_map: Mapping[str, Mapping[str, str]]
     node_cls: Mapping[str, Classification | None] = field(default_factory=dict)
     edge_instance_map: Mapping[str, Mapping[str, str] | None] = field(default_factory=dict)
-    __reduce__ = _reduce_read_only
+    __reduce__ = _reduce_fields
 
     def __post_init__(self):
         object.__setattr__(self, "node_theory", MappingProxyType(dict(self.node_theory)))
@@ -184,7 +184,7 @@ class IntegrationResult:
     closure_handles: Mapping[str, InverseFlowTheory]
     deltas: Mapping[str, tuple[Sequent, ...]]
     verdict: str
-    __reduce__ = _reduce_read_only
+    __reduce__ = _reduce_fields
 
 
 def _require_valid(s: InformationSystem) -> None:

@@ -5,14 +5,18 @@ Soundness quantifies over all instances, completeness only over the
 normal ones.  The natural logic of a classification takes every sequent
 its instances jointly satisfy as a theorem and is the sound and complete
 logic over that classification, up to closure.
+
+Each logic finds the instances violating its theory once, in one scan;
+its own check of the normal set, soundness and normalization read it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
-from .classification import Classification, Infomorphism, intent
+from .classification import Classification, Infomorphism, _reduce_fields, intent
 from .errors import IfkError
 from .flow import direct_flow, inverse_flow
 from .theories import (
@@ -44,7 +48,7 @@ class LocalLogic:
         stray = self.normal - self.classification.instances
         if stray:
             raise IfkError(f"normal instances not declared: {', '.join(sorted(stray))}")
-        bad = _violators(self.theory, self.classification, self.normal)
+        bad = self._violators & self.normal
         if bad:
             i = min(bad)
             holds = intent(self.classification, i)
@@ -55,29 +59,27 @@ class LocalLogic:
             )
             raise IfkError(f"normal instance {i} violates axiom {a!r}")
 
+    __reduce__ = _reduce_fields
 
-def _instance_states(c: Classification, instances) -> set[frozenset[str]]:
-    return {intent(c, i) for i in instances}
+    # Derived once per logic from its fields; equality and hashing read
+    # the fields only.
+    @cached_property
+    def _states(self) -> dict[str, int]:
+        """Each instance's intent as a mask over the language of the theory."""
+        index = self.theory._index
+        return {i: _mask(index, x) for i, x in self.classification._intents.items()}
 
-
-def _states(t: SequentTheory, c: Classification, instances) -> dict[str, int]:
-    """Each instance's intent as a mask over the language of ``t``."""
-    return {i: _mask(t._index, intent(c, i)) for i in instances}
-
-
-def _violators(t: SequentTheory, c: Classification, instances) -> set[str]:
-    """The ``instances`` whose intent violates some axiom of ``t``."""
-    state = _states(t, c, instances)
-    bad = _violating(t, state.values())
-    return {i for i, x in state.items() if x in bad}
+    @cached_property
+    def _violators(self) -> frozenset[str]:
+        """The instances whose intent violates some axiom, found in one scan."""
+        bad = _violating(self.theory, self._states.values())
+        return frozenset(i for i, x in self._states.items() if x in bad)
 
 
 def natural_entails(c: Classification, s: Sequent) -> bool:
     """Virtual form of the natural theory: satisfaction by every instance."""
     _require_within(c.types, s)
-    return all(
-        _sat(s.antecedent, s.consequent, x) for x in _instance_states(c, c.instances)
-    )
+    return all(_sat(s.antecedent, s.consequent, x) for x in c._intents.values())
 
 
 def natural_logic(c: Classification, cap: int = DEFAULT_SEQUENT_CAP) -> LocalLogic:
@@ -86,15 +88,13 @@ def natural_logic(c: Classification, cap: int = DEFAULT_SEQUENT_CAP) -> LocalLog
     Materializes 4^|types| candidate sequents; above the cap, query
     entailment through ``natural_entails`` instead.
     """
-    theory = theory_of_states(
-        c.types, _instance_states(c, c.instances), cap, "natural logic"
-    )
+    theory = theory_of_states(c.types, c._intents.values(), cap, "natural logic")
     return LocalLogic(c, theory, c.instances)
 
 
 def is_sound(l: LocalLogic) -> bool:
     """Every instance, normal or not, satisfies every axiom."""
-    return not _violators(l.theory, l.classification, l.classification.instances)
+    return not l._violators
 
 
 def is_complete(l: LocalLogic) -> bool:
@@ -104,22 +104,21 @@ def is_complete(l: LocalLogic) -> bool:
     this is equivalent to: every state satisfying the theory is the
     intent of some normal instance.
     """
-    normal_states = set(_states(l.theory, l.classification, l.normal).values())
+    normal_states = {l._states[i] for i in l.normal}
     return all(x in normal_states for x in _models(l.theory))
 
 
 def restriction(l: LocalLogic, cap: int = DEFAULT_SEQUENT_CAP) -> LocalLogic:
     """The sound logic with theory: theorems of ``l`` satisfied by every instance."""
-    c = l.classification
-    states = itertools.chain(_states(l.theory, c, c.instances).values(), _models(l.theory))
+    states = itertools.chain(l._states.values(), _models(l.theory))
     theory = _theory_of_masks(list(l.theory._index), states, cap, "logic restriction")
-    return LocalLogic(c, theory, c.instances)
+    return LocalLogic(l.classification, theory, l.classification.instances)
 
 
 def normalize(l: LocalLogic) -> LocalLogic:
     """Grow the normal set to every instance whose intent satisfies the theory."""
     c = l.classification
-    return LocalLogic(c, l.theory, c.instances - _violators(l.theory, c, c.instances))
+    return LocalLogic(c, l.theory, c.instances - l._violators)
 
 
 def logic_direct_image(f: Infomorphism, l: LocalLogic) -> LocalLogic:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .classification import Classification, extent
+from .classification import Classification, _reduce_fields, extent
 from .errors import DEFAULT_SEQUENT_CAP, CapExceeded, IfkError
 
 MODELS_KEPT = 32  # recent models a compiled theory tries before searching
@@ -89,6 +89,8 @@ class SequentTheory:
             a = next(a for a in self.axioms if not a.types() <= self.types)
             raise IfkError(f"axiom {a!r} uses types outside the language")
 
+    __reduce__ = _reduce_fields  # the engine holds a lock; a copy builds its own
+
     # Derived on first use and freed with the theory: the mask index, the
     # axiom masks and the entailment engine built from them.  Equality
     # and hashing read the fields only.
@@ -107,10 +109,6 @@ class SequentTheory:
     @cached_property
     def _compiled(self) -> "CompiledTheory":
         return CompiledTheory(self)
-
-    def __getstate__(self):
-        # the engine holds a lock; a copy derives its own on first use
-        return {"types": self.types, "axioms": self.axioms}
 
 
 @dataclass(frozen=True)

@@ -138,11 +138,16 @@ def test_validate_missing_file():
 
 def test_validate_invalid_bundle(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text('{"classifications": {"c": {"incidence": [["i", "t"]]}}}')
-    status, report = run(["validate", str(bad)])
-    assert status == 1
-    doc = json.loads(report)
-    assert doc["ok"] is False and doc["error"]["kind"] == "bundle"
+    for data in (
+        b'{"classifications": {"c": {"incidence": [["i", "t"]]}}}',
+        b"\xff\xfe",  # not UTF-8
+        b"[" * 100_000 + b"]" * 100_000,  # deeper than the JSON parser recurses
+    ):
+        bad.write_bytes(data)
+        status, report = run(["validate", str(bad)])
+        assert status == 1
+        doc = json.loads(report)
+        assert doc["ok"] is False and doc["error"]["kind"] == "bundle"
 
 
 def test_unknown_command_is_usage_error():
@@ -181,6 +186,25 @@ def test_close_command_matches_library():
         for a in sorted(closed.axioms, key=sequent_key)
     ]
     assert doc["axioms"] == expected
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["close", "--theory", "classical", "--cap", "-3", "classics.json"],
+        ["sum", "--system", "vee", "--instance-cap", "-1", "vee.json"],
+        ["integrate", "--system", "vee", "--delta-bound", "-1", "vee.json"],
+        ["integrate", "--system", "vee", "--cap", "-65536", "vee.json"],
+        ["integrate", "--system", "vee", "--delta-bound", "two", "vee.json"],
+    ],
+)
+def test_size_flags_take_non_negative_ints(args):
+    status, report = run([*args[:-1], str(FIXTURES / args[-1])])
+    assert status == 2
+    assert json.loads(report)["error"]["kind"] == "usage"
+    # zero is a size like any other: parsed, then charged or used
+    zero = [*args[:-2], "0", str(FIXTURES / args[-1])]
+    assert json.loads(run(zero)[1]).get("error", {}).get("kind") != "usage"
 
 
 def test_close_cap_is_reported():
@@ -294,6 +318,16 @@ def test_main_writes_output_file(tmp_path, capsys):
     assert code == 0
     assert json.loads(out.read_text()) == {"ok": True}
     assert capsys.readouterr().out == ""
+
+
+def test_main_reports_unwritable_output_file(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    code = main(["--output", str(out), "validate", str(FIXTURES / "vee.json")])
+    assert code == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"]["kind"] == "usage"
+    assert doc["error"]["message"].startswith("cannot write report file: ")
+    assert not out.exists()
 
 
 def test_main_writes_stdout(capsys):

@@ -5,6 +5,7 @@ import pytest
 from ifk import (
     CapExceeded,
     Classification,
+    ConceptLattice,
     FlatTheory,
     FormalConcept,
     IfkError,
@@ -89,6 +90,18 @@ def test_lattice_order_and_bounds(clf_a):
     for i in range(n):
         for j in range(n):
             assert ((i, j) in l.order) == (l.concepts[i].extent <= l.concepts[j].extent)
+
+
+def test_lattice_derives_its_order_from_the_concepts_on_first_use():
+    rng = random.Random(127)
+    for _ in range(30):
+        c = support.rand_classification(rng, 5, 5)
+        l = lattice(c)
+        assert l == ConceptLattice(concepts(c)) and hash(l) == hash(ConceptLattice(concepts(c)))
+        assert "order" not in vars(l)
+        extents = [k.extent for k in l.concepts]
+        assert l.order == {(i, j) for i, a in enumerate(extents) for j, b in enumerate(extents) if a <= b}
+        assert "order" in vars(l) and l.order is l.order
 
 
 def test_meet_join_identities(clf_a):

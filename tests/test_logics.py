@@ -151,6 +151,19 @@ def test_normalize_keeps_exactly_the_satisfying_instances():
             assert (i in logic.normal) == satisfies
 
 
+def test_each_logic_scans_its_instances_once(clf_a, monkeypatch):
+    import ifk.logics
+
+    calls = []
+    scan = ifk.logics._violating
+    monkeypatch.setattr(ifk.logics, "_violating", lambda *args: calls.append(1) or scan(*args))
+    theory = SequentTheory(clf_a.types, {seq("car", "human")})
+    logic = normalize(LocalLogic(clf_a, theory, frozenset()))
+    assert not is_sound(logic) and logic.normal == {"aristotle"}
+    # one scan for the given logic, one for the normalized one
+    assert len(calls) == 2
+
+
 def test_identity_images_are_identity(clf_a):
     ident = identity_infomorphism(clf_a)
     logic = natural_logic(clf_a)

@@ -1,8 +1,11 @@
 """Values that hold read-only maps survive pickle and deep copy: each copy
 equals the original (or, for the types compared by identity, gives the
-same answers), keeps its maps read-only and carries no cached state."""
+same answers), keeps its maps read-only and carries no cached state.
+Theories, classifications, lattices and logics are copied as their
+fields alone."""
 
 import copy
+import dataclasses
 import pickle
 import random
 
@@ -11,11 +14,20 @@ import pytest
 from ifk import (
     Classification,
     InformationSystem,
+    LocalLogic,
+    Sequent,
     SequentTheory,
     colimit_language,
+    entails,
+    extent,
     identity_infomorphism,
     integrate,
     inverse_flow,
+    is_complete,
+    lattice,
+    lattice_dot,
+    meet,
+    normalize,
     sum_classification,
 )
 from ifk.integration import bounded_sequents
@@ -121,3 +133,32 @@ def test_inverse_flow_theory_copies(copier):
         assert_read_only(again.type_map)
         assert all(again.entails(q) == handle.entails(q) for q in bounded_sequents(handle.types, 3))
         assert again.materialize() == handle.materialize()
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_values_copy_their_fields_only(copier, seed):
+    rng = random.Random(seed)
+    c = support.rand_classification(rng, 5, 4)
+    theory = support.rand_theory(rng, c.types, 3)
+    l = lattice(c)
+    logic = normalize(LocalLogic(c, theory, frozenset()))
+    # derive, on each original, everything it keeps (the logic's
+    # constructor has read the classification's intents)
+    entails(theory, Sequent(frozenset(), frozenset()))
+    extent(c, c.types)
+    lattice_dot(l), meet(l, 0, 0), l.order
+    is_complete(logic)
+    kept = ((theory, {"_index", "_masks", "_compiled"}), (c, {"_intents", "_extents"}),
+            (l, {"_sides", "_ups", "order"}))
+    for value, derived in kept:
+        assert derived <= vars(value).keys()
+        again = copier(value)
+        assert again == value
+        assert vars(again).keys() == {f.name for f in dataclasses.fields(value)}
+    # a logic's constructor finds its violators; a copy finds them again
+    again = copier(logic)
+    assert again == logic
+    fresh = LocalLogic(logic.classification, logic.theory, logic.normal)
+    assert vars(again).keys() == vars(fresh).keys()
+    assert again._violators == logic._violators
+    assert copier(l).order == l.order
