@@ -1,14 +1,18 @@
 """Finite classifications and the infomorphisms that link them.
 
 A classification is a finite incidence relation between instances and
-types.  An infomorphism maps types forward and instances backward between
-two classifications so that classification is invariant: a source type
-holds of a pulled-back instance exactly when its image holds of the
-original instance.
+types.  Besides its name indexes it keeps the one bit-mask encoding of
+its incidence, which logics, concept enumeration and the theory lift
+read: sorted types and sorted instances are bit positions, so an intent
+or an extent is one int.  An infomorphism maps types forward and
+instances backward between two classifications so that classification
+is invariant: a source type holds of a pulled-back instance exactly
+when its image holds of the original instance.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, fields
 from functools import cached_property
 from types import MappingProxyType
@@ -17,11 +21,13 @@ from typing import Iterable, Mapping
 from .errors import CapExceeded, IfkError, ValidationResult
 
 DEFAULT_THEORY_TYPE_CAP = 4096
+_NOT_IN_IDENTIFIER = re.compile(r"[\s\ud800-\udfff]")  # \s is str.isspace
 
 
 def valid_identifier(name: str) -> bool:
-    """Identifiers are non-empty strings without whitespace."""
-    return isinstance(name, str) and bool(name) and not any(ch.isspace() for ch in name)
+    """Identifiers are non-empty Unicode text without whitespace: a lone
+    surrogate, which has no UTF-8 encoding, is not text."""
+    return isinstance(name, str) and bool(name) and not _NOT_IN_IDENTIFIER.search(name)
 
 
 def _plain(value):
@@ -81,6 +87,20 @@ class Classification:
             out[t].add(i)
         return {t: frozenset(xs) for t, xs in out.items()}
 
+    @cached_property
+    def _masks(self) -> tuple[dict[str, int], dict[str, int]]:
+        """Per instance, in sorted order, its intent as a mask over the
+        sorted types; per type, in sorted order, its extent as a mask over
+        the sorted instances."""
+        intents = dict.fromkeys(sorted(self.instances), 0)
+        extents = dict.fromkeys(sorted(self.types), 0)
+        row = {i: 1 << k for k, i in enumerate(intents)}
+        column = {t: 1 << k for k, t in enumerate(extents)}
+        for i, t in self.incidence:
+            intents[i] |= column[t]
+            extents[t] |= row[i]
+        return intents, extents
+
 
 @dataclass(frozen=True, eq=True)
 class Infomorphism:
@@ -137,11 +157,8 @@ def extent(c: Classification, types: Iterable[str]) -> frozenset[str]:
     unknown = types - c.types
     if unknown:
         raise IfkError(f"unknown type(s): {', '.join(sorted(unknown))}")
-    result = set(c.instances)
     table = c._extents
-    for t in types:
-        result &= table[t]
-    return frozenset(result)
+    return c.instances.intersection(*(table[t] for t in types))
 
 
 def check_infomorphism(f: Infomorphism) -> ValidationResult:
@@ -152,28 +169,19 @@ def check_infomorphism(f: Infomorphism) -> ValidationResult:
     ``(instance, type, side)`` with side naming where incidence holds.
     """
     src, dst = f.source, f.target
-    missing_t = src.types - f.type_map.keys()
-    if missing_t:
-        raise IfkError(f"type map not total, missing: {', '.join(sorted(missing_t))}")
-    stray_t = f.type_map.keys() - src.types
-    if stray_t:
-        raise IfkError(f"type map defined on undeclared types: {', '.join(sorted(stray_t))}")
-    bad_t = {t for t, v in f.type_map.items() if v not in dst.types}
-    if bad_t:
-        raise IfkError(f"type map lands outside target types at: {', '.join(sorted(bad_t))}")
-    missing_i = dst.instances - f.instance_map.keys()
-    if missing_i:
-        raise IfkError(f"instance map not total, missing: {', '.join(sorted(missing_i))}")
-    stray_i = f.instance_map.keys() - dst.instances
-    if stray_i:
-        raise IfkError(
-            f"instance map defined on undeclared instances: {', '.join(sorted(stray_i))}"
-        )
-    bad_i = {b for b, v in f.instance_map.items() if v not in src.instances}
-    if bad_i:
-        raise IfkError(
-            f"instance map lands outside source instances at: {', '.join(sorted(bad_i))}"
-        )
+    structure = (
+        ("type map not total, missing", src.types - f.type_map.keys()),
+        ("type map defined on undeclared types", f.type_map.keys() - src.types),
+        ("type map lands outside target types at",
+         {t for t, v in f.type_map.items() if v not in dst.types}),
+        ("instance map not total, missing", dst.instances - f.instance_map.keys()),
+        ("instance map defined on undeclared instances", f.instance_map.keys() - dst.instances),
+        ("instance map lands outside source instances at",
+         {b for b, v in f.instance_map.items() if v not in src.instances}),
+    )
+    for message, names in structure:
+        if names:
+            raise IfkError(f"{message}: {', '.join(sorted(names))}")
 
     defects = []
     for b in sorted(dst.instances):
@@ -233,19 +241,16 @@ def lift_to_theory_classification(
     required = 2 ** len(c.types)
     if required > cap:
         raise CapExceeded("theory classification", required, cap)
-    subsets = [frozenset()]
-    for t in sorted(c.types):
-        subsets += [s | {t} for s in subsets]
-    table = c._intents
-    incidence = [
-        (i, theory_type_name(s))
-        for i in sorted(c.instances)
-        for s in subsets
-        if s <= table[i]
-    ]
+    intents, extents = c._masks
+    subsets = [()]  # subsets[s]: the types of mask s, in sorted order
+    for t in extents:
+        subsets += [s + (t,) for s in subsets]
+    names = [theory_type_name(s) for s in subsets]
     return Classification(
         name=f"{c.name}.theories",
         instances=c.instances,
-        types=frozenset(theory_type_name(s) for s in subsets),
-        incidence=frozenset(incidence),
+        types=frozenset(names),
+        incidence=frozenset(
+            (i, names[s]) for i, x in intents.items() for s in range(required) if s & ~x == 0
+        ),
     )

@@ -23,7 +23,14 @@ from .bundle import (
     sequent_to_obj,
     theory_to_obj,
 )
-from .errors import DEFAULT_INSTANCE_CAP, DEFAULT_SEQUENT_CAP, BundleError, CapExceeded, IfkError
+from .errors import (
+    DEFAULT_DELTA_BOUND,
+    DEFAULT_INSTANCE_CAP,
+    DEFAULT_SEQUENT_CAP,
+    BundleError,
+    CapExceeded,
+    IfkError,
+)
 from .theories import close, entails
 
 
@@ -54,38 +61,39 @@ def _build_parser() -> _Parser:
                         help="write the report here instead of stdout")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    def command(name, **kwargs):
+    def command(name, handler, **kwargs):
         p = sub.add_parser(name, **kwargs)
+        p.set_defaults(handler=handler)
         # the global flag is accepted on either side of the command name;
         # SUPPRESS keeps the subparser from clobbering a top-level value
         p.add_argument("--output", metavar="FILE", default=argparse.SUPPRESS)
         p.add_argument("bundle", metavar="BUNDLE", help="bundle JSON file")
         return p
 
-    command("validate", help="validate a bundle")
+    command("validate", _cmd_validate, help="validate a bundle")
 
-    p = command("close", help="materialize the closure of a theory")
+    p = command("close", _cmd_close, help="materialize the closure of a theory")
     p.add_argument("--theory", required=True)
     p.add_argument("--cap", type=_size, default=DEFAULT_SEQUENT_CAP)
 
-    p = command("entails", help="decide entailment of a sequent")
+    p = command("entails", _cmd_entails, help="decide entailment of a sequent")
     p.add_argument("--theory", required=True)
     p.add_argument("--sequent", required=True, help="literal like 'a, b |- c'")
 
-    p = command("lattice", help="concept lattice of a classification")
+    p = command("lattice", _cmd_lattice, help="concept lattice of a classification")
     p.add_argument("--classification", required=True)
     p.add_argument("--format", choices=("json", "dot"), default="json")
 
-    p = command("sum", help="sum channel of a fully classified system")
+    p = command("sum", _cmd_sum, help="sum channel of a fully classified system")
     p.add_argument("--system", required=True)
     p.add_argument("--instance-cap", type=_size, default=DEFAULT_INSTANCE_CAP)
 
-    p = command("integrate", help="system closure with bounded deltas")
+    p = command("integrate", _cmd_integrate, help="system closure with bounded deltas")
     p.add_argument("--system", required=True)
-    p.add_argument("--delta-bound", type=_size, default=2)
+    p.add_argument("--delta-bound", type=_size, default=DEFAULT_DELTA_BOUND)
     p.add_argument("--cap", type=_size, default=DEFAULT_SEQUENT_CAP)
 
-    p = command("consistency", help="cosmological verdict for a system")
+    p = command("consistency", _cmd_consistency, help="cosmological verdict for a system")
     p.add_argument("--system", required=True)
     return parser
 
@@ -208,17 +216,6 @@ def _cmd_consistency(args) -> str:
     )
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "close": _cmd_close,
-    "entails": _cmd_entails,
-    "lattice": _cmd_lattice,
-    "sum": _cmd_sum,
-    "integrate": _cmd_integrate,
-    "consistency": _cmd_consistency,
-}
-
-
 def _failure(kind: str, **details) -> str:
     return _emit({"ok": False, "error": {"kind": kind, **details}})
 
@@ -232,7 +229,7 @@ def _dispatch(argv: Sequence[str]) -> tuple[int, str, str | None]:
     except _UsageError as exc:
         return 2, _failure("usage", message=str(exc)), None
     try:
-        return 0, _HANDLERS[args.command](args), args.output
+        return 0, args.handler(args), args.output
     except _UsageError as exc:
         return 2, _failure("usage", message=str(exc)), args.output
     except CapExceeded as exc:
@@ -256,7 +253,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     status, report, output = _dispatch(sys.argv[1:] if argv is None else argv)
     if output:
         try:
-            Path(output).write_text(report)
+            Path(output).write_text(report, encoding="utf-8")
         except OSError as exc:
             sys.stdout.write(_failure("usage", message=f"cannot write report file: {exc}"))
             return 2

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Default caps, kept here so a caller can read them without importing the
-# module that enforces them.
+# Default caps and bounds, kept here so a caller can read them without
+# importing the module that enforces them.
 DEFAULT_SEQUENT_CAP = 65536  # 4^8: materialized closures up to 8 types
 DEFAULT_INSTANCE_CAP = 4096
+DEFAULT_DELTA_BOUND = 2  # integrate's delta search: at most 2 types per sequent side
 
 
 class IfkError(Exception):

@@ -2,21 +2,21 @@
 
 Derivation maps an instance set to its common types and a type set to
 its common instances; a concept is a fixed pair of the two.  Concepts
-are enumerated by lectic next-closure over type subsets (Ganter, 1984),
-with a naive all-pairs scan kept as the testing oracle, and form a
-complete lattice under extent inclusion.
+are enumerated by lectic next-closure over type subsets (Ganter, 1984)
+on the classification's own extent masks, with a naive all-pairs scan
+kept as the testing oracle, and form a complete lattice under extent
+inclusion.
 
 A lattice stores only its concepts.  Its order (extent inclusion), its
 covers and its meet/join lookups are derived from them on first use, on
-bit masks like the enumeration: sorted instances and sorted types are
-bit positions, so an extent or an intent is one int, intersection is
-``&`` and inclusion is ``a & ~b == 0``.  Per instance, the set of
-concepts holding it is a mask too, so the up-set of a concept, which the
-order and the covers both read, is the AND of those sets over its
-extent.  Its upper covers are the minimal strict supersets of its
-extent (Lindig, "Fast Concept Analysis", 2000): the concepts above it
-that lie above none of the others.  Names are converted only at the
-boundary.
+the same encoding: sorted instances and sorted types are bit positions,
+so an extent or an intent is one int, intersection is ``&`` and
+inclusion is ``a & ~b == 0``.  Per instance, the set of concepts
+holding it is a mask too, so the up-set of a concept, which the order
+and the covers both read, is the AND of those sets over its extent.
+Its upper covers are the minimal strict supersets of its extent
+(Lindig, "Fast Concept Analysis", 2000): the concepts above it that lie
+above none of the others.  Names are converted only at the boundary.
 """
 
 from __future__ import annotations
@@ -88,11 +88,8 @@ def derive(
         unknown = s - c.instances
         if unknown:
             raise IfkError(f"unknown instance(s): {', '.join(sorted(unknown))}")
-        result = set(c.types)
         table = c._intents
-        for i in s:
-            result &= table[i]
-        return frozenset(result)
+        return c.types.intersection(*(table[i] for i in s))
     if side == "types":
         return extent(c, s)
     raise IfkError(f"side must be 'instances' or 'types', got {side!r}")
@@ -111,9 +108,8 @@ def concepts(c: Classification) -> tuple[FormalConcept, ...]:
     canonical order (extent size, then lexicographic extent)."""
     if len(c.types) > CONCEPT_TYPE_GUARD:
         raise CapExceeded("concept enumeration", len(c.types), CONCEPT_TYPE_GUARD)
-    instances, types = sorted(c.instances), sorted(c.types)
-    position = {i: j for j, i in enumerate(instances)}
-    extents = [_mask(position, c._extents[t]) for t in types]
+    intents, columns = c._masks
+    instances, types, extents = list(intents), list(columns), list(columns.values())
     everyone = (1 << len(instances)) - 1
 
     def closure(b: int) -> tuple[int, int]:

@@ -27,7 +27,7 @@ from .diagrams import (
     _frozen_maps,
     colimit_language,
 )
-from .errors import CapExceeded, IfkError, ValidationResult
+from .errors import DEFAULT_DELTA_BOUND, CapExceeded, IfkError, ValidationResult
 from .flow import InverseFlowTheory, check_theory_morphism, direct_flow, inverse_flow
 from .theories import (
     DEFAULT_SEQUENT_CAP,
@@ -38,8 +38,6 @@ from .theories import (
     sequent_key,
     theory_leq,
 )
-
-DEFAULT_DELTA_BOUND = 2
 
 VERDICT_MONOCOSMIC = "monocosmic"
 VERDICT_POLYCOSMIC = "polycosmic"

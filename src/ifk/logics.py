@@ -6,8 +6,9 @@ normal ones.  The natural logic of a classification takes every sequent
 its instances jointly satisfy as a theorem and is the sound and complete
 logic over that classification, up to closure.
 
-Each logic finds the instances violating its theory once, in one scan;
-its own check of the normal set, soundness and normalization read it.
+Logics read the classification's masks.  Each keeps only its violators,
+found once in one scan over the classification's extent masks; its own
+check of the normal set, soundness and normalization read them.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .theories import (
     DEFAULT_SEQUENT_CAP,
     Sequent,
     SequentTheory,
-    _mask,
+    _bits,
     _models,
     _require_within,
     _sat,
@@ -31,7 +32,6 @@ from .theories import (
     _violating,
     sequent_key,
     theory_leq,
-    theory_of_states,
 )
 
 
@@ -64,16 +64,13 @@ class LocalLogic:
     # Derived once per logic from its fields; equality and hashing read
     # the fields only.
     @cached_property
-    def _states(self) -> dict[str, int]:
-        """Each instance's intent as a mask over the language of the theory."""
-        index = self.theory._index
-        return {i: _mask(index, x) for i, x in self.classification._intents.items()}
-
-    @cached_property
     def _violators(self) -> frozenset[str]:
-        """The instances whose intent violates some axiom, found in one scan."""
-        bad = _violating(self.theory, self._states.values())
-        return frozenset(i for i, x in self._states.items() if x in bad)
+        """The instances whose intent violates some axiom, found in one scan;
+        the theory's type k is the classification's k-th sorted type."""
+        intents, extents = self.classification._masks
+        names = list(intents)
+        bad = _violating(self.theory, list(extents.values()), (1 << len(names)) - 1)
+        return frozenset(names[k] for k in _bits(bad))
 
 
 def natural_entails(c: Classification, s: Sequent) -> bool:
@@ -88,7 +85,8 @@ def natural_logic(c: Classification, cap: int = DEFAULT_SEQUENT_CAP) -> LocalLog
     Materializes 4^|types| candidate sequents; above the cap, query
     entailment through ``natural_entails`` instead.
     """
-    theory = theory_of_states(c.types, c._intents.values(), cap, "natural logic")
+    intents, extents = c._masks
+    theory = _theory_of_masks(list(extents), intents.values(), cap, "natural logic")
     return LocalLogic(c, theory, c.instances)
 
 
@@ -104,13 +102,14 @@ def is_complete(l: LocalLogic) -> bool:
     this is equivalent to: every state satisfying the theory is the
     intent of some normal instance.
     """
-    normal_states = {l._states[i] for i in l.normal}
+    intents = l.classification._masks[0]
+    normal_states = {intents[i] for i in l.normal}
     return all(x in normal_states for x in _models(l.theory))
 
 
 def restriction(l: LocalLogic, cap: int = DEFAULT_SEQUENT_CAP) -> LocalLogic:
     """The sound logic with theory: theorems of ``l`` satisfied by every instance."""
-    states = itertools.chain(l._states.values(), _models(l.theory))
+    states = itertools.chain(l.classification._masks[0].values(), _models(l.theory))
     theory = _theory_of_masks(list(l.theory._index), states, cap, "logic restriction")
     return LocalLogic(l.classification, theory, l.classification.instances)
 

@@ -193,12 +193,10 @@ def _common(columns: list[int], m: int, everywhere: int) -> int:
     return everywhere
 
 
-def _violating(t: SequentTheory, states: Iterable[int]) -> set[int]:
-    """The ``states`` violating some axiom of ``t``."""
-    states = list(set(states))
-    columns = _columns(states, len(t.types))
-    everywhere = (1 << len(states)) - 1
-    missing: dict[int, int] = {}  # d -> the states where no type of d holds
+def _violating(t: SequentTheory, columns: list[int], everywhere: int) -> int:
+    """The positions in ``everywhere`` whose state violates some axiom of
+    ``t``; ``columns[k]`` holds the positions where type k holds."""
+    missing: dict[int, int] = {}  # d -> the positions where no type of d holds
     out, last, above = 0, None, 0
     for g, d in t._masks:  # sorted, so axioms sharing g come together
         if g != last:
@@ -213,7 +211,7 @@ def _violating(t: SequentTheory, states: Iterable[int]) -> set[int]:
                     m &= ~columns[k]
                 missing[d] = m
             out |= above & m
-    return {x for j, x in enumerate(states) if out >> j & 1}
+    return out
 
 
 def _theory_of_masks(
@@ -498,7 +496,6 @@ def theory_of_states(
     types: Iterable[str],
     states: Iterable[frozenset[str]],
     cap: int = DEFAULT_SEQUENT_CAP,
-    phase: str = "theory materialization",
 ) -> SequentTheory:
     """Materialize every sequent over ``types`` satisfied by all ``states``.
 
@@ -507,7 +504,7 @@ def theory_of_states(
     names = sorted(frozenset(types))
     index = {name: k for k, name in enumerate(names)}
     masks = (_mask(index, (name for name in x if name in index)) for x in states)
-    return _theory_of_masks(names, masks, cap, phase)
+    return _theory_of_masks(names, masks, cap, "theory materialization")
 
 
 def close(t: SequentTheory, cap: int = DEFAULT_SEQUENT_CAP) -> SequentTheory:

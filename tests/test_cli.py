@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,12 @@ from conftest import FIXTURES, seq
 
 def fixture_text(name: str) -> str:
     return (FIXTURES / name).read_text()
+
+
+def _ifk(argv, **env) -> subprocess.CompletedProcess:
+    """The CLI in a fresh interpreter, so stdout is a real pipe."""
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parents[1] / "src"), **env}
+    return subprocess.run([sys.executable, "-m", "ifk.cli", *argv], env=env, capture_output=True)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +268,33 @@ def test_lattice_dot_output():
     assert status == 0
     bundle = parse_bundle(fixture_text("classics.json"))
     assert report == lattice_dot(lattice(bundle.classifications["CLF-A"]))
+
+
+def _one_name_bundle(path, name: str) -> None:
+    c = {"instances": [name], "types": [name], "incidence": [[name, name]]}
+    path.write_text(json.dumps({"classifications": {"C": c}}))  # ASCII: JSON escapes
+
+
+def test_lone_surrogate_identifier_is_a_bundle_error(tmp_path):
+    bundle, out = tmp_path / "surrogate.json", tmp_path / "report.dot"
+    _one_name_bundle(bundle, "\ud800")
+    for where in ([], ["--output", str(out)]):
+        done = _ifk(["lattice", "--classification", "C", "--format", "dot", *where, str(bundle)])
+        assert (done.returncode, done.stderr) == (1, b"")
+        error = json.loads(out.read_bytes() if where else done.stdout)["error"]
+        assert error["kind"] == "bundle"
+        assert "bad identifier" in error["message"]
+
+
+def test_output_file_is_utf8_whatever_the_locale(tmp_path):
+    bundle, out = tmp_path / "greek.json", tmp_path / "report.dot"
+    _one_name_bundle(bundle, "\u03bb")
+    argv = ["lattice", "--classification", "C", "--format", "dot", str(bundle)]
+    done = _ifk(["--output", str(out), *argv], LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
+    status, report = run(argv)
+    assert status == 0 and "\u03bb" in report
+    assert out.read_bytes() == report.encode("utf-8")
 
 
 def test_sum_command_on_classified_system():

@@ -236,3 +236,53 @@ def test_sound_complete_logics_close_to_the_natural_theory():
         logic = normalize(LocalLogic(c, theory, frozenset()))
         if is_sound(logic) and is_complete(logic):
             assert close(logic.theory) == close(nat.theory)
+
+
+def _scrambled_classifications(rng, count):
+    """The empty edge cases, then random classifications whose names sort
+    differently from their construction order (i10 < i2) and whose intents
+    come from a pool of three, so that some repeat."""
+    yield Classification("C", [], [], [])
+    yield Classification("C", [], ["t10", "t2"], [])
+    yield Classification("C", ["i2", "i10"], [], [])
+    for _ in range(count):
+        instances = [f"i{k}" for k in rng.sample(range(12), rng.randint(0, 12))]
+        types = [f"t{k}" for k in rng.sample(range(12), rng.randint(0, 4))]
+        pool = [[t for t in types if rng.random() < 0.5] for _ in range(3)]
+        yield Classification("C", instances, types, [(i, t) for i in instances for t in rng.choice(pool)])
+
+
+def test_mask_readers_match_plain_scans():
+    from ifk import lift_to_theory_classification
+    from ifk.theories import _sat
+
+    rng = random.Random(149)
+    cases = 0
+    for c in _scrambled_classifications(rng, 120):
+        intents = {i: frozenset(t for j, t in c.incidence if j == i) for i in c.instances}
+        subsets = list(all_states(c.types))
+        lifted = lift_to_theory_classification(c)
+        name = {s: "{" + ",".join(sorted(s)) + "}" for s in subsets}
+        assert lifted.types == frozenset(name.values())
+        assert lifted.incidence == {(i, name[s]) for i, x in intents.items() for s in subsets if s <= x}
+        nat = natural_logic(c)
+        assert nat.theory.axioms == support.plain_theory_of_states(c.types, intents.values())
+        for _ in range(3):
+            t = support.rand_theory(rng, c.types, 3)
+            violators = {
+                i for i, x in intents.items()
+                if not all(_sat(a.antecedent, a.consequent, x) for a in t.axioms)
+            }
+            normal = {i for i in c.instances - violators if rng.random() < 0.6}
+            logic = LocalLogic(c, t, normal)
+            assert logic._violators == violators
+            assert is_sound(logic) == (not violators)
+            assert normalize(logic).normal == c.instances - violators
+            models = support.plain_satisfying_states(t)
+            assert is_complete(logic) == all(x in {intents[i] for i in normal} for x in models)
+            restricted = restriction(logic)
+            expected = support.plain_theory_of_states(c.types, [*intents.values(), *models])
+            assert restricted.theory.axioms == expected
+            assert restricted.normal == c.instances
+            cases += 1
+    print(f"mask readers vs plain scans: {cases} logics")

@@ -143,12 +143,12 @@ def test_values_copy_their_fields_only(copier, seed):
     l = lattice(c)
     logic = normalize(LocalLogic(c, theory, frozenset()))
     # derive, on each original, everything it keeps (the logic's
-    # constructor has read the classification's intents)
+    # constructor has read the classification's masks)
     entails(theory, Sequent(frozenset(), frozenset()))
     extent(c, c.types)
     lattice_dot(l), meet(l, 0, 0), l.order
     is_complete(logic)
-    kept = ((theory, {"_index", "_masks", "_compiled"}), (c, {"_intents", "_extents"}),
+    kept = ((theory, {"_index", "_masks", "_compiled"}), (c, {"_masks", "_extents"}),
             (l, {"_sides", "_ups", "order"}))
     for value, derived in kept:
         assert derived <= vars(value).keys()
