@@ -3,12 +3,16 @@ classifications, theories, infomorphisms and systems of an analysis.
 
 Parsing resolves every cross-reference and runs each module's checker,
 so a returned bundle is fully valid.  Serialization is canonical (sorted
-keys, sorted set renderings) and round-trips.
+set renderings) and round-trips.  ``canonical_json`` writes it and every
+CLI report: the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``
+plus a newline, from one memoizing writer that renders each shared list
+once.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -20,7 +24,7 @@ from .classification import (
     validate_classification,
 )
 from .errors import BundleError, IfkError
-from .theories import Sequent, SequentTheory, sequent_key
+from .theories import Sequent, SequentTheory
 
 if TYPE_CHECKING:
     from .integration import InformationSystem
@@ -244,6 +248,52 @@ def _parse_system(bundle: Bundle, raw, where: str) -> InformationSystem:
 # ---------------------------------------------------------------------------
 # canonical serialization
 
+def canonical_json(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\n"``, byte for byte,
+    for dicts with str keys, lists, tuples, str, int, bool and None.
+    Strings go through json's own C ASCII escaper; within one call each
+    list is rendered, and each key set sorted and quoted, once per indent."""
+    texts: dict[tuple[int, str], str] = {}  # (id of a list, indent) -> its text
+    shapes: dict[tuple[tuple, str], list] = {}  # (dict keys, indent) -> [(key, text before value)]
+
+    # Loops, not comprehensions, and values inline where they can be: on
+    # the interpreters supported a call costs more than most values.
+    def render(o, indent: str) -> str:
+        if isinstance(o, str):
+            return _quote(o)
+        inner = indent + "  "
+        if isinstance(o, dict):
+            shape = (tuple(o), indent)
+            heads = shapes.get(shape)
+            if heads is None:
+                heads = shapes[shape] = [(k, ("," if n else "{") + inner + _quote(k) + ": ")
+                                         for n, k in enumerate(sorted(o))]
+            parts = []
+            for k, head in heads:
+                v = o[k]
+                parts.append(head)
+                parts.append(_quote(v) if type(v) is str
+                             else texts.get((id(v), inner)) or render(v, inner))
+            return "".join(parts) + indent + "}" if o else "{}"
+        if isinstance(o, (list, tuple)):
+            key = (id(o), indent)
+            text = texts.get(key)
+            if text is None:
+                parts = []
+                for v in o:
+                    parts.append(_quote(v) if type(v) is str else repr(v) if type(v) is int
+                                 else texts.get((id(v), inner)) or render(v, inner))
+                text = texts[key] = "[" + inner + ("," + inner).join(parts) + indent + "]" if o else "[]"
+            return text
+        if o is None or o is True or o is False:
+            return "null" if o is None else "true" if o else "false"
+        if isinstance(o, int):
+            return int.__repr__(o)
+        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+    return render(doc, "\n") + "\n"
+
+
 def sequent_to_obj(s: Sequent) -> dict:
     return {"ant": sorted(s.antecedent), "con": sorted(s.consequent)}
 
@@ -257,18 +307,21 @@ def classification_to_obj(c: Classification) -> dict:
 
 
 def theory_to_obj(t: SequentTheory) -> dict:
+    """Axioms in ``sequent_key`` order.  Each distinct side is sorted once,
+    into one tuple that every axiom with that side shares, and ranked."""
+    sides = {a.antecedent for a in t.axioms} | {a.consequent for a in t.axioms}
+    names = {s: tuple(sorted(s)) for s in sides}
+    rank = {s: k for k, s in enumerate(sorted(sides, key=names.__getitem__))}
+    axioms = sorted(t.axioms, key=lambda a: rank[a.antecedent] * len(rank) + rank[a.consequent])
     return {
         "types": sorted(t.types),
-        "axioms": [sequent_to_obj(a) for a in sorted(t.axioms, key=sequent_key)],
+        "axioms": [{"ant": names[a.antecedent], "con": names[a.consequent]} for a in axioms],
     }
 
 
 def maps_to_obj(f: Infomorphism) -> dict:
     """The type and instance maps of an infomorphism."""
-    return {
-        "type_map": dict(sorted(f.type_map.items())),
-        "instance_map": dict(sorted(f.instance_map.items())),
-    }
+    return {"type_map": dict(f.type_map), "instance_map": dict(f.instance_map)}
 
 
 def _cls_name_of(bundle: Bundle, c: Classification) -> str:
@@ -286,6 +339,7 @@ def _theory_name_of(bundle: Bundle, t: SequentTheory) -> str:
 
 
 def serialize_bundle(bundle: Bundle) -> str:
+    """The bundle as ``canonical_json``, which sorts every object's keys."""
     doc = {
         "classifications": {
             name: classification_to_obj(c)
@@ -318,11 +372,9 @@ def serialize_bundle(bundle: Bundle) -> str:
                         "id": e,
                         "src": src,
                         "dst": dst,
-                        "type_map": dict(sorted(s.edge_type_map[e].items())),
+                        "type_map": dict(s.edge_type_map[e]),
                         "instance_map": (
-                            dict(sorted(s.edge_instance_map[e].items()))
-                            if e in s.edge_instance_map
-                            else None
+                            dict(s.edge_instance_map[e]) if e in s.edge_instance_map else None
                         ),
                     }
                     for e, src, dst in sorted(s.shape.edges)
@@ -331,4 +383,4 @@ def serialize_bundle(bundle: Bundle) -> str:
             for name, s in sorted(bundle.systems.items())
         },
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return canonical_json(doc)

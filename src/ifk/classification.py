@@ -76,14 +76,14 @@ class Classification:
     @cached_property
     def _intents(self) -> dict[str, frozenset[str]]:
         out: dict[str, set[str]] = {i: set() for i in self.instances}
-        for i, t in self.incidence:
+        for i, t in self._declared_incidence():
             out[i].add(t)
         return {i: frozenset(ts) for i, ts in out.items()}
 
     @cached_property
     def _extents(self) -> dict[str, frozenset[str]]:
         out: dict[str, set[str]] = {t: set() for t in self.types}
-        for i, t in self.incidence:
+        for i, t in self._declared_incidence():
             out[t].add(i)
         return {t: frozenset(xs) for t, xs in out.items()}
 
@@ -96,10 +96,17 @@ class Classification:
         extents = dict.fromkeys(sorted(self.types), 0)
         row = {i: 1 << k for k, i in enumerate(intents)}
         column = {t: 1 << k for k, t in enumerate(extents)}
-        for i, t in self.incidence:
+        for i, t in self._declared_incidence():
             intents[i] |= column[t]
             extents[t] |= row[i]
         return intents, extents
+
+    def _declared_incidence(self) -> frozenset[tuple[str, str]]:
+        """The incidence, once no pair names an undeclared instance or type
+        (the constructor accepts one; ``validate_classification`` reports it)."""
+        if all(i in self.instances and t in self.types for i, t in self.incidence):
+            return self.incidence
+        raise IfkError(validate_classification(self).defects[0])
 
 
 @dataclass(frozen=True, eq=True)

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 from typing import Sequence
 
 from .bundle import (
     Bundle,
+    canonical_json,
     classification_to_obj,
     maps_to_obj,
     parse_bundle,
@@ -98,10 +98,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
 def _load(path: str) -> Bundle:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -120,20 +116,20 @@ def _pick(table: dict, name: str, kind: str):
 
 def _cmd_validate(args) -> str:
     _load(args.bundle)
-    return _emit({"ok": True})
+    return canonical_json({"ok": True})
 
 
 def _cmd_close(args) -> str:
     bundle = _load(args.bundle)
     theory = _pick(bundle.theories, args.theory, "theory")
-    return _emit({"theory": args.theory, **theory_to_obj(close(theory, args.cap))})
+    return canonical_json({"theory": args.theory, **theory_to_obj(close(theory, args.cap))})
 
 
 def _cmd_entails(args) -> str:
     bundle = _load(args.bundle)
     theory = _pick(bundle.theories, args.theory, "theory")
     q = parse_sequent(args.sequent)
-    return _emit(
+    return canonical_json(
         {"theory": args.theory, "sequent": sequent_to_obj(q), "entailed": entails(theory, q)}
     )
 
@@ -146,7 +142,7 @@ def _cmd_lattice(args) -> str:
     l = lattice(c)
     if args.format == "dot":
         return lattice_dot(l)
-    return _emit(
+    return canonical_json(
         {
             "classification": args.classification,
             "concepts": [
@@ -163,7 +159,7 @@ def _cmd_sum(args) -> str:
     bundle = _load(args.bundle)
     system = _pick(bundle.systems, args.system, "system")
     channel = sum_classification(system.cls_diagram(), args.instance_cap)
-    return _emit(
+    return canonical_json(
         {
             "system": args.system,
             "core": classification_to_obj(channel.core),
@@ -178,7 +174,7 @@ def _cmd_integrate(args) -> str:
     bundle = _load(args.bundle)
     system = _pick(bundle.systems, args.system, "system")
     result = integrate(system, delta_bound=args.delta_bound, cap=args.cap)
-    return _emit(
+    return canonical_json(
         {
             "system": args.system,
             "delta_bound": args.delta_bound,
@@ -207,7 +203,7 @@ def _cmd_consistency(args) -> str:
     bundle = _load(args.bundle)
     system = _pick(bundle.systems, args.system, "system")
     verdict = system_verdict(system)
-    return _emit(
+    return canonical_json(
         {
             "pointwise": verdict != VERDICT_POINTWISE_INCONSISTENT,
             "monocosmic": verdict == VERDICT_MONOCOSMIC,
@@ -217,7 +213,7 @@ def _cmd_consistency(args) -> str:
 
 
 def _failure(kind: str, **details) -> str:
-    return _emit({"ok": False, "error": {"kind": kind, **details}})
+    return canonical_json({"ok": False, "error": {"kind": kind, **details}})
 
 
 def _dispatch(argv: Sequence[str]) -> tuple[int, str, str | None]:

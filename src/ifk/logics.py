@@ -8,7 +8,8 @@ logic over that classification, up to closure.
 
 Logics read the classification's masks.  Each keeps only its violators,
 found once in one scan over the classification's extent masks; its own
-check of the normal set, soundness and normalization read them.
+check of the normal set, soundness and normalization read them, and the
+normalized logic shares them.
 """
 
 from __future__ import annotations
@@ -117,7 +118,11 @@ def restriction(l: LocalLogic, cap: int = DEFAULT_SEQUENT_CAP) -> LocalLogic:
 def normalize(l: LocalLogic) -> LocalLogic:
     """Grow the normal set to every instance whose intent satisfies the theory."""
     c = l.classification
-    return LocalLogic(c, l.theory, c.instances - l._violators)
+    # the same violators: the constructor's check reads them without a second scan
+    out = LocalLogic.__new__(LocalLogic)
+    out.__dict__["_violators"] = l._violators
+    out.__init__(c, l.theory, c.instances - l._violators)
+    return out
 
 
 def logic_direct_image(f: Infomorphism, l: LocalLogic) -> LocalLogic:

@@ -160,7 +160,11 @@ def test_each_logic_scans_its_instances_once(clf_a, monkeypatch):
     theory = SequentTheory(clf_a.types, {seq("car", "human")})
     logic = normalize(LocalLogic(clf_a, theory, frozenset()))
     assert not is_sound(logic) and logic.normal == {"aristotle"}
-    # one scan for the given logic, one for the normalized one
+    # one scan for the given logic; the normalized one shares its violators
+    assert len(calls) == 1
+    # a logic built explicitly scans again, and its check still refuses
+    with pytest.raises(IfkError, match="normal instance civic87 violates"):
+        LocalLogic(clf_a, theory, frozenset({"civic87"}))
     assert len(calls) == 2
 
 

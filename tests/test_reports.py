@@ -1,0 +1,169 @@
+"""The canonical report writer: the bytes of ``json.dumps(doc, indent=2,
+sort_keys=True)`` plus a newline, for every document and every command."""
+
+import importlib.util
+import json
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ifk import Classification, extent, lattice, lift_to_theory_classification, natural_logic
+from ifk.bundle import canonical_json, parse_bundle, serialize_bundle
+from ifk.cli import run
+from ifk.errors import IfkError
+
+from conftest import FIXTURES
+
+REPORTS = FIXTURES / "reports"
+
+
+def stdlib(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the writer against the standard library
+
+awkward_text = st.text(st.sampled_from('a\xe9 "\\/\x00\x1f\x7f\u2028\ud800\udfff\U000103ff\U0001f600'))
+scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**80), max_value=2**80)
+    | st.text()
+    | awkward_text
+)
+keys = st.text(max_size=4) | awkward_text
+documents = st.recursive(
+    scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(keys, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@given(documents)
+def test_writer_matches_json_dumps(doc):
+    assert canonical_json(doc) == stdlib(doc)
+
+
+@given(documents, st.lists(st.integers() | awkward_text, max_size=3))
+def test_writer_renders_a_shared_list_at_each_depth(doc, items):
+    # one list object at four depths and twice at one depth: the memo keys on the indent
+    shared = [doc, items]
+    nested = {"a": shared, "b": [shared, {"c": (shared, shared)}], "d": [[[shared]]]}
+    assert canonical_json(nested) == stdlib(nested)
+    assert canonical_json([items, [items], items]) == stdlib([items, [items], items])
+
+
+def test_writer_matches_json_dumps_on_edge_values():
+    for doc in ([], {}, (), "", 0, -1, 2**100, True, False, None, "\ud800",
+                {"": {"": []}}, [[], {}, ()], {"b": 1, "a": [True, None]}):
+        assert canonical_json(doc) == stdlib(doc)
+
+
+def test_writer_refuses_what_reports_never_hold():
+    for doc in ({"x": 1.5}, [set()], {1: "a"}):
+        with pytest.raises(TypeError):
+            canonical_json(doc)
+
+
+# ---------------------------------------------------------------------------
+# every command's report is the standard library's rendering
+
+def _generated_bundles(tmp_path: Path) -> list[Path]:
+    """Seeded bundles from the benchmark's generators: a classified star
+    system, a zigzag one, a 7-type and a 4-type theory, and a context."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_gen", FIXTURES.parents[1] / "perfbench" / "gen.py"
+    )
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    rng = random.Random(0x1F0C)
+    star, _ = gen.star(rng, "S", 2, classified={"hub": 3, "place": 4})
+    zigzag, _ = gen.zigzag(rng, "Z", 2)
+    theories = {}
+    for name, n in (("T7", 7), ("T4", 4)):
+        types, axioms = gen.random_theory(rng, n, n)
+        theories[name] = {"types": types, "axioms": [gen.seq_obj(a, c) for a, c in axioms]}
+    other = gen.bundle(classifications={"C": gen.context(rng, 30, 8, 3)}, theories=theories)
+    paths = []
+    for name, doc in (("star", star), ("zigzag", zigzag), ("other", other)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(path)
+    return paths
+
+
+def _every_command(path: Path):
+    """Each command on each named value of a bundle, successes and failures."""
+    raw = json.loads(path.read_text())
+    p = str(path)
+    yield ["validate", p]
+    for t, body in sorted(raw.get("theories", {}).items()):
+        types = sorted(body.get("types", []))
+        if len(types) <= 7:  # an 8-type closure is a 10 MB report; T7 stands for them
+            yield ["close", "--theory", t, p]
+        yield ["close", "--theory", t, "--cap", "3", p]
+        yield ["entails", "--theory", t, "--sequent", ", ".join(types[:2]) + " |- " + ", ".join(types[-1:]), p]
+    for c in sorted(raw.get("classifications", {})):
+        yield ["lattice", "--classification", c, p]
+    for s in sorted(raw.get("systems", {})):
+        yield ["sum", "--system", s, p]
+        yield ["integrate", "--system", s, "--delta-bound", "1", p]
+        yield ["consistency", "--system", s, p]
+    yield ["close", "--theory", "ghost", p]
+
+
+def test_every_report_is_the_stdlib_rendering(tmp_path):
+    paths = sorted(FIXTURES.glob("*.json")) + _generated_bundles(tmp_path)
+    seen = set()
+    for path in paths:
+        for argv in _every_command(path):
+            status, out = run(argv)
+            assert out == stdlib(json.loads(out)), argv
+            seen.add((argv[0], status))
+        bundle = parse_bundle(path.read_text())
+        text = serialize_bundle(bundle)
+        assert text == stdlib(json.loads(text))
+        assert parse_bundle(text) == bundle
+        assert serialize_bundle(parse_bundle(text)) == text
+    commands = {"validate", "close", "entails", "lattice", "sum", "integrate", "consistency"}
+    assert {command for command, status in seen if status == 0} == commands
+    assert ("close", 1) in seen
+
+
+# ---------------------------------------------------------------------------
+# frozen reports, byte for byte
+
+@pytest.mark.parametrize(
+    "argv, frozen",
+    [
+        (["close", "--theory", "classical"], "classics_close_classical.json"),
+        (["close", "--theory", "tiny"], "classics_close_tiny.json"),
+        (["lattice", "--classification", "CLF-A"], "classics_lattice_CLF-A.json"),
+    ],
+)
+def test_frozen_classics_reports(argv, frozen):
+    status, report = run([*argv, str(FIXTURES / "classics.json")])
+    assert status == 0
+    assert report == (REPORTS / frozen).read_text()
+
+
+# ---------------------------------------------------------------------------
+# a classification whose incidence names undeclared values
+
+@pytest.mark.parametrize(
+    "instances, types, message",
+    [(["i"], [], "undeclared type t"), ([], ["t"], "undeclared instance i")],
+)
+def test_dangling_incidence_is_an_ifk_error(instances, types, message):
+    c = Classification("c", instances, types, [("i", "t")])
+    calls = (lattice, natural_logic, lambda c: extent(c, []), lift_to_theory_classification)
+    for call in calls:
+        with pytest.raises(IfkError, match=f"incidence pair \\(i, t\\) references {message}"):
+            call(Classification(c.name, c.instances, c.types, c.incidence))
