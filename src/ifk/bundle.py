@@ -19,7 +19,6 @@ from typing import TYPE_CHECKING
 from .classification import (
     Classification,
     Infomorphism,
-    check_infomorphism,
     valid_identifier,
     validate_classification,
 )
@@ -173,7 +172,7 @@ def parse_bundle(text: str) -> Bundle:
             instance_map=_str_map(body.get("instance_map", {}), f"{where}.instance_map"),
         )
         try:
-            result = check_infomorphism(info)
+            result = info._invariance
         except IfkError as exc:
             raise BundleError(f"{where}: {exc}") from exc
         if not result.ok:

@@ -18,9 +18,8 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import CapExceeded, IfkError, ValidationResult
+from .errors import DEFAULT_THEORY_TYPE_CAP, CapExceeded, IfkError, ValidationResult
 
-DEFAULT_THEORY_TYPE_CAP = 4096
 _NOT_IN_IDENTIFIER = re.compile(r"[\s\ud800-\udfff]")  # \s is str.isspace
 
 
@@ -37,22 +36,12 @@ def _plain(value):
     return value
 
 
-def _read_only(value):
-    """Every dict of ``_plain``'s output a read-only view again."""
-    if isinstance(value, dict):
-        return MappingProxyType({k: _read_only(v) for k, v in value.items()})
-    return value
-
-
-def _rebuild(cls, args):
-    return cls(*map(_read_only, args))
-
-
 def _reduce_fields(self):
     """``__reduce__`` of a frozen dataclass: pickle and deep copy rebuild it
     through its constructor from its fields (read-only maps as plain
-    dicts), so nothing it derived on first use is copied."""
-    return _rebuild, (type(self), tuple(_plain(getattr(self, f.name)) for f in fields(self)))
+    dicts, which the constructor freezes again), so nothing it derived on
+    first use is copied."""
+    return type(self), tuple(_plain(getattr(self, f.name)) for f in fields(self))
 
 
 @dataclass(frozen=True)

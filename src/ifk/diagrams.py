@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .classification import Classification, Infomorphism, _reduce_fields, check_infomorphism
+from .classification import Classification, Infomorphism, _reduce_fields
 from .errors import DEFAULT_INSTANCE_CAP, CapExceeded, IfkError, ValidationResult
 
 
@@ -293,7 +293,7 @@ def verify_channel_covers(ch: Channel, d: ClsDiagram) -> ValidationResult:
     broken = set()
     for n in sorted(d.shape.nodes):
         try:
-            result = check_infomorphism(ch.legs[n])
+            result = ch.legs[n]._invariance
         except IfkError as exc:
             defects.append(("leg", n, str(exc)))
             broken.add(n)

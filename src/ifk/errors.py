@@ -9,6 +9,8 @@ from dataclasses import dataclass
 DEFAULT_SEQUENT_CAP = 65536  # 4^8: materialized closures up to 8 types
 DEFAULT_INSTANCE_CAP = 4096
 DEFAULT_DELTA_BOUND = 2  # integrate's delta search: at most 2 types per sequent side
+DEFAULT_THEORY_TYPE_CAP = 4096  # the theory-classification lift: 2^12 theory-types
+CONCEPT_TYPE_GUARD = 20  # concept enumeration refuses more types than this
 
 
 class IfkError(Exception):

@@ -26,10 +26,8 @@ from functools import cached_property
 from typing import Iterable, Literal
 
 from .classification import Classification, _reduce_fields, extent
-from .errors import CapExceeded, IfkError
+from .errors import CONCEPT_TYPE_GUARD, CapExceeded, IfkError
 from .theories import _bits, _columns, _common, _mask
-
-CONCEPT_TYPE_GUARD = 20
 
 
 @dataclass(frozen=True)

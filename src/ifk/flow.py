@@ -17,13 +17,13 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .classification import Classification, Infomorphism
-from .errors import IfkError, ValidationResult
+from .classification import Classification, Infomorphism, _reduce_fields
+from .errors import DEFAULT_SEQUENT_CAP, IfkError, ValidationResult
 from .theories import (
-    DEFAULT_SEQUENT_CAP,
     FlatTheory,
     Sequent,
     SequentTheory,
+    _mask,
     _require_within,
     _theory_of_masks,
     flat_closure,
@@ -50,60 +50,57 @@ def direct_flow(
     return SequentTheory(target_types, frozenset(a.rename(type_map) for a in t.axioms))
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class InverseFlowTheory:
     """Query view of a theory pulled back along a type map.
 
     Axioms are never stored; entailment of a source sequent is answered
-    by mapping both of its sides forward into the target theory's
-    compiled engine.  The full axiom set (everything the pullback
-    entails) can be materialized under a cap.
+    by mapping both of its sides into the target theory's masks and
+    asking its compiled engine whether a model refutes the image.  The
+    full axiom set (everything the pullback entails) can be materialized
+    under a cap.
     """
 
-    types: frozenset[str]
     type_map: Mapping[str, str]
     target: SequentTheory
+    types: frozenset[str]  # the source language
+    __reduce__ = _reduce_fields
 
-    def __init__(
-        self,
-        type_map: Mapping[str, str],
-        target: SequentTheory,
-        source_types: Iterable[str],
-    ):
-        types = frozenset(source_types)
-        _require_total(type_map, types, target.types)
-        object.__setattr__(self, "types", types)
-        object.__setattr__(self, "type_map", MappingProxyType(dict(type_map)))
-        object.__setattr__(self, "target", target)
-
-    def __reduce__(self):  # pickle cannot copy the read-only map
-        return InverseFlowTheory, (dict(self.type_map), self.target, self.types)
+    def __post_init__(self):
+        object.__setattr__(self, "type_map", MappingProxyType(dict(self.type_map)))
+        object.__setattr__(self, "types", frozenset(self.types))
+        _require_total(self.type_map, self.types, self.target.types)
 
     def entails(self, s: Sequent) -> bool:
         """The target theory entails the image of ``s`` along the type map."""
         _require_within(self.types, s)
-        f = self.type_map
-        return self.target._compiled.entails(
-            (f[t] for t in s.antecedent), (f[t] for t in s.consequent)
+        index, f = self.target._index, self.type_map
+        return not self.target._compiled.refutes(
+            _mask(index, (f[t] for t in s.antecedent)),
+            _mask(index, (f[t] for t in s.consequent)),
         )
 
     def materialize(self, cap: int = DEFAULT_SEQUENT_CAP) -> SequentTheory:
         """Every sequent the pullback entails: the theory of the target's
         models pulled back to the source language.
 
-        A source state is such a pullback exactly when the target
-        theory is consistent with the images of its types holding and
-        the images of the other source types failing, so the pulled-back
-        states take one engine query per source state, 2^|source types|
-        in all, whatever the size of the target.
+        A source state is such a pullback exactly when some model of the
+        target theory has the images of its types holding and the images
+        of the other source types failing, so the pulled-back states take
+        one engine query per source state, 2^|source types| in all,
+        whatever the size of the target.
         """
         names = sorted(self.types)
 
         def pulled() -> Iterator[int]:
-            engine = self.target._compiled
-            holds = [2 * engine.index[self.type_map[s]] for s in names]
-            for y in range(1 << len(names)):
-                if engine.solve([lit if y >> k & 1 else lit ^ 1 for k, lit in enumerate(holds)]):
+            index, engine = self.target._index, self.target._compiled
+            image = [0]  # image[y]: the target mask of the source types in state y
+            for name in names:
+                bit = 1 << index[self.type_map[name]]
+                image += [m | bit for m in image]  # OR: two types may share an image
+            full = len(image) - 1
+            for y, m in enumerate(image):
+                if engine.refutes(m, image[full ^ y]):
                     yield y
 
         return _theory_of_masks(names, pulled(), cap, "inverse flow materialization")

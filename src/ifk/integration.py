@@ -27,10 +27,15 @@ from .diagrams import (
     _frozen_maps,
     colimit_language,
 )
-from .errors import DEFAULT_DELTA_BOUND, CapExceeded, IfkError, ValidationResult
+from .errors import (
+    DEFAULT_DELTA_BOUND,
+    DEFAULT_SEQUENT_CAP,
+    CapExceeded,
+    IfkError,
+    ValidationResult,
+)
 from .flow import InverseFlowTheory, check_theory_morphism, direct_flow, inverse_flow
 from .theories import (
-    DEFAULT_SEQUENT_CAP,
     Sequent,
     SequentTheory,
     entails,
@@ -184,6 +189,11 @@ class IntegrationResult:
     verdict: str
     __reduce__ = _reduce_fields
 
+    def __post_init__(self):
+        object.__setattr__(self, "cocone", _frozen_maps(self.cocone.items()))
+        for name in ("sum_members", "closure_handles", "deltas"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+
 
 def _require_valid(s: InformationSystem) -> None:
     result = validate_system(s)
@@ -237,7 +247,7 @@ def integrate(
         sum_members=colim.members,
         sum_theory=sum_theory,
         closure_handles=handles,
-        deltas=MappingProxyType(deltas),
+        deltas=deltas,
         verdict=system_verdict(s),
     )
 

@@ -19,10 +19,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .classification import Classification, Infomorphism, _reduce_fields, intent
-from .errors import IfkError
+from .errors import DEFAULT_SEQUENT_CAP, IfkError
 from .flow import direct_flow, inverse_flow
 from .theories import (
-    DEFAULT_SEQUENT_CAP,
     Sequent,
     SequentTheory,
     _bits,

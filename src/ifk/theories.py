@@ -7,21 +7,21 @@ entails a sequent when every state satisfying all axioms satisfies it;
 over a finite language this semantic reading coincides with closure
 under the usual structural rules.
 
-Entailment is decided by refutation: each sequent is a clause (some
-antecedent type fails or some consequent type holds), and a query asks
-whether the axioms stay satisfiable with the antecedent assumed to hold
-and the consequent to fail.  Each theory is compiled once, on its first
-query, into a ``CompiledTheory``: int clauses with two watched literals,
-searched iteratively (so no theory is too deep for the interpreter's
-stack), learning clauses that later queries reuse.
-A full 2^|types| state-enumeration oracle is kept alongside for checking.
-
-Materializations (closures, state sets, theories of state sets) run on
-one bit-mask kernel shared with the engine: type k of the sorted
-language is bit k, a state is the int of the types holding in it, and
-a sequent is a pair of masks ``(g, d)`` that state ``x`` satisfies when
+Everything runs on one bit-mask kernel: type k of the sorted language
+is bit k, a state is the int of the types holding in it, and a sequent
+is a pair of masks ``(g, d)`` that state ``x`` satisfies when
 ``g & ~x or d & x``.  Each theory computes its index and axiom masks
-once.  The theory of a state set is read off two tables over the
+once.
+
+Entailment is decided by refutation.  Each theory is compiled once, on
+its first query, into a ``CompiledTheory``, whose one query asks on a
+mask pair whether some model of the axioms violates ``<g |- d>``.  It
+searches iteratively (so no theory is too deep for the interpreter's
+stack), learns clauses that later queries reuse and keeps its recent
+models as state masks; its literals stay inside it.  A full 2^|types|
+state-enumeration oracle is kept alongside for checking.
+
+The theory of a state set is read off two tables over the
 deduplicated states, indexed by mask: the states where every type of
 ``g`` holds and the states where no type of ``d`` holds; ``<g |- d>``
 is a theorem when the two are disjoint.  Output sequents share one
@@ -258,26 +258,26 @@ def satisfying_states(t: SequentTheory) -> list[frozenset[str]]:
 class CompiledTheory:
     """A theory compiled once into int clauses, answering many queries.
 
-    Type k of the sorted language is variable k; literal ``2k`` says the
-    type holds and ``2k + 1`` that it fails, so ``lit ^ 1`` negates.
-    The sequent <G |- D> is the clause "some g fails or some d holds";
-    tautological sequents are dropped and an empty one makes the theory
+    Its one query, ``refutes(g, d)``, takes a kernel mask pair.  Inside,
+    literal ``2k`` says type k holds and ``2k + 1`` that it fails, so
+    ``lit ^ 1`` negates; no literal leaves the engine.  The sequent
+    <G |- D> is the clause "some g fails or some d holds"; tautological
+    sequents are dropped and an empty one makes the theory
     unsatisfiable.  Every longer clause watches its first two literals
     (Moskewicz et al., "Chaff", 2001), and the propagation forced by
     unit axioms is settled once, at level 0.
 
-    ``solve`` searches iteratively with a trail and undo.  Assumptions
+    ``_solve`` searches iteratively with a trail and undo.  Assumptions
     are decided first, one level each, as in MiniSat (Een & Sorensson,
     2003), so a clause learned from a conflict is a resolvent of the
     axioms alone and stays valid for every later query.  The models that
-    satisfiable queries end in are kept too, the most recent first: a
-    query that one of them satisfies is answered without a search.  The
+    searches end in are kept as state masks, the most recent first: a
+    query that one of them refutes is answered without a search.  The
     search state is shared between queries; a lock serializes them.
     """
 
     def __init__(self, t: SequentTheory):
-        self.index = t._index
-        n = len(self.index)
+        n = len(t.types)
         self._value = [0] * (2 * n)  # per literal: 1 true, -1 false, 0 free
         self._level = [0] * n
         self._reason: list[list[int] | None] = [None] * n
@@ -303,37 +303,30 @@ class CompiledTheory:
         if not self._unsat:
             self._unsat = self._propagate() is not None
 
-    def entails(self, antecedent: Iterable[str], consequent: Iterable[str]) -> bool:
-        """The axioms entail <antecedent |- consequent>, each side naming types of the language."""
-        index = self.index
-        holds = {index[g] for g in antecedent}
-        fails = {index[d] for d in consequent}
-        if not holds.isdisjoint(fails):
-            return True  # holds in every state
-        return not self.solve([2 * v for v in holds] + [2 * v + 1 for v in fails])
-
-    def solve(self, assumptions: list[int]) -> bool:
-        """Some state satisfies every axiom and every assumed literal."""
-        want = 0
-        for lit in assumptions:
-            want |= 1 << lit
+    def refutes(self, g: int, d: int) -> bool:
+        """Some model of the axioms violates <g |- d>: every type of ``g``
+        holds in it and no type of ``d`` does."""
+        if g & d:
+            return False  # holds in every state
         with self._lock:
             if self._unsat:
                 return False
-            for model in self._models:
-                if model & want == want:
+            for x in self._models:
+                if x & g == g and not x & d:
                     return True
             try:
-                found = self._solve(assumptions)
-                if found:
-                    model = sum(1 << lit for lit in self._trail)
-                    self._models = [model, *self._models[: MODELS_KEPT - 1]]
-                return found
+                if not self._solve(g, d):
+                    return False
+                x = sum(1 << (lit >> 1) for lit in self._trail if not lit & 1)
+                self._models = [x, *self._models[: MODELS_KEPT - 1]]
+                return True
             finally:
                 self._backtrack(0)
 
-    def _solve(self, assumptions: list[int]) -> bool:
+    def _solve(self, g: int, d: int) -> bool:
+        """Some state satisfies every axiom, with ``g`` holding and ``d`` failing."""
         value, limits = self._value, self._limits
+        assumptions = [2 * k for k in _bits(g)] + [2 * k + 1 for k in _bits(d)]
         while True:
             conflict = self._propagate()
             if conflict is not None:
@@ -452,7 +445,7 @@ class CompiledTheory:
 
 def is_consistent(t: SequentTheory) -> bool:
     """Some state over the language satisfies every axiom."""
-    return t._compiled.solve([])
+    return t._compiled.refutes(0, 0)  # the empty sequent fails in every state
 
 
 def is_consistent_by_enumeration(t: SequentTheory) -> bool:
@@ -469,13 +462,10 @@ def _require_within(types: frozenset[str], s: Sequent) -> None:
 
 
 def entails(t: SequentTheory, s: Sequent) -> bool:
-    """Every state satisfying the axioms of ``t`` satisfies ``s``.
-
-    Decided by refutation: assert the antecedent, deny the consequent,
-    test unsatisfiability.
-    """
+    """Every state satisfying the axioms of ``t`` satisfies ``s``: no model refutes it."""
     _require_within(t.types, s)
-    return t._compiled.entails(s.antecedent, s.consequent)
+    index = t._index
+    return not t._compiled.refutes(_mask(index, s.antecedent), _mask(index, s.consequent))
 
 
 def entails_by_enumeration(t: SequentTheory, s: Sequent) -> bool:
@@ -516,7 +506,8 @@ def theory_leq(t1: SequentTheory, t2: SequentTheory) -> bool:
     """``t1`` is at or below ``t2``: every axiom of ``t2`` is a theorem of ``t1``."""
     if t1.types != t2.types:
         raise IfkError("language mismatch: theories are ordered over a shared language")
-    return all(entails(t1, a) for a in t2.axioms)
+    # equal languages, so t2's masks are over t1's index
+    return not any(t1._compiled.refutes(g, d) for g, d in t2._masks)
 
 
 def top_theory(types: Iterable[str]) -> SequentTheory:

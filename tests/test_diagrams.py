@@ -233,6 +233,25 @@ def test_perturbed_leg_is_reported():
     assert any(d[0] == "edge" and d[2] == "type" for d in result.defects)
 
 
+def test_channel_legs_are_checked_once(monkeypatch):
+    import ifk.classification
+
+    calls = []
+    check = ifk.classification.check_infomorphism
+
+    def counted(f):
+        calls.append(f.name)
+        return check(f)
+
+    monkeypatch.setattr(ifk.classification, "check_infomorphism", counted)
+    d = vee_cls_diagram()
+    ch = sum_classification(d)
+    calls.clear()  # the diagram's constructor checked its edges
+    assert verify_channel_covers(ch, d).ok
+    assert verify_channel_covers(ch, d).ok
+    assert sorted(calls) == sorted(leg.name for leg in ch.legs.values())
+
+
 def test_sum_of_empty_diagram_is_a_point():
     d = ClsDiagram(ShapeGraph([], []), {}, {})
     ch = sum_classification(d)

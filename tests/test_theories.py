@@ -31,7 +31,7 @@ from ifk import (
     theory_leq,
     top_theory,
 )
-from ifk.theories import all_states, satisfying_states, sequent_key, theory_of_states
+from ifk.theories import _models, all_states, satisfying_states, sequent_key, theory_of_states
 
 import support
 from conftest import seq
@@ -172,6 +172,45 @@ def test_compiled_theory_answers_interleaved_queries():
                 assert entails(t, s) == entails_by_enumeration(t, s), (t, s)
             cases += 1
     print(f"interleaved queries on {len(fixed) + len(randomized)} theories: {cases} cases")
+
+
+def test_compiled_theory_refutes_mask_pairs():
+    # the engine's one query, asked on kernel mask pairs in turn across the
+    # theories, against a plain scan of each theory's models; every model
+    # an engine keeps is a state of its theory
+    rng = random.Random(0x5EED)
+    sigma = [f"t{k}" for k in range(8)]
+    theories = [
+        theory(""),  # the empty language
+        theory("a b", seq("", "")),  # the empty axiom <|->
+        theory("a b c", seq("a", "a"), seq("b c", "a b")),  # only tautologies
+        theory("a b c", seq("", "a"), seq("a", "b"), seq("b", "")),  # inconsistent
+        *(SequentTheory(sigma, [hard_sequent(rng, sigma) for _ in range(n)])
+          for n in (30, 34, 34, 34, 38)),
+    ]
+    models = [list(_models(t)) for t in theories]
+    cases = refuted = 0
+    for _ in range(3000):
+        j = rng.randrange(len(theories))
+        t, n = theories[j], len(theories[j].types)
+        if rng.random() < 0.05:
+            g = d = 0
+        else:
+            p = rng.choice((0.1, 0.25, 0.5))
+            g = sum(1 << k for k in range(n) if rng.random() < p)
+            d = sum(1 << k for k in range(n) if rng.random() < p)
+            if rng.random() < 0.7:
+                d &= ~g  # the rest may overlap: those hold in every state
+        expected = any(x & g == g and not x & d for x in models[j])
+        assert t._compiled.refutes(g, d) == expected, (t, g, d)
+        cases += 1
+        refuted += expected
+    for t in theories:
+        kept = t._compiled._models
+        assert all(x >> len(t.types) == 0 for x in kept)
+        assert all(g & ~x or d & x for x in kept for g, d in t._masks)
+    assert 0 < refuted < cases
+    print(f"refutes on {len(theories)} theories: {cases} cases, {refuted} refuted")
 
 
 def test_compiled_theory_serves_concurrent_queries():
