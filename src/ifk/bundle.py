@@ -23,7 +23,7 @@ from .classification import (
     validate_classification,
 )
 from .errors import BundleError, IfkError
-from .theories import Sequent, SequentTheory
+from .theories import Sequent, SequentTheory, _bits
 
 if TYPE_CHECKING:
     from .integration import InformationSystem
@@ -43,16 +43,12 @@ def parse_sequent(literal: str) -> Sequent:
     """Command-line sequent literal: ``a, b |- c`` (either side may be empty)."""
     if literal.count("|-") != 1:
         raise BundleError(f"sequent literal needs exactly one '|-': {literal!r}")
-    left, right = literal.split("|-")
-
-    def side(text: str) -> frozenset[str]:
-        names = [part.strip() for part in text.split(",") if part.strip()]
-        for name in names:
-            if not valid_identifier(name):
-                raise BundleError(f"bad identifier in sequent literal: {name!r}")
-        return frozenset(names)
-
-    return Sequent(side(left), side(right))
+    left, right = ([part.strip() for part in side.split(",") if part.strip()]
+                   for side in literal.split("|-"))
+    for name in left + right:
+        if not valid_identifier(name):
+            raise BundleError(f"bad identifier in sequent literal: {name!r}")
+    return Sequent(left, right)
 
 
 def _expect(condition: bool, message: str) -> None:
@@ -103,10 +99,8 @@ def _parse_classification(name: str, raw, where: str) -> Classification:
 def _parse_sequent_obj(raw, where: str) -> Sequent:
     _expect(isinstance(raw, dict), f"{where}: expected an object")
     _expect(set(raw) <= {"ant", "con"}, f"{where}: unknown keys {sorted(set(raw) - {'ant', 'con'})}")
-    return Sequent(
-        frozenset(_ident_list(raw.get("ant", []), f"{where}.ant")),
-        frozenset(_ident_list(raw.get("con", []), f"{where}.con")),
-    )
+    ant, con = (_ident_list(raw.get(side, []), f"{where}.{side}") for side in ("ant", "con"))
+    return Sequent(ant, con)
 
 
 def _parse_theory(raw, where: str) -> SequentTheory:
@@ -114,9 +108,7 @@ def _parse_theory(raw, where: str) -> SequentTheory:
     types = _ident_list(raw.get("types", []), f"{where}.types")
     axioms_raw = raw.get("axioms", [])
     _expect(isinstance(axioms_raw, list), f"{where}.axioms: expected a list")
-    axioms = [
-        _parse_sequent_obj(a, f"{where}.axioms[{k}]") for k, a in enumerate(axioms_raw)
-    ]
+    axioms = [_parse_sequent_obj(a, f"{where}.axioms[{k}]") for k, a in enumerate(axioms_raw)]
     try:
         return SequentTheory(frozenset(types), frozenset(axioms))
     except IfkError as exc:
@@ -306,16 +298,14 @@ def classification_to_obj(c: Classification) -> dict:
 
 
 def theory_to_obj(t: SequentTheory) -> dict:
-    """Axioms in ``sequent_key`` order.  Each distinct side is sorted once,
-    into one tuple that every axiom with that side shares, and ranked."""
-    sides = {a.antecedent for a in t.axioms} | {a.consequent for a in t.axioms}
-    names = {s: tuple(sorted(s)) for s in sides}
-    rank = {s: k for k, s in enumerate(sorted(sides, key=names.__getitem__))}
-    axioms = sorted(t.axioms, key=lambda a: rank[a.antecedent] * len(rank) + rank[a.consequent])
-    return {
-        "types": sorted(t.types),
-        "axioms": [{"ant": names[a.antecedent], "con": names[a.consequent]} for a in axioms],
-    }
+    """Axioms in ``sequent_key`` order, read from the theory's masks.  Each
+    distinct side mask is ranked by its sorted names, held in one tuple
+    that every axiom with that side shares."""
+    names, masks = list(t._index), t._masks
+    sides = {m: tuple(names[k] for k in _bits(m)) for m in {m for p in masks for m in p}}
+    rank = {m: k for k, m in enumerate(sorted(sides, key=sides.__getitem__))}
+    order = sorted(masks, key=lambda p: rank[p[0]] * len(rank) + rank[p[1]])
+    return {"types": names, "axioms": [{"ant": sides[g], "con": sides[d]} for g, d in order]}
 
 
 def maps_to_obj(f: Infomorphism) -> dict:

@@ -39,6 +39,21 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, flags=None, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._flags = flags  # a command's own (name, keywords) pairs, added on its first parse
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._flags is not None:
+            flags, self._flags = self._flags, None
+            # the global flag is accepted on either side of the command name;
+            # SUPPRESS keeps the subparser from clobbering a top-level value
+            self.add_argument("--output", metavar="FILE", default=argparse.SUPPRESS)
+            self.add_argument("bundle", metavar="BUNDLE", help="bundle JSON file")
+            for name, kwargs in flags:
+                self.add_argument(name, **kwargs)
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):  # keep argparse from exiting the process
         raise _UsageError(message)
 
@@ -56,45 +71,35 @@ def _size(text: str) -> int:
 
 @functools.cache  # one parser serves every in-process run
 def _build_parser() -> _Parser:
+    """Every command is named up front, for the help and the choice check;
+    only the command that runs builds its arguments."""
     parser = _Parser(prog="ifk", description="information-flow toolkit")
     parser.add_argument("--output", metavar="FILE", default=None,
                         help="write the report here instead of stdout")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    def command(name, handler, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(handler=handler)
-        # the global flag is accepted on either side of the command name;
-        # SUPPRESS keeps the subparser from clobbering a top-level value
-        p.add_argument("--output", metavar="FILE", default=argparse.SUPPRESS)
-        p.add_argument("bundle", metavar="BUNDLE", help="bundle JSON file")
-        return p
-
-    command("validate", _cmd_validate, help="validate a bundle")
-
-    p = command("close", _cmd_close, help="materialize the closure of a theory")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--cap", type=_size, default=DEFAULT_SEQUENT_CAP)
-
-    p = command("entails", _cmd_entails, help="decide entailment of a sequent")
-    p.add_argument("--theory", required=True)
-    p.add_argument("--sequent", required=True, help="literal like 'a, b |- c'")
-
-    p = command("lattice", _cmd_lattice, help="concept lattice of a classification")
-    p.add_argument("--classification", required=True)
-    p.add_argument("--format", choices=("json", "dot"), default="json")
-
-    p = command("sum", _cmd_sum, help="sum channel of a fully classified system")
-    p.add_argument("--system", required=True)
-    p.add_argument("--instance-cap", type=_size, default=DEFAULT_INSTANCE_CAP)
-
-    p = command("integrate", _cmd_integrate, help="system closure with bounded deltas")
-    p.add_argument("--system", required=True)
-    p.add_argument("--delta-bound", type=_size, default=DEFAULT_DELTA_BOUND)
-    p.add_argument("--cap", type=_size, default=DEFAULT_SEQUENT_CAP)
-
-    p = command("consistency", _cmd_consistency, help="cosmological verdict for a system")
-    p.add_argument("--system", required=True)
+    required = {"required": True}
+    cap = ("--cap", {"type": _size, "default": DEFAULT_SEQUENT_CAP})
+    commands = (
+        ("validate", _cmd_validate, "validate a bundle", ()),
+        ("close", _cmd_close, "materialize the closure of a theory",
+         (("--theory", required), cap)),
+        ("entails", _cmd_entails, "decide entailment of a sequent",
+         (("--theory", required),
+          ("--sequent", {"required": True, "help": "literal like 'a, b |- c'"}))),
+        ("lattice", _cmd_lattice, "concept lattice of a classification",
+         (("--classification", required),
+          ("--format", {"choices": ("json", "dot"), "default": "json"}))),
+        ("sum", _cmd_sum, "sum channel of a fully classified system",
+         (("--system", required),
+          ("--instance-cap", {"type": _size, "default": DEFAULT_INSTANCE_CAP}))),
+        ("integrate", _cmd_integrate, "system closure with bounded deltas",
+         (("--system", required),
+          ("--delta-bound", {"type": _size, "default": DEFAULT_DELTA_BOUND}), cap)),
+        ("consistency", _cmd_consistency, "cosmological verdict for a system",
+         (("--system", required),)),
+    )
+    for name, handler, summary, flags in commands:
+        sub.add_parser(name, help=summary, flags=flags).set_defaults(handler=handler)
     return parser
 
 

@@ -52,11 +52,8 @@ class LocalLogic:
         if bad:
             i = min(bad)
             holds = intent(self.classification, i)
-            a = next(
-                a
-                for a in sorted(self.theory.axioms, key=sequent_key)
-                if not _sat(a.antecedent, a.consequent, holds)
-            )
+            broken = (a for a in self.theory.axioms if not _sat(a.antecedent, a.consequent, holds))
+            a = min(broken, key=sequent_key)
             raise IfkError(f"normal instance {i} violates axiom {a!r}")
 
     __reduce__ = _reduce_fields

@@ -10,8 +10,8 @@ under the usual structural rules.
 Everything runs on one bit-mask kernel: type k of the sorted language
 is bit k, a state is the int of the types holding in it, and a sequent
 is a pair of masks ``(g, d)`` that state ``x`` satisfies when
-``g & ~x or d & x``.  Each theory computes its index and axiom masks
-once.
+``g & ~x or d & x``.  A theory computes its index and axiom masks once;
+one the kernel makes is born with them and builds its axioms if read.
 
 Entailment is decided by refutation.  Each theory is compiled once, on
 its first query, into a ``CompiledTheory``, whose one query asks on a
@@ -21,12 +21,10 @@ stack), learns clauses that later queries reuse and keeps its recent
 models as state masks; its literals stay inside it.  A full 2^|types|
 state-enumeration oracle is kept alongside for checking.
 
-The theory of a state set is read off two tables over the
-deduplicated states, indexed by mask: the states where every type of
-``g`` holds and the states where no type of ``d`` holds; ``<g |- d>``
-is a theorem when the two are disjoint.  Output sequents share one
-table of 2^|types| frozensets, and every cap is charged before any
-state is enumerated.
+The theory of a state set is read off two tables over the deduplicated
+states, indexed by mask: where every type of ``g`` holds and where no
+type of ``d`` does; ``<g |- d>`` is a theorem when the two are disjoint.
+Every cap is charged before any state is enumerated.
 """
 
 from __future__ import annotations
@@ -51,8 +49,8 @@ class Sequent:
     def __post_init__(self):
         # materializations pass shared frozensets, which need no copy
         if type(self.antecedent) is not frozenset or type(self.consequent) is not frozenset:
-            object.__setattr__(self, "antecedent", frozenset(self.antecedent))
-            object.__setattr__(self, "consequent", frozenset(self.consequent))
+            object.__setattr__(self, "antecedent", _names(self.antecedent, "sequent side"))
+            object.__setattr__(self, "consequent", _names(self.consequent, "sequent side"))
 
     def types(self) -> frozenset[str]:
         return self.antecedent | self.consequent
@@ -70,6 +68,13 @@ class Sequent:
         )
 
 
+def _names(names: Iterable[str], what: str) -> frozenset[str]:
+    """``names`` as a frozenset; a bare str would be split into characters."""
+    if isinstance(names, str):
+        raise IfkError(f"{what} must be a collection of names, not the string {names!r}")
+    return frozenset(names)
+
+
 def sequent_key(s: Sequent) -> tuple[tuple[str, ...], tuple[str, ...]]:
     """Canonical sort key: sorted antecedent, then sorted consequent."""
     return (tuple(sorted(s.antecedent)), tuple(sorted(s.consequent)))
@@ -81,7 +86,8 @@ class SequentTheory:
     axioms: frozenset[Sequent]
 
     def __post_init__(self):
-        object.__setattr__(self, "types", frozenset(self.types))
+        if type(self.types) is not frozenset:
+            object.__setattr__(self, "types", _names(self.types, "language"))
         object.__setattr__(self, "axioms", frozenset(self.axioms))
         # each distinct side is checked once; materialized axioms share theirs
         sides = {a.antecedent for a in self.axioms} | {a.consequent for a in self.axioms}
@@ -91,9 +97,28 @@ class SequentTheory:
 
     __reduce__ = _reduce_fields  # the engine holds a lock; a copy builds its own
 
+    def __eq__(self, other):
+        if type(other) is not SequentTheory:
+            return NotImplemented
+        if "axioms" in self.__dict__ and "axioms" in other.__dict__:  # derive no masks
+            return self.types == other.types and self.axioms == other.axioms
+        return self.types == other.types and self._masks == other._masks
+
+    def __hash__(self):
+        return hash((self.types, tuple(self._masks)))
+
+    def __getattr__(self, name: str):
+        """The axioms of a theory the kernel made, built on first read."""
+        if name != "axioms" or "_masks" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        names, masks = list(self._index), self._masks
+        sides = {m: frozenset(names[k] for k in _bits(m)) for m in {m for p in masks for m in p}}
+        axioms = self.__dict__["axioms"] = frozenset(Sequent(sides[g], sides[d]) for g, d in masks)
+        return axioms
+
     # Derived on first use and freed with the theory: the mask index, the
-    # axiom masks and the entailment engine built from them.  Equality
-    # and hashing read the fields only.
+    # axiom masks and the entailment engine built from them.  Equality and
+    # hashing read the language and the masks, which fix the axioms.
     @cached_property
     def _index(self) -> dict[str, int]:
         """Type k of the sorted language is bit k of every mask."""
@@ -117,8 +142,9 @@ class FlatTheory:
     members: frozenset[str]
 
     def __post_init__(self):
-        object.__setattr__(self, "types", frozenset(self.types))
-        object.__setattr__(self, "members", frozenset(self.members))
+        if type(self.types) is not frozenset or type(self.members) is not frozenset:
+            object.__setattr__(self, "types", _names(self.types, "language"))
+            object.__setattr__(self, "members", _names(self.members, "flat theory members"))
         if not self.members <= self.types:
             raise IfkError("flat theory members must be drawn from its types")
 
@@ -128,14 +154,10 @@ def _sat(antecedent: frozenset[str], consequent: frozenset[str], holds: frozense
 
 
 def state_satisfies(s: Sequent, holds: frozenset[str], sigma: Iterable[str] | None = None) -> bool:
-    """Satisfaction of one sequent in the state where exactly ``holds`` holds.
-
-    When ``sigma`` is given, both the sequent and the state must stay
-    inside it.
-    """
+    """Satisfaction of one sequent in the state where exactly ``holds``
+    holds; when ``sigma`` is given, both must stay inside it."""
     if sigma is not None:
-        sigma = frozenset(sigma)
-        outside = (s.types() | holds) - sigma
+        outside = (s.types() | holds).difference(sigma)
         if outside:
             raise IfkError(f"type(s) outside the language: {', '.join(sorted(outside))}")
     return _sat(s.antecedent, s.consequent, holds)
@@ -214,9 +236,7 @@ def _violating(t: SequentTheory, columns: list[int], everywhere: int) -> int:
     return out
 
 
-def _theory_of_masks(
-    names: list[str], states: Iterable[int], cap: int, phase: str
-) -> SequentTheory:
+def _theory_of_masks(names: list[str], states: Iterable[int], cap: int, phase: str) -> SequentTheory:
     """Every sequent over the sorted ``names`` that all ``states`` satisfy.
 
     The cap is charged before ``states`` is read, so a lazy iterable is
@@ -230,20 +250,13 @@ def _theory_of_masks(
     columns = _columns(states, n)
     # indexed by mask: the states where every type of it holds, where none does
     above = missing = [(1 << len(states)) - 1]
-    subsets = [frozenset()]
-    for name, column in zip(names, columns):
+    for column in columns:
         above = above + [a & column for a in above]
         missing = missing + [m & ~column for m in missing]
-        subsets += [s | {name} for s in subsets]
-    return SequentTheory(
-        frozenset(names),
-        frozenset(
-            Sequent(g, d)
-            for g, a in zip(subsets, above)
-            for d, m in zip(subsets, missing)
-            if not a & m
-        ),
-    )
+    masks = [(g, d) for g, a in enumerate(above) for d, m in enumerate(missing) if not a & m]
+    t = SequentTheory.__new__(SequentTheory)  # its axioms are built if they are read
+    t.__dict__.update(types=frozenset(names), _index=dict(zip(names, range(n))), _masks=masks)
+    return t
 
 
 def satisfying_states(t: SequentTheory) -> list[frozenset[str]]:

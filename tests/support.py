@@ -10,15 +10,20 @@ from ifk import (
     ClsDiagram,
     InformationSystem,
     Infomorphism,
+    LocalLogic,
     Sequent,
     SequentTheory,
     ShapeGraph,
     check_infomorphism,
+    close,
     compose_infomorphisms,
     intent,
+    inverse_flow,
+    natural_logic,
+    restriction,
     validate_system,
 )
-from ifk.theories import _sat, all_states
+from ifk.theories import _sat, all_states, theory_of_states
 
 
 def rand_classification(
@@ -227,3 +232,26 @@ def plain_theory_of_states(types, states) -> frozenset[Sequent]:
     return frozenset(
         Sequent(g, d) for g in subsets for d in subsets if all(_sat(g, d, x) for x in states)
     )
+
+
+def kernel_theory_makers(seed: int, n: int) -> dict:
+    """Each entry point of the theory kernel (closure, the theory of a state
+    set, the natural logic, restriction, materialized inverse flow) on
+    seeded inputs over ``n`` types; every call makes a fresh theory."""
+    rng = random.Random(f"kernel:{seed}:{n}")
+    types = [f"t{k}" for k in range(n)]
+    t = rand_theory(rng, types, n + 2, 2)
+    instances = [f"i{k}" for k in range(rng.randint(0, 5))]
+    c = Classification(
+        "c", instances, types, [(i, x) for i in instances for x in types if rng.random() < 0.5]
+    )
+    states = [frozenset(x for x in types if rng.random() < 0.5) for _ in range(rng.randint(0, 6))]
+    source = [f"s{k}" for k in range(rng.randint(0, min(n, 5)))]
+    type_map = rand_type_map(rng, source, types)
+    return {
+        "close": lambda: close(t),
+        "theory_of_states": lambda: theory_of_states(types, states),
+        "natural_logic": lambda: natural_logic(c).theory,
+        "restriction": lambda: restriction(LocalLogic(c, t, frozenset())).theory,
+        "materialize": lambda: inverse_flow(type_map, t, source).materialize(),
+    }

@@ -428,3 +428,64 @@ def test_sum_checks_each_edge_once(tmp_path, monkeypatch):
     status, report = run(["sum", "--system", "star", str(path)])
     assert status == 0, report
     assert sorted(calls) == ["eO1", "eO2", "eO3"]
+
+
+# Frozen from the parser that built every command's arguments up front:
+# building only the named command's arguments must not change a byte.
+HELP = """\
+usage: ifk [-h] [--output FILE] COMMAND ...
+
+information-flow toolkit
+
+positional arguments:
+  COMMAND
+    validate     validate a bundle
+    close        materialize the closure of a theory
+    entails      decide entailment of a sequent
+    lattice      concept lattice of a classification
+    sum          sum channel of a fully classified system
+    integrate    system closure with bounded deltas
+    consistency  cosmological verdict for a system
+
+options:
+  -h, --help     show this help message and exit
+  --output FILE  write the report here instead of stdout
+"""
+
+CLOSE_HELP = """\
+usage: ifk close [-h] [--output FILE] --theory THEORY [--cap CAP] BUNDLE
+
+positional arguments:
+  BUNDLE           bundle JSON file
+
+options:
+  -h, --help       show this help message and exit
+  --output FILE
+  --theory THEORY
+  --cap CAP
+"""
+
+
+def _usage(message: str) -> str:
+    return json.dumps({"error": {"kind": "usage", "message": message}, "ok": False},
+                      indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv, status, out", [
+    (["--help"], 0, HELP),
+    (["close", "--help"], 0, CLOSE_HELP),
+    ([], 2, _usage("a command is required")),
+    (["frobnicate", "x.json"], 2, _usage(
+        "argument COMMAND: invalid choice: 'frobnicate' (choose from 'validate', 'close',"
+        " 'entails', 'lattice', 'sum', 'integrate', 'consistency')")),
+    (["close", str(FIXTURES / "classics.json")], 2,
+     _usage("the following arguments are required: --theory")),
+])
+def test_usage_and_help_output_is_frozen(monkeypatch, capsys, argv, status, out):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help prints and exits, as argparse does
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (status, out, "")

@@ -1,6 +1,7 @@
 """The canonical report writer: the bytes of ``json.dumps(doc, indent=2,
 sort_keys=True)`` plus a newline, for every document and every command."""
 
+import hashlib
 import importlib.util
 import json
 import random
@@ -10,11 +11,20 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ifk import Classification, extent, lattice, lift_to_theory_classification, natural_logic
-from ifk.bundle import canonical_json, parse_bundle, serialize_bundle
+from ifk import (
+    Classification,
+    Sequent,
+    extent,
+    lattice,
+    lift_to_theory_classification,
+    natural_logic,
+)
+from ifk.bundle import canonical_json, parse_bundle, sequent_to_obj, serialize_bundle, theory_to_obj
 from ifk.cli import run
 from ifk.errors import IfkError
+from ifk.theories import sequent_key
 
+import support
 from conftest import FIXTURES
 
 REPORTS = FIXTURES / "reports"
@@ -152,6 +162,51 @@ def test_frozen_classics_reports(argv, frozen):
     status, report = run([*argv, str(FIXTURES / "classics.json")])
     assert status == 0
     assert report == (REPORTS / frozen).read_text()
+
+
+def test_frozen_wide_closure_report():
+    # 60,936 axioms, 10.5 MB: the digest of the report the Sequent-built
+    # theories gave, which the mask rendering must repeat byte for byte
+    status, report = run(["close", "--theory", "wide", str(FIXTURES / "wide.json")])
+    assert status == 0 and report.count('"ant"') == 60936
+    digest = hashlib.sha256(report.encode()).hexdigest()
+    assert digest == "dfa541583a9ed7ff77186e9ec4f62ce6ec4e6cf722354fb64a4971b10a71f8ea"
+
+
+# ---------------------------------------------------------------------------
+# theories render from their masks
+
+def assert_renders_as_sorted_sequents(t, again) -> None:
+    """``theory_to_obj(t)`` lists what sorting the axiom set of its twin
+    ``again`` by ``sequent_key`` gives, sides as the same name lists."""
+    doc = theory_to_obj(t)
+    assert doc["types"] == sorted(again.types)
+    assert [{"ant": list(a["ant"]), "con": list(a["con"])} for a in doc["axioms"]] == [
+        sequent_to_obj(a) for a in sorted(again.axioms, key=sequent_key)
+    ]
+
+
+@pytest.mark.parametrize("n", range(8))  # 8 types: test_frozen_wide_closure_report
+def test_theories_render_from_masks_as_from_sequents(n):
+    for make in support.kernel_theory_makers(n, n).values():
+        assert_renders_as_sorted_sequents(make(), make())
+    # parsed theories over 48 types: only the sides present are ranked
+    parsed = support.rand_theory(random.Random(n), [f"x{k:02d}" for k in range(48)], 40, 6)
+    assert_renders_as_sorted_sequents(parsed, parsed)
+
+
+def test_close_reports_build_no_sequent(monkeypatch, tmp_path):
+    built = []
+    init = Sequent.__init__
+    monkeypatch.setattr(Sequent, "__init__", lambda s, *a: built.append(a) or init(s, *a))
+    empty = tmp_path / "empty8.json"
+    empty.write_text(json.dumps({"theories": {"T": {"types": [f"t{k}" for k in range(8)]}}}))
+    status, report = run(["close", "--theory", "T", str(empty)])
+    assert status == 0 and report.count('"ant"') == 4**8 - 3**8  # the tautologies
+    assert built == []
+    # the parser builds the eight axioms of the file, and nothing more is built
+    status, report = run(["close", "--theory", "wide", str(FIXTURES / "wide.json")])
+    assert status == 0 and len(built) == 8
 
 
 # ---------------------------------------------------------------------------

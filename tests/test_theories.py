@@ -549,6 +549,30 @@ def test_sequents_deduplicate_and_compare_by_content():
     assert sequent_key(seq("b a", "c")) == (("a", "b"), ("c",))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Sequent("human", ["mortal"]),
+        lambda: Sequent(["human"], "mortal"),
+        lambda: Sequent("", ""),
+        lambda: SequentTheory("hm", []),
+        lambda: FlatTheory("hm", []),
+        lambda: FlatTheory(["h", "m"], "h"),
+    ],
+)
+def test_a_string_is_not_a_set_of_names(make):
+    # iterating "human" would give the names h, u, m, a and n
+    with pytest.raises(IfkError, match="not the string"):
+        make()
+
+
+def test_sets_of_names_of_any_kind_are_frozen():
+    s = Sequent(["human"], ("mortal",))
+    assert s == Sequent(frozenset({"human"}), frozenset({"mortal"}))
+    assert SequentTheory(["human", "mortal"], [s]).types == {"human", "mortal"}
+    assert FlatTheory({"h", "m"}, ["h"]) == FlatTheory(frozenset("hm"), frozenset("h"))
+
+
 @given(st.integers(min_value=0, max_value=10**6))
 def test_random_theory_axioms_stay_inside_language(seed):
     rng = random.Random(seed)
