@@ -5,8 +5,9 @@ Parsing resolves every cross-reference and runs each module's checker,
 so a returned bundle is fully valid.  Serialization is canonical (sorted
 set renderings) and round-trips.  ``canonical_json`` writes it and every
 CLI report: the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``
-plus a newline, from one memoizing writer that renders each shared list
-once.
+plus a newline.  A ``SequentTheory`` in a document renders as its sorted
+axiom list, straight from the theory's masks, so no report builds a dict
+per axiom.
 """
 
 from __future__ import annotations
@@ -241,48 +242,73 @@ def _parse_system(bundle: Bundle, raw, where: str) -> InformationSystem:
 
 def canonical_json(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\n"``, byte for byte,
-    for dicts with str keys, lists, tuples, str, int, bool and None.
-    Strings go through json's own C ASCII escaper; within one call each
-    list is rendered, and each key set sorted and quoted, once per indent."""
-    texts: dict[tuple[int, str], str] = {}  # (id of a list, indent) -> its text
+    for dicts with str keys, lists, tuples, str, int, bool and None; a
+    ``SequentTheory`` renders as its axioms in ``sequent_key`` order.  Each
+    key set is sorted once per indent, and the pieces are joined once."""
+    out: list[str] = []
     shapes: dict[tuple[tuple, str], list] = {}  # (dict keys, indent) -> [(key, text before value)]
 
-    # Loops, not comprehensions, and values inline where they can be: on
-    # the interpreters supported a call costs more than most values.
-    def render(o, indent: str) -> str:
+    # Loops, not comprehensions, and list items inline where they can be:
+    # on the interpreters supported a call costs more than most values.
+    def render(o, indent: str) -> None:
         if isinstance(o, str):
-            return _quote(o)
-        inner = indent + "  "
-        if isinstance(o, dict):
+            out.append(_quote(o))
+        elif isinstance(o, dict):
+            inner = indent + "  "
             shape = (tuple(o), indent)
             heads = shapes.get(shape)
             if heads is None:
                 heads = shapes[shape] = [(k, ("," if n else "{") + inner + _quote(k) + ": ")
                                          for n, k in enumerate(sorted(o))]
-            parts = []
             for k, head in heads:
-                v = o[k]
-                parts.append(head)
-                parts.append(_quote(v) if type(v) is str
-                             else texts.get((id(v), inner)) or render(v, inner))
-            return "".join(parts) + indent + "}" if o else "{}"
-        if isinstance(o, (list, tuple)):
-            key = (id(o), indent)
-            text = texts.get(key)
-            if text is None:
-                parts = []
-                for v in o:
-                    parts.append(_quote(v) if type(v) is str else repr(v) if type(v) is int
-                                 else texts.get((id(v), inner)) or render(v, inner))
-                text = texts[key] = "[" + inner + ("," + inner).join(parts) + indent + "]" if o else "[]"
-            return text
-        if o is None or o is True or o is False:
-            return "null" if o is None else "true" if o else "false"
-        if isinstance(o, int):
-            return int.__repr__(o)
-        raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+                out.append(head)
+                render(o[k], inner)
+            out.append(indent + "}" if o else "{}")
+        elif isinstance(o, (list, tuple)):
+            inner = indent + "  "
+            sep, comma = "[" + inner, "," + inner
+            for v in o:
+                out.append(sep)
+                sep = comma
+                if type(v) is str:
+                    out.append(_quote(v))
+                elif type(v) is int:
+                    out.append(int.__repr__(v))
+                else:
+                    render(v, inner)
+            out.append(indent + "]" if o else "[]")
+        elif isinstance(o, SequentTheory):
+            theory(o, indent)
+        elif o is None or o is True or o is False:
+            out.append("null" if o is None else "true" if o else "false")
+        elif isinstance(o, int):
+            out.append(int.__repr__(o))
+        else:
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
-    return render(doc, "\n") + "\n"
+    def theory(t: SequentTheory, indent: str) -> None:
+        # the distinct sides are ranked by name and rendered once each
+        groups: dict[int, list[int]] = {}  # antecedent -> its consequents
+        for g, d in t._masks:
+            groups.setdefault(g, []).append(d)
+        names, inner = list(t._index), indent + "  "
+        key, item = inner + "  ", inner + "    "
+        sides = {m: [names[k] for k in _bits(m)] for m in groups.keys() | {d for _, d in t._masks}}
+        rank = {m: r for r, m in enumerate(sorted(sides, key=sides.__getitem__))}
+        texts = {m: "[" + item + ("," + item).join(map(_quote, s)) + key + "]" if s else "[]"
+                 for m, s in sides.items()}
+        tails = {m: text + inner + "}," for m, text in texts.items()}  # a consequent, to the comma
+        out.append("[")
+        for g in sorted(groups, key=rank.__getitem__):
+            head = inner + "{" + key + '"ant": ' + texts[g] + "," + key + '"con": '
+            for d in sorted(groups[g], key=rank.__getitem__):
+                out.append(head)
+                out.append(tails[d])
+        out[-1] = out[-1][:-1] + indent + "]" if groups else "[]"  # the last comma goes
+
+    render(doc, "\n")
+    out.append("\n")
+    return "".join(out)
 
 
 def sequent_to_obj(s: Sequent) -> dict:
@@ -298,14 +324,8 @@ def classification_to_obj(c: Classification) -> dict:
 
 
 def theory_to_obj(t: SequentTheory) -> dict:
-    """Axioms in ``sequent_key`` order, read from the theory's masks.  Each
-    distinct side mask is ranked by its sorted names, held in one tuple
-    that every axiom with that side shares."""
-    names, masks = list(t._index), t._masks
-    sides = {m: tuple(names[k] for k in _bits(m)) for m in {m for p in masks for m in p}}
-    rank = {m: k for k, m in enumerate(sorted(sides, key=sides.__getitem__))}
-    order = sorted(masks, key=lambda p: rank[p[0]] * len(rank) + rank[p[1]])
-    return {"types": names, "axioms": [{"ant": sides[g], "con": sides[d]} for g, d in order]}
+    """The sorted language, and the theory, which renders as its axioms."""
+    return {"types": list(t._index), "axioms": t}
 
 
 def maps_to_obj(f: Infomorphism) -> dict:

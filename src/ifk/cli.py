@@ -193,7 +193,7 @@ def _cmd_integrate(args) -> str:
                     for cls, group in sorted(result.sum_members.items())
                 },
             },
-            "sum_theory_axioms": theory_to_obj(result.sum_theory)["axioms"],
+            "sum_theory_axioms": result.sum_theory,
             "deltas": {
                 n: [sequent_to_obj(q) for q in qs] for n, qs in sorted(result.deltas.items())
             },

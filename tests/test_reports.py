@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from ifk import (
     Classification,
     Sequent,
+    SequentTheory,
     extent,
     lattice,
     lift_to_theory_classification,
@@ -63,7 +65,7 @@ def test_writer_matches_json_dumps(doc):
 
 @given(documents, st.lists(st.integers() | awkward_text, max_size=3))
 def test_writer_renders_a_shared_list_at_each_depth(doc, items):
-    # one list object at four depths and twice at one depth: the memo keys on the indent
+    # one list object at four depths and twice at one depth
     shared = [doc, items]
     nested = {"a": shared, "b": [shared, {"c": (shared, shared)}], "d": [[[shared]]]}
     assert canonical_json(nested) == stdlib(nested)
@@ -176,14 +178,16 @@ def test_frozen_wide_closure_report():
 # ---------------------------------------------------------------------------
 # theories render from their masks
 
+def sorted_sequents(t) -> list[dict]:
+    return [sequent_to_obj(a) for a in sorted(t.axioms, key=sequent_key)]
+
+
 def assert_renders_as_sorted_sequents(t, again) -> None:
-    """``theory_to_obj(t)`` lists what sorting the axiom set of its twin
-    ``again`` by ``sequent_key`` gives, sides as the same name lists."""
-    doc = theory_to_obj(t)
+    """``canonical_json(theory_to_obj(t))`` lists what sorting the axiom set
+    of its twin ``again`` by ``sequent_key`` gives, sides as name lists."""
+    doc = json.loads(canonical_json(theory_to_obj(t)))
     assert doc["types"] == sorted(again.types)
-    assert [{"ant": list(a["ant"]), "con": list(a["con"])} for a in doc["axioms"]] == [
-        sequent_to_obj(a) for a in sorted(again.axioms, key=sequent_key)
-    ]
+    assert doc["axioms"] == sorted_sequents(again)
 
 
 @pytest.mark.parametrize("n", range(8))  # 8 types: test_frozen_wide_closure_report
@@ -193,6 +197,40 @@ def test_theories_render_from_masks_as_from_sequents(n):
     # parsed theories over 48 types: only the sides present are ranked
     parsed = support.rand_theory(random.Random(n), [f"x{k:02d}" for k in range(48)], 40, 6)
     assert_renders_as_sorted_sequents(parsed, parsed)
+
+
+def _theory_cases(n: int):
+    """Pairs of a theory and its twin: none, ``<|->`` alone, the kernel's
+    theories over ``n`` types beside their ``Sequent``-built twins, and a
+    theory parsed from a bundle over 48 types."""
+    yield SequentTheory(["a", "b"], []), SequentTheory(["a", "b"], [])
+    yield SequentTheory([], [Sequent([], [])]), SequentTheory([], [Sequent([], [])])
+    for make in support.kernel_theory_makers(n, n).values():
+        kernel, built = make(), make()
+        yield kernel, SequentTheory(built.types, built.axioms)
+    names = [f"x{k:02d}" for k in range(48)]
+    t = support.rand_theory(random.Random(n), names, 40, 6)
+    text = json.dumps({"theories": {"T": {"types": names, "axioms": sorted_sequents(t)}}})
+    yield parse_bundle(text).theories["T"], t
+
+
+def _nestings(v):
+    """``v`` at depths 0, 1 and 3, inside lists and dicts, with siblings."""
+    yield v
+    yield [v]
+    yield {"t": v, "u": 1}
+    yield [[[v, "s"]]]
+    yield {"a": {"b": {"c": v}}}
+    yield {"a": [{"b": v, "c": v}], "d": [v, v]}
+    yield ({"axioms": v, "types": []}, [None, v])
+
+
+@pytest.mark.parametrize("n", (0, 1, 3, 5))
+def test_theory_values_render_at_every_depth(n):
+    for t, twin in _theory_cases(n):
+        expanded = sorted_sequents(twin)
+        for doc, twin_doc, plain in zip(_nestings(t), _nestings(twin), _nestings(expanded)):
+            assert canonical_json(doc) == canonical_json(twin_doc) == stdlib(plain)
 
 
 def test_close_reports_build_no_sequent(monkeypatch, tmp_path):
@@ -207,6 +245,19 @@ def test_close_reports_build_no_sequent(monkeypatch, tmp_path):
     # the parser builds the eight axioms of the file, and nothing more is built
     status, report = run(["close", "--theory", "wide", str(FIXTURES / "wide.json")])
     assert status == 0 and len(built) == 8
+
+
+def test_close_report_peak_memory():
+    # the peak holds the report, the closure's masks and the pieces joined
+    # into the report, about 1.5x the report; a dict per axiom, or one more
+    # copy of the whole report, would take it over 2x
+    tracemalloc.start()
+    try:
+        status, report = run(["close", "--theory", "wide", str(FIXTURES / "wide.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert status == 0 and peak < 2 * len(report)
 
 
 # ---------------------------------------------------------------------------
