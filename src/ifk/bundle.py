@@ -13,6 +13,7 @@ per axiom.
 from __future__ import annotations
 
 import json
+import operator
 from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
@@ -129,6 +130,8 @@ def parse_bundle(text: str) -> Bundle:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise BundleError(exc.msg, line=exc.lineno, column=exc.colno) from exc
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise BundleError(f"bundle: {exc}") from exc
     except RecursionError as exc:
         raise BundleError("bundle: nesting too deep") from exc
     _expect(isinstance(raw, dict), "bundle: expected a JSON object")
@@ -243,10 +246,9 @@ def _parse_system(bundle: Bundle, raw, where: str) -> InformationSystem:
 def canonical_json(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\n"``, byte for byte,
     for dicts with str keys, lists, tuples, str, int, bool and None; a
-    ``SequentTheory`` renders as its axioms in ``sequent_key`` order.  Each
-    key set is sorted once per indent, and the pieces are joined once."""
+    ``SequentTheory`` renders as its axioms in ``sequent_key`` order.  The
+    pieces are joined once."""
     out: list[str] = []
-    shapes: dict[tuple[tuple, str], list] = {}  # (dict keys, indent) -> [(key, text before value)]
 
     # Loops, not comprehensions, and list items inline where they can be:
     # on the interpreters supported a call costs more than most values.
@@ -255,13 +257,10 @@ def canonical_json(doc) -> str:
             out.append(_quote(o))
         elif isinstance(o, dict):
             inner = indent + "  "
-            shape = (tuple(o), indent)
-            heads = shapes.get(shape)
-            if heads is None:
-                heads = shapes[shape] = [(k, ("," if n else "{") + inner + _quote(k) + ": ")
-                                         for n, k in enumerate(sorted(o))]
-            for k, head in heads:
-                out.append(head)
+            sep, comma = "{" + inner, "," + inner
+            for k in sorted(o):
+                out.append(sep + _quote(k) + ": ")
+                sep = comma
                 render(o[k], inner)
             out.append(indent + "}" if o else "{}")
         elif isinstance(o, (list, tuple)):
@@ -333,18 +332,13 @@ def maps_to_obj(f: Infomorphism) -> dict:
     return {"type_map": dict(f.type_map), "instance_map": dict(f.instance_map)}
 
 
-def _cls_name_of(bundle: Bundle, c: Classification) -> str:
-    for name, known in bundle.classifications.items():
-        if known == c:
-            return name
-    raise IfkError(f"classification {c.name} is not part of the bundle")
-
-
-def _theory_name_of(bundle: Bundle, t: SequentTheory) -> str:
-    for name, known in bundle.theories.items():
-        if known == t:
-            return name
-    raise IfkError("theory is not part of the bundle")
+def _name_of(table: dict, value, what: str) -> str:
+    """The bundle's name for ``value``: the same object's, else an equal one's."""
+    for same in (operator.is_, operator.eq):
+        for name, known in table.items():
+            if same(known, value):
+                return name
+    raise IfkError(f"{what} is not part of the bundle")
 
 
 def serialize_bundle(bundle: Bundle) -> str:
@@ -359,8 +353,10 @@ def serialize_bundle(bundle: Bundle) -> str:
         },
         "infomorphisms": {
             name: {
-                "source": _cls_name_of(bundle, f.source),
-                "target": _cls_name_of(bundle, f.target),
+                "source": _name_of(bundle.classifications, f.source,
+                                   f"classification {f.source.name}"),
+                "target": _name_of(bundle.classifications, f.target,
+                                   f"classification {f.target.name}"),
                 **maps_to_obj(f),
             }
             for name, f in sorted(bundle.infomorphisms.items())
@@ -369,9 +365,11 @@ def serialize_bundle(bundle: Bundle) -> str:
             name: {
                 "nodes": {
                     n: {
-                        "theory": _theory_name_of(bundle, s.node_theory[n]),
+                        "theory": _name_of(bundle.theories, s.node_theory[n], "theory"),
                         "classification": (
-                            _cls_name_of(bundle, s.node_cls[n]) if n in s.node_cls else None
+                            _name_of(bundle.classifications, s.node_cls[n],
+                                     f"classification {s.node_cls[n].name}")
+                            if n in s.node_cls else None
                         ),
                     }
                     for n in sorted(s.shape.nodes)

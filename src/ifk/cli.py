@@ -39,21 +39,6 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    def __init__(self, *args, flags=None, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._flags = flags  # a command's own (name, keywords) pairs, added on its first parse
-
-    def parse_known_args(self, args=None, namespace=None):
-        if self._flags is not None:
-            flags, self._flags = self._flags, None
-            # the global flag is accepted on either side of the command name;
-            # SUPPRESS keeps the subparser from clobbering a top-level value
-            self.add_argument("--output", metavar="FILE", default=argparse.SUPPRESS)
-            self.add_argument("bundle", metavar="BUNDLE", help="bundle JSON file")
-            for name, kwargs in flags:
-                self.add_argument(name, **kwargs)
-        return super().parse_known_args(args, namespace)
-
     def error(self, message):  # keep argparse from exiting the process
         raise _UsageError(message)
 
@@ -71,8 +56,8 @@ def _size(text: str) -> int:
 
 @functools.cache  # one parser serves every in-process run
 def _build_parser() -> _Parser:
-    """Every command is named up front, for the help and the choice check;
-    only the command that runs builds its arguments."""
+    """The whole parser, every command with its arguments, built once; a
+    built parser is only read, so runs may share it across threads."""
     parser = _Parser(prog="ifk", description="information-flow toolkit")
     parser.add_argument("--output", metavar="FILE", default=None,
                         help="write the report here instead of stdout")
@@ -99,7 +84,14 @@ def _build_parser() -> _Parser:
          (("--system", required),)),
     )
     for name, handler, summary, flags in commands:
-        sub.add_parser(name, help=summary, flags=flags).set_defaults(handler=handler)
+        command = sub.add_parser(name, help=summary)
+        # the global flag is accepted on either side of the command name;
+        # SUPPRESS keeps the subparser from clobbering a top-level value
+        command.add_argument("--output", metavar="FILE", default=argparse.SUPPRESS)
+        command.add_argument("bundle", metavar="BUNDLE", help="bundle JSON file")
+        for flag, kwargs in flags:
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(handler=handler)
     return parser
 
 
@@ -119,19 +111,16 @@ def _pick(table: dict, name: str, kind: str):
     return table[name]
 
 
-def _cmd_validate(args) -> str:
-    _load(args.bundle)
+def _cmd_validate(args, bundle: Bundle) -> str:
     return canonical_json({"ok": True})
 
 
-def _cmd_close(args) -> str:
-    bundle = _load(args.bundle)
+def _cmd_close(args, bundle: Bundle) -> str:
     theory = _pick(bundle.theories, args.theory, "theory")
     return canonical_json({"theory": args.theory, **theory_to_obj(close(theory, args.cap))})
 
 
-def _cmd_entails(args) -> str:
-    bundle = _load(args.bundle)
+def _cmd_entails(args, bundle: Bundle) -> str:
     theory = _pick(bundle.theories, args.theory, "theory")
     q = parse_sequent(args.sequent)
     return canonical_json(
@@ -139,10 +128,8 @@ def _cmd_entails(args) -> str:
     )
 
 
-def _cmd_lattice(args) -> str:
+def _cmd_lattice(args, bundle: Bundle) -> str:
     from .fca import lattice, lattice_dot
-
-    bundle = _load(args.bundle)
     c = _pick(bundle.classifications, args.classification, "classification")
     l = lattice(c)
     if args.format == "dot":
@@ -158,10 +145,8 @@ def _cmd_lattice(args) -> str:
     )
 
 
-def _cmd_sum(args) -> str:
+def _cmd_sum(args, bundle: Bundle) -> str:
     from .diagrams import sum_classification
-
-    bundle = _load(args.bundle)
     system = _pick(bundle.systems, args.system, "system")
     channel = sum_classification(system.cls_diagram(), args.instance_cap)
     return canonical_json(
@@ -173,10 +158,8 @@ def _cmd_sum(args) -> str:
     )
 
 
-def _cmd_integrate(args) -> str:
+def _cmd_integrate(args, bundle: Bundle) -> str:
     from .integration import integrate
-
-    bundle = _load(args.bundle)
     system = _pick(bundle.systems, args.system, "system")
     result = integrate(system, delta_bound=args.delta_bound, cap=args.cap)
     return canonical_json(
@@ -202,10 +185,8 @@ def _cmd_integrate(args) -> str:
     )
 
 
-def _cmd_consistency(args) -> str:
+def _cmd_consistency(args, bundle: Bundle) -> str:
     from .integration import VERDICT_MONOCOSMIC, VERDICT_POINTWISE_INCONSISTENT, system_verdict
-
-    bundle = _load(args.bundle)
     system = _pick(bundle.systems, args.system, "system")
     verdict = system_verdict(system)
     return canonical_json(
@@ -230,7 +211,7 @@ def _dispatch(argv: Sequence[str]) -> tuple[int, str, str | None]:
     except _UsageError as exc:
         return 2, _failure("usage", message=str(exc)), None
     try:
-        return 0, args.handler(args), args.output
+        return 0, args.handler(args, _load(args.bundle)), args.output
     except _UsageError as exc:
         return 2, _failure("usage", message=str(exc)), args.output
     except CapExceeded as exc:

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -33,6 +35,20 @@ def test_parse_round_trip():
         again = parse_bundle(text)
         assert again == bundle
         assert serialize_bundle(again) == text
+
+
+def test_serialize_names_the_referenced_value_not_an_equal_one():
+    shared = {"types": ["t"], "axioms": []}
+    doc = {
+        "classifications": {"c": {"instances": ["i"], "types": ["t"], "incidence": [["i", "t"]]}},
+        "theories": {"A": shared, "B": shared},
+        "systems": {"s": {"nodes": {"n": {"theory": "B", "classification": "c"}}, "edges": []}},
+    }
+    bundle = parse_bundle(json.dumps(doc))
+    assert bundle.theories["A"] == bundle.theories["B"]
+    text = serialize_bundle(bundle)
+    assert json.loads(text)["systems"]["s"]["nodes"]["n"]["theory"] == "B"
+    assert serialize_bundle(parse_bundle(text)) == text
 
 
 def test_parse_reports_position_on_syntax_error():
@@ -151,6 +167,7 @@ def test_validate_invalid_bundle(tmp_path):
         b'{"classifications": {"c": {"incidence": [["i", "t"]]}}}',
         b"\xff\xfe",  # not UTF-8
         b"[" * 100_000 + b"]" * 100_000,  # deeper than the JSON parser recurses
+        b'{"theories": ' + b"1" * 5_000 + b"}",  # past the interpreter's integer digit limit
     ):
         bad.write_bytes(data)
         status, report = run(["validate", str(bad)])
@@ -338,6 +355,38 @@ def test_consistency_command_clash():
 def test_reports_are_byte_identical_across_runs():
     args = ["integrate", "--system", "vee", str(FIXTURES / "vee.json")]
     assert run(args) == run(args)
+
+
+def test_concurrent_first_runs_agree(tmp_path):
+    from ifk.cli import _build_parser
+
+    bundle = tmp_path / "tiny.json"
+    bundle.write_text('{"theories": {"tiny": {"types": ["h"]}}}')
+    args = ["entails", "--theory", "tiny", "--sequent", "h |- h", str(bundle)]
+    expected = run(args)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for _ in range(200):
+            _build_parser.cache_clear()
+            _build_parser()  # the threads share a parser that has parsed nothing yet
+            barrier, awake, reports = threading.Barrier(4), [], []
+
+            def first_run():
+                barrier.wait()
+                awake.append(True)
+                while len(awake) < 4:  # the barrier wakes its threads one by one
+                    time.sleep(0)
+                reports.append(run(args))
+
+            threads = [threading.Thread(target=first_run) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert reports == [expected] * 4
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_unknown_name_in_bundle():
