@@ -21,11 +21,12 @@ from typing import TYPE_CHECKING
 from .classification import (
     Classification,
     Infomorphism,
+    _bits,
     valid_identifier,
     validate_classification,
 )
 from .errors import BundleError, IfkError
-from .theories import Sequent, SequentTheory, _bits
+from .theories import Sequent, SequentTheory
 
 if TYPE_CHECKING:
     from .integration import InformationSystem

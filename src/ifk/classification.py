@@ -1,10 +1,10 @@
 """Finite classifications and the infomorphisms that link them.
 
 A classification is a finite incidence relation between instances and
-types.  Besides its name indexes it keeps the one bit-mask encoding of
-its incidence, which logics, concept enumeration and the theory lift
-read: sorted types and sorted instances are bit positions, so an intent
-or an extent is one int.  An infomorphism maps types forward and
+types.  The one index it derives is its incidence as bit masks, which
+every reader of the incidence uses: sorted types and sorted instances
+are bit positions, so an intent or an extent is one int, and ``_named``
+turns a mask back into names.  An infomorphism maps types forward and
 instances backward between two classifications so that classification
 is invariant: a source type holds of a pulled-back instance exactly
 when its image holds of the original instance.
@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass, fields
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import DEFAULT_THEORY_TYPE_CAP, CapExceeded, IfkError, ValidationResult
 
@@ -60,42 +60,38 @@ class Classification:
 
     __reduce__ = _reduce_fields
 
-    # Incidence indexes, built on first use and freed with the classification;
-    # equality and hashing read the fields only.
-    @cached_property
-    def _intents(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {i: set() for i in self.instances}
-        for i, t in self._declared_incidence():
-            out[i].add(t)
-        return {i: frozenset(ts) for i, ts in out.items()}
-
-    @cached_property
-    def _extents(self) -> dict[str, frozenset[str]]:
-        out: dict[str, set[str]] = {t: set() for t in self.types}
-        for i, t in self._declared_incidence():
-            out[t].add(i)
-        return {t: frozenset(xs) for t, xs in out.items()}
-
+    # The incidence as masks, built on first use and freed with the
+    # classification; equality and hashing read the fields only.
     @cached_property
     def _masks(self) -> tuple[dict[str, int], dict[str, int]]:
         """Per instance, in sorted order, its intent as a mask over the
         sorted types; per type, in sorted order, its extent as a mask over
-        the sorted instances."""
+        the sorted instances.  A pair naming an undeclared instance or type
+        raises the defect that ``validate_classification`` reports."""
         intents = dict.fromkeys(sorted(self.instances), 0)
         extents = dict.fromkeys(sorted(self.types), 0)
         row = {i: 1 << k for k, i in enumerate(intents)}
         column = {t: 1 << k for k, t in enumerate(extents)}
-        for i, t in self._declared_incidence():
-            intents[i] |= column[t]
-            extents[t] |= row[i]
+        try:
+            for i, t in self.incidence:
+                intents[i] |= column[t]
+                extents[t] |= row[i]
+        except KeyError:
+            raise IfkError(validate_classification(self).defects[0]) from None
         return intents, extents
 
-    def _declared_incidence(self) -> frozenset[tuple[str, str]]:
-        """The incidence, once no pair names an undeclared instance or type
-        (the constructor accepts one; ``validate_classification`` reports it)."""
-        if all(i in self.instances and t in self.types for i, t in self.incidence):
-            return self.incidence
-        raise IfkError(validate_classification(self).defects[0])
+
+def _bits(m: int) -> Iterator[int]:
+    """Positions of the set bits of ``m``, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
+
+
+def _named(names: list[str], m: int) -> frozenset[str]:
+    """The names at the set bits of ``m``: bit k stands for ``names[k]``."""
+    return frozenset(names[k] for k in _bits(m))
 
 
 @dataclass(frozen=True, eq=True)
@@ -144,7 +140,8 @@ def intent(c: Classification, i: str) -> frozenset[str]:
     """All types incident with instance ``i``."""
     if i not in c.instances:
         raise IfkError(f"unknown instance: {i}")
-    return c._intents[i]
+    intents, extents = c._masks
+    return _named(list(extents), intents[i])
 
 
 def extent(c: Classification, types: Iterable[str]) -> frozenset[str]:
@@ -153,8 +150,11 @@ def extent(c: Classification, types: Iterable[str]) -> frozenset[str]:
     unknown = types - c.types
     if unknown:
         raise IfkError(f"unknown type(s): {', '.join(sorted(unknown))}")
-    table = c._extents
-    return c.instances.intersection(*(table[t] for t in types))
+    intents, extents = c._masks
+    m = (1 << len(intents)) - 1
+    for t in types:
+        m &= extents[t]
+    return _named(list(intents), m)
 
 
 def check_infomorphism(f: Infomorphism) -> ValidationResult:
@@ -242,6 +242,8 @@ def lift_to_theory_classification(
     for t in extents:
         subsets += [s + (t,) for s in subsets]
     names = [theory_type_name(s) for s in subsets]
+    if len(set(names)) != required:
+        raise IfkError("theory-type name collision; rename types")
     return Classification(
         name=f"{c.name}.theories",
         instances=c.instances,

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Literal
 
-from .classification import Classification, _reduce_fields, extent
+from .classification import Classification, _bits, _named, _reduce_fields, extent
 from .errors import CONCEPT_TYPE_GUARD, CapExceeded, IfkError
-from .theories import _bits, _columns, _common, _mask
+from .theories import _columns, _common, _mask
 
 
 @dataclass(frozen=True)
@@ -86,8 +86,11 @@ def derive(
         unknown = s - c.instances
         if unknown:
             raise IfkError(f"unknown instance(s): {', '.join(sorted(unknown))}")
-        table = c._intents
-        return c.types.intersection(*(table[i] for i in s))
+        intents, extents = c._masks
+        m = (1 << len(extents)) - 1
+        for i in s:
+            m &= intents[i]
+        return _named(list(extents), m)
     if side == "types":
         return extent(c, s)
     raise IfkError(f"side must be 'instances' or 'types', got {side!r}")
@@ -95,10 +98,6 @@ def derive(
 
 def _concept_key(concept: FormalConcept) -> tuple[int, tuple[str, ...]]:
     return (len(concept.extent), tuple(sorted(concept.extent)))
-
-
-def _names(names: list[str], m: int) -> frozenset[str]:
-    return frozenset(names[k] for k in _bits(m))
 
 
 def concepts(c: Classification) -> tuple[FormalConcept, ...]:
@@ -129,7 +128,7 @@ def concepts(c: Classification) -> tuple[FormalConcept, ...]:
         else:
             break
     found.sort(key=lambda concept: (concept[0].bit_count(), list(_bits(concept[0]))))
-    return tuple(FormalConcept(_names(instances, e), _names(types, b)) for e, b in found)
+    return tuple(FormalConcept(_named(instances, e), _named(types, b)) for e, b in found)
 
 
 def concepts_by_enumeration(c: Classification) -> tuple[FormalConcept, ...]:

@@ -50,12 +50,11 @@ VERDICT_POINTWISE_INCONSISTENT = "pointwise-inconsistent"
 
 
 class _SystemSum(NamedTuple):
-    """A system flowed to its sum: the language colimit, each node theory's
-    image there, the sum theory (the union of the images) and, per node,
-    the sum theory pulled back along the node's cocone leg."""
+    """A system flowed to its sum: the language colimit, the sum theory (each
+    node axiom renamed along its node's cocone leg, so the union of the node
+    theories' images) and, per node, the sum theory pulled back along that leg."""
 
     colimit: LanguageColimit
-    images: Mapping[str, SequentTheory]
     theory: SequentTheory
     handles: Mapping[str, InverseFlowTheory]
 
@@ -158,18 +157,14 @@ class InformationSystem:
     @cached_property
     def _sum(self) -> _SystemSum:
         colim = colimit_language(self.language_diagram())
-        images = {
-            n: direct_flow(colim.cocone[n], self.node_theory[n], colim.types)
-            for n in self.shape.nodes
-        }
-        theory = SequentTheory(
-            colim.types, frozenset().union(*(img.axioms for img in images.values()))
-        )
+        theory = SequentTheory(colim.types, frozenset(
+            a.rename(colim.cocone[n]) for n in self.shape.nodes for a in self.node_theory[n].axioms
+        ))
         handles = {
             n: inverse_flow(colim.cocone[n], theory, self.node_theory[n].types)
             for n in self.shape.nodes
         }
-        return _SystemSum(colim, MappingProxyType(images), theory, MappingProxyType(handles))
+        return _SystemSum(colim, theory, MappingProxyType(handles))
 
 
 def validate_system(s: InformationSystem) -> ValidationResult:
@@ -225,7 +220,7 @@ def integrate(
     node's closure handle but not by its own theory.
     """
     _require_valid(s)
-    colim, _, sum_theory, handles = s._sum
+    colim, sum_theory, handles = s._sum
     deltas: dict[str, tuple[Sequent, ...]] = {}
     for n in sorted(s.shape.nodes):
         t_n = s.node_theory[n]
@@ -265,11 +260,12 @@ def system_entails_at(s: InformationSystem, node: str, q: Sequent) -> bool:
 def system_verdict(s: InformationSystem) -> str:
     """The cosmological verdict of the system, as ``integrate`` reports it."""
     _require_valid(s)
-    if not all(is_consistent(img) for img in s._sum.images.values()):
-        return VERDICT_POINTWISE_INCONSISTENT
-    if is_consistent(s._sum.theory):
+    colim, theory, _ = s._sum
+    if is_consistent(theory):  # then so is each image: its axioms are among the sum's
         return VERDICT_MONOCOSMIC
-    return VERDICT_POLYCOSMIC
+    nodes = sorted(s.shape.nodes)
+    images = (direct_flow(colim.cocone[n], s.node_theory[n], colim.types) for n in nodes)
+    return VERDICT_POLYCOSMIC if all(map(is_consistent, images)) else VERDICT_POINTWISE_INCONSISTENT
 
 
 def is_pointwise_consistent(s: InformationSystem) -> bool:

@@ -18,13 +18,12 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .classification import Classification, Infomorphism, _reduce_fields, intent
+from .classification import Classification, Infomorphism, _named, _reduce_fields, intent
 from .errors import DEFAULT_SEQUENT_CAP, IfkError
 from .flow import direct_flow, inverse_flow
 from .theories import (
     Sequent,
     SequentTheory,
-    _bits,
     _models,
     _require_within,
     _sat,
@@ -65,15 +64,14 @@ class LocalLogic:
         """The instances whose intent violates some axiom, found in one scan;
         the theory's type k is the classification's k-th sorted type."""
         intents, extents = self.classification._masks
-        names = list(intents)
-        bad = _violating(self.theory, list(extents.values()), (1 << len(names)) - 1)
-        return frozenset(names[k] for k in _bits(bad))
+        bad = _violating(self.theory, list(extents.values()), (1 << len(intents)) - 1)
+        return _named(list(intents), bad)
 
 
 def natural_entails(c: Classification, s: Sequent) -> bool:
-    """Virtual form of the natural theory: satisfaction by every instance."""
+    """Virtual form of the natural theory: the logic of <s> has no violators."""
     _require_within(c.types, s)
-    return all(_sat(s.antecedent, s.consequent, x) for x in c._intents.values())
+    return not LocalLogic(c, SequentTheory(c.types, frozenset([s])), frozenset())._violators
 
 
 def natural_logic(c: Classification, cap: int = DEFAULT_SEQUENT_CAP) -> LocalLogic:

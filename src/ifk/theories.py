@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .classification import Classification, _reduce_fields, extent
+from .classification import Classification, _bits, _named, _reduce_fields, extent
 from .errors import DEFAULT_SEQUENT_CAP, CapExceeded, IfkError
 
 MODELS_KEPT = 32  # recent models a compiled theory tries before searching
@@ -112,7 +112,7 @@ class SequentTheory:
         if name != "axioms" or "_masks" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         names, masks = list(self._index), self._masks
-        sides = {m: frozenset(names[k] for k in _bits(m)) for m in {m for p in masks for m in p}}
+        sides = {m: _named(names, m) for m in {m for p in masks for m in p}}
         axioms = self.__dict__["axioms"] = frozenset(Sequent(sides[g], sides[d]) for g, d in masks)
         return axioms
 
@@ -173,14 +173,6 @@ def all_states(types: Iterable[str]) -> Iterator[frozenset[str]]:
 
 # ---------------------------------------------------------------------------
 # mask kernel
-
-def _bits(m: int) -> Iterator[int]:
-    """Positions of the set bits of ``m``, lowest first."""
-    while m:
-        low = m & -m
-        yield low.bit_length() - 1
-        m ^= low
-
 
 def _mask(index: Mapping[str, int], names: Iterable[str]) -> int:
     m = 0
@@ -262,7 +254,7 @@ def _theory_of_masks(names: list[str], states: Iterable[int], cap: int, phase: s
 def satisfying_states(t: SequentTheory) -> list[frozenset[str]]:
     """All states over the language satisfying every axiom (2^|types| scan)."""
     names = list(t._index)
-    return [frozenset(names[k] for k in _bits(x)) for x in _models(t)]
+    return [_named(names, x) for x in _models(t)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,16 @@ from ifk import (
     Classification,
     IfkError,
     Infomorphism,
+    Sequent,
     check_infomorphism,
     compose_infomorphisms,
+    derive,
     extent,
     identity_infomorphism,
     instance_leq,
     intent,
     lift_to_theory_classification,
+    natural_entails,
     validate_classification,
 )
 
@@ -179,6 +182,13 @@ def test_lift_cap(clf_a):
     assert err.value.required == 8
 
 
+def test_lift_refuses_colliding_theory_type_names():
+    # the subset {a, b} and the singleton {a,b} would share one name
+    c = Classification("c", ["i", "j"], ["a", "b", "a,b"], [("i", "a"), ("i", "b"), ("j", "a,b")])
+    with pytest.raises(IfkError, match="theory-type name collision; rename types"):
+        lift_to_theory_classification(c)
+
+
 def test_lift_incidence_is_subset_of_intent(clf_a):
     lifted = lift_to_theory_classification(clf_a)
     # every theory-type an instance falls under is part of its intent
@@ -213,6 +223,45 @@ def test_intent_is_maximal_among_classifying_theories(c):
         for theory in subsets:
             if i in extent(c, theory):
                 assert theory <= intent(c, i)
+
+
+def test_mask_queries_match_plain_scans():
+    rng = random.Random(14)
+    cases = [Classification("empty", [], [], [])]
+    cases += [support.rand_classification(rng, 6, 6) for _ in range(150)]
+    for c in cases:
+        holds = {i: frozenset(t for j, t in c.incidence if j == i) for i in c.instances}
+        for i in c.instances:
+            assert intent(c, i) == holds[i]
+        for k in range(len(c.types) + 1):
+            ts = rng.sample(sorted(c.types), k)
+            expected = frozenset(i for i in c.instances if holds[i].issuperset(ts))
+            assert extent(c, ts) == derive(c, "types", ts) == expected
+        for k in range(len(c.instances) + 1):
+            xs = rng.sample(sorted(c.instances), k)
+            expected = frozenset(t for t in c.types if all((i, t) in c.incidence for i in xs))
+            assert derive(c, "instances", xs) == expected
+        for _ in range(6):
+            s = support.rand_sequent(rng, c.types)
+            expected = not any(
+                s.antecedent <= holds[i] and s.consequent.isdisjoint(holds[i])
+                for i in c.instances
+            )
+            assert natural_entails(c, s) == expected
+
+
+def test_mask_queries_refuse_undeclared_incidence():
+    c = Classification("c", ["i"], ["t"], [("i", "t"), ("j", "t")])
+    queries = (
+        lambda: intent(c, "i"),
+        lambda: extent(c, ["t"]),
+        lambda: derive(c, "instances", ["i"]),
+        lambda: natural_entails(c, Sequent(frozenset(["t"]), frozenset())),
+    )
+    message = r"incidence pair \(j, t\) references undeclared instance j"
+    for query in queries:
+        with pytest.raises(IfkError, match=message):
+            query()
 
 
 def test_classification_is_freed_after_lookups():

@@ -52,6 +52,26 @@ def test_shape_rejects_duplicate_edge_ids():
         ShapeGraph(["a", "b"], [("e", "a", "b"), ("e", "b", "a")])
 
 
+@pytest.mark.parametrize(
+    "node_language, edge_map, message",
+    [
+        ({"a": {"x"}}, {"e": {"x": "y"}}, "no language for node"),
+        ({"a": {"x"}, "b": {"y"}}, {}, "no type function for edge e"),
+        ({"a": {"x", "z"}, "b": {"y"}}, {"e": {"x": "y"}}, "not total on the source language"),
+        ({"a": {"x"}, "b": {"y"}}, {"e": {"x": "w"}}, "lands outside the target language"),
+    ],
+)
+def test_language_diagram_refusals(node_language, edge_map, message):
+    with pytest.raises(IfkError, match=message):
+        LanguageDiagram(ShapeGraph(["a", "b"], [("e", "a", "b")]), node_language, edge_map)
+
+
+def test_colimit_refuses_colliding_class_names():
+    d = LanguageDiagram(ShapeGraph(["a.b", "a"], []), {"a.b": {"c"}, "a": {"b.c"}}, {})
+    with pytest.raises(IfkError, match="class name collision at sum:a.b.c"):
+        colimit_language(d)
+
+
 def test_single_node_colimit_is_renaming():
     d = LanguageDiagram(ShapeGraph(["n"], []), {"n": {"a", "b"}}, {})
     colim = colimit_language(d)
@@ -207,6 +227,63 @@ def test_vee_sum_instances_match_brute_force():
 
     result = verify_channel_covers(ch, d)
     assert result.ok
+
+
+def test_cls_diagram_refusals():
+    c = Classification("c", ["i"], ["t"], [("i", "t")])
+    d = Classification("d", ["j"], ["u"], [])
+    shape = ShapeGraph(["a", "b"], [("e", "a", "b")])
+    good = Infomorphism("e", c, c, {"t": "t"}, {"i": "i"})
+    cases = [
+        ({"a": c}, {"e": good}, "no classification for node"),
+        ({"a": c, "b": c}, {}, "no infomorphism for edge e"),
+        ({"a": c, "b": d}, {"e": good}, "endpoints do not match the shape"),
+        ({"a": c, "b": d}, {"e": Infomorphism("e", c, d, {"t": "u"}, {"j": "i"})},
+         "invariance fails at"),
+    ]
+    for node_cls, edge_info, message in cases:
+        with pytest.raises(IfkError, match=message):
+            ClsDiagram(shape, node_cls, edge_info)
+
+
+def test_sum_refuses_colliding_tuple_names():
+    m = Classification("m", ["p", "p,n.q"], [], [])
+    n = Classification("n", ["r", "q,n.r"], [], [])
+    d = ClsDiagram(ShapeGraph(["m", "n"], []), {"m": m, "n": n}, {})
+    with pytest.raises(IfkError, match="tuple name collision"):
+        sum_classification(d)
+
+
+def incidence_free_diagram() -> ClsDiagram:
+    m = Classification("M", ["m1", "m2"], ["x"], [])
+    o = Classification("O", ["a1", "a2"], ["p"], [])
+    f = Infomorphism("f", m, o, {"x": "p"}, {"a1": "m1", "a2": "m2"})
+    return ClsDiagram(ShapeGraph(["M", "O"], [("f", "M", "O")]), {"M": m, "O": o}, {"f": f})
+
+
+def with_leg_instances(ch: Channel, n: str, instance_map: dict[str, str]) -> Channel:
+    """``ch`` with the instance map of leg ``n`` replaced."""
+    leg = ch.legs[n]
+    replaced = Infomorphism(leg.name, leg.source, ch.core, dict(leg.type_map), instance_map)
+    return Channel(ch.core, {**ch.legs, n: replaced})
+
+
+def test_broken_leg_is_reported_and_its_edges_skipped():
+    d = incidence_free_diagram()
+    ch = sum_classification(d)
+    z = min(ch.core.instances)
+    partial = {b: a for b, a in ch.legs["M"].instance_map.items() if b != z}
+    result = verify_channel_covers(with_leg_instances(ch, "M", partial), d)
+    assert result.defects == (("leg", "M", f"instance map not total, missing: {z}"),)
+
+
+def test_legs_commuting_on_types_only_are_reported():
+    d = incidence_free_diagram()
+    ch = sum_classification(d)
+    swap = {"m1": "m2", "m2": "m1"}
+    swapped = {b: swap[a] for b, a in ch.legs["M"].instance_map.items()}
+    result = verify_channel_covers(with_leg_instances(ch, "M", swapped), d)
+    assert result.defects == tuple(("edge", "f", "instance", z) for z in sorted(ch.core.instances))
 
 
 def test_sum_channel_covers_random_diagrams():

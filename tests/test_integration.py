@@ -79,6 +79,30 @@ def test_system_instance_maps_are_checked():
     assert any(d[2] == "invariance" for d in result.defects)
 
 
+def edge_system(node_cls: dict[str, Classification]) -> InformationSystem:
+    """Nodes ``a`` (type x) and ``b`` (type h) joined by ``e``, which maps
+    x to h and instance j of ``b`` to instance i of ``a``."""
+    return InformationSystem(
+        shape=ShapeGraph(["a", "b"], [("e", "a", "b")]),
+        node_theory={"a": SequentTheory({"x"}, frozenset()), "b": SequentTheory({"h"}, frozenset())},
+        edge_type_map={"e": {"x": "h"}},
+        node_cls=node_cls,
+        edge_instance_map={"e": {"j": "i"}},
+    )
+
+
+def test_instance_map_without_classified_endpoints_is_a_defect():
+    s = edge_system({"a": Classification("c", ["i"], ["x"], [])})
+    assert validate_system(s).defects == (("edge", "e", "instance map without classifications"),)
+
+
+def test_partial_instance_map_is_a_defect():
+    c1 = Classification("c1", ["i"], ["x"], [])
+    c2 = Classification("c2", ["j", "k"], ["h"], [])
+    s = edge_system({"a": c1, "b": c2})
+    assert validate_system(s).defects == (("edge", "e", "instance map not total, missing: k"),)
+
+
 def test_classification_must_match_theory_language():
     c = Classification("c", ["i"], ["x"], [])
     with pytest.raises(IfkError, match="differ"):
@@ -281,6 +305,44 @@ def test_bottom_node_is_pointwise_inconsistent():
     assert not is_pointwise_consistent(s)
     assert not is_polycosmic(s)
     assert integrate(s).verdict == VERDICT_POINTWISE_INCONSISTENT
+
+
+def counted_direct_flow(monkeypatch) -> list:
+    calls = []
+    flow = ifk.integration.direct_flow
+
+    def counted(*args):
+        calls.append(args)
+        return flow(*args)
+
+    monkeypatch.setattr(ifk.integration, "direct_flow", counted)
+    return calls
+
+
+def test_monocosmic_verdict_flows_no_node_theory(monkeypatch, vee):
+    calls = counted_direct_flow(monkeypatch)
+    assert system_verdict(vee) == VERDICT_MONOCOSMIC
+    assert integrate(vee, delta_bound=1).verdict == VERDICT_MONOCOSMIC
+    assert calls == []
+    rng = random.Random(14)
+    monocosmic = 0
+    for _ in range(60):
+        s = support.rand_system(rng)
+        calls.clear()
+        verdict = system_verdict(s)
+        if verdict == VERDICT_MONOCOSMIC:
+            monocosmic += 1
+            assert calls == []
+        else:
+            assert 0 < len(calls) <= len(s.shape.nodes)
+    assert monocosmic > 10
+
+
+def test_clash_verdict_flows_each_node_at_most_once(monkeypatch, clash):
+    calls = counted_direct_flow(monkeypatch)
+    assert system_verdict(clash) == VERDICT_POLYCOSMIC
+    assert len(calls) == len(clash.shape.nodes)
+    assert {args[1] for args in calls} == set(clash.node_theory.values())
 
 
 def test_monocosmic_implies_pointwise():

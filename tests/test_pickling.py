@@ -148,7 +148,7 @@ def test_values_copy_their_fields_only(copier, seed):
     extent(c, c.types)
     lattice_dot(l), meet(l, 0, 0), l.order
     is_complete(logic)
-    kept = ((theory, {"_index", "_masks", "_compiled"}), (c, {"_masks", "_extents"}),
+    kept = ((theory, {"_index", "_masks", "_compiled"}), (c, {"_masks"}),
             (l, {"_sides", "_ups", "order"}))
     for value, derived in kept:
         assert derived <= vars(value).keys()
