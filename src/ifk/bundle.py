@@ -16,7 +16,7 @@ import json
 import operator
 from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Mapping
 
 from .classification import (
     Classification,
@@ -25,7 +25,7 @@ from .classification import (
     valid_identifier,
     validate_classification,
 )
-from .errors import BundleError, IfkError
+from .errors import BundleError, IfkError, _map, _Value
 from .theories import Sequent, SequentTheory
 
 if TYPE_CHECKING:
@@ -34,12 +34,14 @@ if TYPE_CHECKING:
 TOP_LEVEL_KEYS = ("classifications", "theories", "infomorphisms", "systems")
 
 
-@dataclass
-class Bundle:
-    classifications: dict[str, Classification] = field(default_factory=dict)
-    theories: dict[str, SequentTheory] = field(default_factory=dict)
-    infomorphisms: dict[str, Infomorphism] = field(default_factory=dict)
-    systems: dict[str, InformationSystem] = field(default_factory=dict)
+@dataclass(frozen=True)
+class Bundle(_Value):
+    classifications: Mapping[str, Classification] = field(default_factory=dict)
+    theories: Mapping[str, SequentTheory] = field(default_factory=dict)
+    infomorphisms: Mapping[str, Infomorphism] = field(default_factory=dict)
+    systems: Mapping[str, InformationSystem] = field(default_factory=dict)
+    _freeze = dict.fromkeys(TOP_LEVEL_KEYS, _map)
+    __hash__ = None  # type: ignore[assignment]
 
 
 def parse_sequent(literal: str) -> Sequent:
@@ -142,15 +144,13 @@ def parse_bundle(text: str) -> Bundle:
     for key, body in sections.items():
         _expect(isinstance(body, dict), f"{key}: expected an object")
 
-    bundle = Bundle()
+    classifications, theories, infomorphisms, systems = {}, {}, {}, {}
     for name, body in sections["classifications"].items():
         _expect(valid_identifier(name), f"classifications: bad name {name!r}")
-        bundle.classifications[name] = _parse_classification(
-            name, body, f"classifications.{name}"
-        )
+        classifications[name] = _parse_classification(name, body, f"classifications.{name}")
     for name, body in sections["theories"].items():
         _expect(valid_identifier(name), f"theories: bad name {name!r}")
-        bundle.theories[name] = _parse_theory(body, f"theories.{name}")
+        theories[name] = _parse_theory(body, f"theories.{name}")
     for name, body in sections["infomorphisms"].items():
         where = f"infomorphisms.{name}"
         _expect(valid_identifier(name), f"infomorphisms: bad name {name!r}")
@@ -158,13 +158,13 @@ def parse_bundle(text: str) -> Bundle:
         for endpoint in ("source", "target"):
             ref = body.get(endpoint)
             _expect(
-                isinstance(ref, str) and ref in bundle.classifications,
+                isinstance(ref, str) and ref in classifications,
                 f"{where}.{endpoint}: dangling reference to classification {ref!r}",
             )
         info = Infomorphism(
             name=name,
-            source=bundle.classifications[body["source"]],
-            target=bundle.classifications[body["target"]],
+            source=classifications[body["source"]],
+            target=classifications[body["target"]],
             type_map=_str_map(body.get("type_map", {}), f"{where}.type_map"),
             instance_map=_str_map(body.get("instance_map", {}), f"{where}.instance_map"),
         )
@@ -175,15 +175,15 @@ def parse_bundle(text: str) -> Bundle:
         if not result.ok:
             b, t, side = result.defects[0]
             raise BundleError(f"{where}: invariance fails at ({b}, {t}, {side})")
-        bundle.infomorphisms[name] = info
+        infomorphisms[name] = info
     for name, body in sections["systems"].items():
         where = f"systems.{name}"
         _expect(valid_identifier(name), f"systems: bad name {name!r}")
-        bundle.systems[name] = _parse_system(bundle, body, where)
-    return bundle
+        systems[name] = _parse_system(theories, classifications, body, where)
+    return Bundle(classifications, theories, infomorphisms, systems)
 
 
-def _parse_system(bundle: Bundle, raw, where: str) -> InformationSystem:
+def _parse_system(theories: dict, classifications: dict, raw, where: str) -> InformationSystem:
     # systems need the colimit and flow modules; a bundle without them never loads them
     from .diagrams import ShapeGraph
     from .integration import InformationSystem, _require_valid
@@ -198,17 +198,17 @@ def _parse_system(bundle: Bundle, raw, where: str) -> InformationSystem:
         _expect(isinstance(body, dict), f"{where}.nodes.{node}: expected an object")
         tname = body.get("theory")
         _expect(
-            isinstance(tname, str) and tname in bundle.theories,
+            isinstance(tname, str) and tname in theories,
             f"{where}.nodes.{node}: dangling reference to theory {tname!r}",
         )
-        node_theory[node] = bundle.theories[tname]
+        node_theory[node] = theories[tname]
         cname = body.get("classification")
         if cname is not None:
             _expect(
-                isinstance(cname, str) and cname in bundle.classifications,
+                isinstance(cname, str) and cname in classifications,
                 f"{where}.nodes.{node}: dangling reference to classification {cname!r}",
             )
-            node_cls[node] = bundle.classifications[cname]
+            node_cls[node] = classifications[cname]
     edges_raw = raw.get("edges", [])
     _expect(isinstance(edges_raw, list), f"{where}.edges: expected a list")
     edges = []
@@ -333,7 +333,7 @@ def maps_to_obj(f: Infomorphism) -> dict:
     return {"type_map": dict(f.type_map), "instance_map": dict(f.instance_map)}
 
 
-def _name_of(table: dict, value, what: str) -> str:
+def _name_of(table: Mapping, value, what: str) -> str:
     """The bundle's name for ``value``: the same object's, else an equal one's."""
     for same in (operator.is_, operator.eq):
         for name, known in table.items():

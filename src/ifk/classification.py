@@ -13,12 +13,11 @@ when its image holds of the original instance.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .errors import DEFAULT_THEORY_TYPE_CAP, CapExceeded, IfkError, ValidationResult
+from .errors import DEFAULT_THEORY_TYPE_CAP, CapExceeded, IfkError, ValidationResult, _map, _Value
 
 _NOT_IN_IDENTIFIER = re.compile(r"[\s\ud800-\udfff]")  # \s is str.isspace
 
@@ -29,36 +28,14 @@ def valid_identifier(name: str) -> bool:
     return isinstance(name, str) and bool(name) and not _NOT_IN_IDENTIFIER.search(name)
 
 
-def _plain(value):
-    """A read-only map as plain dicts, recursively; pickle cannot copy the views."""
-    if isinstance(value, MappingProxyType):
-        return {k: _plain(v) for k, v in value.items()}
-    return value
-
-
-def _reduce_fields(self):
-    """``__reduce__`` of a frozen dataclass: pickle and deep copy rebuild it
-    through its constructor from its fields (read-only maps as plain
-    dicts, which the constructor freezes again), so nothing it derived on
-    first use is copied."""
-    return type(self), tuple(_plain(getattr(self, f.name)) for f in fields(self))
-
-
 @dataclass(frozen=True)
-class Classification:
+class Classification(_Value):
     name: str
     instances: frozenset[str]
     types: frozenset[str]
     incidence: frozenset[tuple[str, str]]
-
-    def __post_init__(self):
-        object.__setattr__(self, "instances", frozenset(self.instances))
-        object.__setattr__(self, "types", frozenset(self.types))
-        object.__setattr__(
-            self, "incidence", frozenset((i, t) for i, t in self.incidence)
-        )
-
-    __reduce__ = _reduce_fields
+    _freeze = {"instances": frozenset, "types": frozenset,
+               "incidence": lambda pairs: frozenset((i, t) for i, t in pairs)}
 
     # The incidence as masks, built on first use and freed with the
     # classification; equality and hashing read the fields only.
@@ -95,7 +72,7 @@ def _named(names: list[str], m: int) -> frozenset[str]:
 
 
 @dataclass(frozen=True, eq=True)
-class Infomorphism:
+class Infomorphism(_Value):
     """A link between classifications: ``type_map`` is covariant over
     ``source.types``; ``instance_map`` is contravariant over
     ``target.instances``."""
@@ -105,14 +82,8 @@ class Infomorphism:
     target: Classification
     type_map: Mapping[str, str]
     instance_map: Mapping[str, str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "type_map", MappingProxyType(dict(self.type_map)))
-        object.__setattr__(self, "instance_map", MappingProxyType(dict(self.instance_map)))
-
-    # mapping fields make the generated hash unusable; identity by fields is enough
+    _freeze = {"type_map": _map, "instance_map": _map}
     __hash__ = None  # type: ignore[assignment]
-    __reduce__ = _reduce_fields
 
     # The invariance check, run on first use and kept: every field is
     # read-only, so each caller that validates this link reads one result.

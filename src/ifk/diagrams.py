@@ -11,23 +11,22 @@ mediating infomorphism.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .classification import Classification, Infomorphism, _reduce_fields
+from .classification import Classification, Infomorphism
 from .errors import DEFAULT_INSTANCE_CAP, CapExceeded, IfkError, ValidationResult
+from .errors import _map, _maps, _sets, _Value
 
 
 @dataclass(frozen=True)
-class ShapeGraph:
+class ShapeGraph(_Value):
     nodes: frozenset[str]
     edges: frozenset[tuple[str, str, str]]  # (edge id, source node, target node)
+    _freeze = {"nodes": frozenset, "edges": lambda edges: frozenset(tuple(e) for e in edges)}
 
     def __post_init__(self):
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
-        object.__setattr__(self, "edges", frozenset(tuple(e) for e in self.edges))
+        super().__post_init__()
         ids = [e for e, _, _ in self.edges]
         if len(set(ids)) != len(ids):
             raise IfkError("duplicate edge ids in shape graph")
@@ -36,25 +35,16 @@ class ShapeGraph:
                 raise IfkError(f"edge {e} has undeclared endpoint")
 
 
-def _frozen_maps(items) -> Mapping[str, Mapping[str, str]]:
-    """Read-only view of a map of maps, given as (key, inner map) pairs."""
-    return MappingProxyType({k: MappingProxyType(dict(m)) for k, m in items})
-
-
 @dataclass(frozen=True)
-class LanguageDiagram:
+class LanguageDiagram(_Value):
     shape: ShapeGraph
     node_language: Mapping[str, frozenset[str]]
     edge_map: Mapping[str, Mapping[str, str]]
-    __reduce__ = _reduce_fields
+    _freeze = {"node_language": _sets, "edge_map": _maps}
+    __hash__ = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "node_language",
-            MappingProxyType({n: frozenset(ts) for n, ts in self.node_language.items()}),
-        )
-        object.__setattr__(self, "edge_map", _frozen_maps(self.edge_map.items()))
+        super().__post_init__()
         missing = self.shape.nodes - self.node_language.keys()
         if missing:
             raise IfkError(f"no language for node(s): {', '.join(sorted(missing))}")
@@ -70,15 +60,12 @@ class LanguageDiagram:
 
 
 @dataclass(frozen=True)
-class LanguageColimit:
+class LanguageColimit(_Value):
     types: frozenset[str]
     cocone: Mapping[str, Mapping[str, str]]
     members: Mapping[str, frozenset[tuple[str, str]]]
-    __reduce__ = _reduce_fields
-
-    def __post_init__(self):
-        object.__setattr__(self, "cocone", _frozen_maps(self.cocone.items()))
-        object.__setattr__(self, "members", MappingProxyType(dict(self.members)))
+    _freeze = {"types": frozenset, "cocone": _maps, "members": _sets}
+    __hash__ = None  # type: ignore[assignment]
 
 
 def _find(parent: dict, x):
@@ -129,15 +116,15 @@ def colimit_language(d: LanguageDiagram) -> LanguageColimit:
 
 
 @dataclass(frozen=True)
-class ClsDiagram:
+class ClsDiagram(_Value):
     shape: ShapeGraph
     node_cls: Mapping[str, Classification]
     edge_info: Mapping[str, Infomorphism]
-    __reduce__ = _reduce_fields
+    _freeze = {"node_cls": _map, "edge_info": _map}
+    __hash__ = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        object.__setattr__(self, "node_cls", MappingProxyType(dict(self.node_cls)))
-        object.__setattr__(self, "edge_info", MappingProxyType(dict(self.edge_info)))
+        super().__post_init__()
         missing = self.shape.nodes - self.node_cls.keys()
         if missing:
             raise IfkError(f"no classification for node(s): {', '.join(sorted(missing))}")
@@ -155,18 +142,16 @@ class ClsDiagram:
         return LanguageDiagram(
             self.shape,
             {n: c.types for n, c in self.node_cls.items()},
-            {e: dict(f.type_map) for e, f in self.edge_info.items()},
+            {e: f.type_map for e, f in self.edge_info.items()},
         )
 
 
 @dataclass(frozen=True)
-class Channel:
+class Channel(_Value):
     core: Classification
     legs: Mapping[str, Infomorphism]
-    __reduce__ = _reduce_fields
-
-    def __post_init__(self):
-        object.__setattr__(self, "legs", MappingProxyType(dict(self.legs)))
+    _freeze = {"legs": _map}
+    __hash__ = None  # type: ignore[assignment]
 
 
 def tuple_instance_name(components: Mapping[str, str]) -> str:
@@ -247,10 +232,11 @@ def sum_classification(d: ClsDiagram, instance_cap: int = DEFAULT_INSTANCE_CAP) 
     node.  Either limit stops the enumeration where it is reached, so the
     size it reports is a lower bound.
     """
-    found = _compatible_tuples(d, instance_cap * len(d.shape.nodes))
-    tuples = list(itertools.islice(found, instance_cap + 1))
-    if len(tuples) > instance_cap:
-        raise CapExceeded("sum classification instances (lower bound)", len(tuples), instance_cap)
+    tuples = []
+    for tup in _compatible_tuples(d, instance_cap * len(d.shape.nodes)):
+        tuples.append(tup)
+        if len(tuples) > instance_cap:
+            raise CapExceeded("sum classification instances (lower bound)", len(tuples), instance_cap)
     colim = colimit_language(d.language_diagram())
     names = [tuple_instance_name(tup) for tup in tuples]
     if len(set(names)) != len(names):
@@ -273,7 +259,7 @@ def sum_classification(d: ClsDiagram, instance_cap: int = DEFAULT_INSTANCE_CAP) 
             name=f"leg:{n}",
             source=d.node_cls[n],
             target=core,
-            type_map=dict(colim.cocone[n]),
+            type_map=colim.cocone[n],
             instance_map={name: tup[n] for name, tup in zip(names, tuples)},
         )
         for n in d.shape.nodes

@@ -1,8 +1,15 @@
-"""Shared error and validation-result types."""
+"""Shared error types, the value base type and validation results.
+
+Every dataclass in ``ifk`` is frozen and derives ``_Value``: a class
+names in ``_freeze`` the fields to store converted (to frozensets,
+tuples or read-only maps), and every value copies through its
+constructor, so a copy carries nothing its original derived.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from types import MappingProxyType
 
 # Default caps and bounds, kept here so a caller can read them without
 # importing the module that enforces them.
@@ -44,8 +51,48 @@ class BundleError(IfkError):
         super().__init__(message)
 
 
+def _plain(value):
+    """A read-only map as plain dicts, recursively; pickle cannot copy the views."""
+    if isinstance(value, MappingProxyType):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
+
+
+def _map(m) -> MappingProxyType:
+    """A read-only copy of a map."""
+    return MappingProxyType(dict(m))
+
+
+def _maps(m) -> MappingProxyType:
+    """A read-only copy of a map of maps."""
+    return MappingProxyType({k: MappingProxyType(dict(v)) for k, v in m.items()})
+
+
+def _sets(m) -> MappingProxyType:
+    """A read-only copy of a map of sets, each a frozenset."""
+    return MappingProxyType({k: frozenset(v) for k, v in m.items()})
+
+
+class _Value:
+    """Base of every ``ifk`` dataclass: each field named in the class's
+    ``_freeze`` table is stored as that field's converter makes it, and
+    pickle and deep copy rebuild the value through its constructor from
+    its fields (read-only maps as plain dicts, which it freezes again).
+    A value with a map field sets ``__hash__ = None``: the hash a
+    dataclass generates cannot hash a read-only map."""
+
+    _freeze = {}  # no annotation: an annotated table would be a field
+
+    def __post_init__(self):
+        for name, convert in self._freeze.items():
+            object.__setattr__(self, name, convert(getattr(self, name)))
+
+    def __reduce__(self):
+        return type(self), tuple(_plain(getattr(self, f.name)) for f in fields(self))
+
+
 @dataclass(frozen=True)
-class ValidationResult:
+class ValidationResult(_Value):
     """Outcome of a checker: defects are data, not failures.
 
     The shape of each defect is documented by the checker that produced it
@@ -54,6 +101,7 @@ class ValidationResult:
 
     ok: bool
     defects: tuple = ()
+    _freeze = {"defects": tuple}
 
     def __bool__(self) -> bool:
         return self.ok

@@ -25,26 +25,22 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Literal
 
-from .classification import Classification, _bits, _named, _reduce_fields, extent
-from .errors import CONCEPT_TYPE_GUARD, CapExceeded, IfkError
+from .classification import Classification, _bits, _named, extent
+from .errors import CONCEPT_TYPE_GUARD, CapExceeded, IfkError, _Value
 from .theories import _columns, _common, _mask
 
 
 @dataclass(frozen=True)
-class FormalConcept:
+class FormalConcept(_Value):
     extent: frozenset[str]
     intent: frozenset[str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "extent", frozenset(self.extent))
-        object.__setattr__(self, "intent", frozenset(self.intent))
+    _freeze = {"extent": frozenset, "intent": frozenset}
 
 
 @dataclass(frozen=True)
-class ConceptLattice:
+class ConceptLattice(_Value):
     concepts: tuple[FormalConcept, ...]
-
-    __reduce__ = _reduce_fields
+    _freeze = {"concepts": tuple}
 
     # Derived on first use from the concepts, which alone fix equality
     # and hashing.

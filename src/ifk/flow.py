@@ -14,11 +14,10 @@ instances matter (borrowing).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
-from .classification import Classification, Infomorphism, _reduce_fields
-from .errors import DEFAULT_SEQUENT_CAP, IfkError, ValidationResult
+from .classification import Classification, Infomorphism
+from .errors import DEFAULT_SEQUENT_CAP, IfkError, ValidationResult, _map, _Value
 from .theories import (
     FlatTheory,
     Sequent,
@@ -51,7 +50,7 @@ def direct_flow(
 
 
 @dataclass(frozen=True, eq=False)
-class InverseFlowTheory:
+class InverseFlowTheory(_Value):
     """Query view of a theory pulled back along a type map.
 
     Axioms are never stored; entailment of a source sequent is answered
@@ -64,11 +63,10 @@ class InverseFlowTheory:
     type_map: Mapping[str, str]
     target: SequentTheory
     types: frozenset[str]  # the source language
-    __reduce__ = _reduce_fields
+    _freeze = {"type_map": _map, "types": frozenset}
 
     def __post_init__(self):
-        object.__setattr__(self, "type_map", MappingProxyType(dict(self.type_map)))
-        object.__setattr__(self, "types", frozenset(self.types))
+        super().__post_init__()
         _require_total(self.type_map, self.types, self.target.types)
 
     def entails(self, s: Sequent) -> bool:

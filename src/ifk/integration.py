@@ -15,24 +15,20 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .classification import Classification, Infomorphism, _reduce_fields
-from .diagrams import (
-    ClsDiagram,
-    LanguageColimit,
-    LanguageDiagram,
-    ShapeGraph,
-    _frozen_maps,
-    colimit_language,
-)
+from .classification import Classification, Infomorphism
+from .diagrams import ClsDiagram, LanguageColimit, LanguageDiagram, ShapeGraph, colimit_language
 from .errors import (
     DEFAULT_DELTA_BOUND,
     DEFAULT_SEQUENT_CAP,
     CapExceeded,
     IfkError,
     ValidationResult,
+    _map,
+    _maps,
+    _sets,
+    _Value,
 )
 from .flow import InverseFlowTheory, check_theory_morphism, direct_flow, inverse_flow
 from .theories import (
@@ -60,27 +56,22 @@ class _SystemSum(NamedTuple):
 
 
 @dataclass(frozen=True)
-class InformationSystem:
+class InformationSystem(_Value):
     shape: ShapeGraph
     node_theory: Mapping[str, SequentTheory]
     edge_type_map: Mapping[str, Mapping[str, str]]
     node_cls: Mapping[str, Classification | None] = field(default_factory=dict)
     edge_instance_map: Mapping[str, Mapping[str, str] | None] = field(default_factory=dict)
-    __reduce__ = _reduce_fields
+    _freeze = {  # a node or an edge given None has no classification or instance map
+        "node_theory": _map,
+        "edge_type_map": _maps,
+        "node_cls": lambda m: _map({n: c for n, c in m.items() if c is not None}),
+        "edge_instance_map": lambda m: _maps({e: f for e, f in m.items() if f is not None}),
+    }
+    __hash__ = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        object.__setattr__(self, "node_theory", MappingProxyType(dict(self.node_theory)))
-        object.__setattr__(self, "edge_type_map", _frozen_maps(self.edge_type_map.items()))
-        object.__setattr__(
-            self,
-            "node_cls",
-            MappingProxyType({n: c for n, c in self.node_cls.items() if c is not None}),
-        )
-        object.__setattr__(
-            self,
-            "edge_instance_map",
-            _frozen_maps((e, m) for e, m in self.edge_instance_map.items() if m is not None),
-        )
+        super().__post_init__()
         missing = self.shape.nodes - self.node_theory.keys()
         if missing:
             raise IfkError(f"no theory for node(s): {', '.join(sorted(missing))}")
@@ -117,7 +108,7 @@ class InformationSystem:
     @cached_property
     def _infomorphisms(self) -> Mapping[str, Infomorphism]:
         """One infomorphism per edge whose instance map joins two classified nodes."""
-        return MappingProxyType({
+        return _map({
             e: Infomorphism(
                 name=e,
                 source=self.node_cls[src],
@@ -164,7 +155,7 @@ class InformationSystem:
             n: inverse_flow(colim.cocone[n], theory, self.node_theory[n].types)
             for n in self.shape.nodes
         }
-        return _SystemSum(colim, theory, MappingProxyType(handles))
+        return _SystemSum(colim, theory, _map(handles))
 
 
 def validate_system(s: InformationSystem) -> ValidationResult:
@@ -174,7 +165,7 @@ def validate_system(s: InformationSystem) -> ValidationResult:
 
 
 @dataclass(frozen=True)
-class IntegrationResult:
+class IntegrationResult(_Value):
     sum_types: frozenset[str]
     cocone: Mapping[str, Mapping[str, str]]
     sum_members: Mapping[str, frozenset[tuple[str, str]]]
@@ -182,12 +173,14 @@ class IntegrationResult:
     closure_handles: Mapping[str, InverseFlowTheory]
     deltas: Mapping[str, tuple[Sequent, ...]]
     verdict: str
-    __reduce__ = _reduce_fields
-
-    def __post_init__(self):
-        object.__setattr__(self, "cocone", _frozen_maps(self.cocone.items()))
-        for name in ("sum_members", "closure_handles", "deltas"):
-            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+    _freeze = {
+        "sum_types": frozenset,
+        "cocone": _maps,
+        "sum_members": _sets,
+        "closure_handles": _map,
+        "deltas": lambda m: _map({n: tuple(found) for n, found in m.items()}),
+    }
+    __hash__ = None  # type: ignore[assignment]
 
 
 def _require_valid(s: InformationSystem) -> None:

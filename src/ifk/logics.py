@@ -18,8 +18,8 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .classification import Classification, Infomorphism, _named, _reduce_fields, intent
-from .errors import DEFAULT_SEQUENT_CAP, IfkError
+from .classification import Classification, Infomorphism, _named, intent
+from .errors import DEFAULT_SEQUENT_CAP, IfkError, _Value
 from .flow import direct_flow, inverse_flow
 from .theories import (
     Sequent,
@@ -35,13 +35,14 @@ from .theories import (
 
 
 @dataclass(frozen=True)
-class LocalLogic:
+class LocalLogic(_Value):
     classification: Classification
     theory: SequentTheory
     normal: frozenset[str]
+    _freeze = {"normal": frozenset}
 
     def __post_init__(self):
-        object.__setattr__(self, "normal", frozenset(self.normal))
+        super().__post_init__()
         if self.theory.types != self.classification.types:
             raise IfkError("logic theory must share the classification's types")
         stray = self.normal - self.classification.instances
@@ -54,8 +55,6 @@ class LocalLogic:
             broken = (a for a in self.theory.axioms if not _sat(a.antecedent, a.consequent, holds))
             a = min(broken, key=sequent_key)
             raise IfkError(f"normal instance {i} violates axiom {a!r}")
-
-    __reduce__ = _reduce_fields
 
     # Derived once per logic from its fields; equality and hashing read
     # the fields only.

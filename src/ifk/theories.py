@@ -35,19 +35,19 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .classification import Classification, _bits, _named, _reduce_fields, extent
-from .errors import DEFAULT_SEQUENT_CAP, CapExceeded, IfkError
+from .classification import Classification, _bits, _named, extent
+from .errors import DEFAULT_SEQUENT_CAP, CapExceeded, IfkError, _Value
 
 MODELS_KEPT = 32  # recent models a compiled theory tries before searching
 
 
 @dataclass(frozen=True)
-class Sequent:
+class Sequent(_Value):
     antecedent: frozenset[str]
     consequent: frozenset[str]
 
     def __post_init__(self):
-        # materializations pass shared frozensets, which need no copy
+        # materialized axioms and integrate's bounded candidates need no copy
         if type(self.antecedent) is not frozenset or type(self.consequent) is not frozenset:
             object.__setattr__(self, "antecedent", _names(self.antecedent, "sequent side"))
             object.__setattr__(self, "consequent", _names(self.consequent, "sequent side"))
@@ -81,7 +81,7 @@ def sequent_key(s: Sequent) -> tuple[tuple[str, ...], tuple[str, ...]]:
 
 
 @dataclass(frozen=True)
-class SequentTheory:
+class SequentTheory(_Value):
     types: frozenset[str]
     axioms: frozenset[Sequent]
 
@@ -94,8 +94,6 @@ class SequentTheory:
         if not all(side <= self.types for side in sides):
             a = next(a for a in self.axioms if not a.types() <= self.types)
             raise IfkError(f"axiom {a!r} uses types outside the language")
-
-    __reduce__ = _reduce_fields  # the engine holds a lock; a copy builds its own
 
     def __eq__(self, other):
         if type(other) is not SequentTheory:
@@ -137,7 +135,7 @@ class SequentTheory:
 
 
 @dataclass(frozen=True)
-class FlatTheory:
+class FlatTheory(_Value):
     types: frozenset[str]
     members: frozenset[str]
 

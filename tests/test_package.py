@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).parent.parent / "src" / "ifk"
+README = SRC.parent.parent / "README.md"
 
 
 def test_library_imports_only_the_standard_library():
@@ -106,3 +107,18 @@ def test_lazy_exports_keep_the_public_names():
     assert ifk.theories.Sequent is ifk.Sequent
     with pytest.raises(AttributeError, match="nope"):
         ifk.nope
+
+
+def test_readme_example_gives_the_results_its_comments_state():
+    section = README.read_text(encoding="utf-8").split("## Library at a glance", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace, results = {}, {}
+    for node in ast.parse(block).body:  # each bare expression's value, by its source
+        code = ast.get_source_segment(block, node)
+        if isinstance(node, ast.Expr):
+            results[code] = eval(code, namespace)
+        else:
+            exec(code, namespace)
+    assert results['intent(clf, "aristotle")'] == {"human", "philosopher"}
+    assert results['entails(t, Sequent(frozenset(), {"p", "h"}))'] is False
+    assert len(results["concepts(clf)"]) == 4

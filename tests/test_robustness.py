@@ -91,3 +91,22 @@ def test_mutated_bundles_never_end_as_internal_errors(tmp_path):
     print(f"mutated bundles: {3 * MUTATIONS_PER_FIXTURE}, command outcomes {dict(outcomes)}")
     # the mutations reach past the parser: some inputs stay valid, some fail later checks
     assert outcomes["ok"] and outcomes["bundle"] and outcomes["invalid"]
+
+
+SIZES = ["0", "1", str(2**63 - 1), str(10**20)]  # 2^63 - 1 is sys.maxsize on 64-bit builds
+
+
+def test_size_flags_at_any_value_end_with_a_json_report():
+    bundle = str(FIXTURES / "classics.json")
+    for size in SIZES:
+        for argv in (
+            ["close", "--theory", "classical", "--cap", size, bundle],
+            ["integrate", "--system", "solo", "--cap", size, bundle],
+            ["integrate", "--system", "solo", "--delta-bound", size, bundle],
+            ["sum", "--system", "solo", "--instance-cap", size, bundle],
+        ):
+            status, report = run(argv)
+            assert status in (0, 1, 2), argv
+            error = json.loads(report).get("error")
+            assert (status == 0) == (error is None), (argv, report)
+            assert error is None or error["kind"] in EXPECTED_KINDS, (argv, report)
