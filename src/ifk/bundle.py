@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import operator
 from json.encoder import encode_basestring_ascii as _quote
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 from .classification import (
@@ -34,12 +33,11 @@ if TYPE_CHECKING:
 TOP_LEVEL_KEYS = ("classifications", "theories", "infomorphisms", "systems")
 
 
-@dataclass(frozen=True)
 class Bundle(_Value):
-    classifications: Mapping[str, Classification] = field(default_factory=dict)
-    theories: Mapping[str, SequentTheory] = field(default_factory=dict)
-    infomorphisms: Mapping[str, Infomorphism] = field(default_factory=dict)
-    systems: Mapping[str, InformationSystem] = field(default_factory=dict)
+    classifications: Mapping[str, Classification] = _map({})
+    theories: Mapping[str, SequentTheory] = _map({})
+    infomorphisms: Mapping[str, Infomorphism] = _map({})
+    systems: Mapping[str, InformationSystem] = _map({})
     _freeze = dict.fromkeys(TOP_LEVEL_KEYS, _map)
     __hash__ = None  # type: ignore[assignment]
 

@@ -13,7 +13,6 @@ when its image holds of the original instance.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
@@ -28,7 +27,6 @@ def valid_identifier(name: str) -> bool:
     return isinstance(name, str) and bool(name) and not _NOT_IN_IDENTIFIER.search(name)
 
 
-@dataclass(frozen=True)
 class Classification(_Value):
     name: str
     instances: frozenset[str]
@@ -71,7 +69,6 @@ def _named(names: list[str], m: int) -> frozenset[str]:
     return frozenset(names[k] for k in _bits(m))
 
 
-@dataclass(frozen=True, eq=True)
 class Infomorphism(_Value):
     """A link between classifications: ``type_map`` is covariant over
     ``source.types``; ``instance_map`` is contravariant over

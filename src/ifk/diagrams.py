@@ -11,7 +11,6 @@ mediating infomorphism.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Mapping
 
 from .classification import Classification, Infomorphism
@@ -19,14 +18,12 @@ from .errors import DEFAULT_INSTANCE_CAP, CapExceeded, IfkError, ValidationResul
 from .errors import _map, _maps, _sets, _Value
 
 
-@dataclass(frozen=True)
 class ShapeGraph(_Value):
     nodes: frozenset[str]
     edges: frozenset[tuple[str, str, str]]  # (edge id, source node, target node)
     _freeze = {"nodes": frozenset, "edges": lambda edges: frozenset(tuple(e) for e in edges)}
 
     def __post_init__(self):
-        super().__post_init__()
         ids = [e for e, _, _ in self.edges]
         if len(set(ids)) != len(ids):
             raise IfkError("duplicate edge ids in shape graph")
@@ -35,7 +32,6 @@ class ShapeGraph(_Value):
                 raise IfkError(f"edge {e} has undeclared endpoint")
 
 
-@dataclass(frozen=True)
 class LanguageDiagram(_Value):
     shape: ShapeGraph
     node_language: Mapping[str, frozenset[str]]
@@ -44,7 +40,6 @@ class LanguageDiagram(_Value):
     __hash__ = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        super().__post_init__()
         missing = self.shape.nodes - self.node_language.keys()
         if missing:
             raise IfkError(f"no language for node(s): {', '.join(sorted(missing))}")
@@ -59,7 +54,6 @@ class LanguageDiagram(_Value):
                 raise IfkError(f"edge {e}: type function lands outside the target language")
 
 
-@dataclass(frozen=True)
 class LanguageColimit(_Value):
     types: frozenset[str]
     cocone: Mapping[str, Mapping[str, str]]
@@ -115,7 +109,6 @@ def colimit_language(d: LanguageDiagram) -> LanguageColimit:
     return LanguageColimit(frozenset(members), cocone, members)
 
 
-@dataclass(frozen=True)
 class ClsDiagram(_Value):
     shape: ShapeGraph
     node_cls: Mapping[str, Classification]
@@ -124,7 +117,6 @@ class ClsDiagram(_Value):
     __hash__ = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        super().__post_init__()
         missing = self.shape.nodes - self.node_cls.keys()
         if missing:
             raise IfkError(f"no classification for node(s): {', '.join(sorted(missing))}")
@@ -146,7 +138,6 @@ class ClsDiagram(_Value):
         )
 
 
-@dataclass(frozen=True)
 class Channel(_Value):
     core: Classification
     legs: Mapping[str, Infomorphism]

@@ -1,14 +1,15 @@
 """Shared error types, the value base type and validation results.
 
-Every dataclass in ``ifk`` is frozen and derives ``_Value``: a class
-names in ``_freeze`` the fields to store converted (to frozensets,
-tuples or read-only maps), and every value copies through its
-constructor, so a copy carries nothing its original derived.
+Every value in ``ifk`` derives ``_Value``: its constructor, equality,
+hash and repr come from the fields its class annotates, it stores the
+fields its ``_freeze`` table names converted (to frozensets, tuples or
+read-only maps), and it copies through its constructor, so a copy
+carries nothing its original derived.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from operator import attrgetter
 from types import MappingProxyType
 
 # Default caps and bounds, kept here so a caller can read them without
@@ -73,25 +74,66 @@ def _sets(m) -> MappingProxyType:
     return MappingProxyType({k: frozenset(v) for k, v in m.items()})
 
 
-class _Value:
-    """Base of every ``ifk`` dataclass: each field named in the class's
-    ``_freeze`` table is stored as that field's converter makes it, and
-    pickle and deep copy rebuild the value through its constructor from
-    its fields (read-only maps as plain dicts, which it freezes again).
-    A value with a map field sets ``__hash__ = None``: the hash a
-    dataclass generates cannot hash a read-only map."""
+_set_field = object.__setattr__  # values refuse assignment; fields stay inline, fast to read
 
-    _freeze = {}  # no annotation: an annotated table would be a field
+
+class _Value:
+    """Base of every ``ifk`` value.  A class annotates its fields in
+    order, with class-level defaults where it has them, and unless it
+    defines its own gets an ``__init__`` taking them by position or
+    keyword, ``__eq__`` and ``__hash__`` over the field tuple and a
+    ``Cls(f=..., g=...)`` repr.  A class with a map field sets
+    ``__hash__ = None``: a read-only map cannot be hashed.  No value can
+    be assigned or lose an attribute; what it derives on first use goes
+    straight into its ``__dict__``.  Pickle and deep copy rebuild a value
+    through its constructor (read-only maps as plain dicts)."""
+
+    _fields, _defaults, _freeze = (), {}, {}  # unannotated: not fields
+
+    def __init_subclass__(cls):
+        names = cls._fields = tuple(cls.__annotations__)  # strings: only the names are read
+        cls._defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+        get = attrgetter(*names)
+        key = get if len(names) > 1 else lambda value: (get(value),)
+
+        def __eq__(self, other):
+            return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+        def __hash__(self):
+            return hash(key(self))
+
+        for name, method in (("__eq__", __eq__), ("__hash__", __hash__)):
+            if name not in cls.__dict__:
+                setattr(cls, name, method)
+
+    def __init__(self, *args, **kwargs):
+        names, freeze = self._fields, self._freeze
+        if kwargs or len(args) != len(names):  # keywords or defaults: bind by name
+            given = dict(zip(names, args))
+            values = {**self._defaults, **given, **kwargs}
+            if len(args) > len(names) or given.keys() & kwargs.keys() or values.keys() != set(names):
+                raise TypeError(f"{type(self).__name__}() takes the fields {', '.join(names)}")
+            args = [values[name] for name in names]
+        for name, value in zip(names, args):
+            _set_field(self, name, freeze[name](value) if name in freeze else value)
+        self.__post_init__()
 
     def __post_init__(self):
-        for name, convert in self._freeze.items():
-            object.__setattr__(self, name, convert(getattr(self, name)))
+        """The checks a class runs on its fields once they are set."""
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
     def __reduce__(self):
-        return type(self), tuple(_plain(getattr(self, f.name)) for f in fields(self))
+        return type(self), tuple(_plain(getattr(self, name)) for name in self._fields)
 
 
-@dataclass(frozen=True)
 class ValidationResult(_Value):
     """Outcome of a checker: defects are data, not failures.
 

@@ -21,23 +21,23 @@ above none of the others.  Names are converted only at the boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Literal
 
 from .classification import Classification, _bits, _named, extent
-from .errors import CONCEPT_TYPE_GUARD, CapExceeded, IfkError, _Value
+from .errors import CONCEPT_TYPE_GUARD, CapExceeded, IfkError, _set_field, _Value
 from .theories import _columns, _common, _mask
 
 
-@dataclass(frozen=True)
 class FormalConcept(_Value):
     extent: frozenset[str]
     intent: frozenset[str]
-    _freeze = {"extent": frozenset, "intent": frozenset}
+
+    def __init__(self, extent: Iterable[str], intent: Iterable[str]):
+        _set_field(self, "extent", frozenset(extent))
+        _set_field(self, "intent", frozenset(intent))
 
 
-@dataclass(frozen=True)
 class ConceptLattice(_Value):
     concepts: tuple[FormalConcept, ...]
     _freeze = {"concepts": tuple}

@@ -13,7 +13,6 @@ instances matter (borrowing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .classification import Classification, Infomorphism
@@ -49,7 +48,6 @@ def direct_flow(
     return SequentTheory(target_types, frozenset(a.rename(type_map) for a in t.axioms))
 
 
-@dataclass(frozen=True, eq=False)
 class InverseFlowTheory(_Value):
     """Query view of a theory pulled back along a type map.
 
@@ -64,9 +62,9 @@ class InverseFlowTheory(_Value):
     target: SequentTheory
     types: frozenset[str]  # the source language
     _freeze = {"type_map": _map, "types": frozenset}
+    __eq__, __hash__ = object.__eq__, object.__hash__  # a view: compared by identity
 
     def __post_init__(self):
-        super().__post_init__()
         _require_total(self.type_map, self.types, self.target.types)
 
     def entails(self, s: Sequent) -> bool:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
@@ -55,13 +54,12 @@ class _SystemSum(NamedTuple):
     handles: Mapping[str, InverseFlowTheory]
 
 
-@dataclass(frozen=True)
 class InformationSystem(_Value):
     shape: ShapeGraph
     node_theory: Mapping[str, SequentTheory]
     edge_type_map: Mapping[str, Mapping[str, str]]
-    node_cls: Mapping[str, Classification | None] = field(default_factory=dict)
-    edge_instance_map: Mapping[str, Mapping[str, str] | None] = field(default_factory=dict)
+    node_cls: Mapping[str, Classification | None] = _map({})
+    edge_instance_map: Mapping[str, Mapping[str, str] | None] = _map({})
     _freeze = {  # a node or an edge given None has no classification or instance map
         "node_theory": _map,
         "edge_type_map": _maps,
@@ -71,7 +69,6 @@ class InformationSystem(_Value):
     __hash__ = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        super().__post_init__()
         missing = self.shape.nodes - self.node_theory.keys()
         if missing:
             raise IfkError(f"no theory for node(s): {', '.join(sorted(missing))}")
@@ -164,7 +161,6 @@ def validate_system(s: InformationSystem) -> ValidationResult:
     return s._validation
 
 
-@dataclass(frozen=True)
 class IntegrationResult(_Value):
     sum_types: frozenset[str]
     cocone: Mapping[str, Mapping[str, str]]

@@ -15,7 +15,6 @@ normalized logic shares them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .classification import Classification, Infomorphism, _named, intent
@@ -34,7 +33,6 @@ from .theories import (
 )
 
 
-@dataclass(frozen=True)
 class LocalLogic(_Value):
     classification: Classification
     theory: SequentTheory
@@ -42,7 +40,6 @@ class LocalLogic(_Value):
     _freeze = {"normal": frozenset}
 
     def __post_init__(self):
-        super().__post_init__()
         if self.theory.types != self.classification.types:
             raise IfkError("logic theory must share the classification's types")
         stray = self.normal - self.classification.instances

@@ -31,26 +31,34 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .classification import Classification, _bits, _named, extent
-from .errors import DEFAULT_SEQUENT_CAP, CapExceeded, IfkError, _Value
+from .errors import DEFAULT_SEQUENT_CAP, CapExceeded, IfkError, _set_field, _Value
 
 MODELS_KEPT = 32  # recent models a compiled theory tries before searching
 
 
-@dataclass(frozen=True)
 class Sequent(_Value):
     antecedent: frozenset[str]
     consequent: frozenset[str]
 
-    def __post_init__(self):
+    def __init__(self, antecedent: Iterable[str], consequent: Iterable[str]):
         # materialized axioms and integrate's bounded candidates need no copy
-        if type(self.antecedent) is not frozenset or type(self.consequent) is not frozenset:
-            object.__setattr__(self, "antecedent", _names(self.antecedent, "sequent side"))
-            object.__setattr__(self, "consequent", _names(self.consequent, "sequent side"))
+        if type(antecedent) is not frozenset or type(consequent) is not frozenset:
+            antecedent, consequent = (_names(s, "sequent side") for s in (antecedent, consequent))
+        _set_field(self, "antecedent", antecedent)
+        _set_field(self, "consequent", consequent)
+
+    # spelled out, as the constructor is: sets of sequents compare and hash these
+    def __eq__(self, other):
+        if other.__class__ is Sequent:
+            return self.antecedent == other.antecedent and self.consequent == other.consequent
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.antecedent, self.consequent))
 
     def types(self) -> frozenset[str]:
         return self.antecedent | self.consequent
@@ -80,15 +88,12 @@ def sequent_key(s: Sequent) -> tuple[tuple[str, ...], tuple[str, ...]]:
     return (tuple(sorted(s.antecedent)), tuple(sorted(s.consequent)))
 
 
-@dataclass(frozen=True)
 class SequentTheory(_Value):
     types: frozenset[str]
     axioms: frozenset[Sequent]
+    _freeze = {"types": lambda types: _names(types, "language"), "axioms": frozenset}
 
     def __post_init__(self):
-        if type(self.types) is not frozenset:
-            object.__setattr__(self, "types", _names(self.types, "language"))
-        object.__setattr__(self, "axioms", frozenset(self.axioms))
         # each distinct side is checked once; materialized axioms share theirs
         sides = {a.antecedent for a in self.axioms} | {a.consequent for a in self.axioms}
         if not all(side <= self.types for side in sides):
@@ -134,15 +139,13 @@ class SequentTheory(_Value):
         return CompiledTheory(self)
 
 
-@dataclass(frozen=True)
 class FlatTheory(_Value):
     types: frozenset[str]
     members: frozenset[str]
+    _freeze = {"types": lambda types: _names(types, "language"),
+               "members": lambda members: _names(members, "flat theory members")}
 
     def __post_init__(self):
-        if type(self.types) is not frozenset or type(self.members) is not frozenset:
-            object.__setattr__(self, "types", _names(self.types, "language"))
-            object.__setattr__(self, "members", _names(self.members, "flat theory members"))
         if not self.members <= self.types:
             raise IfkError("flat theory members must be drawn from its types")
 
@@ -509,8 +512,17 @@ def theory_leq(t1: SequentTheory, t2: SequentTheory) -> bool:
     """``t1`` is at or below ``t2``: every axiom of ``t2`` is a theorem of ``t1``."""
     if t1.types != t2.types:
         raise IfkError("language mismatch: theories are ordered over a shared language")
-    # equal languages, so t2's masks are over t1's index
-    return not any(t1._compiled.refutes(g, d) for g, d in t2._masks)
+    # t2's masks are over t1's index.  An axiom of t2 with an axiom of t2
+    # one type smaller on either side follows from that one by weakening;
+    # descending so ends at an axiom that is checked.
+    masks, held = t2._masks, set(t2._masks)
+    return not any(
+        t1._compiled.refutes(g, d)
+        for g, d in masks
+        if not g & d  # a tautology holds in every theory
+        and not any((g ^ (1 << k), d) in held for k in _bits(g))
+        and not any((g, d ^ (1 << k)) in held for k in _bits(d))
+    )
 
 
 def top_theory(types: Iterable[str]) -> SequentTheory:

@@ -54,15 +54,18 @@ HEAVY = ("ifk.fca", "ifk.integration", "ifk.diagrams", "ifk.flow", "ifk.logics")
 
 
 def _modules_loaded_by(*command_lines) -> set[str]:
-    """The ifk modules a fresh interpreter holds after running the commands;
-    in-process, sys.modules is shared with every other test."""
+    """The modules a fresh interpreter loads to run the commands, beyond
+    those it held before importing ifk (``site`` may preload some); in
+    process, sys.modules is shared with every other test."""
     script = (
-        "import json, sys\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
         "from ifk.cli import run\n"
         f"for argv in {list(command_lines)!r}:\n"
         "    status, _ = run(argv)\n"
         "    assert status == 0, argv\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('ifk'))))\n"
+        "import json\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run(
@@ -93,6 +96,23 @@ def test_lattice_command_does_not_load_integration(tmp_path):
     loaded = _modules_loaded_by(["lattice", "--classification", "C", str(bundle)])
     assert "ifk.fca" in loaded
     assert "ifk.integration" not in loaded
+
+
+def test_commands_import_neither_dataclasses_nor_inspect():
+    # values get their methods from the value base type: importing
+    # dataclasses (and inspect with it) would cost every command start-up
+    fixtures = SRC.parent.parent / "tests" / "fixtures"
+    classics, vee = str(fixtures / "classics.json"), str(fixtures / "vee.json")
+    loaded = _modules_loaded_by(
+        ["validate", classics],
+        ["entails", "--theory", "classical", "--sequent", "human |- philosopher", classics],
+        ["close", "--theory", "classical", classics],
+        ["integrate", "--system", "vee", "--delta-bound", "1", vee],
+        ["sum", "--system", "solo", classics],
+        ["lattice", "--classification", "CLF-A", classics],
+    )
+    assert {"ifk.theories", "ifk.integration", "ifk.fca"} <= loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect"})
 
 
 def test_lazy_exports_keep_the_public_names():

@@ -390,6 +390,23 @@ def test_leq_agrees_with_closure_containment():
         assert theory_leq(t1, t2) == (close(t1).axioms >= close(t2).axioms)
 
 
+def test_leq_agrees_with_enumeration_against_closures():
+    # t2 is often a closure, so most of its axioms follow by weakening from
+    # another of its axioms; the order skips those and must not err
+    rng = random.Random(23)
+    outcomes = []
+    for _ in range(60):
+        sigma = frozenset(f"t{k}" for k in range(rng.randint(0, 5)))
+        t1 = support.rand_theory(rng, sigma, 4)
+        states = [frozenset(t for t in sigma if rng.random() < 0.5) for _ in range(rng.randint(0, 6))]
+        for t2 in (close(support.rand_theory(rng, sigma, 3)), theory_of_states(sigma, states),
+                   SequentTheory(sigma, close(t1).axioms), support.rand_theory(rng, sigma, 4)):
+            expected = all(entails_by_enumeration(t1, a) for a in t2.axioms)
+            assert theory_leq(t1, t2) == expected
+            outcomes.append(expected)
+    assert 0.2 < sum(outcomes) / len(outcomes) < 0.8
+
+
 def test_closure_laws_randomized_four_types():
     rng = random.Random(0x5EED)
     sigma = frozenset({"a", "b", "c", "d"})

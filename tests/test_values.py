@@ -3,12 +3,15 @@
 Each value class is built from lists, sets and dicts (nested ones
 included); mutating those inputs afterwards must leave the value as it
 was.  Set fields come out as frozensets, sequence fields as tuples and
-map fields as read-only maps, as each field's annotation says, and every
-dataclass in the package is frozen and derives the one value base type.
+map fields as read-only maps, as each field's annotation says.  Every
+value class in the package derives the one value base type, refuses
+assignment, and builds, compares, hashes, prints and copies itself from
+that type's field table.
 """
 
-import dataclasses
+import copy
 import importlib
+import pickle
 import pkgutil
 from types import MappingProxyType
 from typing import Mapping
@@ -37,6 +40,7 @@ from ifk import (
 )
 from ifk.bundle import Bundle
 from ifk.diagrams import LanguageColimit
+from ifk.errors import _Value
 
 
 def _cls():
@@ -254,10 +258,8 @@ BUILDERS = [
 def _snapshot(x):
     """An immutable rendering of ``x`` that compares by content, values
     included (some compare by identity)."""
-    if dataclasses.is_dataclass(x):
-        return type(x).__name__, tuple(
-            (f.name, _snapshot(getattr(x, f.name))) for f in dataclasses.fields(x)
-        )
+    if isinstance(x, _Value):
+        return type(x).__name__, tuple((name, _snapshot(getattr(x, name))) for name in x._fields)
     if isinstance(x, Mapping):
         return "map", tuple(sorted((k, _snapshot(v)) for k, v in x.items()))
     if isinstance(x, (set, frozenset)):
@@ -287,25 +289,118 @@ def test_values_freeze_what_they_are_given(build):
     before = _snapshot(value)
     mutate()
     assert _snapshot(value) == before
-    for f in dataclasses.fields(value):
-        _check_shape(getattr(value, f.name), f.type, f"{type(value).__name__}.{f.name}")
-    if type(value).__hash__ is not None:
+    cls = type(value)
+    for name in cls._fields:  # annotations are strings: the modules defer them
+        _check_shape(getattr(value, name), cls.__annotations__[name], f"{cls.__name__}.{name}")
+    if cls.__hash__ is not None:
         hash(value)
 
 
-def _dataclasses():
+def _value_classes():
     for info in pkgutil.iter_modules(ifk.__path__):
         module = importlib.import_module(f"ifk.{info.name}")
         for obj in vars(module).values():
-            if dataclasses.is_dataclass(obj) and obj.__module__ == module.__name__:
+            if isinstance(obj, type) and issubclass(obj, _Value) and obj is not _Value \
+                    and obj.__module__ == module.__name__:
                 yield obj
 
 
-def test_every_dataclass_is_a_frozen_value():
-    from ifk.errors import _Value
+def test_every_value_class_is_built_here_and_refuses_assignment():
+    values = {type(value): value for value, _ in (build() for build in BUILDERS)}
+    assert set(_value_classes()) == values.keys()
+    for cls, value in values.items():
+        assert cls._fields, cls
+        for name in cls._fields:
+            with pytest.raises(AttributeError, match=name):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError, match=name):
+                delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = None
+        assert not hasattr(value, "extra")
 
-    classes = set(_dataclasses())
-    assert classes == {type(build()[0]) for build in BUILDERS}
-    for cls in classes:
-        assert cls.__dataclass_params__.frozen, cls
-        assert issubclass(cls, _Value), cls
+
+# The value protocol, checked against the field table: the repr, equality
+# and hash a class gets unless it defines its own, keyword construction,
+# the defaults, and copies.
+IDENTITY = {InverseFlowTheory}  # a pulled-back view compares and hashes by identity
+OWN_REPR = {Sequent}  # printed as a sequent literal
+OWN_EQ = {Sequent, SequentTheory}  # spelled out; a theory compares its language and masks
+
+
+def _fields(value) -> tuple:
+    return tuple(getattr(value, name) for name in value._fields)
+
+
+@pytest.mark.parametrize("build", BUILDERS, ids=lambda b: b.__name__)
+def test_value_protocol_follows_the_field_table(build):
+    value, twin = build()[0], build()[0]
+    cls = type(value)
+    if cls not in OWN_REPR:
+        expected = ", ".join(f"{name}={getattr(value, name)!r}" for name in cls._fields)
+        assert repr(value) == f"{cls.__qualname__}({expected})"
+    rebuilt = cls(**dict(zip(cls._fields, _fields(value))))
+    assert _snapshot(rebuilt) == _snapshot(value)
+    # two builds are equal unless they are, or their fields hold, a view
+    equal_builds = value == twin
+    assert equal_builds is (cls not in IDENTITY | {IntegrationResult})
+    if cls in IDENTITY:
+        assert value == value and value != rebuilt
+        assert hash(value) == object.__hash__(value)
+    else:
+        assert value == rebuilt and not value != rebuilt
+        assert value.__eq__(object()) is NotImplemented
+        if cls.__hash__ is None:
+            with pytest.raises(TypeError):
+                hash(value)
+        else:
+            assert hash(value) == hash(twin) == hash(rebuilt)
+            if cls is not SequentTheory:  # hashed on its language and masks
+                assert hash(value) == hash(_fields(value))
+    for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
+        assert type(again) is cls and _snapshot(again) == _snapshot(value)
+        assert repr(again) == repr(value)
+        assert (again == value) is equal_builds
+
+
+def test_value_classes_with_own_methods_are_the_listed_ones():
+    classes = set(_value_classes())
+
+    def own(name):
+        return {cls for cls in classes
+                if getattr(getattr(cls, name), "__qualname__", "") == f"{cls.__qualname__}.{name}"}
+
+    assert own("__repr__") == OWN_REPR
+    assert own("__eq__") == own("__hash__") == OWN_EQ
+    assert {cls for cls in classes if (cls.__eq__, cls.__hash__) == (object.__eq__, object.__hash__)
+            } == IDENTITY
+
+
+def test_defaults_fill_in_and_are_not_shared():
+    empty = Bundle()
+    assert all(getattr(empty, name) == {} for name in Bundle._fields)
+    assert empty == Bundle(systems={}) and empty.theories is not Bundle().theories
+    system = information_system()[0]
+    bare = InformationSystem(system.shape, system.node_theory, system.edge_type_map)
+    assert (bare.node_cls, bare.edge_instance_map) == ({}, {})
+    assert type(bare.node_cls) is MappingProxyType
+    assert bare.node_cls is not InformationSystem(*_fields(bare)[:3]).node_cls
+    assert ValidationResult(True) == ValidationResult(ok=True, defects=[]) and ValidationResult(True)
+    assert repr(ValidationResult(True)) == "ValidationResult(ok=True, defects=())"
+    assert {cls for cls in _value_classes() if cls._defaults} == {
+        Bundle, InformationSystem, ValidationResult
+    }
+
+
+def test_constructors_refuse_bad_arguments_as_python_does():
+    for bad in (
+        lambda: ValidationResult(True, (), 3),
+        lambda: ValidationResult(True, oops=()),
+        lambda: ValidationResult(True, ok=False),
+        lambda: ValidationResult(),
+        lambda: ShapeGraph(nodes=set()),
+        lambda: Sequent(["a"]),
+        lambda: FormalConcept([], [], []),
+    ):
+        with pytest.raises(TypeError):
+            bad()
