@@ -11,6 +11,7 @@ mediating infomorphism.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterator, Mapping
 
 from .classification import Classification, Infomorphism
@@ -30,6 +31,29 @@ class ShapeGraph(_Value):
         for e, src, dst in self.edges:
             if src not in self.nodes or dst not in self.nodes:
                 raise IfkError(f"edge {e} has undeclared endpoint")
+
+    @cached_property
+    def _traversal(self) -> tuple[tuple[str, ...], Mapping[str, str | None], bool]:
+        """Derived once: the nodes breadth-first from the least node of each
+        component, each node's parent in that order (None at a component's
+        first), and whether the undirected graph, loops and parallel edges
+        ignored, is a forest: one link for each node with a parent."""
+        links = {frozenset(edge[1:]) for edge in self.edges if edge[1] != edge[2]}
+        adjacent: dict[str, set[str]] = {n: set() for n in self.nodes}
+        for a, b in links:
+            adjacent[a].add(b)
+            adjacent[b].add(a)
+        order, parent = [], {}
+        for root in sorted(self.nodes):
+            if root not in parent:
+                k, parent[root] = len(order), None
+                order.append(root)
+                while k < len(order):
+                    for m in sorted(adjacent[order[k]] - parent.keys()):
+                        parent[m] = order[k]
+                        order.append(m)
+                    k += 1
+        return tuple(order), _map(parent), len(links) == len(order) - list(parent.values()).count(None)
 
 
 class LanguageDiagram(_Value):
@@ -152,8 +176,8 @@ def tuple_instance_name(components: Mapping[str, str]) -> str:
 def _compatible_tuples(d: ClsDiagram, budget: int) -> Iterator[dict[str, str]]:
     """Enumerate node-indexed instance tuples compatible with every edge.
 
-    Nodes are assigned breadth-first along the edges, from the least
-    unassigned node, so that every node but a component's first meets an
+    Nodes are assigned in the shape's breadth-first order, from the least
+    node of each component, so that every node but its first meets an
     edge constraint as soon as it is assigned; partial tuples then stay
     compatible tuples of a connected part of the diagram.  Partial tuples
     can still multiply and die at a later node, so each one extended to
@@ -161,23 +185,8 @@ def _compatible_tuples(d: ClsDiagram, budget: int) -> Iterator[dict[str, str]]:
     ``CapExceeded`` past it.  When every node has an instance, the charge
     stays below the node count times the instance product.
     """
-    adjacent: dict[str, set[str]] = {n: set() for n in d.shape.nodes}
-    for _, src, dst in d.shape.edges:
-        adjacent[src].add(dst)
-        adjacent[dst].add(src)
-    nodes: list[str] = []
-    position: dict[str, int] = {}
-    for root in sorted(d.shape.nodes):
-        if root in position:
-            continue
-        k = position[root] = len(nodes)
-        nodes.append(root)
-        while k < len(nodes):
-            for m in sorted(adjacent[nodes[k]]):
-                if m not in position:
-                    position[m] = len(nodes)
-                    nodes.append(m)
-            k += 1
+    nodes = d.shape._traversal[0]
+    position = {n: k for k, n in enumerate(nodes)}
     checks_at: dict[int, list[tuple[str, str, str]]] = {k: [] for k in range(len(nodes))}
     for e, src, dst in sorted(d.shape.edges):
         checks_at[max(position[src], position[dst])].append((e, src, dst))

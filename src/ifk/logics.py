@@ -26,8 +26,10 @@ from .theories import (
     _models,
     _require_within,
     _sat,
+    _theory_of_index,
     _theory_of_masks,
     _violating,
+    is_consistent,
     sequent_key,
     theory_leq,
 )
@@ -90,12 +92,15 @@ def is_complete(l: LocalLogic) -> bool:
     """Every sequent satisfied by all normal instances is a theorem.
 
     Over a finite language any state set is pinned down by sequents, so
-    this is equivalent to: every state satisfying the theory is the
-    intent of some normal instance.
+    this is equivalent to: the theory plus <s |- types - s>, which s alone
+    violates, for each normal intent s has no model.
     """
     intents = l.classification._masks[0]
-    normal_states = {intents[i] for i in l.normal}
-    return all(x in normal_states for x in _models(l.theory))
+    normal, full = {intents[i] for i in l.normal}, (1 << len(l.theory.types)) - 1
+    if full < 16:  # scanning at most 16 states costs no more than compiling an engine
+        return all(x in normal for x in _models(l.theory))
+    masks = {*l.theory._masks, *((s, full ^ s) for s in normal)}
+    return not is_consistent(_theory_of_index(dict(l.theory._index), sorted(masks)))
 
 
 def restriction(l: LocalLogic, cap: int = DEFAULT_SEQUENT_CAP) -> LocalLogic:

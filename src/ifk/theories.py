@@ -247,8 +247,13 @@ def _theory_of_masks(names: list[str], states: Iterable[int], cap: int, phase: s
         above = above + [a & column for a in above]
         missing = missing + [m & ~column for m in missing]
     masks = [(g, d) for g, a in enumerate(above) for d, m in enumerate(missing) if not a & m]
-    t = SequentTheory.__new__(SequentTheory)  # its axioms are built if they are read
-    t.__dict__.update(types=frozenset(names), _index=dict(zip(names, range(n))), _masks=masks)
+    return _theory_of_index(dict(zip(names, range(n))), masks)
+
+
+def _theory_of_index(index: dict[str, int], masks: list[tuple[int, int]]) -> SequentTheory:
+    """The theory over ``index`` with sorted kernel ``masks``; axioms are built when read."""
+    t = SequentTheory.__new__(SequentTheory)
+    t.__dict__.update(types=frozenset(index), _index=index, _masks=masks)
     return t
 
 

@@ -255,3 +255,101 @@ def kernel_theory_makers(seed: int, n: int) -> dict:
         "restriction": lambda: restriction(LocalLogic(c, t, frozenset())).theory,
         "materialize": lambda: inverse_flow(type_map, t, source).materialize(),
     }
+
+
+# ---------------------------------------------------------------------------
+# seeded shape corpus: cyclic shapes and forests
+
+CYCLIC_SHAPES = ("ring", "loop_star", "parallel_path")
+FOREST_SHAPES = ("star", "zigzag", "tree")
+
+
+def rand_shape(rng: random.Random, kind: str) -> tuple[list[str], list[tuple[str, str, str]]]:
+    """Nodes and edges of a seeded shape of 2-6 nodes.
+
+    A ring's edges run around it (two nodes make a pair of opposite
+    edges); a loop star is a star with a self-loop on its hub and on some
+    leaves; a parallel path doubles some of its links; a zig-zag path
+    alternates its edge directions; a tree hangs each node on an earlier
+    one, or now and then on none, so that it is a forest of several
+    trees; star and tree edges point either way.
+    """
+    nodes = [f"N{k}" for k in range(rng.randint(2, 6))]
+    links: list[tuple[str, str]] = []
+    if kind == "ring":
+        links = [(n, nodes[(k + 1) % len(nodes)]) for k, n in enumerate(nodes)]
+    elif kind in ("star", "loop_star"):
+        links = [(nodes[0], leaf)[:: rng.choice((1, -1))] for leaf in nodes[1:]]
+        if kind == "loop_star":
+            links += [(n, n) for n in nodes if n == nodes[0] or rng.random() < 0.3]
+    elif kind in ("zigzag", "parallel_path"):
+        links = [(a, b)[:: (-1) ** k] for k, (a, b) in enumerate(zip(nodes, nodes[1:]))]
+        if kind == "parallel_path":
+            doubled = [link for link in links if rng.random() < 0.5] or links[:1]
+            links += [link[:: rng.choice((1, -1))] for link in doubled]
+    elif kind == "tree":
+        links = [(rng.choice(nodes[:k]), n)[:: rng.choice((1, -1))]
+                 for k, n in enumerate(nodes) if k and rng.random() < 0.8]
+    return nodes, [(f"e{k}", src, dst) for k, (src, dst) in enumerate(links)]
+
+
+def corpus_system(rng: random.Random, kind: str) -> InformationSystem:
+    """A valid, fully classified system over ``rand_shape(rng, kind)``.
+
+    Node languages have 1-3 types and type maps are drawn at random, so
+    many are not injective.  Each theory starts from random axioms, few
+    with an empty side (the empty sequent now and then, which makes the
+    node inconsistent; now and then two edges out of one node lead to
+    theories that disagree on the images of one of its types), and
+    takes in the image of every axiom along each edge into it, to a
+    fixpoint, so every edge is a theory morphism.  Incidences are drawn
+    after the instance maps: the invariance conditions equate incidence
+    bits, and each class of equated bits gets one random value.
+    """
+    nodes, edges = rand_shape(rng, kind)
+    types = {n: [f"{n.lower()}t{j}" for j in range(rng.randint(1, 3))] for n in nodes}
+    instances = {n: [f"{n.lower()}i{j}" for j in range(rng.randint(1, 3))] for n in nodes}
+    type_map = {e: rand_type_map(rng, types[src], types[dst]) for e, src, dst in edges}
+    instance_map = {e: {b: rng.choice(instances[src]) for b in instances[dst]} for e, src, dst in edges}
+    axioms = {n: {rand_sequent(rng, types[n], 2) for _ in range(rng.randint(0, 2))} for n in nodes}
+    for n in nodes:  # a side left empty is kept now and then
+        axioms[n] = {a for a in axioms[n] if a.antecedent and a.consequent or rng.random() < 0.2}
+        if rng.random() < 0.05:
+            axioms[n].add(Sequent((), ()))
+    forks = [(e, f) for e in edges for f in edges if e[0] < f[0] and e[1] == f[1]]
+    if forks and rng.random() < 0.3:  # two targets of one node disagree on an image of its type
+        (e, src, a), (f, _, b) = rng.choice(forks)
+        t = rng.choice(types[src])
+        axioms[a].add(Sequent((), [type_map[e][t]]))
+        axioms[b].add(Sequent([type_map[f][t]], ()))
+    grown = True
+    while grown:
+        grown = False
+        for e, src, dst in edges:
+            images = {a.rename(type_map[e]) for a in axioms[src]} - axioms[dst]
+            grown = grown or bool(images)
+            axioms[dst] |= images
+    parent: dict = {(n, i, t): (n, i, t) for n in nodes for i in instances[n] for t in types[n]}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for e, src, dst in edges:
+        for b in instances[dst]:
+            for t in types[src]:
+                parent[find((src, instance_map[e][b], t))] = find((dst, b, type_map[e][t]))
+    value = {x: rng.random() < 0.5 for x in parent if find(x) == x}
+    return InformationSystem(
+        shape=ShapeGraph(nodes, edges),
+        node_theory={n: SequentTheory(types[n], axioms[n]) for n in nodes},
+        edge_type_map=type_map,
+        node_cls={
+            n: Classification(n, instances[n], types[n],
+                              [(i, t) for i in instances[n] for t in types[n] if value[find((n, i, t))]])
+            for n in nodes
+        },
+        edge_instance_map=instance_map,
+    )
+

@@ -26,8 +26,14 @@ from ifk import (
     verify_channel_covers,
 )
 from ifk.bundle import parse_bundle
-from ifk.integration import VERDICT_MONOCOSMIC, VERDICT_POINTWISE_INCONSISTENT, VERDICT_POLYCOSMIC
-from ifk.theories import Sequent, all_states
+from ifk.errors import DEFAULT_SEQUENT_CAP
+from ifk.integration import (
+    VERDICT_MONOCOSMIC,
+    VERDICT_POINTWISE_INCONSISTENT,
+    VERDICT_POLYCOSMIC,
+    _pulled_states,
+)
+from ifk.theories import CompiledTheory, Sequent, all_states
 
 import support
 from conftest import FIXTURES, seq, vee_system
@@ -444,3 +450,92 @@ def test_cls_diagram_from_fully_populated_system():
 def test_cls_diagram_requires_full_population(vee):
     with pytest.raises(IfkError, match="without classification"):
         vee.cls_diagram()
+
+
+# ---------------------------------------------------------------------------
+# which path integrate takes: the semijoin iff the shape is a forest and its
+# nodes have at most 16 states a bounded sequent, else one handle query a sequent
+
+@pytest.fixture
+def sum_queries(monkeypatch):
+    """The engines ``CompiledTheory.refutes`` is called on, one entry a call."""
+    calls = []
+    refutes = CompiledTheory.refutes
+
+    def counted(self, g, d):
+        calls.append(self)
+        return refutes(self, g, d)
+
+    monkeypatch.setattr(CompiledTheory, "refutes", counted)
+    return calls
+
+
+def _corpus(forest: bool) -> list[InformationSystem]:
+    """The seeded corpus systems whose shapes are, or are not, forests."""
+    return [
+        s for kind in support.CYCLIC_SHAPES + support.FOREST_SHAPES for seed in range(12)
+        for s in [support.corpus_system(random.Random(f"path:{kind}:{seed}"), kind)]
+        if s.shape._traversal[2] == forest
+    ]
+
+
+def test_forest_deltas_ask_the_sum_engine_nothing(vee, clash, sum_queries):
+    for s in [vee, clash, *_corpus(forest=True)]:
+        integrate(s, delta_bound=2)
+        assert sum_queries.count(s._sum.theory._compiled) == 1  # the verdict's is_consistent
+
+
+def test_rings_and_wide_nodes_take_the_handle_path(sum_queries):
+    rings = _corpus(forest=False)
+    assert rings
+    for s in rings:
+        integrate(s, delta_bound=1)
+        assert sum_queries.count(s._sum.theory._compiled) > 1
+    # 4104 states against 16 x 187 bounded sequents at bound 1, 16 x 6273 at bound 2;
+    # the cap only bounds the sequents, whatever the path
+    s = _bridged([f"h{k:02d}" for k in range(12)])
+    engine = s._sum.theory._compiled
+    for cap in (13 * 13, DEFAULT_SEQUENT_CAP):
+        by_handles = integrate(s, delta_bound=1, cap=cap)
+        assert sum_queries.count(engine) > 1
+        sum_queries.clear()
+    by_semijoin = integrate(s, delta_bound=2, cap=79 * 79)
+    assert sum_queries.count(engine) == 1
+    assert by_handles.deltas == _bridged_deltas("h00", "h01", "h02")
+    assert by_handles.deltas == {
+        n: tuple(q for q in found if len(q.antecedent) < 2 and len(q.consequent) < 2)
+        for n, found in by_semijoin.deltas.items()
+    }
+
+
+def _bridged(hub_types: list[str]) -> InformationSystem:
+    """A hub with <0 |- 1> over its first types and a leaf with <a |- b>,
+    bridged by an empty theory on types 1 and 2 of the hub."""
+    hub = SequentTheory(hub_types, [seq(*hub_types[:2])])
+    return InformationSystem(
+        shape=ShapeGraph(["hub", "leaf", "m"], [("f", "m", "hub"), ("g", "m", "leaf")]),
+        node_theory={"hub": hub, "leaf": SequentTheory(["a", "b"], [seq("a", "b")]),
+                     "m": SequentTheory(["x", "y"], [])},
+        edge_type_map={"f": {"x": hub_types[1], "y": hub_types[2]}, "g": {"x": "a", "y": "b"}},
+    )
+
+
+def _bridged_deltas(t0, t1, t2) -> dict:
+    return {"hub": (seq(t0, t2), seq(t1, t2)), "leaf": (), "m": (seq("x", "y"),)}
+
+
+def test_a_node_of_20_types_integrates_at_bound_1(sum_queries):
+    s = _bridged([f"t{k:02d}" for k in range(20)])
+    result = integrate(s, delta_bound=1)  # 2^20 states against 16 x 459 sequents: handles
+    assert result.deltas == _bridged_deltas("t00", "t01", "t02")
+    assert result.verdict == VERDICT_MONOCOSMIC
+    assert sum_queries.count(s._sum.theory._compiled) > 1
+
+
+def test_pulled_back_sets_are_all_empty_iff_the_verdict_is_not_monocosmic():
+    verdicts = set()
+    for s in _corpus(forest=True):
+        pulled = [states for _, states in _pulled_states(s).values()]
+        verdicts.add(system_verdict(s))
+        assert (not any(pulled)) == (system_verdict(s) != VERDICT_MONOCOSMIC)
+    assert verdicts == {VERDICT_MONOCOSMIC, VERDICT_POLYCOSMIC, VERDICT_POINTWISE_INCONSISTENT}

@@ -1,8 +1,10 @@
 import random
 import time
+from functools import partial
 
 import pytest
 
+import ifk.logics
 from ifk import (
     CapExceeded,
     Classification,
@@ -12,6 +14,7 @@ from ifk import (
     close,
     entails,
     identity_infomorphism,
+    intent,
     is_complete,
     is_sound,
     logic_direct_image,
@@ -22,7 +25,7 @@ from ifk import (
     normalize,
     restriction,
 )
-from ifk.theories import all_states, Sequent
+from ifk.theories import all_states, satisfying_states, Sequent
 
 import support
 from conftest import seq
@@ -86,6 +89,38 @@ def test_is_complete_matches_direct_definition():
             if all(not (g <= x and d.isdisjoint(x)) for x in normal_states)
         )
         assert is_complete(logic) == direct
+
+
+def test_is_complete_agrees_with_satisfying_states():
+    # theories that exclude chosen states one sequent each, over up to 6 types
+    rng = random.Random(173)
+    outcomes = []
+    for _ in range(300):
+        c = support.rand_classification(rng, 6, 6)
+        states = list(all_states(c.types))
+        kept = {x for x in [*map(partial(intent, c), c.instances), rng.choice(states)] if rng.random() < 0.7}
+        excluded = [Sequent(x, c.types - x) for x in states if x not in kept and rng.random() < 0.9]
+        theory = SequentTheory(c.types, excluded)
+        normal = {i for i in normalize(LocalLogic(c, theory, frozenset())).normal if rng.random() < 0.8}
+        expected = set(satisfying_states(theory)) <= {intent(c, i) for i in normal}
+        assert is_complete(LocalLogic(c, theory, normal)) == expected
+        outcomes.append(expected)
+    assert 60 < sum(outcomes) < 240
+
+
+def test_is_complete_asks_the_engine_once(monkeypatch):
+    # 2^20 states: a scan of them took seconds
+    types = [f"t{k:02d}" for k in range(20)]
+    c = Classification("c", ["a", "b"], types, [("a", t) for t in types[::2]] + [("b", t) for t in types[:3]])
+    pinned = SequentTheory(types, [seq("", t) if k % 2 == 0 else seq(t, "") for k, t in enumerate(types)])
+    queries = []
+    consistent = ifk.logics.is_consistent
+    monkeypatch.setattr(ifk.logics, "is_consistent", lambda t: queries.append(t) or consistent(t))
+    start = time.perf_counter()
+    assert is_complete(LocalLogic(c, pinned, {"a"}))
+    assert time.perf_counter() - start < 0.1
+    assert not is_complete(LocalLogic(c, SequentTheory(types, []), {"a", "b"}))
+    assert len(queries) == 2
 
 
 def test_restriction_drops_refuted_axiom(clf_a):

@@ -332,13 +332,20 @@ def _fields(value) -> tuple:
     return tuple(getattr(value, name) for name in value._fields)
 
 
-@pytest.mark.parametrize("build", BUILDERS, ids=lambda b: b.__name__)
-def test_value_protocol_follows_the_field_table(build):
-    value, twin = build()[0], build()[0]
+def _check_repr(value) -> None:
+    """The repr follows the field table.  Two equal frozensets may iterate
+    in different orders, so the reprs of equal values can differ."""
     cls = type(value)
     if cls not in OWN_REPR:
         expected = ", ".join(f"{name}={getattr(value, name)!r}" for name in cls._fields)
         assert repr(value) == f"{cls.__qualname__}({expected})"
+
+
+@pytest.mark.parametrize("build", BUILDERS, ids=lambda b: b.__name__)
+def test_value_protocol_follows_the_field_table(build):
+    value, twin = build()[0], build()[0]
+    cls = type(value)
+    _check_repr(value)
     rebuilt = cls(**dict(zip(cls._fields, _fields(value))))
     assert _snapshot(rebuilt) == _snapshot(value)
     # two builds are equal unless they are, or their fields hold, a view
@@ -359,7 +366,8 @@ def test_value_protocol_follows_the_field_table(build):
                 assert hash(value) == hash(_fields(value))
     for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
         assert type(again) is cls and _snapshot(again) == _snapshot(value)
-        assert repr(again) == repr(value)
+        _check_repr(again)
+        assert cls not in OWN_REPR or repr(again) == repr(value)  # a sequent sorts its sides
         assert (again == value) is equal_builds
 
 
