@@ -345,10 +345,10 @@ def serialize_bundle(bundle: Bundle) -> str:
     doc = {
         "classifications": {
             name: classification_to_obj(c)
-            for name, c in sorted(bundle.classifications.items())
+            for name, c in bundle.classifications.items()
         },
         "theories": {
-            name: theory_to_obj(t) for name, t in sorted(bundle.theories.items())
+            name: theory_to_obj(t) for name, t in bundle.theories.items()
         },
         "infomorphisms": {
             name: {
@@ -358,7 +358,7 @@ def serialize_bundle(bundle: Bundle) -> str:
                                    f"classification {f.target.name}"),
                 **maps_to_obj(f),
             }
-            for name, f in sorted(bundle.infomorphisms.items())
+            for name, f in bundle.infomorphisms.items()
         },
         "systems": {
             name: {
@@ -371,7 +371,7 @@ def serialize_bundle(bundle: Bundle) -> str:
                             if n in s.node_cls else None
                         ),
                     }
-                    for n in sorted(s.shape.nodes)
+                    for n in s.shape._traversal[0]  # a fixed order: runs name the same missing value
                 },
                 "edges": [
                     {
@@ -386,7 +386,7 @@ def serialize_bundle(bundle: Bundle) -> str:
                     for e, src, dst in sorted(s.shape.edges)
                 ],
             }
-            for name, s in sorted(bundle.systems.items())
+            for name, s in bundle.systems.items()
         },
     }
     return canonical_json(doc)

@@ -23,6 +23,7 @@ from .bundle import (
     sequent_to_obj,
     theory_to_obj,
 )
+from .classification import _bits
 from .errors import (
     DEFAULT_DELTA_BOUND,
     DEFAULT_INSTANCE_CAP,
@@ -140,7 +141,7 @@ def _cmd_lattice(args, bundle: Bundle) -> str:
             "concepts": [
                 {"extent": sorted(k.extent), "intent": sorted(k.intent)} for k in l.concepts
             ],
-            "order": sorted([i, j] for i, j in l.order if i != j),
+            "order": [[i, j] for i, up in enumerate(l._ups) for j in _bits(up & ~(1 << i))],
         }
     )
 
@@ -153,7 +154,7 @@ def _cmd_sum(args, bundle: Bundle) -> str:
         {
             "system": args.system,
             "core": classification_to_obj(channel.core),
-            "legs": {n: maps_to_obj(leg) for n, leg in sorted(channel.legs.items())},
+            "legs": {n: maps_to_obj(leg) for n, leg in channel.legs.items()},
         }
     )
 
@@ -168,17 +169,15 @@ def _cmd_integrate(args, bundle: Bundle) -> str:
             "delta_bound": args.delta_bound,
             "sum": {
                 "types": sorted(result.sum_types),
-                "cocone": {
-                    n: dict(sorted(m.items())) for n, m in sorted(result.cocone.items())
-                },
+                "cocone": {n: dict(m) for n, m in result.cocone.items()},
                 "members": {
                     cls: [f"{n}.{t}" for n, t in sorted(group)]
-                    for cls, group in sorted(result.sum_members.items())
+                    for cls, group in result.sum_members.items()
                 },
             },
             "sum_theory_axioms": result.sum_theory,
             "deltas": {
-                n: [sequent_to_obj(q) for q in qs] for n, qs in sorted(result.deltas.items())
+                n: [sequent_to_obj(q) for q in qs] for n, qs in result.deltas.items()
             },
             "verdict": result.verdict,
         }

@@ -242,12 +242,9 @@ def sum_classification(d: ClsDiagram, instance_cap: int = DEFAULT_INSTANCE_CAP) 
     if len(set(names)) != len(names):
         raise IfkError("tuple name collision; rename node or instance identifiers")
 
-    incidence = []
-    for name, tup in zip(names, tuples):
-        for cls_name, group in colim.members.items():
-            n0, t0 = min(group)
-            if (tup[n0], t0) in d.node_cls[n0].incidence:
-                incidence.append((name, cls_name))
+    reps = {cls_name: min(group) for cls_name, group in colim.members.items()}
+    incidence = [(name, cls_name) for name, tup in zip(names, tuples)
+                 for cls_name, (n0, t0) in reps.items() if (tup[n0], t0) in d.node_cls[n0].incidence]
     core = Classification(
         name="sum(" + ",".join(sorted(d.shape.nodes)) + ")",
         instances=frozenset(names),

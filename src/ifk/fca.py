@@ -25,17 +25,14 @@ from functools import cached_property
 from typing import Iterable, Literal
 
 from .classification import Classification, _bits, _named, extent
-from .errors import CONCEPT_TYPE_GUARD, CapExceeded, IfkError, _set_field, _Value
+from .errors import CONCEPT_TYPE_GUARD, CapExceeded, IfkError, _Value
 from .theories import _columns, _common, _mask
 
 
 class FormalConcept(_Value):
     extent: frozenset[str]
     intent: frozenset[str]
-
-    def __init__(self, extent: Iterable[str], intent: Iterable[str]):
-        _set_field(self, "extent", frozenset(extent))
-        _set_field(self, "intent", frozenset(intent))
+    _freeze = {"extent": frozenset, "intent": frozenset}
 
 
 class ConceptLattice(_Value):

@@ -76,6 +76,14 @@ class InverseFlowTheory(_Value):
             _mask(index, (f[t] for t in s.consequent)),
         )
 
+    def _image(self) -> list[int]:
+        """``image[y]``: the target mask of the images of the types of source state ``y``."""
+        index, image = self.target._index, [0]
+        for name in sorted(self.types):
+            bit = 1 << index[self.type_map[name]]
+            image += [m | bit for m in image]  # OR: two types may share an image
+        return image
+
     def materialize(self, cap: int = DEFAULT_SEQUENT_CAP) -> SequentTheory:
         """Every sequent the pullback entails: the theory of the target's
         models pulled back to the source language.
@@ -86,20 +94,14 @@ class InverseFlowTheory(_Value):
         one engine query per source state, 2^|source types| in all,
         whatever the size of the target.
         """
-        names = sorted(self.types)
-
         def pulled() -> Iterator[int]:
-            index, engine = self.target._index, self.target._compiled
-            image = [0]  # image[y]: the target mask of the source types in state y
-            for name in names:
-                bit = 1 << index[self.type_map[name]]
-                image += [m | bit for m in image]  # OR: two types may share an image
+            engine, image = self.target._compiled, self._image()
             full = len(image) - 1
             for y, m in enumerate(image):
                 if engine.refutes(m, image[full ^ y]):
                     yield y
 
-        return _theory_of_masks(names, pulled(), cap, "inverse flow materialization")
+        return _theory_of_masks(sorted(self.types), pulled(), cap, "inverse flow materialization")
 
 
 def inverse_flow(

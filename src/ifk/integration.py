@@ -37,7 +37,9 @@ from .theories import (
     SequentTheory,
     _common,
     _mask,
-    _violating,
+    _model_mask,
+    _positions,
+    _state_columns,
     entails,
     is_consistent,
     theory_leq,
@@ -201,12 +203,6 @@ def bounded_sequents(types: frozenset[str], bound: int):
     return (Sequent(g, d) for g in sides for d in sides)
 
 
-def _state_columns(n: int) -> list[int]:
-    """Per type k, the states among ``range(2**n)`` where k holds, as bits."""
-    everywhere = (1 << (1 << n)) - 1
-    return [everywhere // ((1 << (2 << k)) - 1) * ((1 << (1 << k)) - 1 << (1 << k)) for k in range(n)]
-
-
 def _pulled_states(s: InformationSystem) -> dict[str, tuple[int, int]]:
     """Per node of a forest-shaped system, its models and the sum's models
     pulled back to it, as bits over its 2^|types| states.  A node's relation
@@ -215,17 +211,12 @@ def _pulled_states(s: InformationSystem) -> dict[str, tuple[int, int]]:
     nodes, so on a forest a semijoin pass up the shape's order and one down
     leave each relation the sum's models seen from its node (Yannakakis 1981)."""
     order, parent, _ = s.shape._traversal
-    colim, theory, _ = s._sum
+    handles = s._sum.handles
     models, relation, scope = {}, {}, {}
     for n in order:
-        t, image = s.node_theory[n], [0]  # image[x], image[~x]: classes of the types holding, failing in x
-        for name in sorted(t.types):
-            bit = 1 << theory._index[colim.cocone[n][name]]
-            image += [m | bit for m in image]
-        everywhere, scope[n] = (1 << len(image)) - 1, image[-1]
-        models[n] = everywhere & ~_violating(t, _state_columns(len(t.types)), everywhere)
-        bits = enumerate(f"{models[n]:b}"[::-1])  # long masks go by strings: bit by bit is quadratic
-        relation[n] = {image[x]: x for x, b in bits if b == "1" and not image[x] & image[~x]}
+        image = handles[n]._image()  # image[x], image[~x]: classes of the types holding, failing in x
+        models[n], scope[n] = _model_mask(s.node_theory[n]), image[-1]
+        relation[n] = {image[x]: x for x in _positions(models[n]) if not image[x] & image[~x]}
     links = [(parent[n], n) for n in order if parent[n] is not None]
     for keep, other in [*((up, n) for up, n in reversed(links)), *((n, up) for up, n in links)]:
         shared = scope[keep] & scope[other]  # up, then down: keep's rows that meet one of other's

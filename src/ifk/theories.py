@@ -21,10 +21,11 @@ stack), learns clauses that later queries reuse and keeps its recent
 models as state masks; its literals stay inside it.  A full 2^|types|
 state-enumeration oracle is kept alongside for checking.
 
-The theory of a state set is read off two tables over the deduplicated
-states, indexed by mask: where every type of ``g`` holds and where no
-type of ``d`` does; ``<g |- d>`` is a theorem when the two are disjoint.
-Every cap is charged before any state is enumerated.
+A theory's models are found in one bit-parallel scan over its 2^|types|
+states.  The theory of a state set is read off two tables over the
+deduplicated states, indexed by mask: where every type of ``g`` holds and
+where no type of ``d`` does; ``<g |- d>`` is a theorem when the two are
+disjoint.  Every materialization charges its cap before reading a state.
 """
 
 from __future__ import annotations
@@ -94,11 +95,9 @@ class SequentTheory(_Value):
     _freeze = {"types": lambda types: _names(types, "language"), "axioms": frozenset}
 
     def __post_init__(self):
-        # each distinct side is checked once; materialized axioms share theirs
-        sides = {a.antecedent for a in self.axioms} | {a.consequent for a in self.axioms}
-        if not all(side <= self.types for side in sides):
-            a = next(a for a in self.axioms if not a.types() <= self.types)
-            raise IfkError(f"axiom {a!r} uses types outside the language")
+        for a in self.axioms:
+            if not (a.antecedent <= self.types and a.consequent <= self.types):
+                raise IfkError(f"axiom {a!r} uses types outside the language")
 
     def __eq__(self, other):
         if type(other) is not SequentTheory:
@@ -182,14 +181,15 @@ def _mask(index: Mapping[str, int], names: Iterable[str]) -> int:
     return m
 
 
-def _models(t: SequentTheory) -> Iterator[int]:
-    """Masks of the states satisfying every axiom, in ``all_states`` order."""
-    masks = t._masks
-    for r in range(len(t.types) + 1):
-        for combo in itertools.combinations(range(len(t.types)), r):
-            x = sum(1 << k for k in combo)
-            if all(g & ~x or d & x for g, d in masks):
-                yield x
+def _positions(m: int) -> Iterator[int]:
+    """Set bits of ``m``, lowest first, in one pass: peeling them off a long mask is quadratic."""
+    return (k for k, b in enumerate(f"{m:b}"[::-1]) if b == "1")
+
+
+def _state_columns(n: int) -> list[int]:
+    """Per type k, the states among ``range(2**n)`` where k holds, as bits."""
+    everywhere = (1 << (1 << n)) - 1
+    return [everywhere // ((1 << (2 << k)) - 1) * ((1 << (1 << k)) - 1 << (1 << k)) for k in range(n)]
 
 
 def _columns(states: list[int], n: int) -> list[int]:
@@ -214,6 +214,8 @@ def _violating(t: SequentTheory, columns: list[int], everywhere: int) -> int:
     missing: dict[int, int] = {}  # d -> the positions where no type of d holds
     out, last, above = 0, None, 0
     for g, d in t._masks:  # sorted, so axioms sharing g come together
+        if g & d:
+            continue  # holds in every state
         if g != last:
             if out == everywhere:
                 break
@@ -227,6 +229,17 @@ def _violating(t: SequentTheory, columns: list[int], everywhere: int) -> int:
                 missing[d] = m
             out |= above & m
     return out
+
+
+def _model_mask(t: SequentTheory) -> int:
+    """The states satisfying every axiom, as bits over all 2^|types| states."""
+    everywhere = (1 << (1 << len(t.types))) - 1
+    return everywhere & ~_violating(t, _state_columns(len(t.types)), everywhere)
+
+
+def _models(t: SequentTheory) -> Iterator[int]:
+    """Masks of the states satisfying every axiom, lowest first; none is built before a read."""
+    yield from _positions(_model_mask(t))
 
 
 def _theory_of_masks(names: list[str], states: Iterable[int], cap: int, phase: str) -> SequentTheory:
@@ -258,9 +271,9 @@ def _theory_of_index(index: dict[str, int], masks: list[tuple[int, int]]) -> Seq
 
 
 def satisfying_states(t: SequentTheory) -> list[frozenset[str]]:
-    """All states over the language satisfying every axiom (2^|types| scan)."""
+    """All states satisfying every axiom, in ``all_states`` order (a 2^|types| scan)."""
     names = list(t._index)
-    return [_named(names, x) for x in _models(t)]
+    return [_named(names, x) for x in sorted(_models(t), key=lambda x: (x.bit_count(), list(_bits(x))))]
 
 
 # ---------------------------------------------------------------------------

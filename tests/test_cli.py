@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -7,7 +8,7 @@ import time
 
 import pytest
 
-from ifk import BundleError, close, entails, integrate, lattice, lattice_dot
+from ifk import BundleError, ConceptLattice, close, entails, integrate, lattice, lattice_dot
 from ifk.bundle import parse_bundle, parse_sequent, serialize_bundle
 from ifk.cli import main, run
 from ifk.theories import sequent_key
@@ -285,6 +286,38 @@ def test_lattice_dot_output():
     assert status == 0
     bundle = parse_bundle(fixture_text("classics.json"))
     assert report == lattice_dot(lattice(bundle.classifications["CLF-A"]))
+
+
+def test_lattice_reports_never_read_the_order_set(monkeypatch, tmp_path):
+    def refuse(l):
+        raise AssertionError("the report read ConceptLattice.order")
+
+    path = tmp_path / "context.json"
+    path.write_text(json.dumps({"classifications": {"C": _context(random.Random(0x0D), 40, 8, 4)}}))
+    monkeypatch.setattr(ConceptLattice, "order", property(refuse))
+    for bundle, name in ((FIXTURES / "classics.json", "CLF-A"), (path, "C")):
+        for form in ("json", "dot"):
+            status, report = run(["lattice", "--classification", name, "--format", form, str(bundle)])
+            assert status == 0, report
+
+
+def _context(rng: random.Random, instances: int, types: int, per_instance: int) -> dict:
+    """A context whose every instance has ``per_instance`` random types."""
+    names = [f"m{k:02d}" for k in range(types)]
+    rows = {f"g{k:03d}": rng.sample(names, per_instance) for k in range(instances)}
+    return {"instances": list(rows), "types": names,
+            "incidence": [[g, m] for g, row in rows.items() for m in row]}
+
+
+@pytest.mark.parametrize("shape", [(1, 0, 0), (6, 3, 1), (40, 8, 4), (120, 11, 5), (300, 14, 7)])
+def test_lattice_order_list_is_the_sorted_strict_order(tmp_path, shape):
+    raw = _context(random.Random(f"order:{shape}"), *shape)
+    path = tmp_path / "context.json"
+    path.write_text(json.dumps({"classifications": {"C": raw}}))
+    status, report = run(["lattice", "--classification", "C", str(path)])
+    assert status == 0
+    l = lattice(parse_bundle(path.read_text()).classifications["C"])
+    assert json.loads(report)["order"] == sorted([i, j] for i, j in l.order if i != j)
 
 
 def _one_name_bundle(path, name: str) -> None:

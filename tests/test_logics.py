@@ -144,6 +144,16 @@ def test_restriction_charges_the_cap_before_enumerating_states():
     assert (err.value.phase, err.value.required) == ("logic restriction", 4 ** 40)
 
 
+def test_natural_logic_charges_the_cap_before_enumerating_states():
+    types = [f"t{k}" for k in range(40)]
+    c = Classification("wide", ["i", "j"], types, [("i", "t0"), ("j", "t39")])
+    start = time.monotonic()
+    with pytest.raises(CapExceeded) as err:
+        natural_logic(c)
+    assert time.monotonic() - start < 1
+    assert (err.value.phase, err.value.required) == ("natural logic", 4 ** 40)
+
+
 def test_restriction_of_natural_logic_is_natural(clf_a):
     nat = natural_logic(clf_a)
     assert restriction(nat).theory == nat.theory

@@ -21,7 +21,14 @@ from ifk import (
     lift_to_theory_classification,
     natural_logic,
 )
-from ifk.bundle import canonical_json, parse_bundle, sequent_to_obj, serialize_bundle, theory_to_obj
+from ifk.bundle import (
+    Bundle,
+    canonical_json,
+    parse_bundle,
+    sequent_to_obj,
+    serialize_bundle,
+    theory_to_obj,
+)
 from ifk.cli import run
 from ifk.errors import IfkError
 from ifk.theories import sequent_key
@@ -164,6 +171,23 @@ def test_frozen_classics_reports(argv, frozen):
     status, report = run([*argv, str(FIXTURES / "classics.json")])
     assert status == 0
     assert report == (REPORTS / frozen).read_text()
+
+
+def test_frozen_ring_integrate_report():
+    # a six-node ring from support.corpus_system, written by serialize_bundle:
+    # not a forest, so integrate reads its deltas off the closure handles
+    path = FIXTURES / "ring.json"
+    assert not parse_bundle(path.read_text()).systems["ring"].shape._traversal[2]
+    status, report = run(["integrate", "--system", "ring", "--delta-bound", "1", str(path)])
+    assert status == 0 and any(json.loads(report)["deltas"].values())
+    assert report == (REPORTS / "ring_integrate_bound1.json").read_text()
+
+
+def test_serialize_names_the_same_missing_value_in_every_run():
+    # all six ring nodes are classified, and the bundle holds none of their classifications
+    ring = parse_bundle((FIXTURES / "ring.json").read_text())
+    with pytest.raises(IfkError, match="^classification N0 is not part of the bundle$"):
+        serialize_bundle(Bundle(theories=ring.theories, systems=ring.systems))
 
 
 def test_frozen_wide_closure_report():

@@ -293,6 +293,18 @@ def test_close_charges_the_cap_before_enumerating_states():
     assert (err.value.phase, err.value.required) == ("theory closure", 4 ** 40)
 
 
+def test_theory_of_states_charges_the_cap_before_reading_states():
+    def unread():
+        raise AssertionError("states read before the cap")
+        yield
+
+    start = time.monotonic()
+    with pytest.raises(CapExceeded) as err:
+        theory_of_states([f"t{k}" for k in range(40)], unread())
+    assert time.monotonic() - start < 1
+    assert (err.value.phase, err.value.required) == ("theory materialization", 4 ** 40)
+
+
 def test_mask_kernel_matches_plain_scans():
     rng = random.Random(0x3A5C)
     state_sets = theories = 0
