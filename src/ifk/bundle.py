@@ -2,7 +2,8 @@
 classifications, theories, infomorphisms and systems of an analysis.
 
 Parsing resolves every cross-reference and runs each module's checker,
-so a returned bundle is fully valid.  Serialization is canonical (sorted
+so a returned bundle is fully valid; a theory is read straight to its
+masks, with no ``Sequent`` per axiom.  Serialization is canonical (sorted
 set renderings) and round-trips.  ``canonical_json`` writes it and every
 CLI report: the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``
 plus a newline.  A ``SequentTheory`` in a document renders as its sorted
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import json
 import operator
+from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Mapping
 
@@ -25,7 +27,7 @@ from .classification import (
     validate_classification,
 )
 from .errors import BundleError, IfkError, _map, _Value
-from .theories import Sequent, SequentTheory
+from .theories import Sequent, SequentTheory, _text, _theory_of_index
 
 if TYPE_CHECKING:
     from .integration import InformationSystem
@@ -99,30 +101,49 @@ def _parse_classification(name: str, raw, where: str) -> Classification:
     return c
 
 
-def _parse_sequent_obj(raw, where: str) -> Sequent:
-    _expect(isinstance(raw, dict), f"{where}: expected an object")
-    _expect(set(raw) <= {"ant", "con"}, f"{where}: unknown keys {sorted(set(raw) - {'ant', 'con'})}")
-    ant, con = (_ident_list(raw.get(side, []), f"{where}.{side}") for side in ("ant", "con"))
-    return Sequent(ant, con)
-
-
 def _parse_theory(raw, where: str) -> SequentTheory:
     _expect(isinstance(raw, dict), f"{where}: expected an object")
     types = _ident_list(raw.get("types", []), f"{where}.types")
     axioms_raw = raw.get("axioms", [])
     _expect(isinstance(axioms_raw, list), f"{where}.axioms: expected a list")
-    axioms = [_parse_sequent_obj(a, f"{where}.axioms[{k}]") for k, a in enumerate(axioms_raw)]
-    try:
-        return SequentTheory(frozenset(types), frozenset(axioms))
-    except IfkError as exc:
-        raise BundleError(f"{where}: {exc}") from exc
+    index = {typ: k for k, typ in enumerate(sorted(types))}
+    pairs, outside = [], None  # outside: the first axiom over other types, as text
+    for k, a in enumerate(axioms_raw):
+        if not isinstance(a, dict):
+            raise BundleError(f"{where}.axioms[{k}]: expected an object")
+        if not a.keys() <= {"ant", "con"}:
+            raise BundleError(f"{where}.axioms[{k}]: unknown keys {sorted(a.keys() - {'ant', 'con'})}")
+        g, d = _side_mask(index, a.get("ant", [])), _side_mask(index, a.get("con", []))
+        if g is None or d is None:
+            for side in ("ant", "con"):  # the first bad or duplicate identifier, if any
+                _ident_list(a.get(side, []), f"{where}.axioms[{k}].{side}")
+            outside = outside or _text(a.get("ant", []), a.get("con", []))
+        else:
+            pairs.append((g, d))
+    _expect(not outside, f"{where}: axiom {outside} uses types outside the language")
+    return _theory_of_index(index, [p for p, _ in groupby(sorted(pairs))])  # no duplicate axiom
+
+
+def _side_mask(index: dict[str, int], names) -> int | None:
+    """The mask of a list of distinct names of the language, else ``None``."""
+    if type(names) is not list:
+        return None
+    m = 0
+    for name in names:
+        k = index.get(name, -1) if type(name) is str else -1  # a dict is not hashable
+        if k < 0 or m >> k & 1:
+            return None
+        m |= 1 << k
+    return m
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    out = {}
-    for key, value in pairs:
-        _expect(key not in out, f"duplicate JSON key {key!r}")
-        out[key] = value
+    out = dict(pairs)
+    if len(out) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            _expect(key not in seen, f"duplicate JSON key {key!r}")
+            seen.add(key)
     return out
 
 

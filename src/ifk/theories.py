@@ -11,7 +11,8 @@ Everything runs on one bit-mask kernel: type k of the sorted language
 is bit k, a state is the int of the types holding in it, and a sequent
 is a pair of masks ``(g, d)`` that state ``x`` satisfies when
 ``g & ~x or d & x``.  A theory computes its index and axiom masks once;
-one the kernel makes is born with them and builds its axioms if read.
+one the kernel makes or a bundle parses is born with them and builds its
+axioms if read.
 
 Entailment is decided by refutation.  Each theory is compiled once, on
 its first query, into a ``CompiledTheory``, whose one query asks on a
@@ -71,10 +72,12 @@ class Sequent(_Value):
         )
 
     def __repr__(self) -> str:
-        return (
-            f"<{','.join(sorted(self.antecedent))} |- "
-            f"{','.join(sorted(self.consequent))}>"
-        )
+        return _text(self.antecedent, self.consequent)
+
+
+def _text(antecedent: Iterable[str], consequent: Iterable[str]) -> str:
+    """A sequent as ``<a,b |- c>``, each side sorted."""
+    return f"<{','.join(sorted(antecedent))} |- {','.join(sorted(consequent))}>"
 
 
 def _names(names: Iterable[str], what: str) -> frozenset[str]:
@@ -95,9 +98,10 @@ class SequentTheory(_Value):
     _freeze = {"types": lambda types: _names(types, "language"), "axioms": frozenset}
 
     def __post_init__(self):
-        for a in self.axioms:
-            if not (a.antecedent <= self.types and a.consequent <= self.types):
-                raise IfkError(f"axiom {a!r} uses types outside the language")
+        outside = [sequent_key(a) for a in self.axioms
+                   if not (a.antecedent <= self.types and a.consequent <= self.types)]
+        if outside:  # the least, so that every run names the same one
+            raise IfkError(f"axiom {_text(*min(outside))} uses types outside the language")
 
     def __eq__(self, other):
         if type(other) is not SequentTheory:

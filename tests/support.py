@@ -23,7 +23,7 @@ from ifk import (
     restriction,
     validate_system,
 )
-from ifk.theories import _sat, all_states, theory_of_states
+from ifk.theories import _sat, all_states, sequent_key, theory_of_states
 
 
 def rand_classification(
@@ -312,8 +312,9 @@ def corpus_system(rng: random.Random, kind: str) -> InformationSystem:
     type_map = {e: rand_type_map(rng, types[src], types[dst]) for e, src, dst in edges}
     instance_map = {e: {b: rng.choice(instances[src]) for b in instances[dst]} for e, src, dst in edges}
     axioms = {n: {rand_sequent(rng, types[n], 2) for _ in range(rng.randint(0, 2))} for n in nodes}
-    for n in nodes:  # a side left empty is kept now and then
-        axioms[n] = {a for a in axioms[n] if a.antecedent and a.consequent or rng.random() < 0.2}
+    for n in nodes:  # a side left empty is kept now and then; drawn in a fixed order
+        axioms[n] = {a for a in sorted(axioms[n], key=sequent_key)
+                     if a.antecedent and a.consequent or rng.random() < 0.2}
         if rng.random() < 0.05:
             axioms[n].add(Sequent((), ()))
     forks = [(e, f) for e in edges for f in edges if e[0] < f[0] and e[1] == f[1]]
