@@ -4,15 +4,15 @@ their colimits, and covering channels.
 The colimit of a language diagram disjointly sums the node languages and
 quotients by the identifications the edges generate.  The sum of a
 classification diagram has that colimit as its types and edge-compatible
-instance tuples as its instances; its legs form the universal covering
-channel: any other covering channel factors through it by a unique
-mediating infomorphism.
+instance tuples, found under one instance cap, as its instances; its
+legs form the universal covering channel: any other covering channel
+factors through it by a unique mediating infomorphism.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .classification import Classification, Infomorphism
 from .errors import DEFAULT_INSTANCE_CAP, CapExceeded, IfkError, ValidationResult
@@ -173,51 +173,55 @@ def tuple_instance_name(components: Mapping[str, str]) -> str:
     return "tup:" + ",".join(f"{n}.{x}" for n, x in sorted(components.items()))
 
 
-def _compatible_tuples(d: ClsDiagram, budget: int) -> Iterator[dict[str, str]]:
-    """Enumerate node-indexed instance tuples compatible with every edge.
+def _compatible_tuples(d: ClsDiagram, cap: int) -> list[dict[str, str]]:
+    """The node-indexed instance tuples compatible with every edge.
 
-    Nodes are assigned in the shape's breadth-first order, from the least
-    node of each component, so that every node but its first meets an
-    edge constraint as soon as it is assigned; partial tuples then stay
-    compatible tuples of a connected part of the diagram.  Partial tuples
-    can still multiply and die at a later node, so each one extended to
-    the next node is charged to ``budget`` and the search stops with
-    ``CapExceeded`` past it.  When every node has an instance, the charge
-    stays below the node count times the instance product.
+    Semijoins along the edges first cut each node's instances down, to a
+    fixpoint: an edge keeps the target instances whose image the source
+    keeps, the source keeps their images, and a loop keeps the instances
+    it fixes.  The tuples then grow node by node in the shape's
+    breadth-first order, each node's values taken from the edge to its
+    parent and checked against its other edges to earlier nodes, and the
+    partial tuples at each node are charged to ``cap``.  On a forest
+    without parallel edges every partial tuple completes.
     """
-    nodes = d.shape._traversal[0]
-    position = {n: k for k, n in enumerate(nodes)}
-    checks_at: dict[int, list[tuple[str, str, str]]] = {k: [] for k in range(len(nodes))}
-    for e, src, dst in sorted(d.shape.edges):
-        checks_at[max(position[src], position[dst])].append((e, src, dst))
-    if not nodes:
-        yield {}
-        return
-    choices = [sorted(d.node_cls[n].instances) for n in nodes]
-    if not all(choices):
-        return  # a node without instances admits no tuple
-    spent = 0
-    partial: dict[str, str] = {}
-    pending = [iter(choices[0])]  # remaining choices at each assigned depth
+    order, parent, _ = d.shape._traversal
+    position = {n: k for k, n in enumerate(order)}
+    edges = [(d.edge_info[e].instance_map, src, dst) for e, src, dst in sorted(d.shape.edges)]
+    alive = {n: set(d.node_cls[n].instances) for n in order}
+    pending = list(edges)  # each edge once, then again whenever an endpoint shrinks
     while pending:
-        k = len(pending) - 1
-        x = next(pending[-1], None)
-        if x is None:
-            pending.pop()
-            partial.pop(nodes[k], None)
-            continue
-        partial[nodes[k]] = x
-        if all(
-            d.edge_info[e].instance_map[partial[dst]] == partial[src]
-            for e, src, dst in checks_at[k]
-        ):
-            if k + 1 == len(nodes):
-                yield dict(partial)
-                continue
-            spent += 1
-            if spent > budget:
-                raise CapExceeded("sum classification search (lower bound)", spent, budget)
-            pending.append(iter(choices[k + 1]))
+        f, src, dst = pending.pop()
+        kept = {y for y in alive[dst] if f[y] in alive[src] and (src != dst or f[y] == y)}
+        image = {f[y] for y in kept}
+        if len(kept) < len(alive[dst]) or len(image) < len(alive[src]):
+            pending += [edge for edge in edges if {src, dst} & {edge[1], edge[2]}]
+        alive[dst], alive[src] = kept, image
+    if not all(alive.values()):
+        return []  # a node without instances admits no tuple
+    checks_at: list[list] = [[] for _ in order]  # each edge, at its later endpoint
+    for f, src, dst in edges:
+        checks_at[max(position[src], position[dst])].append((f, position[src], position[dst]))
+    partial: list[tuple[str, ...]] = [()]
+    for k, n in enumerate(order):
+        own, checks = sorted(alive[n]), checks_at[k]
+        j = None if parent[n] is None else position[parent[n]]
+        if j is not None:
+            f, a, b = link = next(c for c in checks if {c[1], c[2]} == {j, k})
+            checks.remove(link)
+            # the values the node may take next to each value of its parent
+            options = {x: [f[x]] for x in alive[parent[n]]} if a == k else {}
+            if b == k:
+                for y in own:
+                    options.setdefault(f[y], []).append(y)
+        grown = (t + (y,) for t in partial for y in (own if j is None else options[t[j]]))
+        passed = (t for t in grown if all(f[t[b]] == t[a] for f, a, b in checks))
+        partial = [t for _, t in zip(range(max(cap, 0) + 1), passed)]  # one past the cap, at most
+        if len(partial) > cap:
+            break
+    if len(partial) > cap:  # also the one empty tuple of a diagram without nodes
+        raise CapExceeded("sum classification instances (lower bound)", len(partial), cap)
+    return [dict(zip(order, t)) for t in partial]
 
 
 def sum_classification(d: ClsDiagram, instance_cap: int = DEFAULT_INSTANCE_CAP) -> Channel:
@@ -226,17 +230,13 @@ def sum_classification(d: ClsDiagram, instance_cap: int = DEFAULT_INSTANCE_CAP) 
     Core types are the language-colimit classes; core instances are the
     edge-compatible tuples; a tuple falls under a class when its
     component at any member node does (invariance makes the choice of
-    member immaterial).  The cap counts compatible tuples as they are
-    found, so a large instance product with few compatible tuples passes;
-    the search for them may extend ``instance_cap`` partial tuples per
-    node.  Either limit stops the enumeration where it is reached, so the
-    size it reports is a lower bound.
+    member immaterial).  At each node the partial tuples may number at
+    most ``instance_cap``, and a refusal reports the count at which that
+    node stopped, a lower bound.  An instance product within the cap
+    always passes, and so does a forest without parallel edges whose
+    tuples are within it.
     """
-    tuples = []
-    for tup in _compatible_tuples(d, instance_cap * len(d.shape.nodes)):
-        tuples.append(tup)
-        if len(tuples) > instance_cap:
-            raise CapExceeded("sum classification instances (lower bound)", len(tuples), instance_cap)
+    tuples = _compatible_tuples(d, instance_cap)
     colim = colimit_language(d.language_diagram())
     names = [tuple_instance_name(tup) for tup in tuples]
     if len(set(names)) != len(names):
@@ -320,13 +320,12 @@ def mediating_morphism(ch: Channel, other: Channel, d: ClsDiagram) -> Infomorphi
         )
 
     nodes = sorted(d.shape.nodes)
+    tuples: dict[tuple[str, ...], list[str]] = {}
+    for z in sorted(ch.core.instances):
+        tuples.setdefault(tuple(ch.legs[n].instance_map[z] for n in nodes), []).append(z)
     instance_map: dict[str, str] = {}
     for b in sorted(other.core.instances):
-        matches = [
-            z
-            for z in sorted(ch.core.instances)
-            if all(ch.legs[n].instance_map[z] == other.legs[n].instance_map[b] for n in nodes)
-        ]
+        matches = tuples.get(tuple(other.legs[n].instance_map[b] for n in nodes), [])
         if len(matches) != 1:
             raise IfkError(
                 f"no unique mediator: instance {b} has {len(matches)} compatible tuples"

@@ -30,8 +30,8 @@ class CapExceeded(IfkError):
 
     Caps make exponential blow-ups opt-in; the error reports the size that
     would have been required so callers can re-run with a larger cap.  A
-    phase marked "(lower bound)" stopped counting at the cap, so the size
-    it reports is the least that would be required.
+    phase marked "(lower bound)" stopped counting at the cap (a sum, at
+    its first node over it), so the size it reports is the least required.
     """
 
     def __init__(self, phase: str, required: int, cap: int):

@@ -178,14 +178,12 @@ def late_dying_diagram(k: int, m: int) -> ClsDiagram:
     return ClsDiagram(ShapeGraph(node_cls, edges), node_cls, infos)
 
 
-def test_sum_search_is_capped_when_partial_tuples_die_late():
+def test_sum_prunes_partial_tuples_that_die_late():
     assert len(sum_classification(late_dying_diagram(3, 4)).core.instances) == 1
-    # 4^12 partial tuples: the search stops at 4096 per node (25 nodes)
-    with pytest.raises(CapExceeded) as err:
-        sum_classification(late_dying_diagram(12, 4))
-    assert err.value.phase == "sum classification search (lower bound)"
-    assert (err.value.required, err.value.cap) == (4096 * 25 + 1, 4096 * 25)
-    # the budget never refuses a diagram whose instance product is within the cap
+    # 4^12 partial tuples over the b-nodes, but the semijoins leave each
+    # b-node the one instance its d-node admits
+    assert len(sum_classification(late_dying_diagram(12, 4)).core.instances) == 1
+    # a diagram whose instance product is within the cap is never refused
     assert len(sum_classification(late_dying_diagram(6, 4), instance_cap=4096).core.instances) == 1
     # nor one with an empty node, whatever the other nodes hold
     d = late_dying_diagram(12, 4)
@@ -194,6 +192,77 @@ def test_sum_search_is_capped_when_partial_tuples_die_late():
         ShapeGraph(d.shape.nodes | {"z"}, d.shape.edges), {**d.node_cls, "z": empty}, d.edge_info
     )
     assert sum_classification(d).core.instances == frozenset()
+
+
+def hub_diagram(k: int) -> ClsDiagram:
+    # a hub of 20 instances and k leaves; each leaf has 3 instances over
+    # every hub instance, except the last, which has one, over h0
+    h = Classification("h", [f"h{v}" for v in range(20)], [], [])
+    node_cls, edges, infos = {"h": h}, [], {}
+    for i in range(k):
+        over = {f"l{i}_0": "h0"} if i == k - 1 else {
+            f"l{i}_{v}_{j}": f"h{v}" for v in range(20) for j in range(3)}
+        leaf = node_cls[f"l{i}"] = Classification(f"l{i}", list(over), [], [])
+        edges.append((f"e{i}", "h", leaf.name))
+        infos[f"e{i}"] = Infomorphism(f"e{i}", h, leaf, {}, over)
+    return ClsDiagram(ShapeGraph(node_cls, edges), node_cls, infos)
+
+
+def test_sum_cap_charges_the_tuples_of_a_hub_not_a_search():
+    # instance product 20 * 60^7: the last leaf leaves 3^7 tuples over h0
+    assert len(sum_classification(hub_diagram(8)).core.instances) == 3**7
+    with pytest.raises(CapExceeded) as err:
+        sum_classification(hub_diagram(9))  # 3^8 = 6561 tuples
+    assert err.value.phase == "sum classification instances (lower bound)"
+    assert (err.value.required, err.value.cap) == (4097, 4096)
+
+
+def test_sum_semijoins_run_to_a_fixpoint():
+    # x - y - z: z keeps y0 alone only after the edge from x to y has been
+    # read once, so that edge must be read again for x to keep x0 alone
+    x, y = (Classification(n, [f"{n}0", f"{n}1"], [], []) for n in "xy")
+    z = Classification("z", ["z0"], [], [])
+    infos = {"e1": Infomorphism("e1", y, z, {}, {"z0": "y0"}),
+             "e2": Infomorphism("e2", x, y, {}, {"y0": "x0", "y1": "x1"})}
+    d = ClsDiagram(ShapeGraph("xyz", [("e1", "y", "z"), ("e2", "x", "y")]), {"x": x, "y": y, "z": z}, infos)
+    assert sum_classification(d, instance_cap=1).core.instances == {"tup:x.x0,y.y0,z.z0"}
+
+
+def test_sum_keeps_only_the_instances_a_loop_fixes():
+    # the loop on b swaps b0 and b1 and fixes b2 alone, so a keeps only a1:
+    # one partial tuple at each node, within a cap of 1
+    a = Classification("a", ["a0", "a1"], [], [])
+    b = Classification("b", ["b0", "b1", "b2"], [], [])
+    infos = {"ab": Infomorphism("ab", a, b, {}, {"b0": "a0", "b1": "a0", "b2": "a1"}),
+             "bb": Infomorphism("bb", b, b, {}, {"b0": "b1", "b1": "b0", "b2": "b2"})}
+    d = ClsDiagram(ShapeGraph("ab", [("ab", "a", "b"), ("bb", "b", "b")]), {"a": a, "b": b}, infos)
+    assert sum_classification(d, instance_cap=1).core.instances == {"tup:a.a1,b.b2"}
+
+
+def twisted_triangle(n: int, m: int) -> ClsDiagram:
+    # b_ij and c_ij lie over a_i, and c_ij over b_(i+1 mod n)j: every
+    # instance has a partner on every edge, yet no tuple closes the cycle
+    a = Classification("a", [f"a{i}" for i in range(n)], [], [])
+    b, c = (Classification(x, [f"{x}{i}_{j}" for i in range(n) for j in range(m)], [], [])
+            for x in "bc")
+    ab = {f"b{i}_{j}": f"a{i}" for i in range(n) for j in range(m)}
+    ac = {f"c{i}_{j}": f"a{i}" for i in range(n) for j in range(m)}
+    bc = {f"c{i}_{j}": f"b{(i + 1) % n}_{j}" for i in range(n) for j in range(m)}
+    infos = {"ab": Infomorphism("ab", a, b, {}, ab), "ac": Infomorphism("ac", a, c, {}, ac),
+             "bc": Infomorphism("bc", b, c, {}, bc)}
+    shape = ShapeGraph("abc", [("ab", "a", "b"), ("ac", "a", "c"), ("bc", "b", "c")])
+    return ClsDiagram(shape, {"a": a, "b": b, "c": c}, infos)
+
+
+def test_sum_cap_charges_partial_tuples_on_a_cycle():
+    # the semijoins remove nothing; the 200 partial tuples over a and b
+    # are charged although none survives c
+    d = twisted_triangle(10, 20)
+    with pytest.raises(CapExceeded) as err:
+        sum_classification(d, instance_cap=100)
+    assert err.value.phase == "sum classification instances (lower bound)"
+    assert (err.value.required, err.value.cap) == (101, 100)
+    assert sum_classification(d, instance_cap=200).core.instances == frozenset()
 
 
 def vee_cls_diagram():
@@ -335,6 +404,12 @@ def test_sum_of_empty_diagram_is_a_point():
     assert ch.core.types == frozenset()
     assert len(ch.core.instances) == 1  # the empty tuple
     assert verify_channel_covers(ch, d).ok
+
+
+def test_sum_cap_charges_the_empty_tuple():
+    with pytest.raises(CapExceeded) as err:
+        sum_classification(ClsDiagram(ShapeGraph([], []), {}, {}), instance_cap=0)
+    assert (err.value.required, err.value.cap) == (1, 0)
 
 
 def test_sum_with_an_instance_free_node_is_instance_free():

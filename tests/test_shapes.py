@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from ifk import ShapeGraph, entails_by_enumeration, integrate, sum_classification
+from ifk import CapExceeded, ShapeGraph, entails_by_enumeration, integrate, sum_classification
 from ifk.integration import VERDICT_MONOCOSMIC, _pulled_states
 from ifk.theories import Sequent, all_states, sequent_key
 
@@ -82,6 +82,26 @@ def test_sums_are_the_instance_product_filtered_by_every_edge(kind):
             for c, group in members.items():
                 holds = {(combo[nodes.index(n)], t) in d.node_cls[n].incidence for n, t in group}
                 assert holds == {(z, c) in channel.core.incidence}
+
+
+def test_every_partial_tuple_completes_on_a_forest_without_parallel_edges():
+    # so the cap on partial tuples refuses such a sum exactly when its
+    # tuples pass the cap, and reports their count
+    checked = 0
+    for kind in KINDS:
+        for s in _corpus(kind):
+            links = [frozenset((src, dst)) for _, src, dst in s.shape.edges if src != dst]
+            if not s.shape._traversal[2] or len(set(links)) < len(links):
+                continue
+            d = s.cls_diagram()
+            total = len(sum_classification(d).core.instances)
+            if total:
+                checked += 1
+                assert len(sum_classification(d, instance_cap=total).core.instances) == total
+                with pytest.raises(CapExceeded) as err:
+                    sum_classification(d, instance_cap=total - 1)
+                assert err.value.required == total
+    assert checked > 100
 
 
 def test_forest_flag_matches_a_union_find_count():
