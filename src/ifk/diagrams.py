@@ -3,10 +3,10 @@ their colimits, and covering channels.
 
 The colimit of a language diagram disjointly sums the node languages and
 quotients by the identifications the edges generate.  The sum of a
-classification diagram has that colimit as its types and edge-compatible
-instance tuples, found under one instance cap, as its instances; its
-legs form the universal covering channel: any other covering channel
-factors through it by a unique mediating infomorphism.
+classification diagram has that colimit as its types and the edge-compatible
+instance tuples, cut by ``_semijoin`` (``integrate``'s too) and joined under
+one instance cap, as its instances; its legs form the universal covering
+channel: any other covering channel factors through it by a unique mediator.
 """
 
 from __future__ import annotations
@@ -173,49 +173,59 @@ def tuple_instance_name(components: Mapping[str, str]) -> str:
     return "tup:" + ",".join(f"{n}.{x}" for n, x in sorted(components.items()))
 
 
+def _semijoin(rows: Mapping, links: list[tuple]) -> dict:
+    """Each node's set of rows cut to those that meet a row across every
+    link, to the greatest fixpoint: a link ``(a, key_a, b, key_b)`` joins x
+    at a to y at b when ``key_a[x] == key_b[y]``.  A round keeps the rows of
+    each a that meet b, links last to first, then those of each b that meet
+    a, first to last, and rounds repeat until one cuts nothing.  One round
+    over a forest's breadth-first parent links is the full reducer (Yannakakis 1981)."""
+    rows, passes = dict(rows), [*reversed(links), *((b, kb, a, ka) for a, ka, b, kb in links)]
+    while True:
+        before = sum(map(len, rows.values()))
+        for keep, key_keep, other, key_other in passes:
+            seen = {key_other[y] for y in rows[other]}
+            rows[keep] = {x for x in rows[keep] if key_keep[x] in seen}
+        if sum(map(len, rows.values())) == before:
+            return rows
+
+
 def _compatible_tuples(d: ClsDiagram, cap: int) -> list[dict[str, str]]:
     """The node-indexed instance tuples compatible with every edge.
 
-    Semijoins along the edges first cut each node's instances down, to a
-    fixpoint: an edge keeps the target instances whose image the source
-    keeps, the source keeps their images, and a loop keeps the instances
-    it fixes.  The tuples then grow node by node in the shape's
-    breadth-first order, each node's values taken from the edge to its
-    parent and checked against its other edges to earlier nodes, and the
-    partial tuples at each node are charged to ``cap``.  On a forest
-    without parallel edges every partial tuple completes.
+    A loop keeps the instances it fixes, and ``_semijoin`` cuts the
+    instances along every other edge, linked from its earlier end in
+    breadth-first order.  The tuples grow node by node in that order, each
+    node's values drawn from its link to its parent and checked against its
+    other links, and the partial tuples at each node are charged to ``cap``.
+    On a forest without parallel edges every partial tuple completes.
     """
-    order, parent, _ = d.shape._traversal
+    order = d.shape._traversal[0]
     position = {n: k for k, n in enumerate(order)}
-    edges = [(d.edge_info[e].instance_map, src, dst) for e, src, dst in sorted(d.shape.edges)]
-    alive = {n: set(d.node_cls[n].instances) for n in order}
-    pending = list(edges)  # each edge once, then again whenever an endpoint shrinks
-    while pending:
-        f, src, dst = pending.pop()
-        kept = {y for y in alive[dst] if f[y] in alive[src] and (src != dst or f[y] == y)}
-        image = {f[y] for y in kept}
-        if len(kept) < len(alive[dst]) or len(image) < len(alive[src]):
-            pending += [edge for edge in edges if {src, dst} & {edge[1], edge[2]}]
-        alive[dst], alive[src] = kept, image
+    alive = {k: set(d.node_cls[n].instances) for k, n in enumerate(order)}
+    into: list[list] = [[] for _ in order]  # each link, at its later end
+    # by earlier end, then edge id: a node's first link is to its parent, its earliest neighbour
+    for e, src, dst in sorted(d.shape.edges, key=lambda edge: (min(map(position.get, edge[1:])), edge)):
+        f, i, k = d.edge_info[e].instance_map, position[src], position[dst]
+        if i == k:
+            alive[k] = {y for y in alive[k] if f[y] == y}
+        else:  # keyed by the identity at the source and by the instance map at the target
+            link = (i, {x: x for x in alive[i]}, k, f)
+            into[max(i, k)].append(link if i < k else link[2:] + link[:2])  # from the earlier end
+    alive = _semijoin(alive, [link for checks in into for link in checks])
     if not all(alive.values()):
         return []  # a node without instances admits no tuple
-    checks_at: list[list] = [[] for _ in order]  # each edge, at its later endpoint
-    for f, src, dst in edges:
-        checks_at[max(position[src], position[dst])].append((f, position[src], position[dst]))
     partial: list[tuple[str, ...]] = [()]
-    for k, n in enumerate(order):
-        own, checks = sorted(alive[n]), checks_at[k]
-        j = None if parent[n] is None else position[parent[n]]
-        if j is not None:
-            f, a, b = link = next(c for c in checks if {c[1], c[2]} == {j, k})
-            checks.remove(link)
-            # the values the node may take next to each value of its parent
-            options = {x: [f[x]] for x in alive[parent[n]]} if a == k else {}
-            if b == k:
-                for y in own:
-                    options.setdefault(f[y], []).append(y)
-        grown = (t + (y,) for t in partial for y in (own if j is None else options[t[j]]))
-        passed = (t for t in grown if all(f[t[b]] == t[a] for f, a, b in checks))
+    for k, checks in enumerate(into):
+        own, rest = sorted(alive[k]), checks[1:]
+        if checks:  # the node's values next to each of its parent's
+            j, key_j, _, key_k = checks[0]
+            by_key: dict = {}
+            for y in own:
+                by_key.setdefault(key_k[y], []).append(y)
+            options = {x: by_key[key_j[x]] for x in alive[j]}
+        grown = (t + (y,) for t in partial for y in (options[t[j]] if checks else own))
+        passed = (t for t in grown if all(ka[t[a]] == kb[t[k]] for a, ka, _, kb in rest))
         partial = [t for _, t in zip(range(max(cap, 0) + 1), passed)]  # one past the cap, at most
         if len(partial) > cap:
             break

@@ -6,9 +6,9 @@ maps are optional extras.  Closure runs in three phases: direct flow of
 every node theory to the sum language, the meet of the images (presented
 by the union of their flowed axioms), and inverse flow of the sum theory
 back to each node, as handles that ask the sum theory's engine.  ``integrate``
-reads the bounded new consequences (deltas) by a semijoin iff the shape is a
-forest (undirected, loops and parallel edges ignored) with at most 16 node
-states per bounded sequent, else by asking the handles one sequent at a time.
+reads the bounded new consequences (deltas) off ``diagrams._semijoin`` iff the
+shape is a forest (undirected, loops and parallel edges ignored) with at most
+16 node states per bounded sequent, else by asking the handles one at a time.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from typing import Mapping, NamedTuple
 
 from .classification import Classification, Infomorphism
 from .diagrams import ClsDiagram, LanguageColimit, LanguageDiagram, ShapeGraph, colimit_language
+from .diagrams import _semijoin
 from .errors import (
     DEFAULT_DELTA_BOUND,
     DEFAULT_SEQUENT_CAP,
@@ -205,25 +206,24 @@ def bounded_sequents(types: frozenset[str], bound: int):
 
 def _pulled_states(s: InformationSystem) -> dict[str, tuple[int, int]]:
     """Per node of a forest-shaped system, its models and the sum's models
-    pulled back to it, as bits over its 2^|types| states.  A node's relation
-    maps the classes true in each model whose types of one class agree to
-    that model.  Sum axioms are node axioms renamed and classes span connected
-    nodes, so on a forest a semijoin pass up the shape's order and one down
-    leave each relation the sum's models seen from its node (Yannakakis 1981)."""
+    pulled back to it, as bits over its 2^|types| states.  A node's rows are
+    its models whose types of one class agree, and a link to its parent keys
+    each row by the classes true in it that both nodes share.  Sum axioms are
+    node axioms renamed and classes span connected nodes, so on a forest
+    ``_semijoin`` leaves each node the sum's models seen from it."""
     order, parent, _ = s.shape._traversal
-    handles = s._sum.handles
-    models, relation, scope = {}, {}, {}
+    models, rows, scope, links = {}, {}, {}, []
     for n in order:
-        image = handles[n]._image()  # image[x], image[~x]: classes of the types holding, failing in x
+        image = s._sum.handles[n]._image()  # image[x], image[~x]: classes of the types true, false in x
         models[n], scope[n] = _model_mask(s.node_theory[n]), image[-1]
-        relation[n] = {image[x]: x for x in _positions(models[n]) if not image[x] & image[~x]}
-    links = [(parent[n], n) for n in order if parent[n] is not None]
-    for keep, other in [*((up, n) for up, n in reversed(links)), *((n, up) for up, n in links)]:
-        shared = scope[keep] & scope[other]  # up, then down: keep's rows that meet one of other's
-        seen = {m & shared for m in relation[other]}
-        relation[keep] = {m: x for m, x in relation[keep].items() if m & shared in seen}
-    empty = not all(relation.values())  # then the sum theory has no model
-    pulled = {n: set() if empty else set(relation[n].values()) for n in order}
+        rows[n] = {x: image[x] for x in _positions(models[n]) if not image[x] & image[~x]}
+        if parent[n] is not None:  # breadth-first, so the parent's rows are built
+            up, shared = parent[n], scope[parent[n]] & scope[n]
+            links.append((up, {x: m & shared for x, m in rows[up].items()},
+                          n, {x: m & shared for x, m in rows[n].items()}))
+    pulled = _semijoin(rows, links)
+    if not all(pulled.values()):  # then the sum theory has no model
+        pulled = {n: set() for n in order}
     return {n: (m, int("0" + "".join("01"[x in pulled[n]] for x in reversed(range(m.bit_length()))), 2))
             for n, m in models.items()}
 

@@ -22,6 +22,7 @@ from ifk import (
     sum_classification,
     verify_channel_covers,
 )
+from ifk.diagrams import _compatible_tuples, _semijoin
 
 import support
 
@@ -263,6 +264,117 @@ def test_sum_cap_charges_partial_tuples_on_a_cycle():
     assert err.value.phase == "sum classification instances (lower bound)"
     assert (err.value.required, err.value.cap) == (101, 100)
     assert sum_classification(d, instance_cap=200).core.instances == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# the semijoin kernel against a naive fixpoint and the full join
+
+KERNEL_KINDS = support.CYCLIC_SHAPES + support.FOREST_SHAPES
+
+
+class _CountedKeys(dict):
+    """A key map that counts its reads."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def _kernel_cases():
+    """300 seeded cases over the corpus shapes: 0-6 rows per node, a node
+    now and then left without rows, and per edge a link between its ends
+    in random orientation with counted key maps onto at most 4 values."""
+    for case in range(300):
+        rng = random.Random(f"semijoin:{case}")
+        kind = KERNEL_KINDS[case % len(KERNEL_KINDS)]
+        nodes, edges = support.rand_shape(rng, kind)
+        rows = {n: {f"{n}r{j}" for j in range(rng.randint(0, 6))} for n in nodes}
+        if rng.random() < 0.1:
+            rows[rng.choice(nodes)] = set()
+        values = range(rng.randint(0, 3) + 1)
+        keys = lambda n: _CountedKeys({x: rng.choice(values) for x in sorted(rows[n])})
+        links = []
+        for _, src, dst in edges:
+            ends = [(src, keys(src)), (dst, keys(dst))]
+            rng.shuffle(ends)
+            links.append((*ends[0], *ends[1]))
+        rng.shuffle(links)
+        yield kind, ShapeGraph(nodes, edges), rows, keys, links
+
+
+def _naive_fixpoint(rows, links):
+    rows = {n: set(r) for n, r in rows.items()}
+    changed = True
+    while changed:
+        changed = False
+        for a, key_a, b, key_b in links:
+            for keep, key_keep, other, key_other in ((a, key_a, b, key_b), (b, key_b, a, key_a)):
+                kept = {x for x in rows[keep] if any(key_keep[x] == key_other[y] for y in rows[other])}
+                changed = changed or kept != rows[keep]
+                rows[keep] = kept
+    return rows
+
+
+def _joined_projection(shape, rows, links):
+    """Each node's rows in some tuple of its component's full join."""
+    order, parent, _ = shape._traversal
+    roots = {}
+    for n in order:
+        roots[n] = n if parent[n] is None else roots[parent[n]]
+    seen = {n: set() for n in order}
+    for root in set(roots.values()):
+        nodes = [n for n in order if roots[n] == root]
+        inside = [(nodes.index(a), ka, nodes.index(b), kb) for a, ka, b, kb in links if a in nodes]
+        for t in itertools.product(*(sorted(rows[n]) for n in nodes)):
+            if all(ka[t[i]] == kb[t[k]] for i, ka, k, kb in inside):
+                for n, x in zip(nodes, t):
+                    seen[n].add(x)
+    return seen
+
+
+def test_semijoin_is_the_greatest_fixpoint_and_on_forests_the_full_reducer():
+    forests = cut = 0
+    for kind, shape, rows, keys, links in _kernel_cases():
+        assert _semijoin(rows, links) == _naive_fixpoint(rows, links), kind
+        order, parent, forest = shape._traversal
+        if not forest:
+            continue
+        # parent-first in breadth-first order: one round reduces, a second finds nothing to cut
+        forests += 1
+        tree = [(parent[n], keys(parent[n]), n, keys(n)) for n in order if parent[n] is not None]
+        reduced = _semijoin(rows, tree)
+        for a, key_a, b, key_b in tree:  # each round reads a map twice a row, the second only kept rows
+            assert key_a.reads <= 2 * (len(rows[a]) + len(reduced[a])), kind
+            assert key_b.reads <= 2 * (len(rows[b]) + len(reduced[b])), kind
+        assert reduced == _joined_projection(shape, rows, tree), kind
+        cut += reduced != rows
+    assert forests > 100 and cut > 50
+
+
+def test_sum_tuples_over_rings_loops_and_parallel_edges_are_the_filtered_product():
+    # typeless classifications, so any instance maps make infomorphisms
+    for case in range(300):
+        rng = random.Random(f"semijoin sum:{case}")
+        nodes, edges = support.rand_shape(rng, KERNEL_KINDS[case % len(KERNEL_KINDS)])
+        cls = {n: Classification(n, [f"{n}i{j}" for j in range(rng.randint(0, 4))], [], [])
+               for n in nodes}
+        infos = {}
+        for e, src, dst in edges:
+            image = sorted(cls[src].instances)
+            if image or not cls[dst].instances:
+                imap = {y: rng.choice(image) for y in sorted(cls[dst].instances)}
+                infos[e] = Infomorphism(e, cls[src], cls[dst], {}, imap)
+        shape = ShapeGraph(nodes, [edge for edge in edges if edge[0] in infos])
+        d = ClsDiagram(shape, cls, infos)
+        product = itertools.product(*(sorted(cls[n].instances) for n in nodes))
+        compatible = lambda t: all(infos[e].instance_map[t[nodes.index(dst)]] == t[nodes.index(src)]
+                                   for e, src, dst in shape.edges)
+        expected = [dict(zip(nodes, t)) for t in product if compatible(t)]
+        found = _compatible_tuples(d, 10**6)
+        key = lambda tup: sorted(tup.items())
+        assert sorted(found, key=key) == sorted(expected, key=key), case
 
 
 def vee_cls_diagram():

@@ -104,6 +104,51 @@ def test_every_partial_tuple_completes_on_a_forest_without_parallel_edges():
     assert checked > 100
 
 
+def _largest_prefix_count(d):
+    """By brute force: the most tuples over any prefix of the breadth-first
+    order, over the instances left once every edge has cut its ends to a
+    fixpoint, that meet every edge inside the prefix; 0 when a node is left
+    without instances."""
+    order = d.shape._traversal[0]
+    edges = [(d.edge_info[e].instance_map, src, dst) for e, src, dst in d.shape.edges]
+    alive = {n: set(d.node_cls[n].instances) for n in order}
+    while True:
+        before = sum(map(len, alive.values()))
+        for f, src, dst in edges:
+            alive[dst] = {y for y in alive[dst] if f[y] in alive[src] and (src != dst or f[y] == y)}
+            alive[src] &= {f[y] for y in alive[dst]}
+        if sum(map(len, alive.values())) == before:
+            break
+    if not all(alive.values()):
+        return 0
+    counts = []
+    for k in range(1, len(order) + 1):
+        inside = [(f, order.index(src), order.index(dst)) for f, src, dst in edges
+                  if {src, dst} <= set(order[:k])]
+        product = itertools.product(*(sorted(alive[n]) for n in order[:k]))
+        counts.append(sum(all(f[t[b]] == t[a] for f, a, b in inside) for t in product))
+    return max(counts, default=1)  # no nodes: the one empty tuple
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_sum_refuses_a_cap_exactly_when_a_prefix_passes_it(kind):
+    # on every shape, cyclic or with parallel edges too: the partial tuples
+    # charged at a node are those of its prefix that meet every edge inside it
+    refused = 0
+    for s in _corpus(kind):
+        d = s.cls_diagram()
+        most = _largest_prefix_count(d)
+        for cap in sorted({0, 1, max(most - 1, 0), most}):
+            if most > cap:
+                refused += 1
+                with pytest.raises(CapExceeded) as err:
+                    sum_classification(d, instance_cap=cap)
+                assert (err.value.required, err.value.cap) == (cap + 1, cap)
+            else:
+                sum_classification(d, instance_cap=cap)
+    assert refused > 40
+
+
 def test_forest_flag_matches_a_union_find_count():
     shapes = [(None, [], []), (None, ["a"], [("e", "a", "a")])]
     for kind in KINDS:
