@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import operator
+from bisect import bisect_left
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Mapping
@@ -106,8 +107,8 @@ def _parse_theory(raw, where: str) -> SequentTheory:
     types = _ident_list(raw.get("types", []), f"{where}.types")
     axioms_raw = raw.get("axioms", [])
     _expect(isinstance(axioms_raw, list), f"{where}.axioms: expected a list")
-    index = {typ: k for k, typ in enumerate(sorted(types))}
-    pairs, outside = [], None  # outside: the first axiom over other types, as text
+    index, n = {typ: k for k, typ in enumerate(sorted(types))}, len(types)
+    masks, outside = [], None  # outside: the first axiom over other types, as text
     for k, a in enumerate(axioms_raw):
         if not isinstance(a, dict):
             raise BundleError(f"{where}.axioms[{k}]: expected an object")
@@ -119,9 +120,9 @@ def _parse_theory(raw, where: str) -> SequentTheory:
                 _ident_list(a.get(side, []), f"{where}.axioms[{k}].{side}")
             outside = outside or _text(a.get("ant", []), a.get("con", []))
         else:
-            pairs.append((g, d))
+            masks.append(g << n | d)
     _expect(not outside, f"{where}: axiom {outside} uses types outside the language")
-    return _theory_of_index(index, [p for p, _ in groupby(sorted(pairs))])  # no duplicate axiom
+    return _theory_of_index(index, [p for p, _ in groupby(sorted(masks))])  # no duplicate axiom
 
 
 def _side_mask(index: dict[str, int], names) -> int | None:
@@ -307,12 +308,17 @@ def canonical_json(doc) -> str:
 
     def theory(t: SequentTheory, indent: str) -> None:
         # the distinct sides are ranked by name and rendered once each
+        masks, n, low = t._masks, len(t.types), (1 << len(t.types)) - 1
         groups: dict[int, list[int]] = {}  # antecedent -> its consequents
-        for g, d in t._masks:
-            groups.setdefault(g, []).append(d)
+        start = 0
+        while start < len(masks):  # sorted, so the axioms sharing g are a slice
+            g = masks[start] >> n
+            end = bisect_left(masks, (g + 1) << n, start)
+            groups[g] = [p & low for p in masks[start:end]]
+            start = end
         names, inner = list(t._index), indent + "  "
         key, item = inner + "  ", inner + "    "
-        sides = {m: [names[k] for k in _bits(m)] for m in groups.keys() | {d for _, d in t._masks}}
+        sides = {m: [names[k] for k in _bits(m)] for m in groups.keys() | set().union(*groups.values())}
         rank = {m: r for r, m in enumerate(sorted(sides, key=sides.__getitem__))}
         texts = {m: "[" + item + ("," + item).join(map(_quote, s)) + key + "]" if s else "[]"
                  for m, s in sides.items()}

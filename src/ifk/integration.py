@@ -224,8 +224,7 @@ def _pulled_states(s: InformationSystem) -> dict[str, tuple[int, int]]:
     pulled = _semijoin(rows, links)
     if not all(pulled.values()):  # then the sum theory has no model
         pulled = {n: set() for n in order}
-    return {n: (m, int("0" + "".join("01"[x in pulled[n]] for x in reversed(range(m.bit_length()))), 2))
-            for n, m in models.items()}
+    return {n: (m, sum(1 << x for x in pulled[n])) for n, m in models.items()}
 
 
 def _deltas(t: SequentTheory, models: int, pulled: int, bound: int) -> tuple[Sequent, ...]:

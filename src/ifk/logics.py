@@ -75,8 +75,9 @@ def natural_entails(c: Classification, s: Sequent) -> bool:
 def natural_logic(c: Classification, cap: int = DEFAULT_SEQUENT_CAP) -> LocalLogic:
     """All sequents satisfied by every instance, with every instance normal.
 
-    Materializes 4^|types| candidate sequents; above the cap, query
-    entailment through ``natural_entails`` instead.
+    Charges 4^|types| candidate sequents to the cap and keeps each
+    theorem as one int ``g << n | d``; above the cap, query entailment
+    through ``natural_entails`` instead.
     """
     intents, extents = c._masks
     theory = _theory_of_masks(list(extents), intents.values(), cap, "natural logic")
@@ -96,10 +97,11 @@ def is_complete(l: LocalLogic) -> bool:
     violates, for each normal intent s has no model.
     """
     intents = l.classification._masks[0]
-    normal, full = {intents[i] for i in l.normal}, (1 << len(l.theory.types)) - 1
+    n = len(l.theory.types)
+    normal, full = {intents[i] for i in l.normal}, (1 << n) - 1
     if full < 16:  # scanning at most 16 states costs no more than compiling an engine
         return all(x in normal for x in _models(l.theory))
-    masks = {*l.theory._masks, *((s, full ^ s) for s in normal)}
+    masks = {*l.theory._masks, *(s << n | full ^ s for s in normal)}
     return not is_consistent(_theory_of_index(dict(l.theory._index), sorted(masks)))
 
 

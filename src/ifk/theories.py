@@ -9,10 +9,11 @@ under the usual structural rules.
 
 Everything runs on one bit-mask kernel: type k of the sorted language
 is bit k, a state is the int of the types holding in it, and a sequent
-is a pair of masks ``(g, d)`` that state ``x`` satisfies when
-``g & ~x or d & x``.  A theory computes its index and axiom masks once;
-one the kernel makes or a bundle parses is born with them and builds its
-axioms if read.
+over n types is the one int ``g << n | d`` of its antecedent mask ``g``
+and consequent mask ``d``, which state ``x`` satisfies when
+``g & ~x or d & x``; sorting these ints sorts by ``(g, d)``.  A theory
+computes its index and axiom ints once; one the kernel makes or a bundle
+parses is born with them and builds its axioms if read.
 
 Entailment is decided by refutation.  Each theory is compiled once, on
 its first query, into a ``CompiledTheory``, whose one query asks on a
@@ -23,10 +24,10 @@ models as state masks; its literals stay inside it.  A full 2^|types|
 state-enumeration oracle is kept alongside for checking.
 
 A theory's models are found in one bit-parallel scan over its 2^|types|
-states.  The theory of a state set is read off two tables over the
-deduplicated states, indexed by mask: where every type of ``g`` holds and
-where no type of ``d`` does; ``<g |- d>`` is a theorem when the two are
-disjoint.  Every materialization charges its cap before reading a state.
+states.  The theory of a state set is read off one row per antecedent
+``g``: the consequents that meet every state above ``g``, as a bitset,
+and each theorem is one int.  Every materialization charges its cap
+before reading a state.
 """
 
 from __future__ import annotations
@@ -118,8 +119,10 @@ class SequentTheory(_Value):
         if name != "axioms" or "_masks" not in self.__dict__:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         names, masks = list(self._index), self._masks
-        sides = {m: _named(names, m) for m in {m for p in masks for m in p}}
-        axioms = self.__dict__["axioms"] = frozenset(Sequent(sides[g], sides[d]) for g, d in masks)
+        n, low = len(names), (1 << len(names)) - 1
+        sides = {m: _named(names, m) for m in {p >> n for p in masks} | {p & low for p in masks}}
+        axioms = frozenset(Sequent(sides[p >> n], sides[p & low]) for p in masks)
+        self.__dict__["axioms"] = axioms
         return axioms
 
     # Derived on first use and freed with the theory: the mask index, the
@@ -131,11 +134,11 @@ class SequentTheory(_Value):
         return {typ: k for k, typ in enumerate(sorted(self.types))}
 
     @cached_property
-    def _masks(self) -> list[tuple[int, int]]:
-        """Every axiom as its (antecedent, consequent) masks, sorted."""
+    def _masks(self) -> list[int]:
+        """Every axiom as the int ``g << n | d`` of its antecedent and consequent masks, sorted."""
         sides = {a.antecedent for a in self.axioms} | {a.consequent for a in self.axioms}
-        mask = {side: _mask(self._index, side) for side in sides}
-        return sorted((mask[a.antecedent], mask[a.consequent]) for a in self.axioms)
+        mask, n = {side: _mask(self._index, side) for side in sides}, len(self.types)
+        return sorted(mask[a.antecedent] << n | mask[a.consequent] for a in self.axioms)
 
     @cached_property
     def _compiled(self) -> "CompiledTheory":
@@ -217,7 +220,9 @@ def _violating(t: SequentTheory, columns: list[int], everywhere: int) -> int:
     ``t``; ``columns[k]`` holds the positions where type k holds."""
     missing: dict[int, int] = {}  # d -> the positions where no type of d holds
     out, last, above = 0, None, 0
-    for g, d in t._masks:  # sorted, so axioms sharing g come together
+    n, low = len(t.types), (1 << len(t.types)) - 1
+    for p in t._masks:  # sorted, so axioms sharing g come together
+        g, d = p >> n, p & low
         if g & d:
             continue  # holds in every state
         if g != last:
@@ -246,8 +251,19 @@ def _models(t: SequentTheory) -> Iterator[int]:
     yield from _positions(_model_mask(t))
 
 
+_FLAGS = bytes.maketrans(b"01", b"\0\1")
+
+
 def _theory_of_masks(names: list[str], states: Iterable[int], cap: int, phase: str) -> SequentTheory:
     """Every sequent over the sorted ``names`` that all ``states`` satisfy.
+
+    ``<g |- d>`` is a theorem when ``d`` meets every state above ``g``.
+    Row ``g`` is the set of such ``d``, as bits over the 2^n consequents:
+    it starts as the ``d`` that meet ``g`` where ``g`` is a state, and as
+    every ``d`` elsewhere, and a sweep over supersets ANDs each row with
+    the row one type above it, n·2^(n-1) row ANDs in all.  The rows are
+    then read off as flags over ``range(4**n)``, so each theorem costs one
+    int ``g << n | d`` and no Python step.
 
     The cap is charged before ``states`` is read, so a lazy iterable is
     never enumerated past it.
@@ -256,18 +272,25 @@ def _theory_of_masks(names: list[str], states: Iterable[int], cap: int, phase: s
     required = 4 ** n
     if required > cap:
         raise CapExceeded(phase, required, cap)
-    states = list(set(states))
-    columns = _columns(states, n)
-    # indexed by mask: the states where every type of it holds, where none does
-    above = missing = [(1 << len(states)) - 1]
-    for column in columns:
-        above = above + [a & column for a in above]
-        missing = missing + [m & ~column for m in missing]
-    masks = [(g, d) for g, a in enumerate(above) for d, m in enumerate(missing) if not a & m]
+    size = 1 << n
+    meets = [0]  # indexed by state: the consequents that meet it
+    for column in _state_columns(n):
+        meets += [m | column for m in meets]
+    rows = [(1 << size) - 1] * size
+    for x in states:
+        rows[x] = meets[x]
+    for k in range(n):
+        bit = 1 << k
+        for g in range(size):
+            if not g & bit:
+                rows[g] &= rows[g | bit]
+    # a row's bits, lowest first, as bytes 0 and 1; many rows are equal
+    flags = {w: format(w, f"0{size}b")[::-1].encode().translate(_FLAGS) for w in set(rows)}
+    masks = list(itertools.compress(range(size * size), b"".join(map(flags.__getitem__, rows))))
     return _theory_of_index(dict(zip(names, range(n))), masks)
 
 
-def _theory_of_index(index: dict[str, int], masks: list[tuple[int, int]]) -> SequentTheory:
+def _theory_of_index(index: dict[str, int], masks: list[int]) -> SequentTheory:
     """The theory over ``index`` with sorted kernel ``masks``; axioms are built when read."""
     t = SequentTheory.__new__(SequentTheory)
     t.__dict__.update(types=frozenset(index), _index=index, _masks=masks)
@@ -317,7 +340,9 @@ class CompiledTheory:
         self._lock = threading.Lock()
         self._unsat = False
         self._models: list[int] = []
-        for g, d in t._masks:
+        n, low = len(t.types), (1 << len(t.types)) - 1
+        for p in t._masks:
+            g, d = p >> n, p & low
             if g & d:
                 continue  # holds in every state
             clause = sorted([2 * k + 1 for k in _bits(g)] + [2 * k for k in _bits(d)])
@@ -535,15 +560,16 @@ def theory_leq(t1: SequentTheory, t2: SequentTheory) -> bool:
     if t1.types != t2.types:
         raise IfkError("language mismatch: theories are ordered over a shared language")
     # t2's masks are over t1's index.  An axiom of t2 with an axiom of t2
-    # one type smaller on either side follows from that one by weakening;
-    # descending so ends at an axiom that is checked.
-    masks, held = t2._masks, set(t2._masks)
+    # one type smaller on either side (one bit fewer in its int) follows
+    # from that one by weakening; descending so ends at an axiom that is
+    # checked.
+    masks, n = t2._masks, len(t2.types)
+    held, low = set(masks), (1 << n) - 1
     return not any(
-        t1._compiled.refutes(g, d)
-        for g, d in masks
-        if not g & d  # a tautology holds in every theory
-        and not any((g ^ (1 << k), d) in held for k in _bits(g))
-        and not any((g, d ^ (1 << k)) in held for k in _bits(d))
+        t1._compiled.refutes(p >> n, p & low)
+        for p in masks
+        if not p >> n & p  # g & d: a tautology holds in every theory
+        and not any(p ^ (1 << k) in held for k in _bits(p))
     )
 
 

@@ -4,16 +4,29 @@ and build their axiom set only when it is read.  Each must behave exactly
 like its twin built from that axiom set."""
 
 import copy
+import gc
 import pickle
 import random
 
 import pytest
 
-from ifk import SequentTheory, bottom_theory, close, entails, theory_leq, top_theory
-from ifk.theories import theory_of_states
+from ifk import (
+    CapExceeded,
+    Classification,
+    SequentTheory,
+    bottom_theory,
+    close,
+    entails,
+    inverse_flow,
+    natural_logic,
+    theory_leq,
+    top_theory,
+)
+from ifk.bundle import parse_bundle
+from ifk.theories import _theory_of_masks, theory_of_states
 
 import support
-from conftest import seq
+from conftest import FIXTURES, seq
 
 
 def assert_twins(make, small: bool) -> None:
@@ -75,8 +88,86 @@ def test_edge_theories_equal_their_twins(make, size):
 
 
 def test_equal_masks_over_other_languages_are_other_theories():
-    # each has the one mask pair (1, 1): <a |- a> in one, <b |- b> in the other
+    # each has the one axiom int 1 << 1 | 1: <a |- a> in one, <b |- b> in the other
     assert close(top_theory(["a"])) != close(top_theory(["b"]))
     assert close(top_theory(["a"])) != SequentTheory(["b"], [seq("b", "b")])
     assert SequentTheory(["a"], [seq("a", "a")]) != SequentTheory(["b"], [seq("b", "b")])
     assert top_theory(["a"]) != top_theory(["b"])
+
+
+# ---------------------------------------------------------------------------
+# the row kernel against brute force, and what its theories keep
+
+def brute_theory(n: int, states: list[int]) -> list[int]:
+    """The sorted ints ``g << n | d`` of the sequents that no state violates:
+    none holds all of ``g`` and none of ``d``."""
+    distinct = set(states)
+    out = []
+    for g in range(2 ** n):
+        above = [x for x in distinct if x & g == g]
+        out += [g << n | d for d in range(2 ** n) if all(x & d for x in above)]
+    return out
+
+
+def kernel_state_sets():
+    for n in range(9):
+        size, rng = 1 << n, random.Random(f"kernel-rows:{n}")
+        yield pytest.param(n, [], id=f"{n}-none")  # every sequent
+        yield pytest.param(n, list(range(size)), id=f"{n}-all")  # only the tautologies
+        yield pytest.param(n, [rng.randrange(size)], id=f"{n}-one")
+        for k in range(3):
+            states = [rng.randrange(size) for _ in range(rng.randint(1, 2 * size))]
+            yield pytest.param(n, states + states[::2], id=f"{n}-random{k}")  # with duplicates
+
+
+@pytest.mark.parametrize("n, states", kernel_state_sets())
+def test_kernel_rows_match_brute_force(n, states):
+    names = [f"t{k}" for k in range(n)]
+    t = _theory_of_masks(names, iter(states), 4 ** n, "test")
+    assert t.types == frozenset(names) and list(t._index) == names
+    assert t._masks == brute_theory(n, states)
+    if not states:
+        assert len(t._masks) == 4 ** n
+    elif len(set(states)) == 2 ** n:
+        assert len(t._masks) == 4 ** n - 3 ** n
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_kernel_charges_the_cap_before_reading_states(n):
+    def states():
+        raise AssertionError("states read past the cap")
+        yield
+
+    with pytest.raises(CapExceeded) as refused:
+        _theory_of_masks([f"t{k}" for k in range(n)], states(), 4 ** n - 1, "test")
+    assert (refused.value.required, refused.value.cap) == (4 ** n, 4 ** n - 1)
+
+
+def test_materializations_keep_no_object_per_theorem():
+    # a kept object per theorem would add thousands: the closure of wide.json
+    # holds 60,936 theorems, the 7-type natural logic and pullback thousands
+    wide = parse_bundle((FIXTURES / "wide.json").read_text()).theories["wide"]
+    rng = random.Random("gc-guard")
+    types, instances = [f"t{k}" for k in range(7)], [f"i{k}" for k in range(40)]
+    c = Classification(
+        "c", instances, types, [(i, x) for i in instances for x in types if rng.random() < 0.5]
+    )
+    target = support.rand_theory(rng, types, 7, 2)
+    source = [f"s{k}" for k in range(7)]
+    pullback = inverse_flow(dict(zip(source, types)), target, source)
+    calls = {  # each call, and the theory in what it returns
+        "close": (lambda: close(wide), lambda t: t),
+        "natural_logic": (lambda: natural_logic(c), lambda logic: logic.theory),
+        "materialize": (pullback.materialize, lambda t: t),
+    }
+    for name, (call, theory) in calls.items():
+        assert len(theory(call())._masks) > 1000
+        gc.collect()  # the first call filled the inputs' caches; count only the second
+        gc.disable()
+        try:
+            before = len(gc.get_objects())
+            kept = call()
+            added = len(gc.get_objects()) - before
+        finally:
+            gc.enable()
+        assert kept is not None and added < 16, (name, added)

@@ -206,9 +206,10 @@ def test_compiled_theory_refutes_mask_pairs():
         cases += 1
         refuted += expected
     for t in theories:
-        kept = t._compiled._models
-        assert all(x >> len(t.types) == 0 for x in kept)
-        assert all(g & ~x or d & x for x in kept for g, d in t._masks)
+        kept, n = t._compiled._models, len(t.types)
+        assert all(x >> n == 0 for x in kept)
+        # each axiom int is g << n | d
+        assert all(p >> n & ~x or p & ((1 << n) - 1) & x for x in kept for p in t._masks)
     assert 0 < refuted < cases
     print(f"refutes on {len(theories)} theories: {cases} cases, {refuted} refuted")
 
