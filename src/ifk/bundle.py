@@ -28,7 +28,7 @@ from .classification import (
     validate_classification,
 )
 from .errors import BundleError, IfkError, _map, _Value
-from .theories import Sequent, SequentTheory, _text, _theory_of_index
+from .theories import Sequent, SequentTheory, _indexed, _text, _theory_of_index
 
 if TYPE_CHECKING:
     from .integration import InformationSystem
@@ -107,7 +107,7 @@ def _parse_theory(raw, where: str) -> SequentTheory:
     types = _ident_list(raw.get("types", []), f"{where}.types")
     axioms_raw = raw.get("axioms", [])
     _expect(isinstance(axioms_raw, list), f"{where}.axioms: expected a list")
-    index, n = {typ: k for k, typ in enumerate(sorted(types))}, len(types)
+    index, n = _indexed(types), len(types)
     masks, outside = [], None  # outside: the first axiom over other types, as text
     for k, a in enumerate(axioms_raw):
         if not isinstance(a, dict):

@@ -86,7 +86,8 @@ class _Value:
     ``__hash__ = None``: a read-only map cannot be hashed.  No value can
     be assigned or lose an attribute; what it derives on first use goes
     straight into its ``__dict__``.  Pickle and deep copy rebuild a value
-    through its constructor (read-only maps as plain dicts)."""
+    through its constructor (read-only maps as plain dicts): a copied
+    theory carries its index and axiom ints, never its engine."""
 
     _fields, _defaults, _freeze = (), {}, {}  # unannotated: not fields
 

@@ -21,8 +21,11 @@ from .theories import (
     FlatTheory,
     Sequent,
     SequentTheory,
+    _flowed,
     _mask,
+    _renamed,
     _require_within,
+    _theory_of_index,
     _theory_of_masks,
     flat_closure,
     flat_entails,
@@ -45,7 +48,7 @@ def direct_flow(
     """Image of every axiom under the type function, over the target language."""
     target_types = frozenset(target_types)
     _require_total(type_map, t.types, target_types)
-    return SequentTheory(target_types, frozenset(a.rename(type_map) for a in t.axioms))
+    return _flowed(target_types, [(t, type_map)])
 
 
 class InverseFlowTheory(_Value):
@@ -116,10 +119,11 @@ def check_theory_morphism(
     """``f`` is a theory morphism when every axiom image is a theorem of
     ``t2``; the defects are the axioms of ``t1`` that the pullback of
     ``t2`` along ``f`` does not entail."""
-    pullback = InverseFlowTheory(f, t2, t1.types)
-    return ValidationResult.from_defects(
-        tuple(a for a in sorted(t1.axioms, key=sequent_key) if not pullback.entails(a))
-    )
+    _require_total(f, t1.types, t2.types)
+    m, low = len(t2.types), (1 << len(t2.types)) - 1
+    failed = [p for p, q in _renamed(t1, f, t2._index).items() if t2._compiled.refutes(q >> m, q & low)]
+    defects = _theory_of_index(t1._index, failed).axioms  # built for the failed axioms alone
+    return ValidationResult.from_defects(sorted(defects, key=sequent_key))
 
 
 def flat_direct_flow(

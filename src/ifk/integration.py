@@ -37,6 +37,7 @@ from .theories import (
     Sequent,
     SequentTheory,
     _common,
+    _flowed,
     _mask,
     _model_mask,
     _positions,
@@ -152,9 +153,7 @@ class InformationSystem(_Value):
     @cached_property
     def _sum(self) -> _SystemSum:
         colim = colimit_language(self.language_diagram())
-        theory = SequentTheory(colim.types, frozenset(
-            a.rename(colim.cocone[n]) for n in self.shape.nodes for a in self.node_theory[n].axioms
-        ))
+        theory = _flowed(colim.types, [(self.node_theory[n], colim.cocone[n]) for n in self.shape.nodes])
         handles = {
             n: inverse_flow(colim.cocone[n], theory, self.node_theory[n].types)
             for n in self.shape.nodes
@@ -339,7 +338,5 @@ def system_leq(s1: InformationSystem, s2: InformationSystem) -> bool:
 def system_entails(s1: InformationSystem, s2: InformationSystem) -> bool:
     """The closure of ``s1`` lies pointwise below ``s2``."""
     _require_comparable(s1, s2)
-    handles = s1._sum.handles
-    return all(
-        handles[n].entails(a) for n in s1.shape.nodes for a in s2.node_theory[n].axioms
-    )
+    colim, theory, _ = s1._sum
+    return all(check_theory_morphism(colim.cocone[n], s2.node_theory[n], theory) for n in s1.shape.nodes)

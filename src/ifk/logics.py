@@ -8,8 +8,8 @@ logic over that classification, up to closure.
 
 Logics read the classification's masks.  Each keeps only its violators,
 found once in one scan over the classification's extent masks; its own
-check of the normal set, soundness and normalization read them, and the
-normalized logic shares them.
+check of the normal set, soundness and normalization read them.  A
+natural, restricted or normalized logic is born knowing them.
 """
 
 from __future__ import annotations
@@ -66,6 +66,14 @@ class LocalLogic(_Value):
         return _named(list(intents), bad)
 
 
+def _logic(c: Classification, theory: SequentTheory, violators: frozenset[str]) -> LocalLogic:
+    """The logic of ``theory`` on ``c`` with every instance normal but its known ``violators``."""
+    l = LocalLogic.__new__(LocalLogic)
+    l.__dict__["_violators"] = violators  # the constructor's check reads them: no scan
+    l.__init__(c, theory, c.instances - violators)
+    return l
+
+
 def natural_entails(c: Classification, s: Sequent) -> bool:
     """Virtual form of the natural theory: the logic of <s> has no violators."""
     _require_within(c.types, s)
@@ -81,7 +89,7 @@ def natural_logic(c: Classification, cap: int = DEFAULT_SEQUENT_CAP) -> LocalLog
     """
     intents, extents = c._masks
     theory = _theory_of_masks(list(extents), intents.values(), cap, "natural logic")
-    return LocalLogic(c, theory, c.instances)
+    return _logic(c, theory, frozenset())  # every instance satisfies the theory of them all
 
 
 def is_sound(l: LocalLogic) -> bool:
@@ -109,17 +117,12 @@ def restriction(l: LocalLogic, cap: int = DEFAULT_SEQUENT_CAP) -> LocalLogic:
     """The sound logic with theory: theorems of ``l`` satisfied by every instance."""
     states = itertools.chain(l.classification._masks[0].values(), _models(l.theory))
     theory = _theory_of_masks(list(l.theory._index), states, cap, "logic restriction")
-    return LocalLogic(l.classification, theory, l.classification.instances)
+    return _logic(l.classification, theory, frozenset())
 
 
 def normalize(l: LocalLogic) -> LocalLogic:
     """Grow the normal set to every instance whose intent satisfies the theory."""
-    c = l.classification
-    # the same violators: the constructor's check reads them without a second scan
-    out = LocalLogic.__new__(LocalLogic)
-    out.__dict__["_violators"] = l._violators
-    out.__init__(c, l.theory, c.instances - l._violators)
-    return out
+    return _logic(l.classification, l.theory, l._violators)
 
 
 def logic_direct_image(f: Infomorphism, l: LocalLogic) -> LocalLogic:

@@ -12,8 +12,8 @@ is bit k, a state is the int of the types holding in it, and a sequent
 over n types is the one int ``g << n | d`` of its antecedent mask ``g``
 and consequent mask ``d``, which state ``x`` satisfies when
 ``g & ~x or d & x``; sorting these ints sorts by ``(g, d)``.  A theory
-computes its index and axiom ints once; one the kernel makes or a bundle
-parses is born with them and builds its axioms if read.
+is its index and sorted axiom ints, which equality, hashing and every
+flow (``_renamed``) read; it builds its ``Sequent`` axioms only if read.
 
 Entailment is decided by refutation.  Each theory is compiled once, on
 its first query, into a ``CompiledTheory``, whose one query asks on a
@@ -54,15 +54,6 @@ class Sequent(_Value):
         _set_field(self, "antecedent", antecedent)
         _set_field(self, "consequent", consequent)
 
-    # spelled out, as the constructor is: sets of sequents compare and hash these
-    def __eq__(self, other):
-        if other.__class__ is Sequent:
-            return self.antecedent == other.antecedent and self.consequent == other.consequent
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.antecedent, self.consequent))
-
     def types(self) -> frozenset[str]:
         return self.antecedent | self.consequent
 
@@ -96,27 +87,28 @@ def sequent_key(s: Sequent) -> tuple[tuple[str, ...], tuple[str, ...]]:
 class SequentTheory(_Value):
     types: frozenset[str]
     axioms: frozenset[Sequent]
-    _freeze = {"types": lambda types: _names(types, "language"), "axioms": frozenset}
 
-    def __post_init__(self):
-        outside = [sequent_key(a) for a in self.axioms
-                   if not (a.antecedent <= self.types and a.consequent <= self.types)]
+    def __init__(self, types: Iterable[str], axioms: Iterable[Sequent]):
+        types, axioms = _names(types, "language"), tuple(axioms)
+        outside = [sequent_key(a) for a in axioms if not a.types() <= types]
         if outside:  # the least, so that every run names the same one
             raise IfkError(f"axiom {_text(*min(outside))} uses types outside the language")
+        index, n = _indexed(types), len(types)
+        masks = {_mask(index, a.antecedent) << n | _mask(index, a.consequent) for a in axioms}
+        self.__dict__.update(types=types, _index=index, _masks=sorted(masks))
 
+    # The language and the axiom ints fix the axioms.
     def __eq__(self, other):
         if type(other) is not SequentTheory:
             return NotImplemented
-        if "axioms" in self.__dict__ and "axioms" in other.__dict__:  # derive no masks
-            return self.types == other.types and self.axioms == other.axioms
         return self.types == other.types and self._masks == other._masks
 
     def __hash__(self):
         return hash((self.types, tuple(self._masks)))
 
     def __getattr__(self, name: str):
-        """The axioms of a theory the kernel made, built on first read."""
-        if name != "axioms" or "_masks" not in self.__dict__:
+        """The axioms, built on first read."""
+        if name != "axioms":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         names, masks = list(self._index), self._masks
         n, low = len(names), (1 << len(names)) - 1
@@ -124,21 +116,6 @@ class SequentTheory(_Value):
         axioms = frozenset(Sequent(sides[p >> n], sides[p & low]) for p in masks)
         self.__dict__["axioms"] = axioms
         return axioms
-
-    # Derived on first use and freed with the theory: the mask index, the
-    # axiom masks and the entailment engine built from them.  Equality and
-    # hashing read the language and the masks, which fix the axioms.
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        """Type k of the sorted language is bit k of every mask."""
-        return {typ: k for k, typ in enumerate(sorted(self.types))}
-
-    @cached_property
-    def _masks(self) -> list[int]:
-        """Every axiom as the int ``g << n | d`` of its antecedent and consequent masks, sorted."""
-        sides = {a.antecedent for a in self.axioms} | {a.consequent for a in self.axioms}
-        mask, n = {side: _mask(self._index, side) for side in sides}, len(self.types)
-        return sorted(mask[a.antecedent] << n | mask[a.consequent] for a in self.axioms)
 
     @cached_property
     def _compiled(self) -> "CompiledTheory":
@@ -181,11 +158,30 @@ def all_states(types: Iterable[str]) -> Iterator[frozenset[str]]:
 # ---------------------------------------------------------------------------
 # mask kernel
 
+def _indexed(types: Iterable[str]) -> dict[str, int]:
+    """Type k of the sorted language is bit k of every mask."""
+    return {typ: k for k, typ in enumerate(sorted(types))}
+
+
 def _mask(index: Mapping[str, int], names: Iterable[str]) -> int:
     m = 0
     for name in names:
         m |= 1 << index[name]
     return m
+
+
+def _renamed(t: SequentTheory, f: Mapping[str, str], index: Mapping[str, int]) -> dict[int, int]:
+    """Each axiom int of ``t`` and its image: each type's bit goes to its image's bit in ``index``."""
+    image = [1 << index[f[name]] for name in t._index]
+    image += [bit << len(index) for bit in image]  # the bits of d, then those of g
+    return {p: sum({image[k] for k in _bits(p)}) for p in t._masks}  # a set of bits sums to their OR
+
+
+def _flowed(types: Iterable[str], flows: Iterable[tuple]) -> SequentTheory:
+    """The theory over ``types`` of the axioms of each ``(t, f)`` of ``flows``, renamed along ``f``."""
+    index = _indexed(types)
+    images = {q for t, f in flows for q in _renamed(t, f, index).values()}
+    return _theory_of_index(index, sorted(images))
 
 
 def _positions(m: int) -> Iterator[int]:
@@ -544,10 +540,9 @@ def theory_of_states(
 
     Types of a state outside ``types`` do not bear on satisfaction.
     """
-    names = sorted(frozenset(types))
-    index = {name: k for k, name in enumerate(names)}
+    index = _indexed(frozenset(types))
     masks = (_mask(index, (name for name in x if name in index)) for x in states)
-    return _theory_of_masks(names, masks, cap, "theory materialization")
+    return _theory_of_masks(list(index), masks, cap, "theory materialization")
 
 
 def close(t: SequentTheory, cap: int = DEFAULT_SEQUENT_CAP) -> SequentTheory:
@@ -608,10 +603,9 @@ def analogy(t: SequentTheory, renaming: Mapping[str, str]) -> SequentTheory:
     """Systematic renaming of the language along a bijection."""
     if frozenset(renaming) != t.types:
         raise IfkError("renaming must be defined on exactly the language")
-    values = list(renaming.values())
-    if len(set(values)) != len(values):
+    if len(set(renaming.values())) != len(renaming):
         raise IfkError("renaming is not a bijection")
-    return SequentTheory(frozenset(values), frozenset(a.rename(renaming) for a in t.axioms))
+    return _flowed(renaming.values(), [(t, renaming)])
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,13 @@ from ifk import (
     Classification,
     FlatTheory,
     IfkError,
+    InformationSystem,
     Infomorphism,
     SequentTheory,
+    analogy,
     borrowing_holds,
     bottom_theory,
+    check_theory_morphism,
     close,
     direct_flow,
     entails_by_enumeration,
@@ -23,8 +26,9 @@ from ifk import (
     inverse_flow,
     theory_leq,
     top_theory,
+    validate_system,
 )
-from ifk.theories import theory_of_states
+from ifk.theories import sequent_key, theory_of_states
 
 import support
 from conftest import seq
@@ -71,6 +75,103 @@ def test_direct_flow_distributes_over_union():
             direct_flow(f, both, {"u", "v"}).axioms
             == direct_flow(f, t1, {"u", "v"}).axioms | direct_flow(f, t2, {"u", "v"}).axioms
         )
+
+
+# ---------------------------------------------------------------------------
+# flows rename axiom ints as Sequent.rename renames sequents
+
+def assert_twins(flowed: SequentTheory, twin: SequentTheory) -> None:
+    assert flowed == twin and twin == flowed
+    assert hash(flowed) == hash(twin) and flowed._masks == twin._masks
+
+
+def rand_flow(rng: random.Random):
+    """A seeded theory, a type map (most are not injective) and a target
+    language that now and then has a type no source type maps to.  The
+    theory is built from sequents or, now and then, made by the kernel."""
+    dst = [f"u{k}" for k in range(rng.randint(1, 4))]
+    src = [f"x{k}" for k in range(rng.randint(0, 5))]
+    f = support.rand_type_map(rng, src, dst)
+    t = support.rand_theory(rng, src, 5)
+    if rng.random() < 0.25:
+        t = close(t)
+    return t, f, dst + ["spare"] if rng.random() < 0.3 else dst
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_direct_flow_renames_ints_as_sequents(seed):
+    rng = random.Random(f"direct flow {seed}")
+    merging = tautologies = 0
+    for _ in range(80):
+        t, f, target = rand_flow(rng)
+        assert_twins(direct_flow(f, t, target), SequentTheory(target, {a.rename(f) for a in t.axioms}))
+        merging += len(set(f.values())) < len(f)
+        tautologies += any(a.antecedent.isdisjoint(a.consequent)
+                           and not {f[x] for x in a.antecedent}.isdisjoint({f[x] for x in a.consequent})
+                           for a in t.axioms)
+    assert merging > 30 and tautologies > 5  # non-injective maps, images that are tautologies
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_analogy_renames_ints_as_sequents(seed):
+    rng = random.Random(f"analogy {seed}")
+    for _ in range(40):
+        t = support.rand_theory(rng, [f"x{k}" for k in range(rng.randint(0, 5))], 5)
+        if rng.random() < 0.25:
+            t = close(t)
+        names = rng.sample([f"y{k}" for k in range(8)], len(t.types))  # the order of the names moves
+        renaming = dict(zip(sorted(t.types), names))
+        twin = SequentTheory(names, {a.rename(renaming) for a in t.axioms})
+        assert_twins(analogy(t, renaming), twin)
+
+
+@pytest.mark.parametrize("kind", support.CYCLIC_SHAPES + support.FOREST_SHAPES)
+def test_sum_theory_renames_ints_as_sequents(kind):
+    rng = random.Random(f"sum theory {kind}")
+    for _ in range(10):
+        s = support.corpus_system(rng, kind)
+        colim = s._sum.colimit
+        twin = SequentTheory(colim.types, {a.rename(colim.cocone[n]) for n in s.shape.nodes
+                                           for a in s.node_theory[n].axioms})
+        assert_twins(s._sum.theory, twin)
+
+
+def sequent_defects(f, t1: SequentTheory, t2: SequentTheory) -> tuple:
+    """The axioms of ``t1`` whose images ``t2`` does not entail, by state enumeration."""
+    return tuple(a for a in sorted(t1.axioms, key=sequent_key)
+                 if not entails_by_enumeration(t2, a.rename(f)))
+
+
+def test_morphism_defects_match_the_sequent_oracle():
+    rng = random.Random("morphism defects")
+    failing = 0
+    for _ in range(200):
+        t1, f, target = rand_flow(rng)
+        t2 = support.rand_theory(rng, target, 4)
+        defects = check_theory_morphism(f, t1, t2).defects
+        assert defects == sequent_defects(f, t1, t2)
+        failing += len(defects) > 1
+    assert failing > 20
+
+
+@pytest.mark.parametrize("kind", support.CYCLIC_SHAPES + support.FOREST_SHAPES)
+def test_system_defects_match_the_sequent_oracle(kind):
+    # a corpus system whose node theories take in random axioms: the
+    # edges out of those nodes stop being theory morphisms
+    rng = random.Random(f"system defects {kind}")
+    failing = 0
+    for _ in range(20):
+        s = support.corpus_system(rng, kind)
+        theories = dict(s.node_theory)
+        for n, t in sorted(theories.items()):
+            extra = {support.rand_sequent(rng, t.types, 2) for _ in range(rng.randint(0, 2))}
+            theories[n] = SequentTheory(t.types, t.axioms | extra)
+        grown = InformationSystem(s.shape, theories, s.edge_type_map)
+        expected = tuple(("edge", e, "axiom", a) for e, src, dst in sorted(s.shape.edges)
+                         for a in sequent_defects(s.edge_type_map[e], theories[src], theories[dst]))
+        assert validate_system(grown).defects == expected
+        failing += len(expected) > 1
+    assert failing >= 5
 
 
 # ---------------------------------------------------------------------------

@@ -213,6 +213,25 @@ def test_each_logic_scans_its_instances_once(clf_a, monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_natural_and_restricted_logics_scan_no_theorem(monkeypatch, seed):
+    # their theories are made from states every instance satisfies, so
+    # neither has a violator to find; a plain logic over the same theory
+    # scans once and finds none
+    rng = random.Random(seed)
+    c = support.rand_classification(rng, 6, 5, min_instances=1)
+    given = LocalLogic(c, support.rand_theory(rng, c.types, 4, 2), frozenset())
+    calls = []
+    scan = ifk.logics._violating
+    monkeypatch.setattr(ifk.logics, "_violating", lambda *args: calls.append(1) or scan(*args))
+    for make in (partial(natural_logic, c), partial(restriction, given)):
+        logic = make()
+        assert calls == [] and is_sound(logic) and logic.normal == c.instances
+        plain = LocalLogic(c, logic.theory, c.instances)
+        assert len(calls) == 1 and is_sound(plain) and plain == logic
+        calls.clear()
+
+
 def test_identity_images_are_identity(clf_a):
     ident = identity_infomorphism(clf_a)
     logic = natural_logic(clf_a)

@@ -147,13 +147,14 @@ def test_values_copy_their_fields_only(copier, seed):
     extent(c, c.types)
     lattice_dot(l), meet(l, 0, 0), l.order
     is_complete(logic)
-    kept = ((theory, {"_index", "_masks", "_compiled"}), (c, {"_masks"}),
-            (l, {"_sides", "_ups", "order"}))
-    for value, derived in kept:
+    # a copy keeps its fields, and a theory its index and axiom ints, never its engine
+    kept = ((theory, {"_index", "_masks", "_compiled"}, {"types", "_index", "_masks"}),
+            (c, {"_masks"}, set(c._fields)), (l, {"_sides", "_ups", "order"}, set(l._fields)))
+    for value, derived, copied in kept:
         assert derived <= vars(value).keys()
         again = copier(value)
         assert again == value
-        assert vars(again).keys() == set(value._fields)
+        assert vars(again).keys() == copied
     # a logic's constructor finds its violators; a copy finds them again
     again = copier(logic)
     assert again == logic

@@ -271,6 +271,23 @@ def test_close_reports_build_no_sequent(monkeypatch, tmp_path):
     assert status == 0 and built == []
 
 
+def test_system_reports_build_a_sequent_per_delta_only(monkeypatch):
+    # validation, the sum theory, its consistency and the report all run
+    # on axiom ints; integrate's semijoin path builds each delta it reports
+    built = []
+    init = Sequent.__init__
+    monkeypatch.setattr(Sequent, "__init__", lambda s, *a: built.append(a) or init(s, *a))
+    vee = FIXTURES / "vee.json"
+    assert parse_bundle(vee.read_text()).systems["vee"].shape._traversal[2]  # a forest
+    assert built == []
+    status, report = run(["integrate", "--system", "vee", "--delta-bound", "1", str(vee)])
+    found = sum(map(len, json.loads(report)["deltas"].values()))
+    assert status == 0 and found and len(built) == found
+    built.clear()
+    status, report = run(["consistency", "--system", "clash", str(FIXTURES / "clash.json")])
+    assert status == 0 and json.loads(report)["verdict"] == "polycosmic" and built == []
+
+
 def test_close_report_peak_memory():
     # the peak holds the report, the closure's masks and the pieces joined
     # into the report, about 1.5x the report; a dict per axiom, or one more

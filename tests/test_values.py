@@ -325,7 +325,7 @@ def test_every_value_class_is_built_here_and_refuses_assignment():
 # the defaults, and copies.
 IDENTITY = {InverseFlowTheory}  # a pulled-back view compares and hashes by identity
 OWN_REPR = {Sequent}  # printed as a sequent literal
-OWN_EQ = {Sequent, SequentTheory}  # spelled out; a theory compares its language and masks
+OWN_EQ = {SequentTheory}  # a theory compares its language and axiom ints
 
 
 def _fields(value) -> tuple:
