@@ -6,9 +6,9 @@ so a returned bundle is fully valid; a theory is read straight to its
 masks, with no ``Sequent`` per axiom.  Serialization is canonical (sorted
 set renderings) and round-trips.  ``canonical_json`` writes it and every
 CLI report: the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``
-plus a newline.  A ``SequentTheory`` in a document renders as its sorted
-axiom list, straight from the theory's masks, so no report builds a dict
-per axiom.
+plus a newline.  It takes read-only maps and tuples as they are, and a
+``SequentTheory`` (a closure, a sum theory, a node's deltas) renders as
+its sorted axiom list from its masks: no report builds a dict per sequent.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import operator
 from bisect import bisect_left
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
 from .classification import (
@@ -266,9 +267,9 @@ def _parse_system(theories: dict, classifications: dict, raw, where: str) -> Inf
 
 def canonical_json(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\n"``, byte for byte,
-    for dicts with str keys, lists, tuples, str, int, bool and None; a
-    ``SequentTheory`` renders as its axioms in ``sequent_key`` order.  The
-    pieces are joined once."""
+    for dicts and read-only maps with str keys, lists, tuples, str, int,
+    bool and None; a ``SequentTheory`` renders as its axioms in
+    ``sequent_key`` order.  The pieces are joined once."""
     out: list[str] = []
 
     # Loops, not comprehensions, and list items inline where they can be:
@@ -276,7 +277,7 @@ def canonical_json(doc) -> str:
     def render(o, indent: str) -> None:
         if isinstance(o, str):
             out.append(_quote(o))
-        elif isinstance(o, dict):
+        elif isinstance(o, (dict, MappingProxyType)):
             inner = indent + "  "
             sep, comma = "{" + inner, "," + inner
             for k in sorted(o):
@@ -341,11 +342,7 @@ def sequent_to_obj(s: Sequent) -> dict:
 
 
 def classification_to_obj(c: Classification) -> dict:
-    return {
-        "instances": sorted(c.instances),
-        "types": sorted(c.types),
-        "incidence": [[i, t] for i, t in sorted(c.incidence)],
-    }
+    return {"instances": sorted(c.instances), "types": sorted(c.types), "incidence": sorted(c.incidence)}
 
 
 def theory_to_obj(t: SequentTheory) -> dict:
@@ -355,7 +352,7 @@ def theory_to_obj(t: SequentTheory) -> dict:
 
 def maps_to_obj(f: Infomorphism) -> dict:
     """The type and instance maps of an infomorphism."""
-    return {"type_map": dict(f.type_map), "instance_map": dict(f.instance_map)}
+    return {"type_map": f.type_map, "instance_map": f.instance_map}
 
 
 def _name_of(table: Mapping, value, what: str) -> str:
@@ -405,10 +402,8 @@ def serialize_bundle(bundle: Bundle) -> str:
                         "id": e,
                         "src": src,
                         "dst": dst,
-                        "type_map": dict(s.edge_type_map[e]),
-                        "instance_map": (
-                            dict(s.edge_instance_map[e]) if e in s.edge_instance_map else None
-                        ),
+                        "type_map": s.edge_type_map[e],
+                        "instance_map": s.edge_instance_map.get(e),
                     }
                     for e, src, dst in sorted(s.shape.edges)
                 ],

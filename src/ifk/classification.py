@@ -1,10 +1,12 @@
 """Finite classifications and the infomorphisms that link them.
 
 A classification is a finite incidence relation between instances and
-types.  The one index it derives is its incidence as bit masks, which
-every reader of the incidence uses: sorted types and sorted instances
-are bit positions, so an intent or an extent is one int, and ``_named``
-turns a mask back into names.  An infomorphism maps types forward and
+types.  The one index it derives is its incidence as bit masks: sorted
+types and sorted instances are bit positions, so an intent or an extent
+is one int, and ``_named`` turns a mask back into names.  Intents,
+extents, derivation, concepts, logics and the theory lift read the
+masks; an infomorphism's invariance check and the sum channel test
+``(instance, type)`` pairs.  An infomorphism maps types forward and
 instances backward between two classifications so that classification
 is invariant: a source type holds of a pulled-back instance exactly
 when its image holds of the original instance.

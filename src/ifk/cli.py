@@ -32,7 +32,7 @@ from .errors import (
     CapExceeded,
     IfkError,
 )
-from .theories import close, entails
+from .theories import SequentTheory, close, entails
 
 
 class _UsageError(Exception):
@@ -169,7 +169,7 @@ def _cmd_integrate(args, bundle: Bundle) -> str:
             "delta_bound": args.delta_bound,
             "sum": {
                 "types": sorted(result.sum_types),
-                "cocone": {n: dict(m) for n, m in result.cocone.items()},
+                "cocone": result.cocone,
                 "members": {
                     cls: [f"{n}.{t}" for n, t in sorted(group)]
                     for cls, group in result.sum_members.items()
@@ -177,7 +177,7 @@ def _cmd_integrate(args, bundle: Bundle) -> str:
             },
             "sum_theory_axioms": result.sum_theory,
             "deltas": {
-                n: [sequent_to_obj(q) for q in qs] for n, qs in result.deltas.items()
+                n: SequentTheory(system.node_theory[n].types, qs) for n, qs in result.deltas.items()
             },
             "verdict": result.verdict,
         }

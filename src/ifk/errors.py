@@ -3,8 +3,8 @@
 Every value in ``ifk`` derives ``_Value``: its constructor, equality,
 hash and repr come from the fields its class annotates, it stores the
 fields its ``_freeze`` table names converted (to frozensets, tuples or
-read-only maps), and it copies through its constructor, so a copy
-carries nothing its original derived.
+read-only maps), and it copies through its constructor (a theory through
+its axiom ints), so a copy carries nothing its original derived.
 """
 
 from __future__ import annotations
@@ -86,8 +86,8 @@ class _Value:
     ``__hash__ = None``: a read-only map cannot be hashed.  No value can
     be assigned or lose an attribute; what it derives on first use goes
     straight into its ``__dict__``.  Pickle and deep copy rebuild a value
-    through its constructor (read-only maps as plain dicts): a copied
-    theory carries its index and axiom ints, never its engine."""
+    through its constructor (read-only maps as plain dicts); a theory
+    overrides this to copy its index and axiom ints alone, no ``Sequent``."""
 
     _fields, _defaults, _freeze = (), {}, {}  # unannotated: not fields
 

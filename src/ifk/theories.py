@@ -97,7 +97,7 @@ class SequentTheory(_Value):
         masks = {_mask(index, a.antecedent) << n | _mask(index, a.consequent) for a in axioms}
         self.__dict__.update(types=types, _index=index, _masks=sorted(masks))
 
-    # The language and the axiom ints fix the axioms.
+    # The language and the axiom ints fix the axioms; a copy carries the ints alone.
     def __eq__(self, other):
         if type(other) is not SequentTheory:
             return NotImplemented
@@ -105,6 +105,9 @@ class SequentTheory(_Value):
 
     def __hash__(self):
         return hash((self.types, tuple(self._masks)))
+
+    def __reduce__(self):
+        return _theory_of_index, (dict(self._index), self._masks)
 
     def __getattr__(self, name: str):
         """The axioms, built on first read."""

@@ -29,10 +29,12 @@ from ifk import (
     normalize,
     sum_classification,
 )
+from ifk.bundle import parse_bundle
 from ifk.integration import bounded_sequents
+from ifk.theories import close
 
 import support
-from conftest import clash_system, vee_system
+from conftest import FIXTURES, clash_system, seq, vee_system
 
 COPIERS = {
     "pickle": lambda v: pickle.loads(pickle.dumps(v)),
@@ -162,3 +164,26 @@ def test_values_copy_their_fields_only(copier, seed):
     assert vars(again).keys() == vars(fresh).keys()
     assert again._violators == logic._violators
     assert copier(l).order == l.order
+
+
+def _theories() -> dict:
+    """A theory the kernel made, a parsed one and one built from ``Sequent``s."""
+    parsed = parse_bundle((FIXTURES / "wide.json").read_text()).theories["wide"]
+    return {
+        "kernel": lambda: close(parsed),  # 60,936 theorems
+        "parsed": lambda: parse_bundle((FIXTURES / "classics.json").read_text()).theories["classical"],
+        "built": lambda: SequentTheory(["a", "b", "c"], [seq("a", "b"), seq("b c", ""), seq("", "a c")]),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_theories()))
+def test_theories_copy_as_their_ints(monkeypatch, copier, kind):
+    t = _theories()[kind]()
+    built = []
+    init = Sequent.__init__
+    monkeypatch.setattr(Sequent, "__init__", lambda s, *a: built.append(a) or init(s, *a))
+    again = copier(t)
+    assert built == []  # no Sequent on either side of the copy
+    assert "axioms" not in vars(t)
+    assert again == t and hash(again) == hash(t)
+    assert vars(again).keys() == {"types", "_index", "_masks"}

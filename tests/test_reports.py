@@ -7,11 +7,13 @@ import json
 import random
 import tracemalloc
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import ifk.cli
 from ifk import (
     Classification,
     Sequent,
@@ -31,6 +33,7 @@ from ifk.bundle import (
 )
 from ifk.cli import run
 from ifk.errors import IfkError
+from ifk.integration import integrate
 from ifk.theories import sequent_key
 
 import support
@@ -79,6 +82,32 @@ def test_writer_renders_a_shared_list_at_each_depth(doc, items):
     assert canonical_json([items, [items], items]) == stdlib([items, [items], items])
 
 
+def read_only(doc):
+    """``doc`` as the library holds its values: every dict a read-only map, every list a tuple."""
+    if isinstance(doc, dict):
+        return MappingProxyType({k: read_only(v) for k, v in doc.items()})
+    if isinstance(doc, (list, tuple)):
+        return tuple(read_only(v) for v in doc)
+    return doc
+
+
+def thawed(doc):
+    """The plain twin of a document: read-only maps as dicts, tuples as lists."""
+    if isinstance(doc, (dict, MappingProxyType)):
+        return {k: thawed(v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [thawed(v) for v in doc]
+    return doc
+
+
+@given(documents)
+def test_writer_renders_read_only_maps_as_dicts(doc):
+    # maps of maps, maps in tuples and tuples in maps, at every depth
+    assert canonical_json(read_only(doc)) == stdlib(doc)
+    mixed = {"a": read_only(doc), "b": MappingProxyType({"c": [doc, read_only(doc)]})}
+    assert canonical_json(mixed) == stdlib(thawed(mixed))
+
+
 def test_writer_matches_json_dumps_on_edge_values():
     for doc in ([], {}, (), "", 0, -1, 2**100, True, False, None, "\ud800",
                 {"": {"": []}}, [[], {}, ()], {"b": 1, "a": [True, None]}):
@@ -86,7 +115,7 @@ def test_writer_matches_json_dumps_on_edge_values():
 
 
 def test_writer_refuses_what_reports_never_hold():
-    for doc in ({"x": 1.5}, [set()], {1: "a"}):
+    for doc in ({"x": 1.5}, [set()], {1: "a"}, MappingProxyType({1: "a"}), (frozenset(),)):
         with pytest.raises(TypeError):
             canonical_json(doc)
 
@@ -247,6 +276,9 @@ def _nestings(v):
     yield {"a": {"b": {"c": v}}}
     yield {"a": [{"b": v, "c": v}], "d": [v, v]}
     yield ({"axioms": v, "types": []}, [None, v])
+    yield MappingProxyType({"t": v})
+    yield MappingProxyType({"a": MappingProxyType({"b": v, "c": (v, "s")}), "d": {"e": v}})
+    yield (MappingProxyType({"a": (v,)}), [MappingProxyType({}), ()])
 
 
 @pytest.mark.parametrize("n", (0, 1, 3, 5))
@@ -254,7 +286,7 @@ def test_theory_values_render_at_every_depth(n):
     for t, twin in _theory_cases(n):
         expanded = sorted_sequents(twin)
         for doc, twin_doc, plain in zip(_nestings(t), _nestings(twin), _nestings(expanded)):
-            assert canonical_json(doc) == canonical_json(twin_doc) == stdlib(plain)
+            assert canonical_json(doc) == canonical_json(twin_doc) == stdlib(thawed(plain))
 
 
 def test_close_reports_build_no_sequent(monkeypatch, tmp_path):
@@ -286,6 +318,24 @@ def test_system_reports_build_a_sequent_per_delta_only(monkeypatch):
     built.clear()
     status, report = run(["consistency", "--system", "clash", str(FIXTURES / "clash.json")])
     assert status == 0 and json.loads(report)["verdict"] == "polycosmic" and built == []
+
+
+@pytest.mark.parametrize("name", ["vee", "clash", "ring"])
+def test_integrate_reports_deltas_as_theories(monkeypatch, name):
+    # each node's deltas go through the writer's one theory path, with no
+    # dict per sequent; they list what the library found, in its order
+    calls = []
+    monkeypatch.setattr(ifk.cli, "sequent_to_obj", lambda q: calls.append(q) or sequent_to_obj(q))
+    path = FIXTURES / f"{name}.json"
+    system = parse_bundle(path.read_text()).systems[name]
+    for bound in range(3):
+        status, report = run(["integrate", "--system", name, "--delta-bound", str(bound), str(path)])
+        assert status == 0 and calls == []
+        deltas = integrate(system, delta_bound=bound).deltas
+        assert json.loads(report)["deltas"] == {n: [sequent_to_obj(q) for q in qs] for n, qs in deltas.items()}
+        frozen_report = REPORTS / f"{name}_integrate_bound{bound}.json"
+        if frozen_report.exists():  # c08's vee report and the ring report
+            assert report == frozen_report.read_text()
 
 
 def test_close_report_peak_memory():
