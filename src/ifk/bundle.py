@@ -3,12 +3,15 @@ classifications, theories, infomorphisms and systems of an analysis.
 
 Parsing resolves every cross-reference and runs each module's checker,
 so a returned bundle is fully valid; a theory is read straight to its
-masks, with no ``Sequent`` per axiom.  Serialization is canonical (sorted
-set renderings) and round-trips.  ``canonical_json`` writes it and every
-CLI report: the bytes of ``json.dumps(doc, indent=2, sort_keys=True)``
-plus a newline.  It takes read-only maps and tuples as they are, and a
-``SequentTheory`` (a closure, a sum theory, a node's deltas) renders as
-its sorted axiom list from its masks: no report builds a dict per sequent.
+masks, with no ``Sequent`` per axiom.  One reader, ``_entries``, checks
+each named entry and one check, ``_ref``, each reference, so a malformed
+bundle is refused for its first fault in document order.  Serialization
+is canonical (sorted set renderings) and round-trips.  ``canonical_json``
+writes it and every CLI report: the bytes of ``json.dumps(doc, indent=2,
+sort_keys=True)`` plus a newline.  It takes read-only maps and tuples as
+they are, and a ``SequentTheory`` (a closure, a sum theory, a node's
+deltas) renders as its sorted axiom list from its masks: no report
+builds a dict per sequent.
 """
 
 from __future__ import annotations
@@ -73,6 +76,22 @@ def _ident_list(raw, where: str) -> list[str]:
     return list(raw)
 
 
+def _entries(raw, where: str):
+    """Each ``(name, body, where.name)`` of an object of named objects, in
+    document order and lazily, so the first fault in that order is refused."""
+    _expect(isinstance(raw, dict), f"{where}: expected an object")
+    for name, body in raw.items():
+        _expect(valid_identifier(name), f"{where}: bad name {name!r}")
+        _expect(isinstance(body, dict), f"{where}.{name}: expected an object")
+        yield name, body, f"{where}.{name}"
+
+
+def _ref(table: dict, ref, where: str, kind: str):
+    """The entry of ``table`` that ``ref`` names."""
+    _expect(isinstance(ref, str) and ref in table, f"{where}: dangling reference to {kind} {ref!r}")
+    return table[ref]
+
+
 def _str_map(raw, where: str) -> dict[str, str]:
     _expect(isinstance(raw, dict), f"{where}: expected an object")
     for k, v in raw.items():
@@ -81,8 +100,7 @@ def _str_map(raw, where: str) -> dict[str, str]:
     return dict(raw)
 
 
-def _parse_classification(name: str, raw, where: str) -> Classification:
-    _expect(isinstance(raw, dict), f"{where}: expected an object")
+def _parse_classification(name: str, raw: dict, where: str) -> Classification:
     instances = _ident_list(raw.get("instances", []), f"{where}.instances")
     types = _ident_list(raw.get("types", []), f"{where}.types")
     incidence_raw = raw.get("incidence", [])
@@ -103,8 +121,7 @@ def _parse_classification(name: str, raw, where: str) -> Classification:
     return c
 
 
-def _parse_theory(raw, where: str) -> SequentTheory:
-    _expect(isinstance(raw, dict), f"{where}: expected an object")
+def _parse_theory(raw: dict, where: str) -> SequentTheory:
     types = _ident_list(raw.get("types", []), f"{where}.types")
     axioms_raw = raw.get("axioms", [])
     _expect(isinstance(axioms_raw, list), f"{where}.axioms: expected a list")
@@ -165,27 +182,16 @@ def parse_bundle(text: str) -> Bundle:
     for key, body in sections.items():
         _expect(isinstance(body, dict), f"{key}: expected an object")
 
-    classifications, theories, infomorphisms, systems = {}, {}, {}, {}
-    for name, body in sections["classifications"].items():
-        _expect(valid_identifier(name), f"classifications: bad name {name!r}")
-        classifications[name] = _parse_classification(name, body, f"classifications.{name}")
-    for name, body in sections["theories"].items():
-        _expect(valid_identifier(name), f"theories: bad name {name!r}")
-        theories[name] = _parse_theory(body, f"theories.{name}")
-    for name, body in sections["infomorphisms"].items():
-        where = f"infomorphisms.{name}"
-        _expect(valid_identifier(name), f"infomorphisms: bad name {name!r}")
-        _expect(isinstance(body, dict), f"{where}: expected an object")
-        for endpoint in ("source", "target"):
-            ref = body.get(endpoint)
-            _expect(
-                isinstance(ref, str) and ref in classifications,
-                f"{where}.{endpoint}: dangling reference to classification {ref!r}",
-            )
+    classifications = {name: _parse_classification(name, body, where)
+                       for name, body, where in _entries(sections["classifications"], "classifications")}
+    theories = {name: _parse_theory(body, where)
+                for name, body, where in _entries(sections["theories"], "theories")}
+    infomorphisms = {}
+    for name, body, where in _entries(sections["infomorphisms"], "infomorphisms"):
         info = Infomorphism(
             name=name,
-            source=classifications[body["source"]],
-            target=classifications[body["target"]],
+            source=_ref(classifications, body.get("source"), f"{where}.source", "classification"),
+            target=_ref(classifications, body.get("target"), f"{where}.target", "classification"),
             type_map=_str_map(body.get("type_map", {}), f"{where}.type_map"),
             instance_map=_str_map(body.get("instance_map", {}), f"{where}.instance_map"),
         )
@@ -197,39 +203,22 @@ def parse_bundle(text: str) -> Bundle:
             b, t, side = result.defects[0]
             raise BundleError(f"{where}: invariance fails at ({b}, {t}, {side})")
         infomorphisms[name] = info
-    for name, body in sections["systems"].items():
-        where = f"systems.{name}"
-        _expect(valid_identifier(name), f"systems: bad name {name!r}")
-        systems[name] = _parse_system(theories, classifications, body, where)
+    systems = {name: _parse_system(theories, classifications, body, where)
+               for name, body, where in _entries(sections["systems"], "systems")}
     return Bundle(classifications, theories, infomorphisms, systems)
 
 
-def _parse_system(theories: dict, classifications: dict, raw, where: str) -> InformationSystem:
+def _parse_system(theories: dict, classifications: dict, raw: dict, where: str) -> InformationSystem:
     # systems need the colimit and flow modules; a bundle without them never loads them
     from .diagrams import ShapeGraph
     from .integration import InformationSystem, _require_valid
 
-    _expect(isinstance(raw, dict), f"{where}: expected an object")
-    nodes_raw = raw.get("nodes", {})
-    _expect(isinstance(nodes_raw, dict), f"{where}.nodes: expected an object")
     node_theory: dict[str, SequentTheory] = {}
-    node_cls: dict[str, Classification | None] = {}
-    for node, body in nodes_raw.items():
-        _expect(valid_identifier(node), f"{where}.nodes: bad name {node!r}")
-        _expect(isinstance(body, dict), f"{where}.nodes.{node}: expected an object")
-        tname = body.get("theory")
-        _expect(
-            isinstance(tname, str) and tname in theories,
-            f"{where}.nodes.{node}: dangling reference to theory {tname!r}",
-        )
-        node_theory[node] = theories[tname]
-        cname = body.get("classification")
-        if cname is not None:
-            _expect(
-                isinstance(cname, str) and cname in classifications,
-                f"{where}.nodes.{node}: dangling reference to classification {cname!r}",
-            )
-            node_cls[node] = classifications[cname]
+    node_cls: dict[str, Classification] = {}
+    for node, body, nwhere in _entries(raw.get("nodes", {}), f"{where}.nodes"):
+        node_theory[node] = _ref(theories, body.get("theory"), nwhere, "theory")
+        if body.get("classification") is not None:  # none, if missing or null
+            node_cls[node] = _ref(classifications, body["classification"], nwhere, "classification")
     edges_raw = raw.get("edges", [])
     _expect(isinstance(edges_raw, list), f"{where}.edges: expected a list")
     edges = []

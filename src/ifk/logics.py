@@ -107,8 +107,6 @@ def is_complete(l: LocalLogic) -> bool:
     intents = l.classification._masks[0]
     n = len(l.theory.types)
     normal, full = {intents[i] for i in l.normal}, (1 << n) - 1
-    if full < 16:  # scanning at most 16 states costs no more than compiling an engine
-        return all(x in normal for x in _models(l.theory))
     masks = {*l.theory._masks, *(s << n | full ^ s for s in normal)}
     return not is_consistent(_theory_of_index(dict(l.theory._index), sorted(masks)))
 

@@ -5,6 +5,7 @@ from functools import partial
 import pytest
 
 import ifk.logics
+import ifk.theories
 from ifk import (
     CapExceeded,
     Classification,
@@ -109,18 +110,27 @@ def test_is_complete_agrees_with_satisfying_states():
 
 
 def test_is_complete_asks_the_engine_once(monkeypatch):
+    calls = []
+    refutes = ifk.theories.CompiledTheory.refutes
+    monkeypatch.setattr(ifk.theories.CompiledTheory, "refutes",
+                        lambda self, g, d: calls.append((g, d)) or refutes(self, g, d))
     # 2^20 states: a scan of them took seconds
     types = [f"t{k:02d}" for k in range(20)]
     c = Classification("c", ["a", "b"], types, [("a", t) for t in types[::2]] + [("b", t) for t in types[:3]])
     pinned = SequentTheory(types, [seq("", t) if k % 2 == 0 else seq(t, "") for k, t in enumerate(types)])
-    queries = []
-    consistent = ifk.logics.is_consistent
-    monkeypatch.setattr(ifk.logics, "is_consistent", lambda t: queries.append(t) or consistent(t))
     start = time.perf_counter()
     assert is_complete(LocalLogic(c, pinned, {"a"}))
     assert time.perf_counter() - start < 0.1
     assert not is_complete(LocalLogic(c, SequentTheory(types, []), {"a", "b"}))
-    assert len(queries) == 2
+    assert len(calls) == 2
+    # one way to decide it at every size: over 1 to 4 types no scan of the states either
+    for n in range(1, 5):
+        types = [f"t{k}" for k in range(n)]
+        c = Classification("c", ["a", "b"], types, [("a", t) for t in types])
+        for complete, logic in ((True, natural_logic(c)), (False, LocalLogic(c, SequentTheory(types, []), {"a"}))):
+            calls.clear()
+            assert is_complete(logic) is complete
+            assert len(calls) == 1
 
 
 def test_restriction_drops_refuted_axiom(clf_a):

@@ -142,3 +142,22 @@ def test_readme_example_gives_the_results_its_comments_state():
     assert results['intent(clf, "aristotle")'] == {"human", "philosopher"}
     assert results['entails(t, Sequent(frozenset(), {"p", "h"}))'] is False
     assert len(results["concepts(clf)"]) == 4
+
+
+def test_a_failing_hypothesis_test_is_reported_under_the_repo_settings(tmp_path):
+    # every warning is an error, yet the hypothesis plugin's report hook must still run
+    (tmp_path / "test_fails.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n"
+    )
+    config = SRC.parent.parent / "pyproject.toml"
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-c", str(config), "--rootdir", str(tmp_path),
+         "test_fails.py"],
+        cwd=tmp_path, capture_output=True, text=True,
+    )
+    assert out.returncode == 1, out.stdout[-2000:]
+    assert "FAILED test_fails.py::test_fails" in out.stdout
+    assert "INTERNALERROR" not in out.stdout + out.stderr

@@ -1,10 +1,10 @@
 """Bundle theories parsed straight to their masks, and runs that agree.
 
 A parsed theory must equal the one built from its ``Sequent``s, and a
-malformed one must be refused with the message, and by the check, that
-names its first fault.  The processes below run under different hash
-seeds: an error message, a report or a generated corpus that followed
-set order would differ between them.
+malformed theory, named entry or reference must be refused with the
+message, and by the check, that names its first fault.  The processes
+below run under different hash seeds: an error message, a report or a
+generated corpus that followed set order would differ between them.
 """
 
 import json
@@ -17,6 +17,7 @@ import pytest
 
 from ifk import Sequent, SequentTheory, close, entails, is_consistent
 from ifk.bundle import canonical_json, parse_bundle, theory_to_obj
+from ifk.cli import run
 from ifk.errors import BundleError, IfkError
 
 import support
@@ -158,6 +159,82 @@ def test_malformed_theories_keep_their_messages(text, message):
     with pytest.raises(BundleError) as refused:
         parse_bundle(text)
     assert str(refused.value) == message
+
+
+# ---------------------------------------------------------------------------
+# named entries and references: the message of the first fault in document order
+
+C = {"instances": [], "types": [], "incidence": []}
+T = {"types": [], "axioms": []}
+
+
+def _system(nodes) -> dict:
+    return {"classifications": {"c": C}, "theories": {"T": T},
+            "systems": {"S": {"nodes": nodes, "edges": []}}}
+
+
+def _info(**ends) -> dict:
+    return {"classifications": {"c": C}, "infomorphisms": {"f": {**ends, "type_map": {}}}}
+
+
+REFUSED = {
+    "a bad classification name": (
+        {"classifications": {"c": C, "a b": C}}, "classifications: bad name 'a b'"),
+    "a bad theory name": ({"theories": {"": T}}, "theories: bad name ''"),
+    "a bad infomorphism name": (
+        {"infomorphisms": {"f g": {"source": "c", "target": "c"}}}, "infomorphisms: bad name 'f g'"),
+    "a bad system name": ({"systems": {"S-1 ": {}}}, "systems: bad name 'S-1 '"),
+    "a bad node name": (_system({"n": {"theory": "T"}, "a b": {"theory": "T"}}),
+                        "systems.S.nodes: bad name 'a b'"),
+    "a classification that is a list": ({"classifications": {"c": []}},
+                                        "classifications.c: expected an object"),
+    "a theory that is an int": ({"theories": {"T": 5}}, "theories.T: expected an object"),
+    "an infomorphism that is null": ({"infomorphisms": {"f": None}},
+                                     "infomorphisms.f: expected an object"),
+    "a system that is a string": ({"systems": {"S": "ghost"}}, "systems.S: expected an object"),
+    "nodes that are a list": ({"systems": {"S": {"nodes": ["x"]}}},
+                              "systems.S.nodes: expected an object"),
+    "a node that is an int": (_system({"n": 3}), "systems.S.nodes.n: expected an object"),
+    "an unknown source": (_info(source="ghost", target="c"),
+                          "infomorphisms.f.source: dangling reference to classification 'ghost'"),
+    "a missing target": (_info(source="c"),
+                         "infomorphisms.f.target: dangling reference to classification None"),
+    "a node without a theory": (_system({"n": {"classification": "c"}}),
+                                "systems.S.nodes.n: dangling reference to theory None"),
+    "a node theory that is an int": (_system({"n": {"theory": 5}}),
+                                     "systems.S.nodes.n: dangling reference to theory 5"),
+    "an unknown node theory": (_system({"n": {"theory": "U"}}),
+                               "systems.S.nodes.n: dangling reference to theory 'U'"),
+    "a node classification that is an int": (
+        _system({"n": {"theory": "T", "classification": 5}}),
+        "systems.S.nodes.n: dangling reference to classification 5"),
+    "a node classification that is a list": (
+        _system({"n": {"theory": "T", "classification": []}}),
+        "systems.S.nodes.n: dangling reference to classification []"),
+    "an unknown node classification": (
+        _system({"n": {"theory": "T", "classification": "ghost"}}),
+        "systems.S.nodes.n: dangling reference to classification 'ghost'"),
+    "an earlier bad body before a later bad name": (
+        {"theories": {"T": [], "a b": T}}, "theories.T: expected an object"),
+    "an earlier bad name before a later bad body": (
+        _system({"a b": {"theory": "T"}, "n": 3}), "systems.S.nodes: bad name 'a b'"),
+    "both endpoints bad": (_info(source=5, target="ghost"),
+                           "infomorphisms.f.source: dangling reference to classification 5"),
+    "both node references bad": (
+        _system({"n": {"theory": "ghost", "classification": "ghost"}}),
+        "systems.S.nodes.n: dangling reference to theory 'ghost'"),
+    "sections before entries": (
+        {"classifications": {"a b": 5}, "theories": {}, "systems": []}, "systems: expected an object"),
+}
+
+
+@pytest.mark.parametrize("doc, message", REFUSED.values(), ids=list(REFUSED))
+def test_entries_and_references_are_refused_at_their_first_fault(tmp_path, doc, message):
+    path = tmp_path / "bundle.json"
+    path.write_text(json.dumps(doc))
+    status, report = run(["validate", str(path)])
+    assert status == 1
+    assert json.loads(report) == {"ok": False, "error": {"kind": "bundle", "message": message}}
 
 
 # ---------------------------------------------------------------------------
