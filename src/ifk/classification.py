@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from itertools import compress
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .errors import DEFAULT_THEORY_TYPE_CAP, CapExceeded, IfkError, ValidationResult, _map, _Value
 
@@ -66,9 +67,27 @@ def _bits(m: int) -> Iterator[int]:
         m ^= low
 
 
+_FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digits to flags and back
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
+
+
 def _named(names: list[str], m: int) -> frozenset[str]:
     """The names at the set bits of ``m``: bit k stands for ``names[k]``."""
-    return frozenset(names[k] for k in _bits(m))
+    return frozenset(compress(names, f"{m:b}"[::-1].encode().translate(_FLAGS)))
+
+
+def _from_positions(positions: Collection[int]) -> int:
+    """The int with bits at ``positions``: OR-ing each ``1 << x`` in would copy a growing int."""
+    digits = bytearray(max(positions, default=0) + 1)
+    for x in positions:
+        digits[-1 - x] = 1
+    return int(digits.translate(_DIGITS), 2)  # base 2 has no digit limit
+
+
+def _canonical(masks: Iterable[int]) -> list[int]:
+    """By popcount, then by sorted positions, lexicographically: for equal
+    popcounts, the descending order of the low-bit-first binary strings."""
+    return sorted(masks, key=lambda m: (-m.bit_count(), f"{m:b}"[::-1]), reverse=True)
 
 
 class Infomorphism(_Value):

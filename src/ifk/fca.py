@@ -2,10 +2,10 @@
 
 Derivation maps an instance set to its common types and a type set to
 its common instances; a concept is a fixed pair of the two.  Concepts
-are enumerated by lectic next-closure over type subsets (Ganter, 1984)
-on the classification's own extent masks, with a naive all-pairs scan
-kept as the testing oracle, and form a complete lattice under extent
-inclusion.
+are enumerated by FCbO (Outrata & Vychodil, 2012) on the
+classification's own extent masks: Close-by-One adds to a concept only
+types past its own, and a child skips the closures whose canonicity
+test failed at its parent.  A naive all-pairs scan is the testing oracle.
 
 A lattice stores only its concepts.  Its order (extent inclusion), its
 covers and its meet/join lookups are derived from them on first use, on
@@ -14,9 +14,9 @@ so an extent or an intent is one int, intersection is ``&`` and
 inclusion is ``a & ~b == 0``.  Per instance, the set of concepts
 holding it is a mask too, so the up-set of a concept, which the order
 and the covers both read, is the AND of those sets over its extent.
-Its upper covers are the minimal strict supersets of its extent
-(Lindig, "Fast Concept Analysis", 2000): the concepts above it that lie
-above none of the others.  Names are converted only at the boundary.
+Its upper covers are the minimal elements of its strict up-set (Lindig,
+"Fast Concept Analysis", 2000), which a scan that takes only covers
+finds in canonical order.  Names are converted only at the boundary.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Literal
 
-from .classification import Classification, _bits, _named, extent
+from .classification import Classification, _bits, _canonical, _named, extent
 from .errors import CONCEPT_TYPE_GUARD, CapExceeded, IfkError, _Value
 from .theories import _columns, _common, _mask
 
@@ -50,10 +50,7 @@ class ConceptLattice(_Value):
             sets = [getattr(k, side) for k in self.concepts]
             index = {x: b for b, x in enumerate(sorted(frozenset().union(*sets)))}
             masks = [_mask(index, s) for s in sets]
-            first: dict[int, int] = {}
-            for k, m in enumerate(masks):
-                first.setdefault(m, k)
-            out[side] = (masks, first)
+            out[side] = (masks, {m: k for k, m in reversed(list(enumerate(masks)))})  # first holder wins
         return out
 
     @cached_property
@@ -94,34 +91,35 @@ def _concept_key(concept: FormalConcept) -> tuple[int, tuple[str, ...]]:
 
 
 def concepts(c: Classification) -> tuple[FormalConcept, ...]:
-    """All concepts, by next-closure on masks over type subsets, in
-    canonical order (extent size, then lexicographic extent)."""
+    """All concepts, by FCbO on masks, in canonical order (extent size,
+    then lexicographic extent)."""
     if len(c.types) > CONCEPT_TYPE_GUARD:
         raise CapExceeded("concept enumeration", len(c.types), CONCEPT_TYPE_GUARD)
     intents, columns = c._masks
     instances, types, extents = list(intents), list(columns), list(columns.values())
+
+    def up(e: int) -> int:
+        return sum(1 << k for k, x in enumerate(extents) if not e & ~x)
+
     everyone = (1 << len(instances)) - 1
-
-    def closure(b: int) -> tuple[int, int]:
-        e = _common(extents, b, everyone)
-        return e, sum(1 << k for k, x in enumerate(extents) if not e & ~x)
-
-    found = [closure(0)]
-    while True:
-        b = found[-1][1]
-        for k in reversed(range(len(types))):
-            bit = 1 << k
-            if b & bit:
+    found: dict[int, int] = {}  # extent -> intent
+    # (extent, intent, first type to add, per type the intent whose canonicity test failed)
+    stack = [(everyone, up(everyone), 0, [0] * len(types))]
+    while stack:
+        e, b, start, failed = stack.pop()
+        found[e] = b
+        failed = failed.copy()  # the parent's list is its siblings' too
+        for k in range(start, len(types)):
+            below = (1 << k) - 1
+            if b >> k & 1 or failed[k] & ~b & below:  # a failure above b fails here too
                 continue
-            prefix = b & (bit - 1)
-            e, candidate = closure(prefix | bit)
-            if not candidate & ~prefix & (bit - 1):  # adds no type before k
-                found.append((e, candidate))
-                break
-        else:
-            break
-    found.sort(key=lambda concept: (concept[0].bit_count(), list(_bits(concept[0]))))
-    return tuple(FormalConcept(_named(instances, e), _named(types, b)) for e, b in found)
+            child = e & extents[k]
+            d = up(child)
+            if d & ~b & below:  # adds a type before k: found from another concept
+                failed[k] = d
+            else:
+                stack.append((child, d, k + 1, failed))
+    return tuple(FormalConcept(_named(instances, e), _named(types, found[e])) for e in _canonical(found))
 
 
 def concepts_by_enumeration(c: Classification) -> tuple[FormalConcept, ...]:
@@ -183,15 +181,18 @@ def attribute_concept(c: Classification, t: str) -> FormalConcept:
 
 def _covers(l: ConceptLattice) -> list[tuple[int, int]]:
     """Sorted pairs (i, j) where concept j is an upper cover of concept i:
-    the minimal strict supersets of each extent, which are the concepts
-    strictly above i that lie strictly above none of the others."""
-    strict = [up & ~(1 << i) for i, up in enumerate(l._ups)]
-    covers = []
-    for i, above in enumerate(strict):
-        beyond = 0
-        for k in _bits(above):
-            beyond |= strict[k]
-        covers += [(i, j) for j in _bits(above & ~beyond)]
+    the minimal strict supersets of each extent.  Of the concepts above i,
+    take the lowest not yet taken and drop all above it; what is left is
+    minimal, and in canonical order only covers are ever taken."""
+    ups, covers = l._ups, []
+    for i, up in enumerate(ups):
+        left = rest = up ^ (1 << i)  # the concepts strictly above i
+        k = -1
+        while rest:  # rest: the concepts of left past k, the last one taken
+            k += (rest & -rest).bit_length()
+            left &= ~(ups[k] ^ (1 << k))
+            rest = left >> k + 1
+        covers += [(i, j) for j in _bits(left)]
     return covers
 
 
@@ -205,9 +206,7 @@ def _label(concept: FormalConcept) -> str:
 def lattice_dot(l: ConceptLattice) -> str:
     """Hasse diagram of the lattice (cover relation only) in DOT syntax."""
     lines = ["digraph concept_lattice {", "  rankdir=BT;", "  node [shape=box];"]
-    for k, concept in enumerate(l.concepts):
-        lines.append(f'  c{k} [label="{_label(concept)}"];')
-    for i, j in _covers(l):
-        lines.append(f"  c{i} -> c{j};")
+    lines += [f'  c{k} [label="{_label(concept)}"];' for k, concept in enumerate(l.concepts)]
+    lines += [f"  c{i} -> c{j};" for i, j in _covers(l)]
     lines.append("}")
     return "\n".join(lines) + "\n"

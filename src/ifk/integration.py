@@ -18,7 +18,7 @@ import math
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from .classification import Classification, Infomorphism
+from .classification import Classification, Infomorphism, _from_positions
 from .diagrams import ClsDiagram, LanguageColimit, LanguageDiagram, ShapeGraph, colimit_language
 from .diagrams import _semijoin
 from .errors import (
@@ -223,7 +223,7 @@ def _pulled_states(s: InformationSystem) -> dict[str, tuple[int, int]]:
     pulled = _semijoin(rows, links)
     if not all(pulled.values()):  # then the sum theory has no model
         pulled = {n: set() for n in order}
-    return {n: (m, sum(1 << x for x in pulled[n])) for n, m in models.items()}
+    return {n: (m, _from_positions(pulled[n])) for n, m in models.items()}
 
 
 def _deltas(t: SequentTheory, models: int, pulled: int, bound: int) -> tuple[Sequent, ...]:

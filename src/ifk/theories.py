@@ -37,7 +37,7 @@ import threading
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .classification import Classification, _bits, _named, extent
+from .classification import _FLAGS, Classification, _bits, _canonical, _from_positions, _named, extent
 from .errors import DEFAULT_SEQUENT_CAP, CapExceeded, IfkError, _set_field, _Value
 
 MODELS_KEPT = 32  # recent models a compiled theory tries before searching
@@ -200,11 +200,11 @@ def _state_columns(n: int) -> list[int]:
 
 def _columns(states: list[int], n: int) -> list[int]:
     """Per type k, the positions in ``states`` of the states where k holds."""
-    columns = [0] * n
+    columns: list[list[int]] = [[] for _ in range(n)]
     for j, x in enumerate(states):
         for k in _bits(x):
-            columns[k] |= 1 << j
-    return columns
+            columns[k].append(j)
+    return [_from_positions(column) for column in columns]
 
 
 def _common(columns: list[int], m: int, everywhere: int) -> int:
@@ -248,9 +248,6 @@ def _model_mask(t: SequentTheory) -> int:
 def _models(t: SequentTheory) -> Iterator[int]:
     """Masks of the states satisfying every axiom, lowest first; none is built before a read."""
     yield from _positions(_model_mask(t))
-
-
-_FLAGS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _theory_of_masks(names: list[str], states: Iterable[int], cap: int, phase: str) -> SequentTheory:
@@ -299,7 +296,7 @@ def _theory_of_index(index: dict[str, int], masks: list[int]) -> SequentTheory:
 def satisfying_states(t: SequentTheory) -> list[frozenset[str]]:
     """All states satisfying every axiom, in ``all_states`` order (a 2^|types| scan)."""
     names = list(t._index)
-    return [_named(names, x) for x in sorted(_models(t), key=lambda x: (x.bit_count(), list(_bits(x))))]
+    return [_named(names, x) for x in _canonical(_models(t))]
 
 
 # ---------------------------------------------------------------------------

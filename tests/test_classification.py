@@ -24,6 +24,8 @@ from ifk import (
     validate_classification,
 )
 
+from ifk.classification import _bits, _canonical, _from_positions, _named
+
 import support
 
 
@@ -248,6 +250,33 @@ def test_mask_queries_match_plain_scans():
                 for i in c.instances
             )
             assert natural_entails(c, s) == expected
+
+
+def test_named_reads_each_set_bit():
+    rng = random.Random(0x7A)
+    for width in [0, 1, 2, 70] + [rng.randint(0, 80) for _ in range(100)]:
+        names = [f"n{k}" for k in range(width)]
+        m = rng.getrandbits(width) if width else 0
+        assert _named(names, m) == frozenset(names[k] for k in range(width) if m >> k & 1)
+
+
+def test_from_positions_sets_exactly_those_bits():
+    rng = random.Random(0xB175)
+    sizes = [0, 1, 2, 1 << 12] + [rng.randint(0, 1 << 12) for _ in range(30)]
+    for size in sizes:
+        # up to 2^13: past 4,300 digits, where decimal parsing stops
+        positions = set(rng.sample(range(1 << 13), size))
+        assert _from_positions(positions) == sum(1 << x for x in positions)
+        assert _from_positions(sorted(positions, reverse=True)) == sum(1 << x for x in positions)
+    assert _from_positions([]) == 0 and _from_positions([0]) == 1
+
+
+def test_canonical_order_is_popcount_then_positions():
+    rng = random.Random(0x0D)
+    masks = [rng.getrandbits(w) if w else 0 for w in (rng.randint(0, 80) for _ in range(2000))]
+    assert len({m.bit_count() for m in masks}) < 100  # so popcounts tie
+    assert _canonical(masks) == sorted(masks, key=lambda m: (m.bit_count(), list(_bits(m))))
+    assert _canonical(iter(masks)) == _canonical(reversed(masks))
 
 
 def test_mask_queries_refuse_undeclared_incidence():

@@ -72,11 +72,44 @@ def test_concepts_guard():
         concepts(c)
 
 
-def test_next_closure_matches_all_subsets_oracle():
+def test_fcbo_matches_all_subsets_oracle():
     rng = random.Random(107)
-    for _ in range(60):
-        c = support.rand_classification(rng, 5, 5)
+    seen = dict.fromkeys(("shared intent", "empty column", "full column", "no type", "no instance"), 0)
+    for _ in range(150):
+        types = [f"t{k}" for k in range(rng.randint(0, 7))]
+        density = rng.random()
+        rows = [frozenset(t for t in types if rng.random() < density) for _ in range(rng.randint(0, 5))]
+        rows += rng.sample(rows, rng.randint(0, min(2, len(rows))))  # instances sharing an intent
+        instances = [f"i{k}" for k in range(len(rows))]
+        c = Classification("C", instances, types, [(i, t) for i, row in zip(instances, rows) for t in row])
         assert concepts(c) == concepts_by_enumeration(c)
+        column_sizes = [sum(t in row for row in rows) for t in types]
+        seen["shared intent"] += len(set(rows)) < len(rows)
+        seen["empty column"] += bool(rows) and 0 in column_sizes
+        seen["full column"] += bool(rows) and len(rows) in column_sizes
+        seen["no type"] += not types
+        seen["no instance"] += not rows
+    assert min(seen.values()) >= 5, seen
+    print(f"FCbO vs all subsets: 150 contexts of 0-7 types, {seen}")
+
+
+def test_fcbo_finds_every_intersection_of_instance_intents():
+    # past the all-subsets oracle's reach: the intents are the full type set
+    # and every intersection of instance intents
+    rng = random.Random(0xFCB0)
+    for _ in range(200):
+        types = [f"t{k}" for k in range(rng.randint(0, 10))]
+        density = rng.random()
+        rows = [frozenset(t for t in types if rng.random() < density) for _ in range(rng.randint(0, 12))]
+        instances = [f"i{k}" for k in range(len(rows))]
+        c = Classification("C", instances, types, [(i, t) for i, row in zip(instances, rows) for t in row])
+        intents = {frozenset(types)}
+        for row in rows:
+            intents |= {row & x for x in intents}
+        found = concepts(c)
+        assert len(found) == len(intents) and {k.intent for k in found} == intents
+        assert all(derive(c, "types", k.intent) == k.extent for k in found)
+        assert list(found) == sorted(found, key=lambda k: (len(k.extent), sorted(k.extent)))
 
 
 def test_lattice_order_and_bounds(clf_a):
@@ -210,6 +243,20 @@ def test_dot_export_of_plain_names_is_pinned(clf_a):
     )
 
 
+def test_cover_scan_finds_the_covers_of_a_lattice_in_any_order():
+    rng = random.Random(0xC0DE)
+    reordered = 0
+    for _ in range(60):
+        found = list(concepts(support.rand_classification(rng, 6, 6)))
+        rng.shuffle(found)
+        l = ConceptLattice(found)
+        extents = [k.extent for k in l.concepts]
+        strict = {(i, j) for i, a in enumerate(extents) for j, b in enumerate(extents) if a < b}
+        assert _dot_edges(l) == _reduction(strict, len(extents))
+        reordered += any(i > j for i, j in strict)  # a concept before one below it
+    assert reordered > 30
+
+
 def test_dot_labels_escape_quotes_and_backslashes():
     # identifiers exclude only whitespace, so both characters can occur
     c = Classification("q", ['a"b', "c\\d"], ["t"], [('a"b', "t")])
@@ -230,6 +277,16 @@ def test_dot_export_is_deterministic_and_covers_only(clf_a):
     assert "  c0 -> c3;" not in dot
 
 
+def _dot_edges(l: ConceptLattice) -> set[tuple[int, int]]:
+    lines = lattice_dot(l).splitlines()
+    return {tuple(int(x[1:]) for x in line.strip(" ;").split(" -> ")) for line in lines if "->" in line}
+
+
+def _reduction(strict: set[tuple[int, int]], n: int) -> set[tuple[int, int]]:
+    """The pairs of a strict order over ``range(n)`` with nothing between them."""
+    return {(i, j) for i, j in strict if not any((i, k) in strict and (k, j) in strict for k in range(n))}
+
+
 def test_dot_edges_are_the_transitive_reduction_of_the_extent_order():
     rng = random.Random(0xFCA)
     cases = duplicated = empty = edges = 0
@@ -242,15 +299,8 @@ def test_dot_edges_are_the_transitive_reduction_of_the_extent_order():
         l = lattice(c)
         extents = [k.extent for k in l.concepts]
         assert l.order == {(i, j) for i, a in enumerate(extents) for j, b in enumerate(extents) if a <= b}
-        strict = {(i, j) for i, j in l.order if i != j}
-        reduction = {
-            (i, j)
-            for i, j in strict
-            if not any((i, k) in strict and (k, j) in strict for k in range(len(extents)))
-        }
-        dot = lattice_dot(l).splitlines()
-        found = {tuple(int(x[1:]) for x in line.strip(" ;").split(" -> ")) for line in dot if "->" in line}
-        assert found == reduction
+        found = _dot_edges(l)
+        assert found == _reduction({(i, j) for i, j in l.order if i != j}, len(extents))
         cases += 1
         duplicated += len(set(rows)) < len(rows)
         empty += any(not any(t in row for row in rows) for t in types)
