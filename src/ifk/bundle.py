@@ -3,8 +3,9 @@ classifications, theories, infomorphisms and systems of an analysis.
 
 Parsing resolves every cross-reference and runs each module's checker,
 so a returned bundle is fully valid; a theory is read straight to its
-masks, with no ``Sequent`` per axiom.  One reader, ``_entries``, checks
-each named entry and one check, ``_ref``, each reference, so a malformed
+masks, with no ``Sequent`` per axiom, and only a bundle that holds a
+theory loads the theory module.  One reader, ``_entries``, checks each
+named entry and one check, ``_ref``, each reference, so a malformed
 bundle is refused for its first fault in document order.  Serialization
 is canonical (sorted set renderings) and round-trips.  ``canonical_json``
 writes it and every CLI report: the bytes of ``json.dumps(doc, indent=2,
@@ -32,10 +33,10 @@ from .classification import (
     validate_classification,
 )
 from .errors import BundleError, IfkError, _map, _Value
-from .theories import Sequent, SequentTheory, _indexed, _text, _theory_of_index
 
 if TYPE_CHECKING:
     from .integration import InformationSystem
+    from .theories import Sequent, SequentTheory
 
 TOP_LEVEL_KEYS = ("classifications", "theories", "infomorphisms", "systems")
 
@@ -51,6 +52,7 @@ class Bundle(_Value):
 
 def parse_sequent(literal: str) -> Sequent:
     """Command-line sequent literal: ``a, b |- c`` (either side may be empty)."""
+    from .theories import Sequent
     if literal.count("|-") != 1:
         raise BundleError(f"sequent literal needs exactly one '|-': {literal!r}")
     left, right = ([part.strip() for part in side.split(",") if part.strip()]
@@ -122,6 +124,7 @@ def _parse_classification(name: str, raw: dict, where: str) -> Classification:
 
 
 def _parse_theory(raw: dict, where: str) -> SequentTheory:
+    from .theories import _indexed, _text, _theory_of_index
     types = _ident_list(raw.get("types", []), f"{where}.types")
     axioms_raw = raw.get("axioms", [])
     _expect(isinstance(axioms_raw, list), f"{where}.axioms: expected a list")
@@ -287,14 +290,15 @@ def canonical_json(doc) -> str:
                 else:
                     render(v, inner)
             out.append(indent + "]" if o else "[]")
-        elif isinstance(o, SequentTheory):
-            theory(o, indent)
         elif o is None or o is True or o is False:
             out.append("null" if o is None else "true" if o else "false")
         elif isinstance(o, int):
             out.append(int.__repr__(o))
         else:
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+            from .theories import SequentTheory  # loaded already, if o is one
+            if not isinstance(o, SequentTheory):
+                raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+            theory(o, indent)
 
     def theory(t: SequentTheory, indent: str) -> None:
         # the distinct sides are ranked by name and rendered once each

@@ -3,7 +3,9 @@
 A classification is a finite incidence relation between instances and
 types.  The one index it derives is its incidence as bit masks: sorted
 types and sorted instances are bit positions, so an intent or an extent
-is one int, and ``_named`` turns a mask back into names.  Intents,
+is one int, and ``_named`` turns a mask back into names; the other mask
+helpers every module shares (``_mask``, ``_columns``, ``_common``) live
+here too, so reading a classification loads no theory code.  Intents,
 extents, derivation, concepts, logics and the theory lift read the
 masks; an infomorphism's invariance check and the sum channel test
 ``(instance, type)`` pairs.  An infomorphism maps types forward and
@@ -82,6 +84,29 @@ def _from_positions(positions: Collection[int]) -> int:
     for x in positions:
         digits[-1 - x] = 1
     return int(digits.translate(_DIGITS), 2)  # base 2 has no digit limit
+
+
+def _mask(index: Mapping[str, int], names: Iterable[str]) -> int:
+    m = 0
+    for name in names:
+        m |= 1 << index[name]
+    return m
+
+
+def _columns(states: list[int], n: int) -> list[int]:
+    """Per type k, the positions in ``states`` of the states where k holds."""
+    columns: list[list[int]] = [[] for _ in range(n)]
+    for j, x in enumerate(states):
+        for k in _bits(x):
+            columns[k].append(j)
+    return [_from_positions(column) for column in columns]
+
+
+def _common(columns: list[int], m: int, everywhere: int) -> int:
+    """The positions in ``everywhere`` where every member of ``m`` holds."""
+    for k in _bits(m):
+        everywhere &= columns[k]
+    return everywhere
 
 
 def _canonical(masks: Iterable[int]) -> list[int]:

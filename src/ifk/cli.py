@@ -3,7 +3,8 @@ JSON (or DOT) reports, exit 0 on success, 1 on defects in the input or an
 internal failure, 2 on usage errors.
 
 Each command imports the modules only it runs, so that `ifk entails`, for
-one, starts without loading colimits, flows or concept lattices."""
+one, starts without loading colimits, flows or concept lattices, and
+`ifk lattice` on a bundle without theories loads no theory code."""
 
 from __future__ import annotations
 
@@ -32,7 +33,6 @@ from .errors import (
     CapExceeded,
     IfkError,
 )
-from .theories import SequentTheory, close, entails
 
 
 class _UsageError(Exception):
@@ -117,11 +117,13 @@ def _cmd_validate(args, bundle: Bundle) -> str:
 
 
 def _cmd_close(args, bundle: Bundle) -> str:
+    from .theories import close
     theory = _pick(bundle.theories, args.theory, "theory")
     return canonical_json({"theory": args.theory, **theory_to_obj(close(theory, args.cap))})
 
 
 def _cmd_entails(args, bundle: Bundle) -> str:
+    from .theories import entails
     theory = _pick(bundle.theories, args.theory, "theory")
     q = parse_sequent(args.sequent)
     return canonical_json(
@@ -161,6 +163,7 @@ def _cmd_sum(args, bundle: Bundle) -> str:
 
 def _cmd_integrate(args, bundle: Bundle) -> str:
     from .integration import integrate
+    from .theories import SequentTheory
     system = _pick(bundle.systems, args.system, "system")
     result = integrate(system, delta_bound=args.delta_bound, cap=args.cap)
     return canonical_json(

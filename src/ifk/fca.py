@@ -24,9 +24,8 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Literal
 
-from .classification import Classification, _bits, _canonical, _named, extent
+from .classification import Classification, _bits, _canonical, _columns, _common, _mask, _named, extent
 from .errors import CONCEPT_TYPE_GUARD, CapExceeded, IfkError, _Value
-from .theories import _columns, _common, _mask
 
 
 class FormalConcept(_Value):

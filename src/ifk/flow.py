@@ -15,14 +15,13 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-from .classification import Classification, Infomorphism
+from .classification import Classification, Infomorphism, _mask
 from .errors import DEFAULT_SEQUENT_CAP, IfkError, ValidationResult, _map, _Value
 from .theories import (
     FlatTheory,
     Sequent,
     SequentTheory,
     _flowed,
-    _mask,
     _renamed,
     _require_within,
     _theory_of_index,

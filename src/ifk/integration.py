@@ -18,7 +18,7 @@ import math
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from .classification import Classification, Infomorphism, _from_positions
+from .classification import Classification, Infomorphism, _common, _from_positions, _mask
 from .diagrams import ClsDiagram, LanguageColimit, LanguageDiagram, ShapeGraph, colimit_language
 from .diagrams import _semijoin
 from .errors import (
@@ -36,9 +36,7 @@ from .flow import InverseFlowTheory, check_theory_morphism, direct_flow, inverse
 from .theories import (
     Sequent,
     SequentTheory,
-    _common,
     _flowed,
-    _mask,
     _model_mask,
     _positions,
     _state_columns,

@@ -37,7 +37,7 @@ import threading
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .classification import _FLAGS, Classification, _bits, _canonical, _from_positions, _named, extent
+from .classification import _FLAGS, Classification, _bits, _canonical, _common, _mask, _named, extent
 from .errors import DEFAULT_SEQUENT_CAP, CapExceeded, IfkError, _set_field, _Value
 
 MODELS_KEPT = 32  # recent models a compiled theory tries before searching
@@ -166,13 +166,6 @@ def _indexed(types: Iterable[str]) -> dict[str, int]:
     return {typ: k for k, typ in enumerate(sorted(types))}
 
 
-def _mask(index: Mapping[str, int], names: Iterable[str]) -> int:
-    m = 0
-    for name in names:
-        m |= 1 << index[name]
-    return m
-
-
 def _renamed(t: SequentTheory, f: Mapping[str, str], index: Mapping[str, int]) -> dict[int, int]:
     """Each axiom int of ``t`` and its image: each type's bit goes to its image's bit in ``index``."""
     image = [1 << index[f[name]] for name in t._index]
@@ -196,22 +189,6 @@ def _state_columns(n: int) -> list[int]:
     """Per type k, the states among ``range(2**n)`` where k holds, as bits."""
     everywhere = (1 << (1 << n)) - 1
     return [everywhere // ((1 << (2 << k)) - 1) * ((1 << (1 << k)) - 1 << (1 << k)) for k in range(n)]
-
-
-def _columns(states: list[int], n: int) -> list[int]:
-    """Per type k, the positions in ``states`` of the states where k holds."""
-    columns: list[list[int]] = [[] for _ in range(n)]
-    for j, x in enumerate(states):
-        for k in _bits(x):
-            columns[k].append(j)
-    return [_from_positions(column) for column in columns]
-
-
-def _common(columns: list[int], m: int, everywhere: int) -> int:
-    """The positions in ``everywhere`` where every member of ``m`` holds."""
-    for k in _bits(m):
-        everywhere &= columns[k]
-    return everywhere
 
 
 def _violating(t: SequentTheory, columns: list[int], everywhere: int) -> int:

@@ -192,7 +192,7 @@ def test_unexpected_exception_is_internal_error(monkeypatch):
     def overflow(theory, q):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr("ifk.cli.entails", overflow)
+    monkeypatch.setattr("ifk.theories.entails", overflow)
     args = ["entails", "--theory", "tiny", "--sequent", "a |- b", str(FIXTURES / "classics.json")]
     status, report = run(args)
     assert status == 1

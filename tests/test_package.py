@@ -53,11 +53,20 @@ EXPORTED = """
 HEAVY = ("ifk.fca", "ifk.integration", "ifk.diagrams", "ifk.flow", "ifk.logics")
 
 
+def _fresh(script: str) -> str:
+    """The output of ``script`` in a fresh interpreter that imports ifk from
+    the source tree; in process, sys.modules is shared with every other test."""
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout
+
+
 def _modules_loaded_by(*command_lines) -> set[str]:
     """The modules a fresh interpreter loads to run the commands, beyond
-    those it held before importing ifk (``site`` may preload some); in
-    process, sys.modules is shared with every other test."""
-    script = (
+    those it held before importing ifk (``site`` may preload some)."""
+    return set(json.loads(_fresh(
         "import sys\n"
         "before = set(sys.modules)\n"
         "from ifk.cli import run\n"
@@ -66,12 +75,7 @@ def _modules_loaded_by(*command_lines) -> set[str]:
         "    assert status == 0, argv\n"
         "import json\n"
         "print(json.dumps(sorted(set(sys.modules) - before)))\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
-    )
-    return set(json.loads(out.stdout))
+    )))
 
 
 def test_theory_commands_load_no_colimit_flow_or_lattice_module(tmp_path):
@@ -88,14 +92,49 @@ def test_theory_commands_load_no_colimit_flow_or_lattice_module(tmp_path):
     assert loaded.isdisjoint(HEAVY)
 
 
-def test_lattice_command_does_not_load_integration(tmp_path):
+CLASSIFICATIONS_ONLY = {"classifications": {
+    "C": {"instances": ["i", "j"], "types": ["s", "t"], "incidence": [["i", "t"], ["j", "s"]]},
+}}
+
+
+def test_classification_commands_load_no_theory_code(tmp_path):
+    # a classification is a structure without a theory: reading one loads
+    # neither the theory kernel nor anything built on it
     bundle = tmp_path / "classification.json"
-    bundle.write_text(json.dumps(
-        {"classifications": {"C": {"instances": ["i"], "types": ["t"], "incidence": [["i", "t"]]}}}
-    ))
-    loaded = _modules_loaded_by(["lattice", "--classification", "C", str(bundle)])
-    assert "ifk.fca" in loaded
-    assert "ifk.integration" not in loaded
+    bundle.write_text(json.dumps(CLASSIFICATIONS_ONLY))
+    core = {"ifk", "ifk.cli", "ifk.bundle", "ifk.classification", "ifk.errors"}
+    commands = {
+        "validate": ["validate"],
+        "lattice": ["lattice", "--classification", "C"],
+        "lattice --format dot": ["lattice", "--classification", "C", "--format", "dot"],
+    }
+    loaded = {name: {m for m in _modules_loaded_by([*argv, str(bundle)]) if m.split(".")[0] == "ifk"}
+              for name, argv in commands.items()}
+    assert loaded == {"validate": core, "lattice": core | {"ifk.fca"},
+                      "lattice --format dot": core | {"ifk.fca"}}
+
+
+def test_bundle_reader_and_writer_load_no_theory_code(tmp_path):
+    bundle = tmp_path / "classification.json"
+    bundle.write_text(json.dumps(CLASSIFICATIONS_ONLY))
+    out = _fresh(
+        "import sys\n"
+        "from ifk.bundle import canonical_json, parse_bundle\n"
+        f"parsed = parse_bundle(open({str(bundle)!r}, encoding='utf-8').read())\n"
+        "print(sorted(parsed.classifications))\n"
+        "print(canonical_json({'a': [1, True, None, 'x', (2, {'b': False})]}), end='')\n"
+        "print('ifk.theories' in sys.modules)\n"
+        "try:\n"
+        "    canonical_json([set()])\n"
+        "except TypeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert out.splitlines() == [
+        "['C']",
+        *json.dumps({"a": [1, True, None, "x", [2, {"b": False}]]}, indent=2).splitlines(),
+        "False",
+        "Object of type set is not JSON serializable",
+    ]
 
 
 def test_commands_import_neither_dataclasses_nor_inspect():
