@@ -48,7 +48,7 @@ class Sequent(_Value):
     consequent: frozenset[str]
 
     def __init__(self, antecedent: Iterable[str], consequent: Iterable[str]):
-        # materialized axioms and integrate's bounded candidates need no copy
+        # materialized axioms and integrate's deltas need no copy
         if type(antecedent) is not frozenset or type(consequent) is not frozenset:
             antecedent, consequent = (_names(s, "sequent side") for s in (antecedent, consequent))
         _set_field(self, "antecedent", antecedent)

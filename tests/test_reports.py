@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import json
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 from types import MappingProxyType
@@ -33,8 +34,9 @@ from ifk.bundle import (
 )
 from ifk.cli import run
 from ifk.errors import IfkError
+from ifk.flow import InverseFlowTheory
 from ifk.integration import integrate
-from ifk.theories import sequent_key
+from ifk.theories import entails, sequent_key
 
 import support
 from conftest import FIXTURES
@@ -305,17 +307,25 @@ def test_close_reports_build_no_sequent(monkeypatch, tmp_path):
 
 def test_system_reports_build_a_sequent_per_delta_only(monkeypatch):
     # validation, the sum theory, its consistency and the report all run
-    # on axiom ints; integrate's semijoin path builds each delta it reports
-    built = []
-    init = Sequent.__init__
+    # on axiom ints; integrate's semijoin path (vee, a forest) and its handle
+    # path (ring, a cycle) each build the deltas they report and no other
+    # sequent, and neither asks an entailment wrapper that takes a Sequent
+    built, asked = [], []
+    init, handle_entails = Sequent.__init__, InverseFlowTheory.entails
     monkeypatch.setattr(Sequent, "__init__", lambda s, *a: built.append(a) or init(s, *a))
-    vee = FIXTURES / "vee.json"
-    assert parse_bundle(vee.read_text()).systems["vee"].shape._traversal[2]  # a forest
-    assert built == []
-    status, report = run(["integrate", "--system", "vee", "--delta-bound", "1", str(vee)])
-    found = sum(map(len, json.loads(report)["deltas"].values()))
-    assert status == 0 and found and len(built) == found
-    built.clear()
+    monkeypatch.setattr(InverseFlowTheory, "entails",
+                        lambda h, q: asked.append(q) or handle_entails(h, q))
+    for name, module in list(sys.modules.items()):  # every module that bound theories.entails
+        if name.partition(".")[0] == "ifk" and getattr(module, "entails", None) is entails:
+            monkeypatch.setattr(module, "entails", lambda t, q: asked.append(q) or entails(t, q))
+    for name, bound, forest in (("vee", 1, True), ("ring", 2, False)):
+        path = FIXTURES / f"{name}.json"
+        assert parse_bundle(path.read_text()).systems[name].shape._traversal[2] == forest
+        assert built == []
+        status, report = run(["integrate", "--system", name, "--delta-bound", str(bound), str(path)])
+        found = sum(map(len, json.loads(report)["deltas"].values()))
+        assert status == 0 and found and len(built) == found and asked == [], name
+        built.clear()
     status, report = run(["consistency", "--system", "clash", str(FIXTURES / "clash.json")])
     assert status == 0 and json.loads(report)["verdict"] == "polycosmic" and built == []
 

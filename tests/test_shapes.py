@@ -5,7 +5,8 @@ shapes (stars, zig-zags, random trees), each of 2-6 nodes with random,
 often non-injective type maps and now and then an inconsistent node
 (see ``support.corpus_system``).  Read undirected, with loops and
 parallel edges ignored, only rings of three or more nodes are cyclic,
-so ``integrate`` takes its semijoin path on every other shape.
+so ``integrate`` takes its semijoin path on every other shape; there the
+handle path's reader is run on each node as well.
 """
 
 import itertools
@@ -14,7 +15,7 @@ import random
 import pytest
 
 from ifk import CapExceeded, ShapeGraph, entails_by_enumeration, integrate, sum_classification
-from ifk.integration import VERDICT_MONOCOSMIC, _pulled_states
+from ifk.integration import VERDICT_MONOCOSMIC, _handle_deltas, _pulled_states
 from ifk.theories import Sequent, all_states, sequent_key
 
 import support
@@ -32,9 +33,12 @@ def _corpus(kind):
 def test_integrate_deltas_match_state_enumeration(kind):
     verdicts = set()
     for s in _corpus(kind):
+        forest = s.shape._traversal[2]
         for bound in (0, 1, 2):
             result = integrate(s, delta_bound=bound)
             for n, t in s.node_theory.items():
+                if forest:  # both readers agree, whichever one integrate ran
+                    assert _handle_deltas(s, n, bound) == result.deltas[n], (n, bound)
                 sides = [x for x in all_states(t.types) if len(x) <= bound]
                 expected = [
                     q for q in map(Sequent, *zip(*itertools.product(sides, sides)))
