@@ -6,13 +6,13 @@ so a returned bundle is fully valid; a theory is read straight to its
 masks, with no ``Sequent`` per axiom, and only a bundle that holds a
 theory loads the theory module.  One reader, ``_entries``, checks each
 named entry and one check, ``_ref``, each reference, so a malformed
-bundle is refused for its first fault in document order.  Serialization
-is canonical (sorted set renderings) and round-trips.  ``canonical_json``
-writes it and every CLI report: the bytes of ``json.dumps(doc, indent=2,
-sort_keys=True)`` plus a newline.  It takes read-only maps and tuples as
-they are, and a ``SequentTheory`` (a closure, a sum theory, a node's
-deltas) renders as its sorted axiom list from its masks: no report
-builds a dict per sequent.
+bundle is refused for its first fault in document order; its message
+is worded only then.  Serialization is canonical (sorted set renderings)
+and round-trips.  ``canonical_json`` writes it and every CLI report: the
+bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
+It takes read-only maps and tuples as they are, and a ``SequentTheory``
+(a closure, a sum theory, a node's deltas) renders as its sorted axiom
+list from its masks: no report builds a dict per sequent.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
 from .classification import (
+    _NOT_IN_IDENTIFIER,
     Classification,
     Infomorphism,
     _bits,
@@ -70,6 +71,11 @@ def _expect(condition: bool, message: str) -> None:
 
 def _ident_list(raw, where: str) -> list[str]:
     _expect(isinstance(raw, list), f"{where}: expected a list")
+    try:  # one pass over the whole list; the loop below only words a refusal
+        if all(raw) and len(set(raw)) == len(raw) and not _NOT_IN_IDENTIFIER.search("".join(raw)):
+            return list(raw)
+    except TypeError:  # a name that is not a str
+        pass
     seen = set()
     for name in raw:
         _expect(valid_identifier(name), f"{where}: bad identifier {name!r}")
@@ -83,22 +89,26 @@ def _entries(raw, where: str):
     document order and lazily, so the first fault in that order is refused."""
     _expect(isinstance(raw, dict), f"{where}: expected an object")
     for name, body in raw.items():
-        _expect(valid_identifier(name), f"{where}: bad name {name!r}")
-        _expect(isinstance(body, dict), f"{where}.{name}: expected an object")
+        if not valid_identifier(name):
+            raise BundleError(f"{where}: bad name {name!r}")
+        if not isinstance(body, dict):
+            raise BundleError(f"{where}.{name}: expected an object")
         yield name, body, f"{where}.{name}"
 
 
 def _ref(table: dict, ref, where: str, kind: str):
     """The entry of ``table`` that ``ref`` names."""
-    _expect(isinstance(ref, str) and ref in table, f"{where}: dangling reference to {kind} {ref!r}")
+    if not (isinstance(ref, str) and ref in table):
+        raise BundleError(f"{where}: dangling reference to {kind} {ref!r}")
     return table[ref]
 
 
 def _str_map(raw, where: str) -> dict[str, str]:
     _expect(isinstance(raw, dict), f"{where}: expected an object")
-    for k, v in raw.items():
-        _expect(valid_identifier(k), f"{where}: bad identifier {k!r}")
-        _expect(valid_identifier(v), f"{where}: bad identifier {v!r}")
+    for pair in raw.items():
+        for name in pair:
+            if not valid_identifier(name):
+                raise BundleError(f"{where}: bad identifier {name!r}")
     return dict(raw)
 
 
@@ -109,12 +119,9 @@ def _parse_classification(name: str, raw: dict, where: str) -> Classification:
     _expect(isinstance(incidence_raw, list), f"{where}.incidence: expected a list")
     incidence = []
     for k, pair in enumerate(incidence_raw):
-        _expect(
-            isinstance(pair, list)
-            and len(pair) == 2
-            and all(isinstance(x, str) for x in pair),
-            f"{where}.incidence[{k}]: expected an [instance, type] pair",
-        )
+        if not (isinstance(pair, list) and len(pair) == 2
+                and isinstance(pair[0], str) and isinstance(pair[1], str)):
+            raise BundleError(f"{where}.incidence[{k}]: expected an [instance, type] pair")
         incidence.append((pair[0], pair[1]))
     c = Classification(name, frozenset(instances), frozenset(types), frozenset(incidence))
     result = validate_classification(c)
@@ -129,34 +136,31 @@ def _parse_theory(raw: dict, where: str) -> SequentTheory:
     axioms_raw = raw.get("axioms", [])
     _expect(isinstance(axioms_raw, list), f"{where}.axioms: expected a list")
     index, n = _indexed(types), len(types)
+    bit = {name: 1 << k for name, k in index.items()}
     masks, outside = [], None  # outside: the first axiom over other types, as text
     for k, a in enumerate(axioms_raw):
         if not isinstance(a, dict):
             raise BundleError(f"{where}.axioms[{k}]: expected an object")
         if not a.keys() <= {"ant", "con"}:
             raise BundleError(f"{where}.axioms[{k}]: unknown keys {sorted(a.keys() - {'ant', 'con'})}")
-        g, d = _side_mask(index, a.get("ant", [])), _side_mask(index, a.get("con", []))
-        if g is None or d is None:
-            for side in ("ant", "con"):  # the first bad or duplicate identifier, if any
-                _ident_list(a.get(side, []), f"{where}.axioms[{k}].{side}")
-            outside = outside or _text(a.get("ant", []), a.get("con", []))
-        else:
-            masks.append(g << n | d)
+        ant, con = a.get("ant", []), a.get("con", [])
+        try:
+            if type(ant) is list and type(con) is list:
+                g = d = 0
+                for name in ant:
+                    g |= bit[name]
+                for name in con:
+                    d |= bit[name]
+                if (p := g << n | d).bit_count() == len(ant) + len(con):  # else a duplicate name
+                    masks.append(p)
+                    continue
+        except (KeyError, TypeError):  # a name outside the language, or unhashable
+            pass
+        for side in ("ant", "con"):  # the first bad or duplicate identifier, if any
+            _ident_list(a.get(side, []), f"{where}.axioms[{k}].{side}")
+        outside = outside or _text(ant, con)
     _expect(not outside, f"{where}: axiom {outside} uses types outside the language")
     return _theory_of_index(index, [p for p, _ in groupby(sorted(masks))])  # no duplicate axiom
-
-
-def _side_mask(index: dict[str, int], names) -> int | None:
-    """The mask of a list of distinct names of the language, else ``None``."""
-    if type(names) is not list:
-        return None
-    m = 0
-    for name in names:
-        k = index.get(name, -1) if type(name) is str else -1  # a dict is not hashable
-        if k < 0 or m >> k & 1:
-            return None
-        m |= 1 << k
-    return m
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -229,12 +233,15 @@ def _parse_system(theories: dict, classifications: dict, raw: dict, where: str) 
     edge_instance_map = {}
     for k, body in enumerate(edges_raw):
         ewhere = f"{where}.edges[{k}]"
-        _expect(isinstance(body, dict), f"{ewhere}: expected an object")
+        if not isinstance(body, dict):
+            raise BundleError(f"{ewhere}: expected an object")
         eid, src, dst = body.get("id"), body.get("src"), body.get("dst")
         for label, value in (("id", eid), ("src", src), ("dst", dst)):
-            _expect(valid_identifier(value), f"{ewhere}.{label}: bad identifier {value!r}")
-        _expect(src in node_theory, f"{ewhere}.src: unknown node {src!r}")
-        _expect(dst in node_theory, f"{ewhere}.dst: unknown node {dst!r}")
+            if not valid_identifier(value):
+                raise BundleError(f"{ewhere}.{label}: bad identifier {value!r}")
+        for label, node in (("src", src), ("dst", dst)):
+            if node not in node_theory:
+                raise BundleError(f"{ewhere}.{label}: unknown node {node!r}")
         edges.append((eid, src, dst))
         edge_type_map[eid] = _str_map(body.get("type_map", {}), f"{ewhere}.type_map")
         imap = body.get("instance_map")

@@ -37,7 +37,8 @@ import threading
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
-from .classification import _FLAGS, Classification, _bits, _canonical, _common, _mask, _named, extent
+from .classification import (_FLAGS, Classification, _bits, _canonical, _common, _from_positions, _mask,
+                             _named, extent)
 from .errors import DEFAULT_SEQUENT_CAP, CapExceeded, IfkError, _set_field, _Value
 
 MODELS_KEPT = 32  # recent models a compiled theory tries before searching
@@ -287,17 +288,20 @@ class CompiledTheory:
     ``lit ^ 1`` negates; no literal leaves the engine.  The sequent
     <G |- D> is the clause "some g fails or some d holds"; tautological
     sequents are dropped and an empty one makes the theory
-    unsatisfiable.  Every longer clause watches its first two literals
-    (Moskewicz et al., "Chaff", 2001), and the propagation forced by
-    unit axioms is settled once, at level 0.
+    unsatisfiable.  An axiom int is decoded in one pass, its bits peeled
+    top first by ``bit_length()`` and looked up in one table (bit k of
+    ``d`` is ``2k``, bit k of ``g`` is ``2k + 1``), and sorted once.  Every
+    longer clause watches its first two literals (Moskewicz et al.,
+    "Chaff", 2001); unit axioms are propagated once, at level 0.
 
     ``_solve`` searches iteratively with a trail and undo.  Assumptions
     are decided first, one level each, as in MiniSat (Een & Sorensson,
     2003), so a clause learned from a conflict is a resolvent of the
     axioms alone and stays valid for every later query.  The models that
-    searches end in are kept as state masks, the most recent first: a
-    query that one of them refutes is answered without a search.  The
-    search state is shared between queries; a lock serializes them.
+    searches end in are read off the trail by one linear bit reader and
+    kept as state masks, the most recent first: a query that one of them
+    refutes is answered without a search.  The search state is shared
+    between queries; a lock serializes them.
     """
 
     def __init__(self, t: SequentTheory):
@@ -313,12 +317,16 @@ class CompiledTheory:
         self._lock = threading.Lock()
         self._unsat = False
         self._models: list[int] = []
-        n, low = len(t.types), (1 << len(t.types)) - 1
+        lits = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]  # bit j of g << n | d
         for p in t._masks:
-            g, d = p >> n, p & low
-            if g & d:
-                continue  # holds in every state
-            clause = sorted([2 * k + 1 for k in _bits(g)] + [2 * k for k in _bits(d)])
+            if p >> n & p:
+                continue  # g & d: holds in every state
+            clause = []
+            while p:  # bit_length() reads the top digit alone
+                j = p.bit_length() - 1
+                clause.append(lits[j])
+                p ^= 1 << j
+            clause.sort()
             if len(clause) > 1:
                 self._watches[clause[0]].append(clause)
                 self._watches[clause[1]].append(clause)
@@ -343,7 +351,7 @@ class CompiledTheory:
             try:
                 if not self._solve(g, d):
                     return False
-                x = sum(1 << (lit >> 1) for lit in self._trail if not lit & 1)
+                x = _from_positions([lit >> 1 for lit in self._trail if not lit & 1])
                 self._models = [x, *self._models[: MODELS_KEPT - 1]]
                 return True
             finally:

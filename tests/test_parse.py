@@ -123,6 +123,9 @@ MALFORMED = {
     "a duplicate name": (
         _theory_doc(["a", "b"], [{"ant": ["a", "a"], "con": []}]),
         "theories.T.axioms[0].ant: duplicate identifier 'a'"),
+    "a duplicate consequent name": (
+        _theory_doc(["a", "b"], [{"ant": ["a"], "con": ["b", "b"]}]),
+        "theories.T.axioms[0].con: duplicate identifier 'b'"),
     "a duplicate name outside the language": (
         _theory_doc(["a", "b"], [{"ant": ["z", "z"], "con": []}]),
         "theories.T.axioms[0].ant: duplicate identifier 'z'"),
@@ -148,6 +151,34 @@ MALFORMED = {
     "a duplicate type": (
         _theory_doc(["a", "a"], []),
         "theories.T.types: duplicate identifier 'a'"),
+    "a bad identifier after a duplicate type": (
+        _theory_doc(["a", "a", "b c"], []),
+        "theories.T.types: duplicate identifier 'a'"),
+    "a duplicate type after a bad identifier": (
+        _theory_doc(["a b", "c", "c"], []),
+        "theories.T.types: bad identifier 'a b'"),
+    # two names that each hold one half of a surrogate pair: joined, still two lone surrogates
+    "a surrogate pair split over two types": (
+        _theory_doc(["\ud800", "\udc00"], []),
+        "theories.T.types: bad identifier '\\ud800'"),
+    "a surrogate pair split over two side names": (
+        _theory_doc(["a"], [{"ant": ["a"], "con": ["\ud800", "\udc00"]}]),
+        "theories.T.axioms[0].con: bad identifier '\\ud800'"),
+    "an empty antecedent name": (
+        _theory_doc(["a", "b"], [{"ant": ["a", ""], "con": []}]),
+        "theories.T.axioms[0].ant: bad identifier ''"),
+    "true as a name": (
+        _theory_doc(["a", "b"], [{"ant": ["a"], "con": [True]}]),
+        "theories.T.axioms[0].con: bad identifier True"),
+    "a float as a name": (
+        _theory_doc(["a", "b"], [{"ant": [1.5], "con": ["b"]}]),
+        "theories.T.axioms[0].ant: bad identifier 1.5"),
+    "a nested list as a name": (
+        _theory_doc(["a", "b"], [{"ant": ["a"], "con": ["b", ["a"]]}]),
+        "theories.T.axioms[0].con: bad identifier ['a']"),
+    "an object as a name after a good axiom": (
+        _theory_doc(["a", "b"], [{"ant": ["a"], "con": ["b"]}, {"ant": [{}], "con": []}]),
+        "theories.T.axioms[1].ant: bad identifier {}"),
     "a duplicate JSON key at depth": (
         '{"theories": {"T": {"types": ["a"], "axioms": [{"ant": [], "con": [], "ant": ["a"]}]}}}',
         "duplicate JSON key 'ant'"),
@@ -171,6 +202,11 @@ T = {"types": [], "axioms": []}
 def _system(nodes) -> dict:
     return {"classifications": {"c": C}, "theories": {"T": T},
             "systems": {"S": {"nodes": nodes, "edges": []}}}
+
+
+def _edges(*edges) -> dict:
+    return {"theories": {"T": T},
+            "systems": {"S": {"nodes": {"n": {"theory": "T"}}, "edges": list(edges)}}}
 
 
 def _info(**ends) -> dict:
@@ -223,6 +259,30 @@ REFUSED = {
     "both node references bad": (
         _system({"n": {"theory": "ghost", "classification": "ghost"}}),
         "systems.S.nodes.n: dangling reference to theory 'ghost'"),
+    "an incidence pair with a number": (
+        {"classifications": {"c": {**C, "incidence": [["i", "t"], ["i", 5]]}}},
+        "classifications.c.incidence[1]: expected an [instance, type] pair"),
+    "a bad type map value": (
+        {"classifications": {"c": C}, "infomorphisms": {"f": {"source": "c", "target": "c",
+                                                              "type_map": {"a": "b", "c": "d e"}}}},
+        "infomorphisms.f.type_map: bad identifier 'd e'"),
+    "a bad instance map key before a bad value": (
+        {"classifications": {"c": C}, "infomorphisms": {"f": {"source": "c", "target": "c",
+                                                              "instance_map": {"a b": ""}}}},
+        "infomorphisms.f.instance_map: bad identifier 'a b'"),
+    "an edge that is a list": (_edges([]), "systems.S.edges[0]: expected an object"),
+    "an edge with a bad id": (_edges({"id": "e f", "src": "n", "dst": "n"}),
+                              "systems.S.edges[0].id: bad identifier 'e f'"),
+    "an edge without a target": (_edges({"id": "e", "src": "n"}),
+                                 "systems.S.edges[0].dst: bad identifier None"),
+    "an unknown edge target": (_edges({"id": "e", "src": "n", "dst": "m"}),
+                               "systems.S.edges[0].dst: unknown node 'm'"),
+    "both edge ends unknown": (_edges({"id": "e", "src": "m", "dst": "k"}),
+                               "systems.S.edges[0].src: unknown node 'm'"),
+    "a bad edge type map after a good edge": (
+        _edges({"id": "e", "src": "n", "dst": "n"},
+               {"id": "f", "src": "n", "dst": "n", "type_map": {"a": 1}}),
+        "systems.S.edges[1].type_map: bad identifier 1"),
     "sections before entries": (
         {"classifications": {"a b": 5}, "theories": {}, "systems": []}, "systems: expected an object"),
 }

@@ -31,7 +31,8 @@ from ifk import (
     theory_leq,
     top_theory,
 )
-from ifk.theories import _models, all_states, satisfying_states, sequent_key, theory_of_states
+from ifk.theories import (CompiledTheory, _models, all_states, satisfying_states, sequent_key,
+                          theory_of_states)
 
 import support
 from conftest import seq
@@ -142,6 +143,15 @@ def hard_sequent(rng, sigma):
     return Sequent(ant, set(picked) - set(ant))
 
 
+def bits_of(index, names):
+    return sum(1 << index[x] for x in names)
+
+
+def hard_theories(rng, sigma):
+    """Theories of 30-38 hard sequents over ``sigma``."""
+    return [SequentTheory(sigma, [hard_sequent(rng, sigma) for _ in range(n)]) for n in (30, 34, 34, 34, 38)]
+
+
 def test_compiled_theory_answers_interleaved_queries():
     # one theory object serves every query in turn, so anything the engine
     # keeps between queries must leave later answers unchanged
@@ -185,8 +195,7 @@ def test_compiled_theory_refutes_mask_pairs():
         theory("a b", seq("", "")),  # the empty axiom <|->
         theory("a b c", seq("a", "a"), seq("b c", "a b")),  # only tautologies
         theory("a b c", seq("", "a"), seq("a", "b"), seq("b", "")),  # inconsistent
-        *(SequentTheory(sigma, [hard_sequent(rng, sigma) for _ in range(n)])
-          for n in (30, 34, 34, 34, 38)),
+        *hard_theories(rng, sigma),
     ]
     models = [list(_models(t)) for t in theories]
     cases = refuted = 0
@@ -212,6 +221,44 @@ def test_compiled_theory_refutes_mask_pairs():
         assert all(p >> n & ~x or p & ((1 << n) - 1) & x for x in kept for p in t._masks)
     assert 0 < refuted < cases
     print(f"refutes on {len(theories)} theories: {cases} cases, {refuted} refuted")
+
+
+def test_compiled_clauses_are_their_axioms_in_watch_order():
+    # the hard theories above, renamed into 96 types, so that an axiom int
+    # g << 96 | d spans several 30-bit digits: each watch list of a fresh
+    # engine holds the clauses built on their own from the axioms' names,
+    # in axiom order, and the engine refutes what the 8-type models refute
+    rng = random.Random(0x5EED)
+    sigma, wide = [f"t{k}" for k in range(8)], [f"u{k:02d}" for k in range(96)]
+    refuted = 0
+    for small in hard_theories(rng, sigma):
+        f = dict(zip(sigma, rng.sample(wide, 8)))
+        t = SequentTheory(wide, [Sequent({f[x] for x in a.antecedent}, {f[x] for x in a.consequent})
+                                 for a in small.axioms])
+        assert max(t._masks).bit_length() > 4 * 30
+        index, engine = t._index, CompiledTheory(t)
+        clauses = sorted(
+            ((bits_of(index, a.antecedent), bits_of(index, a.consequent)),
+             sorted([2 * index[x] + 1 for x in a.antecedent] + [2 * index[x] for x in a.consequent]))
+            for a in t.axioms if a.antecedent.isdisjoint(a.consequent))
+        watches = [[] for _ in range(2 * len(wide))]
+        for _, clause in clauses:
+            assert len(clause) == 3
+            watches[clause[0]].append(clause)
+            watches[clause[1]].append(clause)
+        assert engine._watches == watches
+
+        models = list(_models(small))
+        for _ in range(200):
+            ant, con = ([x for x in sigma if rng.random() < 0.2] for _ in range(2))
+            g, d = bits_of(small._index, ant), bits_of(small._index, con)
+            expected = any(x & g == g and not x & d for x in models)
+            assert engine.refutes(bits_of(index, map(f.get, ant)), bits_of(index, map(f.get, con))) == expected
+            refuted += expected
+        assert all(x >> len(wide) == 0 for x in engine._models)
+        assert all(p >> 96 & ~x or p & ((1 << 96) - 1) & x for x in engine._models for p in t._masks)
+    assert 0 < refuted < 5 * 200
+    print(f"refutes on 5 renamed theories: {5 * 200} cases, {refuted} refuted")
 
 
 def test_compiled_theory_serves_concurrent_queries():
