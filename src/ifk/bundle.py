@@ -10,9 +10,9 @@ bundle is refused for its first fault in document order; its message
 is worded only then.  Serialization is canonical (sorted set renderings)
 and round-trips.  ``canonical_json`` writes it and every CLI report: the
 bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
-It takes read-only maps and tuples as they are, and a ``SequentTheory``
-(a closure, a sum theory, a node's deltas) renders as its sorted axiom
-list from its masks: no report builds a dict per sequent.
+It takes read-only maps and tuples as they are; from their masks, a
+``SequentTheory`` renders as its sorted axioms and a ``ConceptLattice`` as
+its order pairs: no report builds a dict per sequent or a list per pair.
 """
 
 from __future__ import annotations
@@ -268,7 +268,8 @@ def canonical_json(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\n"``, byte for byte,
     for dicts and read-only maps with str keys, lists, tuples, str, int,
     bool and None; a ``SequentTheory`` renders as its axioms in
-    ``sequent_key`` order.  The pieces are joined once."""
+    ``sequent_key`` order and a ``ConceptLattice`` as its sorted [i, j]
+    pairs, i strictly below j.  The pieces are joined once."""
     out: list[str] = []
 
     # Loops, not comprehensions, and list items inline where they can be:
@@ -301,6 +302,8 @@ def canonical_json(doc) -> str:
             out.append("null" if o is None else "true" if o else "false")
         elif isinstance(o, int):
             out.append(int.__repr__(o))
+        elif hasattr(o, "_order_json"):  # a ConceptLattice renders its strict order
+            o._order_json(indent, out)
         else:
             from .theories import SequentTheory  # loaded already, if o is one
             if not isinstance(o, SequentTheory):

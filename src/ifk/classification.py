@@ -3,8 +3,8 @@
 A classification is a finite incidence relation between instances and
 types.  The one index it derives is its incidence as bit masks: sorted
 types and sorted instances are bit positions, so an intent or an extent
-is one int, and ``_named`` turns a mask back into names; the other mask
-helpers every module shares (``_mask``, ``_columns``, ``_common``) live
+is one int, and ``_at`` or ``_named`` turns a mask back into names; the other
+mask helpers every module shares (``_mask``, ``_columns``, ``_common``) live
 here too, so reading a classification loads no theory code.  Intents,
 extents, derivation, concepts, logics and the theory lift read the
 masks; an infomorphism's invariance check and the sum channel test
@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from functools import cached_property
 from itertools import compress
-from typing import Collection, Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 from .errors import DEFAULT_THEORY_TYPE_CAP, CapExceeded, IfkError, ValidationResult, _map, _Value
 
@@ -73,9 +73,13 @@ _FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digits to flags and back
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
-def _named(names: list[str], m: int) -> frozenset[str]:
-    """The names at the set bits of ``m``: bit k stands for ``names[k]``."""
-    return frozenset(compress(names, f"{m:b}"[::-1].encode().translate(_FLAGS)))
+def _at(names: Sequence[str], m: int) -> Iterator[str]:
+    """The names at the set bits of ``m``, in order: bit k stands for ``names[k]``."""
+    return compress(names, f"{m:b}"[::-1].encode().translate(_FLAGS))
+
+
+def _named(names: Sequence[str], m: int) -> frozenset[str]:
+    return frozenset(_at(names, m))
 
 
 def _from_positions(positions: Collection[int]) -> int:

@@ -24,7 +24,7 @@ from .bundle import (
     sequent_to_obj,
     theory_to_obj,
 )
-from .classification import _bits
+from .classification import _at
 from .errors import (
     DEFAULT_DELTA_BOUND,
     DEFAULT_INSTANCE_CAP,
@@ -133,19 +133,13 @@ def _cmd_entails(args, bundle: Bundle) -> str:
 
 def _cmd_lattice(args, bundle: Bundle) -> str:
     from .fca import lattice, lattice_dot
-    c = _pick(bundle.classifications, args.classification, "classification")
-    l = lattice(c)
+    l = lattice(_pick(bundle.classifications, args.classification, "classification"))
     if args.format == "dot":
         return lattice_dot(l)
-    return canonical_json(
-        {
-            "classification": args.classification,
-            "concepts": [
-                {"extent": sorted(k.extent), "intent": sorted(k.intent)} for k in l.concepts
-            ],
-            "order": [[i, j] for i, up in enumerate(l._ups) for j in _bits(up & ~(1 << i))],
-        }
-    )
+    concepts = [{"extent": list(_at(l._instances, e)), "intent": list(_at(l._types, i))}
+                for e, i in zip(l._extents, l._intents)]
+    # a lattice renders as its strict order
+    return canonical_json({"classification": args.classification, "concepts": concepts, "order": l})
 
 
 def _cmd_sum(args, bundle: Bundle) -> str:

@@ -309,15 +309,31 @@ def _context(rng: random.Random, instances: int, types: int, per_instance: int) 
             "incidence": [[g, m] for g, row in rows.items() for m in row]}
 
 
-@pytest.mark.parametrize("shape", [(1, 0, 0), (6, 3, 1), (40, 8, 4), (120, 11, 5), (300, 14, 7)])
+# names JSON must escape: quotes, backslashes, non-ASCII and past the BMP
+_ESCAPED = ['a"b', "c\\d", '\\"', "\u03bb", "\u00e9t\u00e9", "\U0001f600", "plain"]
+
+
+@pytest.mark.parametrize("shape", [(1, 0, 0), (6, 3, 1), (40, 8, 4), (120, 11, 5), (300, 14, 7),
+                                   "escaped"])
 def test_lattice_order_list_is_the_sorted_strict_order(tmp_path, shape):
-    raw = _context(random.Random(f"order:{shape}"), *shape)
+    # the whole report is the standard library's rendering of a doc built from the library's values
+    rng = random.Random(f"order:{shape}")
+    if shape == "escaped":
+        raw = {"instances": _ESCAPED, "types": _ESCAPED[:5],
+               "incidence": [[i, t] for i in _ESCAPED for t in _ESCAPED[:5] if rng.random() < 0.5]}
+    else:
+        raw = _context(rng, *shape)
     path = tmp_path / "context.json"
-    path.write_text(json.dumps({"classifications": {"C": raw}}))
+    path.write_text(json.dumps({"classifications": {"C": raw}}))  # ASCII: JSON escapes
     status, report = run(["lattice", "--classification", "C", str(path)])
     assert status == 0
     l = lattice(parse_bundle(path.read_text()).classifications["C"])
-    assert json.loads(report)["order"] == sorted([i, j] for i, j in l.order if i != j)
+    doc = {
+        "classification": "C",
+        "concepts": [{"extent": sorted(k.extent), "intent": sorted(k.intent)} for k in l.concepts],
+        "order": sorted([i, j] for i, j in l.order if i != j),
+    }
+    assert report == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _one_name_bundle(path, name: str) -> None:

@@ -1,3 +1,6 @@
+import copy
+import json
+import pickle
 import random
 
 import pytest
@@ -19,6 +22,8 @@ from ifk import (
     meet,
     object_concept,
 )
+from ifk.bundle import parse_bundle
+from ifk.cli import run
 from ifk.fca import concepts_by_enumeration
 
 import support
@@ -308,3 +313,64 @@ def test_dot_edges_are_the_transitive_reduction_of_the_extent_order():
     assert duplicated > 10 and empty > 10
     print(f"cover edges vs transitive reduction: {cases} contexts ({duplicated} with shared "
           f"intents, {empty} with an empty type extent), {edges} edges")
+
+
+def _edge_contexts(rng: random.Random, seen: dict):
+    """Seeded random contexts of 0-7 types and 0-6 instances, counting in
+    ``seen`` those with no instance, no type, duplicate rows, an instance
+    with no type and a type with no instance."""
+    for _ in range(120):
+        types = [f"t{k}" for k in range(rng.randint(0, 7))]
+        density = rng.random()
+        rows = [frozenset(t for t in types if rng.random() < density) for _ in range(rng.randint(0, 4))]
+        rows += rng.sample(rows, rng.randint(0, min(2, len(rows))))  # instances sharing a row
+        rows += [frozenset()] * (rng.random() < 0.3)  # an instance with no type
+        instances = [f"i{k}" for k in range(len(rows))]
+        seen["no instance"] += not rows
+        seen["no type"] += not types
+        seen["duplicate rows"] += len(set(rows)) < len(rows)
+        seen["instance with no type"] += frozenset() in rows
+        seen["type with no instance"] += any(all(t not in row for row in rows) for t in types)
+        yield Classification("C", instances, types, [(i, t) for i, row in zip(instances, rows) for t in row])
+
+
+def test_lattice_from_masks_is_the_lattice_from_names():
+    seen = dict.fromkeys(("no instance", "no type", "duplicate rows", "instance with no type",
+                          "type with no instance"), 0)
+    for c in _edge_contexts(random.Random(0x3A5C), seen):
+        l, found = lattice(c), concepts(c)
+        built = ConceptLattice(found)
+        assert l == built and hash(l) == hash(built) and pickle.dumps(l) == pickle.dumps(built)
+        assert l.concepts == found == concepts_by_enumeration(c)
+        n, extents, intents = len(found), [k.extent for k in found], [k.intent for k in found]
+        order = {(i, j) for i in range(n) for j in range(n) if extents[i] <= extents[j]}
+        for again in (pickle.loads(pickle.dumps(l)), copy.deepcopy(l), copy.deepcopy(built)):
+            assert again == l and hash(again) == hash(l) and again.concepts == found
+            assert again.order == order
+        assert l.order == built.order == order
+        assert _dot_edges(l) == _dot_edges(built) == _reduction(order - {(i, i) for i in range(n)}, n)
+        for i in range(n):
+            for j in range(n):
+                assert meet(l, i, j) == found[extents.index(extents[i] & extents[j])]
+                assert join(l, i, j) == found[intents.index(intents[i] & intents[j])]
+    assert min(seen.values()) >= 5, seen
+
+
+def test_lattice_reports_build_no_formal_concept(monkeypatch, tmp_path):
+    built = []
+    init = FormalConcept.__init__
+    monkeypatch.setattr(FormalConcept, "__init__", lambda k, *a: built.append(a) or init(k, *a))
+    rng = random.Random(0xC0C0)
+    rows = {f"g{k:02d}": rng.sample([f"m{t}" for t in range(8)], 4) for k in range(30)}
+    raw = {"instances": list(rows), "types": [f"m{t}" for t in range(8)],
+           "incidence": [[g, m] for g, row in rows.items() for m in row]}
+    path = tmp_path / "context.json"
+    path.write_text(json.dumps({"classifications": {"C": raw}}))
+    for form in ("json", "dot"):
+        assert run(["lattice", "--classification", "C", "--format", form, str(path)])[0] == 0
+    l = lattice(parse_bundle(path.read_text()).classifications["C"])
+    lattice_dot(l), l.order
+    assert built == []
+    found = l.concepts
+    assert len(built) == len(found) > 30
+    assert l.concepts is found and len(built) == len(found)  # read again, built once

@@ -1,8 +1,8 @@
 """Values that hold read-only maps survive pickle and deep copy: each copy
 equals the original (or, for the types compared by identity, gives the
 same answers), keeps its maps read-only and carries no cached state.
-Theories, classifications, lattices and logics are copied as their
-fields alone."""
+Classifications and logics are copied as their fields alone, theories
+as their index and axiom ints, and lattices as their names and masks."""
 
 import copy
 import pickle
@@ -149,9 +149,11 @@ def test_values_copy_their_fields_only(copier, seed):
     extent(c, c.types)
     lattice_dot(l), meet(l, 0, 0), l.order
     is_complete(logic)
-    # a copy keeps its fields, and a theory its index and axiom ints, never its engine
+    # a copy keeps its fields, a theory its index and axiom ints, never its engine,
+    # and a lattice its names and masks, never its concepts
     kept = ((theory, {"_index", "_masks", "_compiled"}, {"types", "_index", "_masks"}),
-            (c, {"_masks"}, set(c._fields)), (l, {"_sides", "_ups", "order"}, set(l._fields)))
+            (c, {"_masks"}, set(c._fields)),
+            (l, {"concepts", "_first", "order"}, {"_instances", "_types", "_extents", "_intents"}))
     for value, derived, copied in kept:
         assert derived <= vars(value).keys()
         again = copier(value)

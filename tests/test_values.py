@@ -325,7 +325,8 @@ def test_every_value_class_is_built_here_and_refuses_assignment():
 # the defaults, and copies.
 IDENTITY = {InverseFlowTheory}  # a pulled-back view compares and hashes by identity
 OWN_REPR = {Sequent}  # printed as a sequent literal
-OWN_EQ = {SequentTheory}  # a theory compares its language and axiom ints
+# a theory compares its language and axiom ints, a lattice its names and masks
+OWN_EQ = {SequentTheory, ConceptLattice}
 
 
 def _fields(value) -> tuple:
@@ -362,7 +363,7 @@ def test_value_protocol_follows_the_field_table(build):
                 hash(value)
         else:
             assert hash(value) == hash(twin) == hash(rebuilt)
-            if cls is not SequentTheory:  # hashed on its language and masks
+            if cls not in OWN_EQ:  # hashed on names and masks
                 assert hash(value) == hash(_fields(value))
     for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value)):
         assert type(again) is cls and _snapshot(again) == _snapshot(value)
