@@ -29,7 +29,7 @@ from .classification import (
     _NOT_IN_IDENTIFIER,
     Classification,
     Infomorphism,
-    _bits,
+    _positions,
     valid_identifier,
     validate_classification,
 )
@@ -322,7 +322,7 @@ def canonical_json(doc) -> str:
             start = end
         names, inner = list(t._index), indent + "  "
         key, item = inner + "  ", inner + "    "
-        sides = {m: [names[k] for k in _bits(m)] for m in groups.keys() | set().union(*groups.values())}
+        sides = {m: [names[k] for k in _positions(m)] for m in set(groups).union(*groups.values())}
         rank = {m: r for r, m in enumerate(sorted(sides, key=sides.__getitem__))}
         texts = {m: "[" + item + ("," + item).join(map(_quote, s)) + key + "]" if s else "[]"
                  for m, s in sides.items()}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -232,11 +233,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     if output:
         try:
             Path(output).write_text(report, encoding="utf-8")
+            return status
         except OSError as exc:
-            sys.stdout.write(_failure("usage", message=f"cannot write report file: {exc}"))
-            return 2
-    else:
-        sys.stdout.write(report)
+            status, report = 2, _failure("usage", message=f"cannot write report file: {exc}")
+    try:
+        print(report, end="", flush=True)
+    except (OSError, MemoryError) as exc:  # a full disk, a closed pipe, no room for the bytes
+        # stdout now discards, so the interpreter's own flush at exit fails no second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"ifk: cannot write the report: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return 2
     return status
 
 

@@ -21,13 +21,12 @@ takes only covers finds in canonical order.
 
 from __future__ import annotations
 
-import re
 from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Iterator, Literal
 
-from .classification import (Classification, _at, _bits, _canonical, _columns, _common, _mask, _named,
-                             extent)
+from .classification import (Classification, _at, _canonical, _columns, _common, _mask, _named,
+                             _positions, extent)
 from .errors import CONCEPT_TYPE_GUARD, CapExceeded, IfkError, _Value
 
 
@@ -106,12 +105,6 @@ def _lattice_of(*fields) -> ConceptLattice:
     l = ConceptLattice.__new__(ConceptLattice)
     l.__dict__.update(zip(_FIELDS, fields))
     return l
-
-
-def _positions(m: int) -> Iterator[int]:
-    """Set bits of ``m``, lowest first, in time linear in its width: each peel
-    copies the mask, so past a few bits one scan of its digits in C is faster."""
-    return _bits(m) if m.bit_count() < 32 else map(re.Match.start, re.finditer("1", f"{m:b}"[::-1]))
 
 
 def derive(

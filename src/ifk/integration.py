@@ -18,7 +18,7 @@ import math
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from .classification import Classification, Infomorphism, _common, _from_positions, _mask
+from .classification import Classification, Infomorphism, _common, _from_positions, _mask, _positions
 from .diagrams import ClsDiagram, LanguageColimit, LanguageDiagram, ShapeGraph, colimit_language
 from .diagrams import _semijoin
 from .errors import (
@@ -38,7 +38,6 @@ from .theories import (
     SequentTheory,
     _flowed,
     _model_mask,
-    _positions,
     _state_columns,
     is_consistent,
     theory_leq,

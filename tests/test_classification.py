@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given
@@ -24,7 +25,7 @@ from ifk import (
     validate_classification,
 )
 
-from ifk.classification import _bits, _canonical, _from_positions, _named
+from ifk.classification import _canonical, _from_positions, _named, _positions
 
 import support
 
@@ -271,11 +272,33 @@ def test_from_positions_sets_exactly_those_bits():
     assert _from_positions([]) == 0 and _from_positions([0]) == 1
 
 
+def _read(w: int, k: int) -> type:
+    """The read ``_positions`` picks for a w-bit mask with k bits set."""
+    return type(_positions((1 << k) - 1 << w - k))
+
+
+def test_positions_reads_every_set_bit():
+    # popcounts on both sides of each switch between reads, found by bisection:
+    # the reads go from peeling to scanning to flags as more bits are set
+    rng = random.Random(0x5E7)
+    rank = {list: 0, map: 1}
+    assert list(_positions(0)) == []
+    reads = set()
+    for w in (1, 2, 9, 20, 33, 64, 100, 512, 3600, 1 << 16):
+        switches = [bisect_left(range(w + 1), r, key=lambda k: rank.get(_read(w, k), 2)) for r in (1, 2)]
+        popcounts = {1, w, *(k + d for k in switches for d in (-1, 0))} & set(range(1, w + 1))
+        for k in sorted(popcounts):  # the top bit and k - 1 others
+            m = _from_positions([w - 1, *rng.sample(range(w - 1), k - 1)])
+            assert list(_positions(m)) == [x for x in range(w) if m >> x & 1], (w, k)
+            reads.add(_read(w, k))
+    assert len(reads) == 3
+
+
 def test_canonical_order_is_popcount_then_positions():
     rng = random.Random(0x0D)
     masks = [rng.getrandbits(w) if w else 0 for w in (rng.randint(0, 80) for _ in range(2000))]
     assert len({m.bit_count() for m in masks}) < 100  # so popcounts tie
-    assert _canonical(masks) == sorted(masks, key=lambda m: (m.bit_count(), list(_bits(m))))
+    assert _canonical(masks) == sorted(masks, key=lambda m: (m.bit_count(), list(_positions(m))))
     assert _canonical(iter(masks)) == _canonical(reversed(masks))
 
 

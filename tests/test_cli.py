@@ -470,6 +470,48 @@ def test_main_writes_stdout(capsys):
     assert json.loads(capsys.readouterr().out) == {"ok": True}
 
 
+class _FailingStdout:
+    """A stdout on a file descriptor whose every write raises ``error``."""
+
+    def __init__(self, fd: int, error: BaseException):
+        self.fd, self.error = fd, error
+
+    def write(self, text):
+        raise self.error
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), MemoryError()])
+def test_main_ends_a_failed_report_write_in_one_stderr_line(tmp_path, monkeypatch, capsys, error):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(fd, error))
+        code = main(["validate", str(FIXTURES / "vee.json")])
+        # the descriptor now discards, so a flush at exit fails no second time
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("ifk: cannot write the report: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_report_write_to_a_full_device_ends_in_one_stderr_line():
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parents[1] / "src")}
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "ifk.cli", "validate", str(FIXTURES / "vee.json")],
+                              env=env, stdout=full, stderr=subprocess.PIPE)
+    assert done.returncode == 2
+    assert done.stderr.decode() == "ifk: cannot write the report: [Errno 28] No space left on device\n"
+
+
 def test_integrate_cli_equals_library(vee):
     status, report = run(
         ["integrate", "--system", "vee", "--delta-bound", "1", str(FIXTURES / "vee.json")]

@@ -24,6 +24,7 @@ from ifk import (
 )
 from ifk.bundle import parse_bundle
 from ifk.cli import run
+from ifk.classification import _positions
 from ifk.fca import concepts_by_enumeration
 
 import support
@@ -289,7 +290,19 @@ def _dot_edges(l: ConceptLattice) -> set[tuple[int, int]]:
 
 def _reduction(strict: set[tuple[int, int]], n: int) -> set[tuple[int, int]]:
     """The pairs of a strict order over ``range(n)`` with nothing between them."""
-    return {(i, j) for i, j in strict if not any((i, k) in strict and (k, j) in strict for k in range(n))}
+    above = [set() for _ in range(n)]
+    for i, j in strict:
+        above[i].add(j)
+    return {(i, j) for i in range(n) for j in above[i].difference(*(above[k] for k in above[i]))}
+
+
+def _order_and_covers_are_the_extent_order(l: ConceptLattice) -> set[tuple[int, int]]:
+    """The oracle: ``order`` is all-pairs extent inclusion, the DOT edges its transitive reduction."""
+    extents = [k.extent for k in l.concepts]
+    assert l.order == {(i, j) for i, a in enumerate(extents) for j, b in enumerate(extents) if a <= b}
+    found = _dot_edges(l)
+    assert found == _reduction({(i, j) for i, j in l.order if i != j}, len(extents))
+    return found
 
 
 def test_dot_edges_are_the_transitive_reduction_of_the_extent_order():
@@ -301,11 +314,7 @@ def test_dot_edges_are_the_transitive_reduction_of_the_extent_order():
         rows += rng.sample(rows, rng.randint(0, len(rows)))  # instances sharing an intent
         incidence = [(f"i{k}", t) for k, row in enumerate(rows) for t in row]
         c = Classification("C", [f"i{k}" for k in range(len(rows))], types, incidence)
-        l = lattice(c)
-        extents = [k.extent for k in l.concepts]
-        assert l.order == {(i, j) for i, a in enumerate(extents) for j, b in enumerate(extents) if a <= b}
-        found = _dot_edges(l)
-        assert found == _reduction({(i, j) for i, j in l.order if i != j}, len(extents))
+        found = _order_and_covers_are_the_extent_order(lattice(c))
         cases += 1
         duplicated += len(set(rows)) < len(rows)
         empty += any(not any(t in row for row in rows) for t in types)
@@ -313,6 +322,17 @@ def test_dot_edges_are_the_transitive_reduction_of_the_extent_order():
     assert duplicated > 10 and empty > 10
     print(f"cover edges vs transitive reduction: {cases} contexts ({duplicated} with shared "
           f"intents, {empty} with an empty type extent), {edges} edges")
+
+
+def test_order_and_covers_of_a_wide_lattice():
+    # 2,046 concepts: the up-sets are wide enough for every read of _positions
+    rng = random.Random(0xFCA)
+    types = [f"t{k:02d}" for k in range(14)]
+    rows = {f"i{k:02d}": [t for t in types if rng.random() < 0.5] for k in range(80)}
+    l = lattice(Classification("C", list(rows), types, [(i, t) for i, row in rows.items() for t in row]))
+    assert len(l.concepts) >= 1000
+    assert len({type(_positions(up)) for up in l._ups()}) == 3
+    _order_and_covers_are_the_extent_order(l)
 
 
 def _edge_contexts(rng: random.Random, seen: dict):
