@@ -4,15 +4,18 @@ internal failure, 2 on usage errors.
 
 Each command imports the modules only it runs, so that `ifk entails`, for
 one, starts without loading colimits, flows or concept lattices, and
-`ifk lattice` on a bundle without theories loads no theory code."""
+`ifk lattice` on a bundle without theories loads no theory code. A plain
+command line is read off the command table; argparse, whose parser is built
+on the first call that needs it and only read after that, is imported only
+for help, a refusal or an unusual spelling."""
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Sequence
 
 from .bundle import (
@@ -40,11 +43,6 @@ class _UsageError(Exception):
     pass
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # keep argparse from exiting the process
-        raise _UsageError(message)
-
-
 def _size(text: str) -> int:
     """A cap or bound flag: a non-negative int."""
     try:
@@ -52,49 +50,63 @@ def _size(text: str) -> int:
     except ValueError:
         value = -1
     if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+        from argparse import ArgumentTypeError
+        raise ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
     return value
 
 
 @functools.cache  # one parser serves every in-process run
-def _build_parser() -> _Parser:
+def _build_parser():
     """The whole parser, every command with its arguments, built once; a
     built parser is only read, so runs may share it across threads."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):  # keep argparse from exiting the process
+            raise _UsageError(message)
+
     parser = _Parser(prog="ifk", description="information-flow toolkit")
     parser.add_argument("--output", metavar="FILE", default=None,
                         help="write the report here instead of stdout")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    required = {"required": True}
-    cap = ("--cap", {"type": _size, "default": DEFAULT_SEQUENT_CAP})
-    commands = (
-        ("validate", _cmd_validate, "validate a bundle", ()),
-        ("close", _cmd_close, "materialize the closure of a theory",
-         (("--theory", required), cap)),
-        ("entails", _cmd_entails, "decide entailment of a sequent",
-         (("--theory", required),
-          ("--sequent", {"required": True, "help": "literal like 'a, b |- c'"}))),
-        ("lattice", _cmd_lattice, "concept lattice of a classification",
-         (("--classification", required),
-          ("--format", {"choices": ("json", "dot"), "default": "json"}))),
-        ("sum", _cmd_sum, "sum channel of a fully classified system",
-         (("--system", required),
-          ("--instance-cap", {"type": _size, "default": DEFAULT_INSTANCE_CAP}))),
-        ("integrate", _cmd_integrate, "system closure with bounded deltas",
-         (("--system", required),
-          ("--delta-bound", {"type": _size, "default": DEFAULT_DELTA_BOUND}), cap)),
-        ("consistency", _cmd_consistency, "cosmological verdict for a system",
-         (("--system", required),)),
-    )
-    for name, handler, summary, flags in commands:
+    for name, (handler, summary, flags) in _COMMANDS.items():
         command = sub.add_parser(name, help=summary)
         # the global flag is accepted on either side of the command name;
         # SUPPRESS keeps the subparser from clobbering a top-level value
         command.add_argument("--output", metavar="FILE", default=argparse.SUPPRESS)
         command.add_argument("bundle", metavar="BUNDLE", help="bundle JSON file")
-        for flag, kwargs in flags:
+        for flag, kwargs in flags.items():
             command.add_argument(flag, **kwargs)
         command.set_defaults(handler=handler)
     return parser
+
+
+def _read(argv: Sequence[str]) -> SimpleNamespace | None:
+    """The arguments of a plain command line: an optional leading `--output
+    FILE`, a command, one BUNDLE and each flag at most once, by its full name,
+    with a value not starting with `-`; None for all else, left to argparse."""
+    argv = list(argv)
+    lead = 2 if argv[:1] == ["--output"] else 0
+    if len(argv) <= lead or argv[lead] not in _COMMANDS:
+        return None
+    handler, _, flags = _COMMANDS[argv[lead]]
+    given, tokens = {}, iter(argv[:lead] + argv[lead + 1:])
+    for token in tokens:
+        flag, value = ("BUNDLE", token) if token[:1] != "-" else (token, next(tokens, "-"))
+        if flag in given or flag not in (*flags, "--output", "BUNDLE") or value[:1] == "-":
+            return None
+        given[flag] = value
+    args = SimpleNamespace(output=given.get("--output"), command=argv[lead],
+                           bundle=given.get("BUNDLE"), handler=handler)
+    for flag, kwargs in flags.items():
+        try:
+            value = kwargs.get("type", str)(given[flag]) if flag in given else kwargs["default"]
+        except Exception:  # a required flag left out, or whatever a type refuses: argparse's
+            return None
+        if value not in kwargs.get("choices", (value,)):
+            return None
+        setattr(args, flag[2:].replace("-", "_"), value)
+    return args if "BUNDLE" in given else None
 
 
 def _load(path: str) -> Bundle:
@@ -195,18 +207,44 @@ def _cmd_consistency(args, bundle: Bundle) -> str:
     )
 
 
+_REQUIRED = {"required": True}
+_CAP = {"type": _size, "default": DEFAULT_SEQUENT_CAP}
+# name -> (handler, summary, flags), read by both _read and _build_parser
+_COMMANDS = {
+    "validate": (_cmd_validate, "validate a bundle", {}),
+    "close": (_cmd_close, "materialize the closure of a theory",
+              {"--theory": _REQUIRED, "--cap": _CAP}),
+    "entails": (_cmd_entails, "decide entailment of a sequent",
+                {"--theory": _REQUIRED,
+                 "--sequent": {**_REQUIRED, "help": "literal like 'a, b |- c'"}}),
+    "lattice": (_cmd_lattice, "concept lattice of a classification",
+                {"--classification": _REQUIRED,
+                 "--format": {"choices": ("json", "dot"), "default": "json"}}),
+    "sum": (_cmd_sum, "sum channel of a fully classified system",
+            {"--system": _REQUIRED,
+             "--instance-cap": {"type": _size, "default": DEFAULT_INSTANCE_CAP}}),
+    "integrate": (_cmd_integrate, "system closure with bounded deltas",
+                  {"--system": _REQUIRED,
+                   "--delta-bound": {"type": _size, "default": DEFAULT_DELTA_BOUND},
+                   "--cap": _CAP}),
+    "consistency": (_cmd_consistency, "cosmological verdict for a system",
+                    {"--system": _REQUIRED}),
+}
+
+
 def _failure(kind: str, **details) -> str:
     return canonical_json({"ok": False, "error": {"kind": kind, **details}})
 
 
 def _dispatch(argv: Sequence[str]) -> tuple[int, str, str | None]:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(list(argv))
-        if args.command is None:
-            raise _UsageError("a command is required")
-    except _UsageError as exc:
-        return 2, _failure("usage", message=str(exc)), None
+    args = _read(argv)
+    if args is None:  # help, a refusal or an unusual spelling
+        try:
+            args = _build_parser().parse_args(list(argv))
+            if args.command is None:
+                raise _UsageError("a command is required")
+        except _UsageError as exc:
+            return 2, _failure("usage", message=str(exc)), None
     try:
         return 0, args.handler(args, _load(args.bundle)), args.output
     except _UsageError as exc:
@@ -234,8 +272,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         try:
             Path(output).write_text(report, encoding="utf-8")
             return status
-        except OSError as exc:
-            status, report = 2, _failure("usage", message=f"cannot write report file: {exc}")
+        except (OSError, MemoryError) as exc:
+            message = f"cannot write report file: {str(exc) or type(exc).__name__}"
+            status, report = 2, _failure("usage", message=message)
     try:
         print(report, end="", flush=True)
     except (OSError, MemoryError) as exc:  # a full disk, a closed pipe, no room for the bytes

@@ -5,8 +5,11 @@ import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifk import BundleError, ConceptLattice, close, entails, integrate, lattice, lattice_dot
 from ifk.bundle import parse_bundle, parse_sequent, serialize_bundle
@@ -412,7 +415,8 @@ def test_concurrent_first_runs_agree(tmp_path):
     bundle = tmp_path / "tiny.json"
     bundle.write_text('{"theories": {"tiny": {"types": ["h"]}}}')
     args = ["entails", "--theory", "tiny", "--sequent", "h |- h", str(bundle)]
-    expected = run(args)
+    refused = ["close", str(bundle)]  # a refusal is worded by argparse, a plain line is not
+    expected = run(args), run(refused)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
     try:
@@ -426,7 +430,7 @@ def test_concurrent_first_runs_agree(tmp_path):
                 awake.append(True)
                 while len(awake) < 4:  # the barrier wakes its threads one by one
                     time.sleep(0)
-                reports.append(run(args))
+                reports.append((run(args), run(refused)))
 
             threads = [threading.Thread(target=first_run) for _ in range(4)]
             for thread in threads:
@@ -462,6 +466,17 @@ def test_main_reports_unwritable_output_file(tmp_path, capsys):
     assert doc["error"]["kind"] == "usage"
     assert doc["error"]["message"].startswith("cannot write report file: ")
     assert not out.exists()
+
+
+def test_main_reports_an_output_file_write_out_of_memory(tmp_path, monkeypatch, capsys):
+    def no_room(self, *args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(Path, "write_text", no_room)
+    code = main(["validate", "--output", str(tmp_path / "report.json"), str(FIXTURES / "vee.json")])
+    assert code == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["error"] == {"kind": "usage", "message": "cannot write report file: MemoryError"}
 
 
 def test_main_writes_stdout(capsys):
@@ -606,6 +621,26 @@ options:
 """
 
 
+TINY_CLOSURE = """\
+{
+  "axioms": [
+    {
+      "ant": [
+        "h"
+      ],
+      "con": [
+        "h"
+      ]
+    }
+  ],
+  "theory": "tiny",
+  "types": [
+    "h"
+  ]
+}
+"""
+
+
 def _usage(message: str) -> str:
     return json.dumps({"error": {"kind": "usage", "message": message}, "ok": False},
                       indent=2, sort_keys=True) + "\n"
@@ -620,6 +655,17 @@ def _usage(message: str) -> str:
         " 'entails', 'lattice', 'sum', 'integrate', 'consistency')")),
     (["close", str(FIXTURES / "classics.json")], 2,
      _usage("the following arguments are required: --theory")),
+    (["close", "--theory", "tiny", str(FIXTURES / "classics.json")], 0, TINY_CLOSURE),
+    # spellings a plain command line does not use are read by argparse as before
+    (["close", "--theo", "tiny", str(FIXTURES / "classics.json")], 0, TINY_CLOSURE),
+    (["close", "--theory=tiny", str(FIXTURES / "classics.json")], 0, TINY_CLOSURE),
+    (["close", "--theory", "ghost", "--theory", "tiny", str(FIXTURES / "classics.json")], 0,
+     TINY_CLOSURE),
+    (["close", "--theory", "tiny", "--", str(FIXTURES / "classics.json")], 0, TINY_CLOSURE),
+    (["close", "--cap", "-1", "--theory", "tiny", str(FIXTURES / "classics.json")], 2,
+     _usage("argument --cap: expected a non-negative integer, got '-1'")),
+    (["integrate", "--system", "vee", "--delta-bound", "two", str(FIXTURES / "vee.json")], 2,
+     _usage("argument --delta-bound: expected a non-negative integer, got 'two'")),
 ])
 def test_usage_and_help_output_is_frozen(monkeypatch, capsys, argv, status, out):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
@@ -629,3 +675,92 @@ def test_usage_and_help_output_is_frozen(monkeypatch, capsys, argv, status, out)
         code = exc.code
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (status, out, "")
+
+
+# each command's flags, the required one first
+FLAGS = {"validate": [], "close": ["--theory", "--cap"], "entails": ["--theory", "--sequent"],
+         "lattice": ["--classification", "--format"], "sum": ["--system", "--instance-cap"],
+         "integrate": ["--system", "--delta-bound", "--cap"], "consistency": ["--system"]}
+COMMANDS = list(FLAGS)
+ANY_FLAG = ["--output", "--theory", "--cap", "--sequent", "--classification", "--format",
+            "--system", "--instance-cap", "--delta-bound", "--theo", "--cap=5", "--", "-h", "-"]
+VALUES = ["x", "b.json", "0", "5", "json", "dot", "-1", "two", " 5", "", "a|-b"]
+GOOD = {"--cap": ["0", "5", " 5"], "--instance-cap": ["0", "5", " 5"],
+        "--delta-bound": ["0", "5", " 5"], "--format": ["json", "dot"]}
+FLAWS = ["abbreviated", "repeated", "odd value", "left out", "stray token", "top --output"]
+
+
+@st.composite
+def command_lines(draw):
+    """A plain command line, the command's required flag and some others in
+    any order, with up to two flaws: a flag abbreviated, repeated, given an odd
+    value or left out, a stray token, or `--output` before the command."""
+    command = draw(st.sampled_from(COMMANDS))
+    flags = [flag for i, flag in enumerate(["--output", *FLAGS[command]])
+             if i == 1 or draw(st.booleans())]
+    pairs = [[flag, draw(st.sampled_from(GOOD.get(flag, ["x", "a|-b", ""])))] for flag in flags]
+    head = []
+    for flaw in draw(st.lists(st.sampled_from(FLAWS), max_size=2, unique=True)):
+        at = draw(st.integers(0, len(pairs)))  # a pair, or the end for an insertion
+        if flaw == "stray token":
+            pairs.insert(at, [draw(st.sampled_from(COMMANDS + ANY_FLAG + VALUES))])
+        elif flaw == "top --output":
+            head = ["--output", "x"]
+        elif at == len(pairs):
+            continue
+        elif flaw == "abbreviated":
+            pairs[at][0] = pairs[at][0][:5]
+        elif flaw == "repeated":
+            pairs.append([pairs[at][0], draw(st.sampled_from(VALUES))])
+        elif flaw == "odd value":
+            pairs[at][1:] = [draw(st.sampled_from(VALUES + ["-", "--"]))]
+        else:
+            del pairs[at]
+    tokens = [token for pair in draw(st.permutations(pairs)) for token in pair]
+    tokens.insert(draw(st.integers(0, len(tokens))), "b.json")
+    return [*head, command, *tokens]
+
+
+@settings(max_examples=1000)
+@given(command_lines() | command_lines()
+       | st.lists(st.sampled_from(COMMANDS + ANY_FLAG + VALUES), max_size=8))
+def test_a_plain_command_line_reads_as_argparse_reads_it(argv):
+    from ifk.cli import _build_parser, _read
+
+    args = _read(argv)
+    assert args is None or vars(args) == vars(_build_parser().parse_args(argv))
+
+
+def test_every_benchmark_and_ci_command_line_is_plain(tmp_path, monkeypatch):
+    from ifk.cli import _build_parser, _read
+
+    monkeypatch.syspath_prepend(str(FIXTURES.parents[1] / "perfbench"))
+    import workloads
+
+    argvs = []
+    for name, kind in workloads.WORKLOADS.items():
+        (tmp_path / name).mkdir()
+        workload = kind(tmp_path / name, 1)
+        workload.setup()
+        argvs += [op.argv for op in workload.cli_ops]
+    # the report rendering loop of the CI workflow
+    argvs += [line.split() for line in (
+        "close --theory classical classics.json",
+        "lattice --classification CLF-A classics.json",
+        "lattice --classification C context300.json",
+        "close --theory wide wide.json",
+        "integrate --system vee --delta-bound 1 vee.json",
+        "integrate --system clash --delta-bound 2 clash.json",
+        "integrate --system ring --delta-bound 1 ring.json",
+        "integrate --system ring --delta-bound 2 ring.json",
+        "integrate --system vee --delta-bound 0 vee.json",
+        "sum --system solo classics.json",
+        "consistency --system clash clash.json",
+        "entails --theory classical --sequent human|-philosopher classics.json",
+        "validate vee.json",
+    )]
+    assert {argv[0] for argv in argvs} == set(COMMANDS)
+    for argv in argvs:
+        args = _read(argv)
+        assert args is not None, argv
+        assert vars(args) == vars(_build_parser().parse_args(argv))

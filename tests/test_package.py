@@ -154,6 +154,28 @@ def test_commands_import_neither_dataclasses_nor_inspect():
     assert loaded.isdisjoint({"dataclasses", "inspect"})
 
 
+def test_plain_command_lines_never_load_argparse():
+    # a plain command line is read off the command table; argparse, about 8 ms
+    # of start-up with its parser, is loaded to word a refusal
+    fixtures = SRC.parent.parent / "tests" / "fixtures"
+    classics, vee = str(fixtures / "classics.json"), str(fixtures / "vee.json")
+    plain = [
+        ["entails", "--theory", "classical", "--sequent", "human |- philosopher", classics],
+        ["integrate", "--system", "vee", "--delta-bound", "1", vee],
+        ["lattice", "--classification", "CLF-A", "--output", os.devnull, classics],
+    ]
+    out = _fresh(
+        "import sys\n"
+        "from ifk.cli import main, run\n"
+        f"assert [run(argv)[0] for argv in {plain[:2]!r}] == [0, 0]\n"
+        f"assert main({plain[2]!r}) == 0\n"
+        "print('argparse' in sys.modules)\n"
+        f"assert run(['close', {classics!r}])[0] == 2\n"
+        "print('argparse' in sys.modules)\n"
+    )
+    assert out.split() == ["False", "True"]
+
+
 def test_lazy_exports_keep_the_public_names():
     import ifk
 
