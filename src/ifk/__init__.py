@@ -14,23 +14,23 @@ _EXPORTS = {
     "classification": """Classification Infomorphism check_infomorphism
         compose_infomorphisms extent identity_infomorphism instance_leq intent
         lift_to_theory_classification validate_classification""",
+    "closure": """analogy bottom_theory close contract entails_by_enumeration expand
+        is_consistent_by_enumeration revise state_satisfies theory_leq top_theory""",
     "diagrams": """Channel ClsDiagram LanguageDiagram ShapeGraph colimit_language
         mediating_morphism sum_classification verify_channel_covers""",
     "errors": "BundleError CapExceeded IfkError ValidationResult",
     "fca": """ConceptLattice FormalConcept attribute_concept concepts derive join
         lattice lattice_dot meet object_concept""",
-    "flow": """InverseFlowTheory borrowing_holds check_theory_morphism direct_flow
-        flat_direct_flow flat_inverse_flow inverse_flow""",
+    "flow": """FlatTheory InverseFlowTheory borrowing_holds check_theory_morphism
+        direct_flow flat_closure flat_direct_flow flat_entails flat_inverse_flow
+        inverse_flow""",
     "integration": """InformationSystem IntegrationResult integrate is_monocosmic
         is_pointwise_consistent is_polycosmic system_entails system_entails_at
         system_leq system_verdict validate_system""",
     "logics": """LocalLogic is_complete is_sound logic_direct_image
         logic_inverse_image logic_leq natural_entails natural_logic normalize
         restriction""",
-    "theories": """FlatTheory Sequent SequentTheory analogy bottom_theory close
-        contract entails entails_by_enumeration expand flat_closure flat_entails
-        is_consistent is_consistent_by_enumeration revise state_satisfies
-        theory_leq top_theory""",
+    "theories": "Sequent SequentTheory entails is_consistent",
 }
 
 # exported name -> the submodule that defines it

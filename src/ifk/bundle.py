@@ -3,11 +3,11 @@ classifications, theories, infomorphisms and systems of an analysis.
 
 Parsing resolves every cross-reference and runs each module's checker,
 so a returned bundle is fully valid; a theory is read straight to its
-masks, with no ``Sequent`` per axiom, and only a bundle that holds a
-theory loads the theory module.  One reader, ``_entries``, checks each
-named entry and one check, ``_ref``, each reference, so a malformed
-bundle is refused for its first fault in document order; its message
-is worded only then.  Serialization is canonical (sorted set renderings)
+masks, with no ``Sequent`` per axiom, and each kind of entry loads its
+module only when a bundle holds one.  One reader, ``_entries``, checks
+each named entry and one check, ``_ref``, each reference, so a malformed
+bundle is refused for its first fault in document order; its message is
+worded only then.  Serialization is canonical (sorted set renderings)
 and round-trips.  ``canonical_json`` writes it and every CLI report: the
 bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
 It takes read-only maps and tuples as they are; from their masks, a
@@ -25,17 +25,11 @@ from json.encoder import encode_basestring_ascii as _quote
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
-from .classification import (
-    _NOT_IN_IDENTIFIER,
-    Classification,
-    Infomorphism,
-    _positions,
-    valid_identifier,
-    validate_classification,
-)
 from .errors import BundleError, IfkError, _map, _Value
+from .masks import _NOT_IN_IDENTIFIER, _positions, valid_identifier
 
 if TYPE_CHECKING:
+    from .classification import Classification, Infomorphism
     from .integration import InformationSystem
     from .theories import Sequent, SequentTheory
 
@@ -113,6 +107,7 @@ def _str_map(raw, where: str) -> dict[str, str]:
 
 
 def _parse_classification(name: str, raw: dict, where: str) -> Classification:
+    from .classification import Classification, validate_classification
     instances = _ident_list(raw.get("instances", []), f"{where}.instances")
     types = _ident_list(raw.get("types", []), f"{where}.types")
     incidence_raw = raw.get("incidence", [])
@@ -195,6 +190,7 @@ def parse_bundle(text: str) -> Bundle:
                 for name, body, where in _entries(sections["theories"], "theories")}
     infomorphisms = {}
     for name, body, where in _entries(sections["infomorphisms"], "infomorphisms"):
+        from .classification import Infomorphism
         info = Infomorphism(
             name=name,
             source=_ref(classifications, body.get("source"), f"{where}.source", "classification"),
@@ -210,55 +206,12 @@ def parse_bundle(text: str) -> Bundle:
             b, t, side = result.defects[0]
             raise BundleError(f"{where}: invariance fails at ({b}, {t}, {side})")
         infomorphisms[name] = info
-    systems = {name: _parse_system(theories, classifications, body, where)
-               for name, body, where in _entries(sections["systems"], "systems")}
+    systems = {}
+    if sections["systems"]:  # only a bundle with systems loads the colimit and flow modules
+        from .integration import _parse_system
+        systems = {name: _parse_system(theories, classifications, body, where)
+                   for name, body, where in _entries(sections["systems"], "systems")}
     return Bundle(classifications, theories, infomorphisms, systems)
-
-
-def _parse_system(theories: dict, classifications: dict, raw: dict, where: str) -> InformationSystem:
-    # systems need the colimit and flow modules; a bundle without them never loads them
-    from .diagrams import ShapeGraph
-    from .integration import InformationSystem, _require_valid
-
-    node_theory: dict[str, SequentTheory] = {}
-    node_cls: dict[str, Classification] = {}
-    for node, body, nwhere in _entries(raw.get("nodes", {}), f"{where}.nodes"):
-        node_theory[node] = _ref(theories, body.get("theory"), nwhere, "theory")
-        if body.get("classification") is not None:  # none, if missing or null
-            node_cls[node] = _ref(classifications, body["classification"], nwhere, "classification")
-    edges_raw = raw.get("edges", [])
-    _expect(isinstance(edges_raw, list), f"{where}.edges: expected a list")
-    edges = []
-    edge_type_map = {}
-    edge_instance_map = {}
-    for k, body in enumerate(edges_raw):
-        ewhere = f"{where}.edges[{k}]"
-        if not isinstance(body, dict):
-            raise BundleError(f"{ewhere}: expected an object")
-        eid, src, dst = body.get("id"), body.get("src"), body.get("dst")
-        for label, value in (("id", eid), ("src", src), ("dst", dst)):
-            if not valid_identifier(value):
-                raise BundleError(f"{ewhere}.{label}: bad identifier {value!r}")
-        for label, node in (("src", src), ("dst", dst)):
-            if node not in node_theory:
-                raise BundleError(f"{ewhere}.{label}: unknown node {node!r}")
-        edges.append((eid, src, dst))
-        edge_type_map[eid] = _str_map(body.get("type_map", {}), f"{ewhere}.type_map")
-        imap = body.get("instance_map")
-        if imap is not None:
-            edge_instance_map[eid] = _str_map(imap, f"{ewhere}.instance_map")
-    try:
-        system = InformationSystem(
-            shape=ShapeGraph(frozenset(node_theory), frozenset(edges)),
-            node_theory=node_theory,
-            edge_type_map=edge_type_map,
-            node_cls=node_cls,
-            edge_instance_map=edge_instance_map,
-        )
-        _require_valid(system)
-    except IfkError as exc:
-        raise BundleError(f"{where}: {exc}") from exc
-    return system
 
 
 # ---------------------------------------------------------------------------

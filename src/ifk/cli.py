@@ -2,19 +2,18 @@
 JSON (or DOT) reports, exit 0 on success, 1 on defects in the input or an
 internal failure, 2 on usage errors.
 
-Each command imports the modules only it runs, so that `ifk entails`, for
-one, starts without loading colimits, flows or concept lattices, and
-`ifk lattice` on a bundle without theories loads no theory code. A plain
-command line is read off the command table; argparse, whose parser is built
-on the first call that needs it and only read after that, is imported only
-for help, a refusal or an unusual spelling."""
+Each command imports the modules only it runs: `ifk entails` on theories
+loads no classification, closure, colimit, flow or lattice code, and `ifk
+lattice` on classifications no theory code. A plain command line is read
+off the command table; argparse, whose parser is built on the first call
+that needs it and only read after that, is imported only for help, a
+refusal or an unusual spelling. Files are opened by the path as typed."""
 
 from __future__ import annotations
 
 import functools
 import os
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -28,15 +27,9 @@ from .bundle import (
     sequent_to_obj,
     theory_to_obj,
 )
-from .classification import _at
-from .errors import (
-    DEFAULT_DELTA_BOUND,
-    DEFAULT_INSTANCE_CAP,
-    DEFAULT_SEQUENT_CAP,
-    BundleError,
-    CapExceeded,
-    IfkError,
-)
+from .errors import DEFAULT_DELTA_BOUND, DEFAULT_INSTANCE_CAP, DEFAULT_SEQUENT_CAP
+from .errors import BundleError, CapExceeded, IfkError
+from .masks import _at
 
 
 class _UsageError(Exception):
@@ -111,7 +104,8 @@ def _read(argv: Sequence[str]) -> SimpleNamespace | None:
 
 def _load(path: str) -> Bundle:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as file:  # the path as typed: no normalizing
+            text = file.read()
     except OSError as exc:
         raise _UsageError(f"cannot read bundle file: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -130,7 +124,7 @@ def _cmd_validate(args, bundle: Bundle) -> str:
 
 
 def _cmd_close(args, bundle: Bundle) -> str:
-    from .theories import close
+    from .closure import close
     theory = _pick(bundle.theories, args.theory, "theory")
     return canonical_json({"theory": args.theory, **theory_to_obj(close(theory, args.cap))})
 
@@ -268,9 +262,10 @@ def run(argv: Sequence[str]) -> tuple[int, str]:
 
 def main(argv: Sequence[str] | None = None) -> int:
     status, report, output = _dispatch(sys.argv[1:] if argv is None else argv)
-    if output:
+    if output is not None:
         try:
-            Path(output).write_text(report, encoding="utf-8")
+            with open(output, "w", encoding="utf-8") as file:
+                file.write(report)
             return status
         except (OSError, MemoryError) as exc:
             message = f"cannot write report file: {str(exc) or type(exc).__name__}"

@@ -25,9 +25,9 @@ from functools import cached_property
 from operator import attrgetter
 from typing import Iterable, Iterator, Literal
 
-from .classification import (Classification, _at, _canonical, _columns, _common, _mask, _named,
-                             _positions, extent)
+from .classification import Classification, extent
 from .errors import CONCEPT_TYPE_GUARD, CapExceeded, IfkError, _Value
+from .masks import _at, _canonical, _columns, _common, _mask, _named, _positions
 
 
 class FormalConcept(_Value):

@@ -8,28 +8,18 @@ order the two form an inverse pair, with inverse flow on the left:
     inverse_flow(f, t')  <=  t      iff      t'  <=  direct_flow(f, t)
 
 Flows need only a bare type function; a full infomorphism enters where
-instances matter (borrowing).
+instances matter (flat theories, which entail by extents, and borrowing).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-from .classification import Classification, Infomorphism, _mask
+from .classification import Classification, Infomorphism, extent
+from .closure import _flowed, _renamed, _theory_of_masks
 from .errors import DEFAULT_SEQUENT_CAP, IfkError, ValidationResult, _map, _Value
-from .theories import (
-    FlatTheory,
-    Sequent,
-    SequentTheory,
-    _flowed,
-    _renamed,
-    _require_within,
-    _theory_of_index,
-    _theory_of_masks,
-    flat_closure,
-    flat_entails,
-    sequent_key,
-)
+from .masks import _mask
+from .theories import Sequent, SequentTheory, _names, _require_within, _theory_of_index, sequent_key
 
 
 def _require_total(type_map: Mapping[str, str], domain: frozenset[str], codomain: frozenset[str]):
@@ -123,6 +113,37 @@ def check_theory_morphism(
     failed = [p for p, q in _renamed(t1, f, t2._index).items() if t2._compiled.refutes(q >> m, q & low)]
     defects = _theory_of_index(t1._index, failed).axioms  # built for the failed axioms alone
     return ValidationResult.from_defects(sorted(defects, key=sequent_key))
+
+
+# ---------------------------------------------------------------------------
+# flat theories
+
+class FlatTheory(_Value):
+    types: frozenset[str]
+    members: frozenset[str]
+    _freeze = {"types": lambda types: _names(types, "language"),
+               "members": lambda members: _names(members, "flat theory members")}
+
+    def __post_init__(self):
+        if not self.members <= self.types:
+            raise IfkError("flat theory members must be drawn from its types")
+
+
+def flat_entails(c: Classification, ft: FlatTheory, typ: str) -> bool:
+    """Every instance classified by the whole flat theory is classified by ``typ``."""
+    if ft.types != c.types:
+        raise IfkError("language mismatch: flat theory must share the classification's types")
+    if typ not in c.types:
+        raise IfkError(f"unknown type: {typ}")
+    return extent(c, ft.members) <= extent(c, [typ])
+
+
+def flat_closure(c: Classification, ft: FlatTheory) -> FlatTheory:
+    if ft.types != c.types:
+        raise IfkError("language mismatch: flat theory must share the classification's types")
+    base = extent(c, ft.members)
+    members = frozenset(t for t in c.types if base <= extent(c, [t]))
+    return FlatTheory(c.types, members)
 
 
 def flat_direct_flow(

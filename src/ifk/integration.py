@@ -18,30 +18,14 @@ import math
 from functools import cached_property
 from typing import Mapping, NamedTuple
 
-from .classification import Classification, Infomorphism, _common, _from_positions, _mask, _positions
-from .diagrams import ClsDiagram, LanguageColimit, LanguageDiagram, ShapeGraph, colimit_language
-from .diagrams import _semijoin
-from .errors import (
-    DEFAULT_DELTA_BOUND,
-    DEFAULT_SEQUENT_CAP,
-    CapExceeded,
-    IfkError,
-    ValidationResult,
-    _map,
-    _maps,
-    _sets,
-    _Value,
-)
+from .classification import Classification, Infomorphism
+from .closure import _flowed, _model_mask, _state_columns, theory_leq
+from .diagrams import ClsDiagram, LanguageColimit, LanguageDiagram, ShapeGraph, _semijoin, colimit_language
+from .errors import DEFAULT_DELTA_BOUND, DEFAULT_SEQUENT_CAP, BundleError, CapExceeded, IfkError
+from .errors import ValidationResult, _map, _maps, _sets, _Value
 from .flow import InverseFlowTheory, check_theory_morphism, direct_flow, inverse_flow
-from .theories import (
-    Sequent,
-    SequentTheory,
-    _flowed,
-    _model_mask,
-    _state_columns,
-    is_consistent,
-    theory_leq,
-)
+from .masks import _common, _from_positions, _mask, _positions, valid_identifier
+from .theories import Sequent, SequentTheory, is_consistent
 
 VERDICT_MONOCOSMIC = "monocosmic"
 VERDICT_POLYCOSMIC = "polycosmic"
@@ -185,6 +169,51 @@ def _require_valid(s: InformationSystem) -> None:
     result = validate_system(s)
     if not result.ok:
         raise IfkError(f"invalid system: {result.defects[0]}")
+
+
+def _parse_system(theories: dict, classifications: dict, raw: dict, where: str) -> InformationSystem:
+    """A bundle's system entry, each reference resolved and the system validated."""
+    from .bundle import _entries, _expect, _ref, _str_map  # the caller's, so loaded already
+
+    node_theory: dict[str, SequentTheory] = {}
+    node_cls: dict[str, Classification] = {}
+    for node, body, nwhere in _entries(raw.get("nodes", {}), f"{where}.nodes"):
+        node_theory[node] = _ref(theories, body.get("theory"), nwhere, "theory")
+        if body.get("classification") is not None:  # none, if missing or null
+            node_cls[node] = _ref(classifications, body["classification"], nwhere, "classification")
+    edges_raw = raw.get("edges", [])
+    _expect(isinstance(edges_raw, list), f"{where}.edges: expected a list")
+    edges = []
+    edge_type_map = {}
+    edge_instance_map = {}
+    for k, body in enumerate(edges_raw):
+        ewhere = f"{where}.edges[{k}]"
+        if not isinstance(body, dict):
+            raise BundleError(f"{ewhere}: expected an object")
+        eid, src, dst = body.get("id"), body.get("src"), body.get("dst")
+        for label, value in (("id", eid), ("src", src), ("dst", dst)):
+            if not valid_identifier(value):
+                raise BundleError(f"{ewhere}.{label}: bad identifier {value!r}")
+        for label, node in (("src", src), ("dst", dst)):
+            if node not in node_theory:
+                raise BundleError(f"{ewhere}.{label}: unknown node {node!r}")
+        edges.append((eid, src, dst))
+        edge_type_map[eid] = _str_map(body.get("type_map", {}), f"{ewhere}.type_map")
+        imap = body.get("instance_map")
+        if imap is not None:
+            edge_instance_map[eid] = _str_map(imap, f"{ewhere}.instance_map")
+    try:
+        system = InformationSystem(
+            shape=ShapeGraph(frozenset(node_theory), frozenset(edges)),
+            node_theory=node_theory,
+            edge_type_map=edge_type_map,
+            node_cls=node_cls,
+            edge_instance_map=edge_instance_map,
+        )
+        _require_valid(system)
+    except IfkError as exc:
+        raise BundleError(f"{where}: {exc}") from exc
+    return system
 
 
 def _sides(names: list[str], bound: int) -> list[frozenset[str]]:

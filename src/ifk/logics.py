@@ -17,22 +17,12 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .classification import Classification, Infomorphism, _named, intent
+from .classification import Classification, Infomorphism, intent
+from .closure import _models, _sat, _theory_of_masks, _violating, theory_leq
 from .errors import DEFAULT_SEQUENT_CAP, IfkError, _Value
 from .flow import direct_flow, inverse_flow
-from .theories import (
-    Sequent,
-    SequentTheory,
-    _models,
-    _require_within,
-    _sat,
-    _theory_of_index,
-    _theory_of_masks,
-    _violating,
-    is_consistent,
-    sequent_key,
-    theory_leq,
-)
+from .masks import _named
+from .theories import Sequent, SequentTheory, _require_within, _theory_of_index, is_consistent, sequent_key
 
 
 class LocalLogic(_Value):

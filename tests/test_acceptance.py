@@ -45,9 +45,9 @@ from ifk import (
     validate_system,
 )
 from ifk.cli import run
+from ifk.closure import all_states, theory_of_states, _sat
 from ifk.fca import concepts, concepts_by_enumeration, derive, lattice, object_concept, attribute_concept
 from ifk.integration import VERDICT_POLYCOSMIC, bounded_sequents
-from ifk.theories import all_states, theory_of_states, _sat
 
 import support
 from conftest import FIXTURES, clash_system, seq, vee_system

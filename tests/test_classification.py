@@ -25,7 +25,7 @@ from ifk import (
     validate_classification,
 )
 
-from ifk.classification import _canonical, _from_positions, _named, _positions
+from ifk.masks import _canonical, _from_positions, _named, _positions
 
 import support
 

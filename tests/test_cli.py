@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -5,7 +6,6 @@ import subprocess
 import sys
 import threading
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -163,6 +163,18 @@ def test_validate_missing_file():
     status, report = run(["validate", str(FIXTURES / "nope.json")])
     assert status == 2
     assert json.loads(report)["error"]["kind"] == "usage"
+
+
+def test_a_bundle_path_is_opened_as_typed(monkeypatch):
+    # a refusal names the path the user typed; an empty path or one with a
+    # trailing slash names no file
+    monkeypatch.chdir(FIXTURES)
+    for path, error in (("./missing.json", "[Errno 2] No such file or directory"),
+                        ("", "[Errno 2] No such file or directory"),
+                        ("vee.json/", "[Errno 20] Not a directory")):
+        status, report = run(["validate", path])
+        message = f"cannot read bundle file: {error}: {path!r}"
+        assert (status, json.loads(report)["error"]) == (2, {"kind": "usage", "message": message})
 
 
 def test_validate_invalid_bundle(tmp_path):
@@ -468,11 +480,22 @@ def test_main_reports_unwritable_output_file(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_main_reports_an_output_file_write_out_of_memory(tmp_path, monkeypatch, capsys):
-    def no_room(self, *args, **kwargs):
-        raise MemoryError
+def test_main_refuses_an_empty_output_path(capsys):
+    code = main(["--output", "", "validate", str(FIXTURES / "vee.json")])
+    assert code == 2
+    message = "cannot write report file: [Errno 2] No such file or directory: ''"
+    assert json.loads(capsys.readouterr().out)["error"] == {"kind": "usage", "message": message}
 
-    monkeypatch.setattr(Path, "write_text", no_room)
+
+def test_main_reports_an_output_file_write_out_of_memory(tmp_path, monkeypatch, capsys):
+    class NoRoom(io.StringIO):
+        def write(self, text):
+            raise MemoryError
+
+    def no_room(path, mode="r", **kwargs):  # reads go through; a written report finds no room
+        return NoRoom() if "w" in mode else open(path, mode, **kwargs)
+
+    monkeypatch.setattr("ifk.cli.open", no_room, raising=False)
     code = main(["validate", "--output", str(tmp_path / "report.json"), str(FIXTURES / "vee.json")])
     assert code == 2
     doc = json.loads(capsys.readouterr().out)

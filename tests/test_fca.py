@@ -24,8 +24,8 @@ from ifk import (
 )
 from ifk.bundle import parse_bundle
 from ifk.cli import run
-from ifk.classification import _positions
 from ifk.fca import concepts_by_enumeration
+from ifk.masks import _positions
 
 import support
 

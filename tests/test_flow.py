@@ -28,7 +28,8 @@ from ifk import (
     top_theory,
     validate_system,
 )
-from ifk.theories import sequent_key, theory_of_states
+from ifk.closure import theory_of_states
+from ifk.theories import sequent_key
 
 import support
 from conftest import seq

@@ -26,6 +26,7 @@ from ifk import (
     verify_channel_covers,
 )
 from ifk.bundle import parse_bundle
+from ifk.closure import all_states
 from ifk.errors import DEFAULT_SEQUENT_CAP
 from ifk.integration import (
     VERDICT_MONOCOSMIC,
@@ -33,7 +34,7 @@ from ifk.integration import (
     VERDICT_POLYCOSMIC,
     _pulled_states,
 )
-from ifk.theories import CompiledTheory, Sequent, all_states
+from ifk.theories import CompiledTheory, Sequent
 
 import support
 from conftest import FIXTURES, seq, vee_system

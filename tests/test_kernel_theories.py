@@ -23,7 +23,7 @@ from ifk import (
     top_theory,
 )
 from ifk.bundle import parse_bundle
-from ifk.theories import _theory_of_masks, theory_of_states
+from ifk.closure import _theory_of_masks, theory_of_states
 
 import support
 from conftest import FIXTURES, seq

@@ -26,7 +26,8 @@ from ifk import (
     normalize,
     restriction,
 )
-from ifk.theories import all_states, satisfying_states, Sequent
+from ifk.closure import all_states, satisfying_states
+from ifk.theories import Sequent
 
 import support
 from conftest import seq
@@ -192,7 +193,7 @@ def test_normalize_of_sound_logic_keeps_everything(clf_a):
 
 def test_normalize_keeps_exactly_the_satisfying_instances():
     from ifk import intent
-    from ifk.theories import _sat
+    from ifk.closure import _sat
 
     rng = random.Random(131)
     for _ in range(40):
@@ -269,7 +270,7 @@ def test_inverse_image_preserves_completeness():
         sub_normal = frozenset(
             i for i in sorted(f.target.instances) if rng.random() < 0.7
         )
-        from ifk.theories import theory_of_states
+        from ifk.closure import theory_of_states
         from ifk import intent
 
         theory = theory_of_states(
@@ -332,7 +333,7 @@ def _scrambled_classifications(rng, count):
 
 def test_mask_readers_match_plain_scans():
     from ifk import lift_to_theory_classification
-    from ifk.theories import _sat
+    from ifk.closure import _sat
 
     rng = random.Random(149)
     cases = 0

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -78,18 +79,40 @@ def _modules_loaded_by(*command_lines) -> set[str]:
     )))
 
 
+def _ifk_modules_loaded_by(bundle, commands: dict) -> dict:
+    """Per named command, run alone on ``bundle``, the ``ifk`` modules it loads."""
+    return {name: {m for m in _modules_loaded_by([*argv, str(bundle)]) if m.split(".")[0] == "ifk"}
+            for name, argv in commands.items()}
+
+
 def test_theory_commands_load_no_colimit_flow_or_lattice_module(tmp_path):
+    # a theory without a structure: deciding entailment loads neither the
+    # classification module nor the closure kernel, and closing a theory
+    # loads the kernel alone
     bundle = tmp_path / "theory.json"
     bundle.write_text(json.dumps(
         {"theories": {"T": {"types": ["a", "b"], "axioms": [{"ant": ["a"], "con": ["b"]}]}}}
     ))
-    loaded = _modules_loaded_by(
-        ["validate", str(bundle)],
-        ["entails", "--theory", "T", "--sequent", "a |- b", str(bundle)],
-        ["close", "--theory", "T", str(bundle)],
+    core = {"ifk", "ifk.cli", "ifk.bundle", "ifk.errors", "ifk.masks", "ifk.theories"}
+    loaded = _ifk_modules_loaded_by(bundle, {
+        "validate": ["validate"],
+        "entails": ["entails", "--theory", "T", "--sequent", "a |- b"],
+        "close": ["close", "--theory", "T"],
+    })
+    assert loaded == {"validate": core, "entails": core, "close": core | {"ifk.closure"}}
+
+
+def test_theories_keeps_the_names_the_benchmark_imports_without_loading_closure():
+    out = _fresh(
+        "import sys\n"
+        "import ifk.theories\n"
+        "print('ifk.closure' in sys.modules)\n"
+        "from ifk.theories import close, satisfying_states\n"
+        "import ifk.closure\n"
+        "print(close is ifk.closure.close, satisfying_states is ifk.closure.satisfying_states)\n"
+        "print(hasattr(ifk.theories, 'theory_leq'))\n"
     )
-    assert "ifk.theories" in loaded
-    assert loaded.isdisjoint(HEAVY)
+    assert out.split() == ["False", "True", "True", "False"]
 
 
 CLASSIFICATIONS_ONLY = {"classifications": {
@@ -102,14 +125,12 @@ def test_classification_commands_load_no_theory_code(tmp_path):
     # neither the theory kernel nor anything built on it
     bundle = tmp_path / "classification.json"
     bundle.write_text(json.dumps(CLASSIFICATIONS_ONLY))
-    core = {"ifk", "ifk.cli", "ifk.bundle", "ifk.classification", "ifk.errors"}
-    commands = {
+    core = {"ifk", "ifk.cli", "ifk.bundle", "ifk.classification", "ifk.errors", "ifk.masks"}
+    loaded = _ifk_modules_loaded_by(bundle, {
         "validate": ["validate"],
         "lattice": ["lattice", "--classification", "C"],
         "lattice --format dot": ["lattice", "--classification", "C", "--format", "dot"],
-    }
-    loaded = {name: {m for m in _modules_loaded_by([*argv, str(bundle)]) if m.split(".")[0] == "ifk"}
-              for name, argv in commands.items()}
+    })
     assert loaded == {"validate": core, "lattice": core | {"ifk.fca"},
                       "lattice --format dot": core | {"ifk.fca"}}
 
@@ -156,7 +177,9 @@ def test_commands_import_neither_dataclasses_nor_inspect():
 
 def test_plain_command_lines_never_load_argparse():
     # a plain command line is read off the command table; argparse, about 8 ms
-    # of start-up with its parser, is loaded to word a refusal
+    # of start-up with its parser, is loaded to word a refusal; files are
+    # opened by the path as typed, so pathlib is never loaded (``site`` may
+    # have loaded it before ifk)
     fixtures = SRC.parent.parent / "tests" / "fixtures"
     classics, vee = str(fixtures / "classics.json"), str(fixtures / "vee.json")
     plain = [
@@ -166,14 +189,15 @@ def test_plain_command_lines_never_load_argparse():
     ]
     out = _fresh(
         "import sys\n"
+        "before = set(sys.modules)\n"
         "from ifk.cli import main, run\n"
         f"assert [run(argv)[0] for argv in {plain[:2]!r}] == [0, 0]\n"
         f"assert main({plain[2]!r}) == 0\n"
-        "print('argparse' in sys.modules)\n"
+        "print('argparse' in sys.modules, 'pathlib' in set(sys.modules) - before)\n"
         f"assert run(['close', {classics!r}])[0] == 2\n"
         "print('argparse' in sys.modules)\n"
     )
-    assert out.split() == ["False", "True"]
+    assert out.split() == ["False", "False", "True"]
 
 
 def test_lazy_exports_keep_the_public_names():
@@ -186,6 +210,11 @@ def test_lazy_exports_keep_the_public_names():
     assert sorted(set(star) - {"__builtins__"}) == sorted(EXPORTED)
     assert ifk.fca.lattice is ifk.lattice
     assert ifk.theories.Sequent is ifk.Sequent
+    # each name is the object its module defines, where the module says it is defined
+    for name in EXPORTED:
+        module = importlib.import_module(f"ifk.{ifk._MODULE_OF[name]}")
+        assert getattr(ifk, name) is getattr(module, name) is star[name]
+        assert getattr(star[name], "__module__", module.__name__) == module.__name__, name
     with pytest.raises(AttributeError, match="nope"):
         ifk.nope
 

@@ -12,6 +12,7 @@ import pytest
 
 from ifk import (
     Classification,
+    FlatTheory,
     InformationSystem,
     LocalLogic,
     Sequent,
@@ -30,8 +31,8 @@ from ifk import (
     sum_classification,
 )
 from ifk.bundle import parse_bundle
+from ifk.closure import close
 from ifk.integration import bounded_sequents
-from ifk.theories import close
 
 import support
 from conftest import FIXTURES, clash_system, seq, vee_system
@@ -118,6 +119,14 @@ def test_integration_result_copies(copier, make):
     for n, handle in result.closure_handles.items():
         copied = again.closure_handles[n]
         assert all(copied.entails(q) == handle.entails(q) for q in bounded_sequents(handle.types, 2))
+
+
+def test_flat_theories_copy(copier):
+    ft = FlatTheory(["a", "b", "c"], {"a", "c"})
+    again = copier(ft)
+    assert again == ft and again is not ft
+    assert (type(again), again.types, again.members) == (FlatTheory, ft.types, ft.members)
+    assert b"ifk.flow" in pickle.dumps(ft)  # pickled by reference to the module that defines it
 
 
 def test_inverse_flow_theory_copies(copier):

@@ -15,8 +15,9 @@ import random
 import pytest
 
 from ifk import CapExceeded, ShapeGraph, entails_by_enumeration, integrate, sum_classification
+from ifk.closure import all_states
 from ifk.integration import VERDICT_MONOCOSMIC, _handle_deltas, _pulled_states
-from ifk.theories import Sequent, all_states, sequent_key
+from ifk.theories import Sequent, sequent_key
 
 import support
 

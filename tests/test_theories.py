@@ -31,8 +31,8 @@ from ifk import (
     theory_leq,
     top_theory,
 )
-from ifk.theories import (CompiledTheory, _models, all_states, satisfying_states, sequent_key,
-                          theory_of_states)
+from ifk.closure import _models, all_states, satisfying_states, theory_of_states
+from ifk.theories import CompiledTheory, sequent_key
 
 import support
 from conftest import seq
