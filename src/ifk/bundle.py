@@ -10,23 +10,23 @@ bundle is refused for its first fault in document order; its message is
 worded only then.  Serialization is canonical (sorted set renderings)
 and round-trips.  ``canonical_json`` writes it and every CLI report: the
 bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
-It takes read-only maps and tuples as they are; from their masks, a
-``SequentTheory`` renders as its sorted axioms and a ``ConceptLattice`` as
-its order pairs: no report builds a dict per sequent or a list per pair.
+It takes read-only maps and tuples as they are, and a value with a
+``_json`` hook renders itself: from their masks, a ``SequentTheory`` as
+its sorted axioms and a ``ConceptLattice`` as its order pairs, so no
+report builds a dict per sequent or a list per pair.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from bisect import bisect_left
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
 from .errors import BundleError, IfkError, _map, _Value
-from .masks import _NOT_IN_IDENTIFIER, _positions, valid_identifier
+from .masks import _NOT_IN_IDENTIFIER, valid_identifier
 
 if TYPE_CHECKING:
     from .classification import Classification, Infomorphism
@@ -220,9 +220,12 @@ def parse_bundle(text: str) -> Bundle:
 def canonical_json(doc) -> str:
     """``json.dumps(doc, indent=2, sort_keys=True) + "\n"``, byte for byte,
     for dicts and read-only maps with str keys, lists, tuples, str, int,
-    bool and None; a ``SequentTheory`` renders as its axioms in
-    ``sequent_key`` order and a ``ConceptLattice`` as its sorted [i, j]
-    pairs, i strictly below j.  The pieces are joined once."""
+    bool and None; any other value renders itself by its ``_json(indent, out)``."""
+    return "".join(_json_pieces(doc))
+
+
+def _json_pieces(doc) -> list[str]:
+    """The pieces that ``canonical_json`` joins, for a writer that writes them one by one."""
     out: list[str] = []
 
     # Loops, not comprehensions, and list items inline where they can be:
@@ -255,42 +258,14 @@ def canonical_json(doc) -> str:
             out.append("null" if o is None else "true" if o else "false")
         elif isinstance(o, int):
             out.append(int.__repr__(o))
-        elif hasattr(o, "_order_json"):  # a ConceptLattice renders its strict order
-            o._order_json(indent, out)
+        elif hasattr(o, "_json"):  # a value that renders itself
+            o._json(indent, out)
         else:
-            from .theories import SequentTheory  # loaded already, if o is one
-            if not isinstance(o, SequentTheory):
-                raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-            theory(o, indent)
-
-    def theory(t: SequentTheory, indent: str) -> None:
-        # the distinct sides are ranked by name and rendered once each
-        masks, n, low = t._masks, len(t.types), (1 << len(t.types)) - 1
-        groups: dict[int, list[int]] = {}  # antecedent -> its consequents
-        start = 0
-        while start < len(masks):  # sorted, so the axioms sharing g are a slice
-            g = masks[start] >> n
-            end = bisect_left(masks, (g + 1) << n, start)
-            groups[g] = [p & low for p in masks[start:end]]
-            start = end
-        names, inner = list(t._index), indent + "  "
-        key, item = inner + "  ", inner + "    "
-        sides = {m: [names[k] for k in _positions(m)] for m in set(groups).union(*groups.values())}
-        rank = {m: r for r, m in enumerate(sorted(sides, key=sides.__getitem__))}
-        texts = {m: "[" + item + ("," + item).join(map(_quote, s)) + key + "]" if s else "[]"
-                 for m, s in sides.items()}
-        tails = {m: text + inner + "}," for m, text in texts.items()}  # a consequent, to the comma
-        out.append("[")
-        for g in sorted(groups, key=rank.__getitem__):
-            head = inner + "{" + key + '"ant": ' + texts[g] + "," + key + '"con": '
-            for d in sorted(groups[g], key=rank.__getitem__):
-                out.append(head)
-                out.append(tails[d])
-        out[-1] = out[-1][:-1] + indent + "]" if groups else "[]"  # the last comma goes
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
     render(doc, "\n")
     out.append("\n")
-    return "".join(out)
+    return out
 
 
 def sequent_to_obj(s: Sequent) -> dict:

@@ -1,6 +1,6 @@
 """Command-line front end: one subcommand per construction, deterministic
-JSON (or DOT) reports, exit 0 on success, 1 on defects in the input or an
-internal failure, 2 on usage errors.
+JSON (or DOT) reports written in pieces, exit 0 on success, 1 on
+defects in the input or an internal failure, 2 on usage errors.
 
 Each command imports the modules only it runs: `ifk entails` on theories
 loads no classification, closure, colimit, flow or lattice code, and `ifk
@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .bundle import (
     Bundle,
-    canonical_json,
+    _json_pieces,
     classification_to_obj,
     maps_to_obj,
     parse_bundle,
@@ -119,41 +119,41 @@ def _pick(table: dict, name: str, kind: str):
     return table[name]
 
 
-def _cmd_validate(args, bundle: Bundle) -> str:
-    return canonical_json({"ok": True})
+def _cmd_validate(args, bundle: Bundle) -> list[str]:
+    return _json_pieces({"ok": True})
 
 
-def _cmd_close(args, bundle: Bundle) -> str:
+def _cmd_close(args, bundle: Bundle) -> list[str]:
     from .closure import close
     theory = _pick(bundle.theories, args.theory, "theory")
-    return canonical_json({"theory": args.theory, **theory_to_obj(close(theory, args.cap))})
+    return _json_pieces({"theory": args.theory, **theory_to_obj(close(theory, args.cap))})
 
 
-def _cmd_entails(args, bundle: Bundle) -> str:
+def _cmd_entails(args, bundle: Bundle) -> list[str]:
     from .theories import entails
     theory = _pick(bundle.theories, args.theory, "theory")
     q = parse_sequent(args.sequent)
-    return canonical_json(
+    return _json_pieces(
         {"theory": args.theory, "sequent": sequent_to_obj(q), "entailed": entails(theory, q)}
     )
 
 
-def _cmd_lattice(args, bundle: Bundle) -> str:
+def _cmd_lattice(args, bundle: Bundle) -> list[str]:
     from .fca import lattice, lattice_dot
     l = lattice(_pick(bundle.classifications, args.classification, "classification"))
     if args.format == "dot":
-        return lattice_dot(l)
+        return [lattice_dot(l)]
     concepts = [{"extent": list(_at(l._instances, e)), "intent": list(_at(l._types, i))}
                 for e, i in zip(l._extents, l._intents)]
     # a lattice renders as its strict order
-    return canonical_json({"classification": args.classification, "concepts": concepts, "order": l})
+    return _json_pieces({"classification": args.classification, "concepts": concepts, "order": l})
 
 
-def _cmd_sum(args, bundle: Bundle) -> str:
+def _cmd_sum(args, bundle: Bundle) -> list[str]:
     from .diagrams import sum_classification
     system = _pick(bundle.systems, args.system, "system")
     channel = sum_classification(system.cls_diagram(), args.instance_cap)
-    return canonical_json(
+    return _json_pieces(
         {
             "system": args.system,
             "core": classification_to_obj(channel.core),
@@ -162,12 +162,12 @@ def _cmd_sum(args, bundle: Bundle) -> str:
     )
 
 
-def _cmd_integrate(args, bundle: Bundle) -> str:
+def _cmd_integrate(args, bundle: Bundle) -> list[str]:
     from .integration import integrate
     from .theories import SequentTheory
     system = _pick(bundle.systems, args.system, "system")
     result = integrate(system, delta_bound=args.delta_bound, cap=args.cap)
-    return canonical_json(
+    return _json_pieces(
         {
             "system": args.system,
             "delta_bound": args.delta_bound,
@@ -188,11 +188,11 @@ def _cmd_integrate(args, bundle: Bundle) -> str:
     )
 
 
-def _cmd_consistency(args, bundle: Bundle) -> str:
+def _cmd_consistency(args, bundle: Bundle) -> list[str]:
     from .integration import VERDICT_MONOCOSMIC, VERDICT_POINTWISE_INCONSISTENT, system_verdict
     system = _pick(bundle.systems, args.system, "system")
     verdict = system_verdict(system)
-    return canonical_json(
+    return _json_pieces(
         {
             "pointwise": verdict != VERDICT_POINTWISE_INCONSISTENT,
             "monocosmic": verdict == VERDICT_MONOCOSMIC,
@@ -226,11 +226,11 @@ _COMMANDS = {
 }
 
 
-def _failure(kind: str, **details) -> str:
-    return canonical_json({"ok": False, "error": {"kind": kind, **details}})
+def _failure(kind: str, **details) -> list[str]:
+    return _json_pieces({"ok": False, "error": {"kind": kind, **details}})
 
 
-def _dispatch(argv: Sequence[str]) -> tuple[int, str, str | None]:
+def _dispatch(argv: Sequence[str]) -> tuple[int, list[str], str | None]:
     args = _read(argv)
     if args is None:  # help, a refusal or an unusual spelling
         try:
@@ -257,21 +257,35 @@ def _dispatch(argv: Sequence[str]) -> tuple[int, str, str | None]:
 def run(argv: Sequence[str]) -> tuple[int, str]:
     """Dispatch a command line; returns (exit status, report document)."""
     status, report, _ = _dispatch(argv)
-    return status, report
+    return status, "".join(report)
+
+
+def _write(file, report: list[str]) -> None:
+    """The report's pieces in writes of about 64K characters: a write a piece is a system call
+    each on an unbuffered stream (``python -u``), and one write of all a second copy in memory."""
+    chunk, size = [], 0
+    for piece in report:
+        chunk.append(piece)
+        size += len(piece)
+        if size >= 1 << 16:
+            file.write("".join(chunk))
+            chunk, size = [], 0
+    file.write("".join(chunk))
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     status, report, output = _dispatch(sys.argv[1:] if argv is None else argv)
     if output is not None:
         try:
-            with open(output, "w", encoding="utf-8") as file:
-                file.write(report)
+            with open(output, "w", encoding="utf-8") as file:  # in place: a symlink writes through
+                _write(file, report)
             return status
         except (OSError, MemoryError) as exc:
             message = f"cannot write report file: {str(exc) or type(exc).__name__}"
             status, report = 2, _failure("usage", message=message)
     try:
-        print(report, end="", flush=True)
+        _write(sys.stdout, report)
+        sys.stdout.flush()
     except (OSError, MemoryError) as exc:  # a full disk, a closed pipe, no room for the bytes
         # stdout now discards, so the interpreter's own flush at exit fails no second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

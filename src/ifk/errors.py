@@ -84,16 +84,18 @@ class _Value:
     keyword, ``__eq__`` and ``__hash__`` over the field tuple and a
     ``Cls(f=..., g=...)`` repr.  A class with a map field sets
     ``__hash__ = None``: a read-only map cannot be hashed.  No value can
-    be assigned or lose an attribute; what it derives on first use goes
-    straight into its ``__dict__``.  Pickle and deep copy rebuild a value
-    through its constructor (read-only maps as plain dicts); a theory
-    overrides this to copy its index and axiom ints alone, no ``Sequent``."""
+    be assigned or lose an attribute; what it derives on first use is a
+    ``cached_property``.  Pickle and deep copy rebuild a value through its
+    constructor (read-only maps as plain dicts); a theory overrides this
+    to copy its index and axiom ints alone, no ``Sequent``."""
 
     _fields, _defaults, _freeze = (), {}, {}  # unannotated: not fields
 
     def __init_subclass__(cls):
         names = cls._fields = tuple(cls.__annotations__)  # strings: only the names are read
-        cls._defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+        # a descriptor, such as the cached_property of a field built on first read, is no default
+        cls._defaults = {name: value for name, value in cls.__dict__.items()
+                         if name in names and not hasattr(value, "__set_name__")}
         get = attrgetter(*names)
         key = get if len(names) > 1 else lambda value: (get(value),)
 

@@ -61,13 +61,11 @@ class ConceptLattice(_Value):
     def __reduce__(self):
         return _lattice_of, _masks(self)
 
-    def __getattr__(self, name: str):
+    @cached_property
+    def concepts(self) -> tuple[FormalConcept, ...]:
         """The concepts, built on first read."""
-        if name != "concepts":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         pairs = zip(self._extents, self._intents)
-        return self.__dict__.setdefault("concepts", tuple(
-            FormalConcept(_named(self._instances, e), _named(self._types, i)) for e, i in pairs))
+        return tuple(FormalConcept(_named(self._instances, e), _named(self._types, i)) for e, i in pairs)
 
     @cached_property
     def _first(self) -> tuple[dict[int, int], dict[int, int]]:
@@ -86,7 +84,7 @@ class ConceptLattice(_Value):
         """(i, j): concept i <= concept j, that is, its extent is contained in j's."""
         return frozenset((i, j) for i, up in enumerate(self._ups()) for j in _positions(up))
 
-    def _order_json(self, indent: str, out: list[str]) -> None:
+    def _json(self, indent: str, out: list[str]) -> None:
         """The strict order as ``canonical_json`` renders its [i, j] lists, a join per concept."""
         inner, item = indent + "  ", indent + "    "
         tails = [f"{j}{inner}]," for j in range(len(self._extents))]  # a pair from j, to the comma

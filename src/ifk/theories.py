@@ -12,8 +12,8 @@ holding in it, and a sequent over n types is the one int ``g << n | d``
 of its antecedent mask ``g`` and consequent mask ``d``, which state
 ``x`` satisfies when ``g & ~x or d & x``; sorting these ints sorts by
 ``(g, d)``.  A theory is its index and sorted axiom ints, which
-equality, hashing and every flow read; it builds its ``Sequent`` axioms
-only if read.
+equality, hashing, every flow and its report rendering read; it builds
+its ``Sequent`` axioms only if read.
 
 Entailment is decided by refutation.  Each theory is compiled once, on
 its first query, into a ``CompiledTheory``, whose one query asks on a
@@ -28,7 +28,9 @@ oracles are in ``ifk.closure``, which deciding entailment does not load.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from functools import cached_property
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Mapping
 
 from .errors import IfkError, _set_field, _Value
@@ -103,16 +105,38 @@ class SequentTheory(_Value):
     def __reduce__(self):
         return _theory_of_index, (dict(self._index), self._masks)
 
-    def __getattr__(self, name: str):
+    @cached_property
+    def axioms(self) -> frozenset[Sequent]:
         """The axioms, built on first read."""
-        if name != "axioms":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         names, masks = list(self._index), self._masks
         n, low = len(names), (1 << len(names)) - 1
         sides = {m: _named(names, m) for m in {p >> n for p in masks} | {p & low for p in masks}}
-        axioms = frozenset(Sequent(sides[p >> n], sides[p & low]) for p in masks)
-        self.__dict__["axioms"] = axioms
-        return axioms
+        return frozenset(Sequent(sides[p >> n], sides[p & low]) for p in masks)
+
+    def _json(self, indent: str, out: list[str]) -> None:
+        """The axioms as ``canonical_json`` renders them, each distinct side rendered once."""
+        masks, n, low = self._masks, len(self.types), (1 << len(self.types)) - 1
+        groups: dict[int, list[int]] = {}  # antecedent -> its consequents
+        start = 0
+        while start < len(masks):  # sorted, so the axioms sharing g are a slice
+            g = masks[start] >> n
+            end = bisect_left(masks, (g + 1) << n, start)
+            groups[g] = [p & low for p in masks[start:end]]
+            start = end
+        names, inner = list(self._index), indent + "  "
+        key, item = inner + "  ", inner + "    "
+        sides = {m: [names[k] for k in _positions(m)] for m in set(groups).union(*groups.values())}
+        rank = {m: r for r, m in enumerate(sorted(sides, key=sides.__getitem__))}
+        texts = {m: "[" + item + ("," + item).join(map(_quote, s)) + key + "]" if s else "[]"
+                 for m, s in sides.items()}
+        tails = {m: text + inner + "}," for m, text in texts.items()}  # a consequent, to the comma
+        out.append("[")
+        for g in sorted(groups, key=rank.__getitem__):
+            head = inner + "{" + key + '"ant": ' + texts[g] + "," + key + '"con": '
+            for d in sorted(groups[g], key=rank.__getitem__):
+                out.append(head)
+                out.append(tails[d])
+        out[-1] = out[-1][:-1] + indent + "]" if groups else "[]"  # the last comma goes
 
     @cached_property
     def _compiled(self) -> "CompiledTheory":

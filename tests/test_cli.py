@@ -470,6 +470,16 @@ def test_main_writes_output_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_main_writes_a_large_report_as_run_returns_it(tmp_path, capsys):
+    # 10.5 MB in 121,912 pieces: many writes, each of many pieces
+    args = ["close", "--theory", "wide", str(FIXTURES / "wide.json")]
+    status, report = run(args)
+    out = tmp_path / "report.json"
+    assert main(["--output", str(out), *args]) == status == 0
+    assert out.read_text(encoding="utf-8") == report and capsys.readouterr().out == ""
+    assert main(args) == 0 and capsys.readouterr().out == report
+
+
 def test_main_reports_unwritable_output_file(tmp_path, capsys):
     out = tmp_path / "missing" / "report.json"
     code = main(["--output", str(out), "validate", str(FIXTURES / "vee.json")])
@@ -548,6 +558,37 @@ def test_report_write_to_a_full_device_ends_in_one_stderr_line():
                               env=env, stdout=full, stderr=subprocess.PIPE)
     assert done.returncode == 2
     assert done.stderr.decode() == "ifk: cannot write the report: [Errno 28] No space left on device\n"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
+def test_a_large_report_is_written_within_a_300_mb_address_space(tmp_path):
+    # 200 instances x 20 types, each pair incident with p = 0.5: a 99 MB report, written in
+    # pieces, so neither a joined copy nor an encoding of all of it is held
+    import resource
+
+    rng = random.Random(1)
+    instances, types = [f"i{k}" for k in range(200)], [f"t{k}" for k in range(20)]
+    incidence = [[i, t] for i in instances for t in types if rng.random() < 0.5]
+    bundle, report = tmp_path / "context.json", tmp_path / "report.json"
+    bundle.write_text(json.dumps({"classifications": {"C": {
+        "instances": instances, "types": types, "incidence": incidence}}}))
+    limit = 300 * 2**20
+
+    def bounded():  # in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parents[1] / "src")}
+    with open(report, "wb") as stdout:
+        done = subprocess.run([sys.executable, "-m", "ifk.cli", "lattice", "--classification", "C",
+                               str(bundle)], env=env, stdout=stdout, stderr=subprocess.PIPE,
+                              preexec_fn=bounded)
+    assert (done.returncode, done.stderr) == (0, b"")
+    # parsing all of it takes 600 MB: the concepts are parsed, the order pairs counted
+    data = report.read_bytes()
+    k = data.index(b',\n  "order": [')
+    doc = json.loads(data[:k] + b"\n}")
+    assert doc["classification"] == "C" and len(doc["concepts"]) == 31_505
+    assert data.count(b"\n    [\n      ", k) == 2_449_378 and data.endswith(b"\n    ]\n  ]\n}\n")
 
 
 def test_integrate_cli_equals_library(vee):

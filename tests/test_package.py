@@ -149,12 +149,14 @@ def test_bundle_reader_and_writer_load_no_theory_code(tmp_path):
         "    canonical_json([set()])\n"
         "except TypeError as exc:\n"
         "    print(exc)\n"
+        "print('ifk.theories' in sys.modules)\n"  # a refusal loads no theory code either
     )
     assert out.splitlines() == [
         "['C']",
         *json.dumps({"a": [1, True, None, "x", [2, {"b": False}]]}, indent=2).splitlines(),
         "False",
         "Object of type set is not JSON serializable",
+        "False",
     ]
 
 
@@ -217,6 +219,10 @@ def test_lazy_exports_keep_the_public_names():
         assert getattr(star[name], "__module__", module.__name__) == module.__name__, name
     with pytest.raises(AttributeError, match="nope"):
         ifk.nope
+    assert set(dir(ifk)) >= set(EXPORTED) | ifk._EXPORTS.keys()
+    # a submodule read as an attribute before any import of it is loaded then
+    out = _fresh("import sys, ifk\nprint('ifk.fca' in sys.modules, ifk.fca is sys.modules['ifk.fca'])\n")
+    assert out.split() == ["False", "True"]
 
 
 def test_readme_example_gives_the_results_its_comments_state():

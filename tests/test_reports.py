@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import ifk.cli
 from ifk import (
     Classification,
+    ConceptLattice,
     Sequent,
     SequentTheory,
     extent,
@@ -289,6 +290,16 @@ def test_theory_values_render_at_every_depth(n):
         expanded = sorted_sequents(twin)
         for doc, twin_doc, plain in zip(_nestings(t), _nestings(twin), _nestings(expanded)):
             assert canonical_json(doc) == canonical_json(twin_doc) == stdlib(thawed(plain))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lattice_values_render_at_every_depth(seed):
+    # a lattice renders through the same hook as a theory: its sorted strict order pairs
+    c = support.rand_classification(random.Random(seed), 6, 5)
+    for l in (lattice(c), ConceptLattice(lattice(c).concepts), ConceptLattice([])):
+        pairs = sorted([i, j] for i, j in l.order if i != j)
+        for doc, plain in zip(_nestings(l), _nestings(pairs)):
+            assert canonical_json(doc) == stdlib(thawed(plain))
 
 
 def test_close_reports_build_no_sequent(monkeypatch, tmp_path):
