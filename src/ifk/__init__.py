@@ -16,8 +16,8 @@ _EXPORTS = {
         lift_to_theory_classification validate_classification""",
     "closure": """analogy bottom_theory close contract entails_by_enumeration expand
         is_consistent_by_enumeration revise state_satisfies theory_leq top_theory""",
-    "diagrams": """Channel ClsDiagram LanguageDiagram ShapeGraph colimit_language
-        mediating_morphism sum_classification verify_channel_covers""",
+    "colimit": "LanguageDiagram ShapeGraph colimit_language",
+    "diagrams": "Channel ClsDiagram mediating_morphism sum_classification verify_channel_covers",
     "errors": "BundleError CapExceeded IfkError ValidationResult",
     "fca": """ConceptLattice FormalConcept attribute_concept concepts derive join
         lattice lattice_dot meet object_concept""",

@@ -25,7 +25,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
-from .errors import BundleError, IfkError, _map, _Value
+from .errors import BundleError, IfkError, _decimal, _map, _Value
 from .masks import _NOT_IN_IDENTIFIER, valid_identifier
 
 if TYPE_CHECKING:
@@ -249,15 +249,13 @@ def _json_pieces(doc) -> list[str]:
                 sep = comma
                 if type(v) is str:
                     out.append(_quote(v))
-                elif type(v) is int:
-                    out.append(int.__repr__(v))
                 else:
                     render(v, inner)
             out.append(indent + "]" if o else "[]")
         elif o is None or o is True or o is False:
             out.append("null" if o is None else "true" if o else "false")
-        elif isinstance(o, int):
-            out.append(int.__repr__(o))
+        elif isinstance(o, int):  # at any size
+            out.append(_decimal(o))
         elif hasattr(o, "_json"):  # a value that renders itself
             o._json(indent, out)
         else:

@@ -2,12 +2,14 @@
 JSON (or DOT) reports written in pieces, exit 0 on success, 1 on
 defects in the input or an internal failure, 2 on usage errors.
 
-Each command imports the modules only it runs: `ifk entails` on theories
-loads no classification, closure, colimit, flow or lattice code, and `ifk
-lattice` on classifications no theory code. A plain command line is read
-off the command table; argparse, whose parser is built on the first call
-that needs it and only read after that, is imported only for help, a
-refusal or an unusual spelling. Files are opened by the path as typed."""
+Each command imports the modules only it runs: `entails` on theories loads
+no classification, closure, colimit, flow or lattice code, `lattice` on
+classifications no theory code, and a system command without classifications
+the language colimit (`ifk.colimit`) but not the sum (`ifk.diagrams`); of
+those, only `integrate` loads the closure kernel. A plain command line is
+read off the command table; argparse (its parser built once, then only read)
+loads only for help, a refusal or an unusual spelling. Files are opened by
+the path as typed."""
 
 from __future__ import annotations
 
@@ -153,13 +155,8 @@ def _cmd_sum(args, bundle: Bundle) -> list[str]:
     from .diagrams import sum_classification
     system = _pick(bundle.systems, args.system, "system")
     channel = sum_classification(system.cls_diagram(), args.instance_cap)
-    return _json_pieces(
-        {
-            "system": args.system,
-            "core": classification_to_obj(channel.core),
-            "legs": {n: maps_to_obj(leg) for n, leg in channel.legs.items()},
-        }
-    )
+    return _json_pieces({"system": args.system, "core": classification_to_obj(channel.core),
+                         "legs": {n: maps_to_obj(leg) for n, leg in channel.legs.items()}})
 
 
 def _cmd_integrate(args, bundle: Bundle) -> list[str]:
@@ -192,13 +189,8 @@ def _cmd_consistency(args, bundle: Bundle) -> list[str]:
     from .integration import VERDICT_MONOCOSMIC, VERDICT_POINTWISE_INCONSISTENT, system_verdict
     system = _pick(bundle.systems, args.system, "system")
     verdict = system_verdict(system)
-    return _json_pieces(
-        {
-            "pointwise": verdict != VERDICT_POINTWISE_INCONSISTENT,
-            "monocosmic": verdict == VERDICT_MONOCOSMIC,
-            "verdict": verdict,
-        }
-    )
+    return _json_pieces({"pointwise": verdict != VERDICT_POINTWISE_INCONSISTENT,
+                         "monocosmic": verdict == VERDICT_MONOCOSMIC, "verdict": verdict})
 
 
 _REQUIRED = {"required": True}

@@ -4,11 +4,11 @@ A theory's models are found in one bit-parallel scan over its 2^|types|
 states.  The theory of a state set is read off one row per antecedent
 ``g``: the consequents that meet every state above ``g``, as a bitset,
 and each theorem is one int.  Every materialization charges its cap
-before reading a state.  Every flow renames a theory's axiom ints along
-its type map (``_renamed``).  The entailment order, top and bottom,
+before reading a state.  The entailment order, top and bottom,
 contraction, expansion, revision and analogy are here too, and so are the
 2^|types| state-enumeration oracles that check the engine of
-``ifk.theories``.
+``ifk.theories``.  Renaming axiom ints along a type map (``_renamed``,
+``_flowed``) is ``ifk.flow``'s, so a flow loads no state-set code.
 """
 
 from __future__ import annotations
@@ -19,20 +19,6 @@ from typing import Iterable, Iterator, Mapping
 from .errors import DEFAULT_SEQUENT_CAP, CapExceeded, IfkError
 from .masks import _FLAGS, _canonical, _common, _mask, _named, _positions
 from .theories import Sequent, SequentTheory, _indexed, _require_within, _theory_of_index, sequent_key
-
-
-def _renamed(t: SequentTheory, f: Mapping[str, str], index: Mapping[str, int]) -> dict[int, int]:
-    """Each axiom int of ``t`` and its image: each type's bit goes to its image's bit in ``index``."""
-    image = [1 << index[f[name]] for name in t._index]
-    image += [bit << len(index) for bit in image]  # the bits of d, then those of g
-    return {p: sum({image[k] for k in _positions(p)}) for p in t._masks}  # distinct bits sum to their OR
-
-
-def _flowed(types: Iterable[str], flows: Iterable[tuple]) -> SequentTheory:
-    """The theory over ``types`` of the axioms of each ``(t, f)`` of ``flows``, renamed along ``f``."""
-    index = _indexed(types)
-    images = {q for t, f in flows for q in _renamed(t, f, index).values()}
-    return _theory_of_index(index, sorted(images))
 
 
 def _state_columns(n: int) -> list[int]:
@@ -187,7 +173,8 @@ def revise(t: SequentTheory, delete: Iterable[Sequent], add: Iterable[Sequent]) 
 
 
 def analogy(t: SequentTheory, renaming: Mapping[str, str]) -> SequentTheory:
-    """Systematic renaming of the language along a bijection."""
+    """Systematic renaming of the language along a bijection: the flow along it."""
+    from .flow import _flowed
     if frozenset(renaming) != t.types:
         raise IfkError("renaming must be defined on exactly the language")
     if len(set(renaming.values())) != len(renaming):

@@ -21,6 +21,15 @@ DEFAULT_THEORY_TYPE_CAP = 4096  # the theory-classification lift: 2^12 theory-ty
 CONCEPT_TYPE_GUARD = 20  # concept enumeration refuses more types than this
 
 
+def _decimal(n: int) -> str:
+    """``str(n)`` at any size: ``str`` refuses an int past the interpreter's digit limit."""
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        from decimal import Decimal  # converts exactly, under no digit limit
+        return str(Decimal(n))
+
+
 class IfkError(Exception):
     """Raised when an operation is called outside its contract."""
 
@@ -35,10 +44,8 @@ class CapExceeded(IfkError):
     """
 
     def __init__(self, phase: str, required: int, cap: int):
-        self.phase = phase
-        self.required = required
-        self.cap = cap
-        super().__init__(f"{phase}: requires {required} > cap {cap}")
+        self.phase, self.required, self.cap = phase, required, cap
+        super().__init__(f"{phase}: requires {_decimal(required)} > cap {_decimal(cap)}")
 
 
 class BundleError(IfkError):

@@ -7,19 +7,35 @@ order the two form an inverse pair, with inverse flow on the left:
 
     inverse_flow(f, t')  <=  t      iff      t'  <=  direct_flow(f, t)
 
+Every flow renames a theory's axiom ints along its type map (``_renamed``).
 Flows need only a bare type function; a full infomorphism enters where
-instances matter (flat theories, which entail by extents, and borrowing).
-"""
+instances matter (flat theories, which entail by extents, and borrowing),
+and only there is classification code imported."""
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
-from .classification import Classification, Infomorphism, extent
-from .closure import _flowed, _renamed, _theory_of_masks
 from .errors import DEFAULT_SEQUENT_CAP, IfkError, ValidationResult, _map, _Value
-from .masks import _mask
-from .theories import Sequent, SequentTheory, _names, _require_within, _theory_of_index, sequent_key
+from .masks import _mask, _positions
+from .theories import Sequent, SequentTheory, _indexed, _names, _require_within, _theory_of_index, sequent_key
+
+if TYPE_CHECKING:
+    from .classification import Classification, Infomorphism
+
+
+def _renamed(t: SequentTheory, f: Mapping[str, str], index: Mapping[str, int]) -> dict[int, int]:
+    """Each axiom int of ``t`` and its image: each type's bit goes to its image's bit in ``index``."""
+    image = [1 << index[f[name]] for name in t._index]
+    image += [bit << len(index) for bit in image]  # the bits of d, then those of g
+    return {p: sum({image[k] for k in _positions(p)}) for p in t._masks}  # distinct bits sum to their OR
+
+
+def _flowed(types: Iterable[str], flows: Iterable[tuple]) -> SequentTheory:
+    """The theory over ``types`` of the axioms of each ``(t, f)`` of ``flows``, renamed along ``f``."""
+    index = _indexed(types)
+    images = {q for t, f in flows for q in _renamed(t, f, index).values()}
+    return _theory_of_index(index, sorted(images))
 
 
 def _require_total(type_map: Mapping[str, str], domain: frozenset[str], codomain: frozenset[str]):
@@ -86,6 +102,7 @@ class InverseFlowTheory(_Value):
         one engine query per source state, 2^|source types| in all,
         whatever the size of the target.
         """
+        from .closure import _theory_of_masks
         def pulled() -> Iterator[int]:
             engine, image = self.target._compiled, self._image()
             full = len(image) - 1
@@ -131,6 +148,7 @@ class FlatTheory(_Value):
 
 def flat_entails(c: Classification, ft: FlatTheory, typ: str) -> bool:
     """Every instance classified by the whole flat theory is classified by ``typ``."""
+    from .classification import extent
     if ft.types != c.types:
         raise IfkError("language mismatch: flat theory must share the classification's types")
     if typ not in c.types:
@@ -139,6 +157,7 @@ def flat_entails(c: Classification, ft: FlatTheory, typ: str) -> bool:
 
 
 def flat_closure(c: Classification, ft: FlatTheory) -> FlatTheory:
+    from .classification import extent
     if ft.types != c.types:
         raise IfkError("language mismatch: flat theory must share the classification's types")
     base = extent(c, ft.members)

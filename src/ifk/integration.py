@@ -6,26 +6,29 @@ maps are optional extras.  Closure runs in three phases: direct flow of
 every node theory to the sum language, the meet of the images (presented
 by the union of their flowed axioms), and inverse flow of the sum theory
 back to each node, as handles that ask the sum theory's engine.  ``integrate``
-reads the bounded new consequences (deltas) off ``diagrams._semijoin`` iff the
+reads the bounded new consequences (deltas) off ``colimit._semijoin`` iff the
 shape is a forest (undirected, loops and parallel edges ignored) with at most
 16 node states per bounded sequent, else by asking the engines on side masks.
+Only the language colimit is imported up front; ``ifk.diagrams``,
+``ifk.classification`` and ``ifk.closure`` are imported where used.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from functools import cached_property
-from typing import Mapping, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .classification import Classification, Infomorphism
-from .closure import _flowed, _model_mask, _state_columns, theory_leq
-from .diagrams import ClsDiagram, LanguageColimit, LanguageDiagram, ShapeGraph, _semijoin, colimit_language
+from .colimit import LanguageColimit, LanguageDiagram, ShapeGraph, _semijoin, colimit_language
 from .errors import DEFAULT_DELTA_BOUND, DEFAULT_SEQUENT_CAP, BundleError, CapExceeded, IfkError
 from .errors import ValidationResult, _map, _maps, _sets, _Value
-from .flow import InverseFlowTheory, check_theory_morphism, direct_flow, inverse_flow
+from .flow import InverseFlowTheory, _flowed, check_theory_morphism, direct_flow, inverse_flow
 from .masks import _common, _from_positions, _mask, _positions, valid_identifier
 from .theories import Sequent, SequentTheory, is_consistent
+
+if TYPE_CHECKING:
+    from .classification import Classification, Infomorphism
+    from .diagrams import ClsDiagram
 
 VERDICT_MONOCOSMIC = "monocosmic"
 VERDICT_POLYCOSMIC = "polycosmic"
@@ -79,6 +82,7 @@ class InformationSystem(_Value):
     def cls_diagram(self) -> ClsDiagram:
         """The underlying classification diagram; every node must carry a
         classification and every edge an instance map."""
+        from .diagrams import ClsDiagram
         bare = self.shape.nodes - self.node_cls.keys()
         if bare:
             raise IfkError(f"node(s) without classification: {', '.join(sorted(bare))}")
@@ -93,6 +97,7 @@ class InformationSystem(_Value):
     @cached_property
     def _infomorphisms(self) -> Mapping[str, Infomorphism]:
         """One infomorphism per edge whose instance map joins two classified nodes."""
+        from .classification import Infomorphism
         return _map({
             e: Infomorphism(
                 name=e,
@@ -235,6 +240,7 @@ def _pulled_states(s: InformationSystem) -> dict[str, tuple[int, int]]:
     each row by the classes true in it that both nodes share.  Sum axioms are
     node axioms renamed and classes span connected nodes, so on a forest
     ``_semijoin`` leaves each node the sum's models seen from it."""
+    from .closure import _model_mask
     order, parent, _ = s.shape._traversal
     models, rows, scope, links = {}, {}, {}, []
     for n in order:
@@ -254,6 +260,7 @@ def _pulled_states(s: InformationSystem) -> dict[str, tuple[int, int]]:
 def _deltas(t: SequentTheory, models: int, pulled: int, bound: int) -> tuple[Sequent, ...]:
     """The sequents of at most ``bound`` types a side that some state of
     ``models`` violates and none of ``pulled`` does, in ``sequent_key`` order."""
+    from .closure import _state_columns
     columns = _state_columns(len(t.types))
     negated = [~column for column in columns]
     sides = _sides(sorted(t.types), bound)
@@ -288,11 +295,12 @@ def integrate(
     colim, sum_theory, handles = s._sum
     nodes, states, queries = sorted(s.shape.nodes), 0, 0
     for n in nodes:
-        types = s.node_theory[n].types
-        side = sum(math.comb(len(types), r) for r in range(min(delta_bound, len(types)) + 1))
+        width = len(s.node_theory[n].types)  # sides of r types, by C(w, r + 1) = C(w, r) * (w - r) / (r + 1)
+        side = sum(itertools.accumulate(range(min(delta_bound, width)),
+                                        lambda c, r: c * (width - r) // (r + 1), initial=1))
         if side * side > cap:
             raise CapExceeded(f"delta enumeration at node {n}", side * side, cap)
-        states, queries = states + (1 << len(types)), queries + side * side
+        states, queries = states + (1 << width), queries + side * side
     # the semijoin reads every node state, the handle path asks every bounded sequent; the
     # factor, fitted on star forests of 8-16 types a node, picks the faster path on most of them
     if s.shape._traversal[2] and states <= 16 * queries:
@@ -364,6 +372,7 @@ def _require_comparable(s1: InformationSystem, s2: InformationSystem) -> None:
 
 def system_leq(s1: InformationSystem, s2: InformationSystem) -> bool:
     """Pointwise entailment order on systems over one indexing shape."""
+    from .closure import theory_leq
     _require_comparable(s1, s2)
     return all(
         theory_leq(s1.node_theory[n], s2.node_theory[n]) for n in s1.shape.nodes

@@ -102,6 +102,30 @@ def test_theory_commands_load_no_colimit_flow_or_lattice_module(tmp_path):
     assert loaded == {"validate": core, "entails": core, "close": core | {"ifk.closure"}}
 
 
+def test_system_commands_load_only_the_side_of_the_system_they_run():
+    # a system of theories alone flows to its sum through the language colimit:
+    # no classification code, no classification sum, and the closure kernel
+    # only for integrate's deltas; on a populated system only sum loads the sum
+    fixtures = SRC.parent.parent / "tests" / "fixtures"
+    core = {"ifk", "ifk.cli", "ifk.bundle", "ifk.errors", "ifk.masks", "ifk.theories",
+            "ifk.integration", "ifk.colimit", "ifk.flow"}
+    unpopulated = _ifk_modules_loaded_by(fixtures / "vee.json", {
+        "validate": ["validate"],
+        "consistency": ["consistency", "--system", "vee"],
+        "integrate": ["integrate", "--system", "vee"],
+    })
+    assert unpopulated == {"validate": core, "consistency": core, "integrate": core | {"ifk.closure"}}
+    populated = _ifk_modules_loaded_by(fixtures / "classics.json", {
+        "validate": ["validate"],
+        "consistency": ["consistency", "--system", "solo"],
+        "integrate": ["integrate", "--system", "solo"],
+        "sum": ["sum", "--system", "solo"],
+    })
+    core |= {"ifk.classification"}
+    assert populated == {"validate": core, "consistency": core, "integrate": core | {"ifk.closure"},
+                         "sum": core | {"ifk.diagrams"}}
+
+
 def test_theories_keeps_the_names_the_benchmark_imports_without_loading_closure():
     out = _fresh(
         "import sys\n"

@@ -4,9 +4,17 @@ error (an exception the CLI did not expect)."""
 
 import json
 import random
+import sys
+import time
 from collections import Counter
 
+import pytest
+
+from ifk.bundle import canonical_json
 from ifk.cli import run
+from ifk.closure import close
+from ifk.errors import CapExceeded
+from ifk.theories import SequentTheory
 
 from conftest import FIXTURES
 
@@ -110,3 +118,63 @@ def test_size_flags_at_any_value_end_with_a_json_report():
             error = json.loads(report).get("error")
             assert (status == 0) == (error is None), (argv, report)
             assert error is None or error["kind"] in EXPECTED_KINDS, (argv, report)
+
+
+WIDE = 8000  # types: 4^8000 sequents, 4,817 digits, past the interpreter's 4,300 for str(int)
+
+
+def _digits(n: int) -> str:
+    """``str(n)`` with the interpreter's int-to-string digit limit lifted for this call alone."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # an interpreter without the limit
+        return str(n)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_a_cap_refusal_renders_its_required_size_past_the_digit_limit():
+    with pytest.raises(CapExceeded) as err:
+        close(SequentTheory([f"t{k}" for k in range(WIDE)], []), cap=1)
+    digits = _digits(4**WIDE)
+    assert len(digits) > 4300
+    assert err.value.required == 4**WIDE
+    assert canonical_json(err.value.required) == digits + "\n"
+    assert str(err.value) == f"theory closure: requires {digits} > cap 1"
+
+
+@pytest.mark.parametrize("chained", [False, True], ids=["free", "chained"])
+@pytest.mark.parametrize("width", [0, WIDE])
+def test_every_command_on_extreme_sizes_ends_in_one_json_report(tmp_path, width, chained):
+    # a theory of 0 or 8,000 types, free or a chain t0 -> t1 -> ..., and a one-node
+    # system over it; the sizes refused have thousands of digits, written exactly
+    types = [f"t{k}" for k in range(width)]
+    axioms = [{"ant": [a], "con": [b]} for a, b in zip(types, types[1:])] if chained else []
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps({
+        "theories": {"T": {"types": types, "axioms": axioms}},
+        "systems": {"S": {"nodes": {"n": {"theory": "T"}}, "edges": []}},
+    }))
+    bounds = ("0", str(width // 2), str(width), str(10**20))
+    runs = [["validate"], ["close", "--theory", "T", "--cap", "1"], ["entails", "--theory", "T", "--sequent", "|-"],
+            ["lattice", "--classification", "T"], ["sum", "--system", "S"], ["consistency", "--system", "S"],
+            *(["integrate", "--system", "S", "--delta-bound", bound] for bound in bounds)]
+    kinds = {}
+    for argv in runs:
+        start = time.perf_counter()
+        status, report = run([*argv, str(path)])
+        took = time.perf_counter() - start
+        assert status in (0, 1, 2), argv
+        error = json.loads(report, parse_int=str).get("error")  # the digits as text: int() has the limit too
+        assert (status == 0) == (error is None), (argv, report[:300])
+        if error is not None:
+            assert error["kind"] in EXPECTED_KINDS, (argv, report[:300])
+            assert took < 1, (argv, took)
+        kinds[" ".join(argv[:1] + argv[-1:])] = error and error["kind"]
+        if width and argv[-1] in bounds[2:]:  # every subset is a side: (2^8000)^2 sequents
+            assert error["required"] == _digits(4**WIDE)
+    refused = {"close 1", f"integrate {width // 2}", f"integrate {width}", f"integrate {10**20}"} if width else set()
+    assert {key for key, kind in kinds.items() if kind == "cap-exceeded"} == refused
+    assert {key for key, kind in kinds.items() if kind not in (None, "cap-exceeded")} == {"lattice T", "sum S"}
