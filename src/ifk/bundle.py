@@ -23,15 +23,9 @@ import operator
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote
 from types import MappingProxyType
-from typing import TYPE_CHECKING, Mapping
 
 from .errors import BundleError, IfkError, _decimal, _map, _Value
 from .masks import _NOT_IN_IDENTIFIER, valid_identifier
-
-if TYPE_CHECKING:
-    from .classification import Classification, Infomorphism
-    from .integration import InformationSystem
-    from .theories import Sequent, SequentTheory
 
 TOP_LEVEL_KEYS = ("classifications", "theories", "infomorphisms", "systems")
 

@@ -15,7 +15,6 @@ its image holds of the original instance.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Mapping
 
 from .errors import DEFAULT_THEORY_TYPE_CAP, CapExceeded, IfkError, ValidationResult, _map, _Value
 from .masks import _named, valid_identifier

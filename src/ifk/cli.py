@@ -17,7 +17,6 @@ import functools
 import os
 import sys
 from types import SimpleNamespace
-from typing import Sequence
 
 from .bundle import (
     Bundle,

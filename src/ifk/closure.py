@@ -14,7 +14,6 @@ contraction, expansion, revision and analogy are here too, and so are the
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Mapping
 
 from .errors import DEFAULT_SEQUENT_CAP, CapExceeded, IfkError
 from .masks import _FLAGS, _canonical, _common, _mask, _named, _positions

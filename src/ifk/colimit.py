@@ -7,7 +7,6 @@ edges generate; ``_semijoin`` cuts rows along a shape's links, for both
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Mapping
 
 from .errors import IfkError, _map, _maps, _sets, _Value
 

@@ -10,8 +10,6 @@ unique mediator.
 
 from __future__ import annotations
 
-from typing import Mapping
-
 from .classification import Classification, Infomorphism
 from .colimit import LanguageColimit, LanguageDiagram, ShapeGraph, _semijoin, colimit_language
 from .errors import DEFAULT_INSTANCE_CAP, CapExceeded, IfkError, ValidationResult, _map, _Value

@@ -25,9 +25,22 @@ def _decimal(n: int) -> str:
     """``str(n)`` at any size: ``str`` refuses an int past the interpreter's digit limit."""
     try:
         return int.__repr__(n)
-    except ValueError:
-        from decimal import Decimal  # converts exactly, under no digit limit
-        return str(Decimal(n))
+    except ValueError:  # decimal has no digit limit, but Decimal(n) alone is quadratic in them
+        from decimal import MAX_EMAX, MAX_PREC, Context, Decimal
+    exact, powers = Context(prec=MAX_PREC, Emax=MAX_EMAX), {}
+
+    def power(w: int) -> Decimal:  # 2^w, kept: each level of halves asks for one or two widths
+        if w not in powers:
+            powers[w] = Decimal(1 << w) if w <= 128 else exact.multiply(power(w >> 1), power(w - (w >> 1)))
+        return powers[w]
+
+    def convert(m: int, w: int) -> Decimal:  # m < 2^w, by halves, as CPython 3.12's _pylong does
+        if w <= 128:
+            return Decimal(m)
+        hi = m >> (h := w >> 1)
+        return exact.add(convert(m - (hi << h), h), exact.multiply(convert(hi, w - h), power(h)))
+
+    return "-" * (n < 0) + str(convert(abs(n), abs(n).bit_length()))
 
 
 class IfkError(Exception):

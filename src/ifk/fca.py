@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Iterator, Literal
 
 from .classification import Classification, extent
 from .errors import CONCEPT_TYPE_GUARD, CapExceeded, IfkError, _Value
@@ -105,10 +104,8 @@ def _lattice_of(*fields) -> ConceptLattice:
     return l
 
 
-def derive(
-    c: Classification, side: Literal["instances", "types"], s: Iterable[str]
-) -> frozenset[str]:
-    """Common types of an instance set, or common instances of a type set."""
+def derive(c: Classification, side: str, s: Iterable[str]) -> frozenset[str]:
+    """Common types of an instance set (side "instances"), or common instances of a type set ("types")."""
     s = frozenset(s)
     if side == "instances":
         unknown = s - c.instances
@@ -174,7 +171,7 @@ def lattice(c: Classification) -> ConceptLattice:
     return _lattice_of(tuple(intents), tuple(order), tuple(columns), tuple(found[e] for e in order))
 
 
-def _bound(l: ConceptLattice, i: int, j: int, side: Literal[0, 1]) -> FormalConcept:
+def _bound(l: ConceptLattice, i: int, j: int, side: int) -> FormalConcept:
     """The concept whose extent (side 0) or intent (side 1) is concept i's and j's intersection."""
     masks = (l._extents, l._intents)[side]
     for k in (i, j):

@@ -14,14 +14,9 @@ and only there is classification code imported."""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
-
 from .errors import DEFAULT_SEQUENT_CAP, IfkError, ValidationResult, _map, _Value
 from .masks import _mask, _positions
 from .theories import Sequent, SequentTheory, _indexed, _names, _require_within, _theory_of_index, sequent_key
-
-if TYPE_CHECKING:
-    from .classification import Classification, Infomorphism
 
 
 def _renamed(t: SequentTheory, f: Mapping[str, str], index: Mapping[str, int]) -> dict[int, int]:

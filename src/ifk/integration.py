@@ -15,34 +15,26 @@ Only the language colimit is imported up front; ``ifk.diagrams``,
 
 from __future__ import annotations
 
+import collections
 import itertools
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping, NamedTuple
 
-from .colimit import LanguageColimit, LanguageDiagram, ShapeGraph, _semijoin, colimit_language
+from .colimit import LanguageDiagram, ShapeGraph, _semijoin, colimit_language
 from .errors import DEFAULT_DELTA_BOUND, DEFAULT_SEQUENT_CAP, BundleError, CapExceeded, IfkError
 from .errors import ValidationResult, _map, _maps, _sets, _Value
 from .flow import InverseFlowTheory, _flowed, check_theory_morphism, direct_flow, inverse_flow
 from .masks import _common, _from_positions, _mask, _positions, valid_identifier
 from .theories import Sequent, SequentTheory, is_consistent
 
-if TYPE_CHECKING:
-    from .classification import Classification, Infomorphism
-    from .diagrams import ClsDiagram
-
 VERDICT_MONOCOSMIC = "monocosmic"
 VERDICT_POLYCOSMIC = "polycosmic"
 VERDICT_POINTWISE_INCONSISTENT = "pointwise-inconsistent"
 
 
-class _SystemSum(NamedTuple):
-    """A system flowed to its sum: the language colimit, the sum theory (each
-    node axiom renamed along its node's cocone leg, so the union of the node
-    theories' images) and, per node, the sum theory pulled back along that leg."""
-
-    colimit: LanguageColimit
-    theory: SequentTheory
-    handles: Mapping[str, InverseFlowTheory]
+# A system flowed to its sum: the language colimit, the sum theory (each node
+# axiom renamed along its node's cocone leg, so the union of the node theories'
+# images) and, per node, the sum theory pulled back along that leg.
+_SystemSum = collections.namedtuple("_SystemSum", "colimit theory handles")
 
 
 class InformationSystem(_Value):

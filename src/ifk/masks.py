@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from itertools import compress, count
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 _NOT_IN_IDENTIFIER = re.compile(r"[\s\ud800-\udfff]")  # \s is str.isspace
 

@@ -27,11 +27,10 @@ oracles are in ``ifk.closure``, which deciding entailment does not load.
 
 from __future__ import annotations
 
-import threading
+import _thread
 from bisect import bisect_left
 from functools import cached_property
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Iterable, Mapping
 
 from .errors import IfkError, _set_field, _Value
 from .masks import _from_positions, _mask, _named, _positions
@@ -192,7 +191,7 @@ class CompiledTheory:
         self._limits: list[int] = []  # trail length where each decision level starts
         self._head = 0  # trail position of the next literal to propagate
         self._free = 0  # no variable below this one is free
-        self._lock = threading.Lock()
+        self._lock = _thread.allocate_lock()  # built in and already loaded: imports nothing
         self._unsat = False
         self._models: list[int] = []
         lits = [*range(0, 2 * n, 2), *range(1, 2 * n, 2)]  # bit j of g << n | d

@@ -563,13 +563,13 @@ def test_report_write_to_a_full_device_ends_in_one_stderr_line():
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
 def test_a_large_report_is_written_within_a_300_mb_address_space(tmp_path):
     # 200 instances x 20 types, each pair incident with p = 0.5: a 99 MB report, written in
-    # pieces, so neither a joined copy nor an encoding of all of it is held
+    # pieces, so neither a joined copy nor an encoding of all of it is held; DOT alike
     import resource
 
     rng = random.Random(1)
     instances, types = [f"i{k}" for k in range(200)], [f"t{k}" for k in range(20)]
     incidence = [[i, t] for i in instances for t in types if rng.random() < 0.5]
-    bundle, report = tmp_path / "context.json", tmp_path / "report.json"
+    bundle = tmp_path / "context.json"
     bundle.write_text(json.dumps({"classifications": {"C": {
         "instances": instances, "types": types, "incidence": incidence}}}))
     limit = 300 * 2**20
@@ -577,14 +577,19 @@ def test_a_large_report_is_written_within_a_300_mb_address_space(tmp_path):
     def bounded():  # in the child only
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parents[1] / "src")}
-    with open(report, "wb") as stdout:
-        done = subprocess.run([sys.executable, "-m", "ifk.cli", "lattice", "--classification", "C",
-                               str(bundle)], env=env, stdout=stdout, stderr=subprocess.PIPE,
-                              preexec_fn=bounded)
-    assert (done.returncode, done.stderr) == (0, b"")
+    def report(*flags) -> bytes:
+        env = {**os.environ, "PYTHONPATH": str(FIXTURES.parents[1] / "src")}
+        with open(tmp_path / "report", "wb") as stdout:
+            done = subprocess.run([sys.executable, "-m", "ifk.cli", "lattice", "--classification", "C",
+                                   *flags, str(bundle)], env=env, stdout=stdout, stderr=subprocess.PIPE,
+                                  preexec_fn=bounded)
+        assert (done.returncode, done.stderr) == (0, b"")
+        return (tmp_path / "report").read_bytes()
+
+    dot = report("--format", "dot")
+    assert dot.count(b" [label=") == 31_505 and dot.count(b" -> ") == 175_205
     # parsing all of it takes 600 MB: the concepts are parsed, the order pairs counted
-    data = report.read_bytes()
+    data = report()
     k = data.index(b',\n  "order": [')
     doc = json.loads(data[:k] + b"\n}")
     assert doc["classification"] == "C" and len(doc["concepts"]) == 31_505

@@ -33,6 +33,16 @@ def test_library_imports_only_the_standard_library():
     assert foreign == []
 
 
+def test_sources_parse_as_python_3_10():
+    # requires-python is 3.10; feature_version is best effort: the parser refuses most,
+    # not all, of the syntax newer interpreters added
+    root = SRC.parent.parent
+    paths = [path for part in ("src", "tests", "perfbench") for path in sorted((root / part).rglob("*.py"))]
+    assert len(paths) > 30
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
 # the names `from ifk import *` has exported since the package had no __all__
 EXPORTED = """
     BundleError CapExceeded Channel Classification ClsDiagram ConceptLattice FlatTheory
@@ -54,17 +64,17 @@ EXPORTED = """
 HEAVY = ("ifk.fca", "ifk.integration", "ifk.diagrams", "ifk.flow", "ifk.logics")
 
 
-def _fresh(script: str) -> str:
-    """The output of ``script`` in a fresh interpreter that imports ifk from
-    the source tree; in process, sys.modules is shared with every other test."""
+def _fresh(script: str, flags: tuple = ()) -> str:
+    """The output of ``script`` in a fresh interpreter, started with ``flags``, that
+    imports ifk from the source tree; in process, sys.modules is shared with every other test."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
     out = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        [sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, check=True
     )
     return out.stdout
 
 
-def _modules_loaded_by(*command_lines) -> set[str]:
+def _modules_loaded_by(*command_lines, flags: tuple = ()) -> set[str]:
     """The modules a fresh interpreter loads to run the commands, beyond
     those it held before importing ifk (``site`` may preload some)."""
     return set(json.loads(_fresh(
@@ -75,7 +85,8 @@ def _modules_loaded_by(*command_lines) -> set[str]:
         "    status, _ = run(argv)\n"
         "    assert status == 0, argv\n"
         "import json\n"
-        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n",
+        flags,
     )))
 
 
@@ -199,6 +210,26 @@ def test_commands_import_neither_dataclasses_nor_inspect():
     )
     assert {"ifk.theories", "ifk.integration", "ifk.fca"} <= loaded
     assert loaded.isdisjoint({"dataclasses", "inspect"})
+
+
+def test_commands_import_neither_typing_nor_threading():
+    # annotations stay strings and the compiled theory's lock is the built-in one, so
+    # no command loads either; -S keeps ``site`` from loading them first, and -c keeps
+    # out what ``runpy`` would import for -m
+    fixtures = SRC.parent.parent / "tests" / "fixtures"
+    classics, vee, wide = (str(fixtures / name) for name in ("classics.json", "vee.json", "wide.json"))
+    loaded = _modules_loaded_by(
+        ["validate", wide],
+        ["entails", "--theory", "wide", "--sequent", "t0 |- t1", wide],
+        ["close", "--theory", "wide", wide],
+        ["integrate", "--system", "vee", vee],
+        ["consistency", "--system", "vee", vee],
+        ["lattice", "--classification", "CLF-A", classics],
+        ["sum", "--system", "solo", classics],
+        flags=("-S",),
+    )
+    assert {"ifk.closure", "ifk.integration", "ifk.fca", "ifk.diagrams"} <= loaded
+    assert loaded.isdisjoint({"typing", "threading"})
 
 
 def test_plain_command_lines_never_load_argparse():

@@ -13,7 +13,7 @@ import pytest
 from ifk.bundle import canonical_json
 from ifk.cli import run
 from ifk.closure import close
-from ifk.errors import CapExceeded
+from ifk.errors import CapExceeded, _decimal
 from ifk.theories import SequentTheory
 
 from conftest import FIXTURES
@@ -143,6 +143,22 @@ def test_a_cap_refusal_renders_its_required_size_past_the_digit_limit():
     assert err.value.required == 4**WIDE
     assert canonical_json(err.value.required) == digits + "\n"
     assert str(err.value) == f"theory closure: requires {digits} > cap 1"
+
+
+def test_a_cap_refusal_of_a_million_digits_is_worded_fast():
+    # Decimal(n) alone converts in time quadratic in the digits, seconds at this size;
+    # the conversion by halves takes a fraction of one, in the message as in the report
+    n = 4**10**6  # 602,060 digits
+    start = time.perf_counter()
+    text = _decimal(n)
+    converted = time.perf_counter() - start
+    start = time.perf_counter()
+    err = CapExceeded("theory closure", n, 1)
+    refused = time.perf_counter() - start
+    assert converted < 1 and refused < 1
+    digits = _digits(n)  # str() itself may take seconds on an interpreter before 3.12
+    assert len(digits) == 602_060
+    assert text == digits and str(err) == f"theory closure: requires {digits} > cap 1"
 
 
 @pytest.mark.parametrize("chained", [False, True], ids=["free", "chained"])
