@@ -13,7 +13,7 @@ import importlib
 _EXPORTS = {
     "classification": """Classification Infomorphism check_infomorphism
         compose_infomorphisms extent identity_infomorphism instance_leq intent
-        lift_to_theory_classification validate_classification""",
+        validate_classification""",
     "closure": """analogy bottom_theory close contract entails_by_enumeration expand
         is_consistent_by_enumeration revise state_satisfies theory_leq top_theory""",
     "colimit": "LanguageDiagram ShapeGraph colimit_language",
@@ -21,15 +21,14 @@ _EXPORTS = {
     "errors": "BundleError CapExceeded IfkError ValidationResult",
     "fca": """ConceptLattice FormalConcept attribute_concept concepts derive join
         lattice lattice_dot meet object_concept""",
-    "flow": """FlatTheory InverseFlowTheory borrowing_holds check_theory_morphism
-        direct_flow flat_closure flat_direct_flow flat_entails flat_inverse_flow
-        inverse_flow""",
-    "integration": """InformationSystem IntegrationResult integrate is_monocosmic
-        is_pointwise_consistent is_polycosmic system_entails system_entails_at
-        system_leq system_verdict validate_system""",
-    "logics": """LocalLogic is_complete is_sound logic_direct_image
-        logic_inverse_image logic_leq natural_entails natural_logic normalize
-        restriction""",
+    "flow": "InverseFlowTheory check_theory_morphism direct_flow inverse_flow",
+    "integration": "IntegrationResult integrate system_entails system_entails_at system_leq",
+    "logics": """FlatTheory LocalLogic borrowing_holds flat_closure flat_direct_flow
+        flat_entails flat_inverse_flow is_complete is_sound lift_to_theory_classification
+        logic_direct_image logic_inverse_image logic_leq natural_entails natural_logic
+        normalize restriction""",
+    "systems": """InformationSystem is_monocosmic is_pointwise_consistent is_polycosmic
+        system_verdict validate_system""",
     "theories": "Sequent SequentTheory entails is_consistent",
 }
 

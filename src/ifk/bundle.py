@@ -7,9 +7,9 @@ masks, with no ``Sequent`` per axiom, and each kind of entry loads its
 module only when a bundle holds one.  One reader, ``_entries``, checks
 each named entry and one check, ``_ref``, each reference, so a malformed
 bundle is refused for its first fault in document order; its message is
-worded only then.  Serialization is canonical (sorted set renderings)
-and round-trips.  ``canonical_json`` writes it and every CLI report: the
-bytes of ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
+worded only then.  ``canonical_json`` writes every CLI report and, in
+``ifk.serialize``, a bundle back as text that round-trips: the bytes of
+``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
 It takes read-only maps and tuples as they are, and a value with a
 ``_json`` hook renders itself: from their masks, a ``SequentTheory`` as
 its sorted axioms and a ``ConceptLattice`` as its order pairs, so no
@@ -19,7 +19,6 @@ report builds a dict per sequent or a list per pair.
 from __future__ import annotations
 
 import json
-import operator
 from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote
 from types import MappingProxyType
@@ -202,7 +201,7 @@ def parse_bundle(text: str) -> Bundle:
         infomorphisms[name] = info
     systems = {}
     if sections["systems"]:  # only a bundle with systems loads the colimit and flow modules
-        from .integration import _parse_system
+        from .systems import _parse_system
         systems = {name: _parse_system(theories, classifications, body, where)
                    for name, body, where in _entries(sections["systems"], "systems")}
     return Bundle(classifications, theories, infomorphisms, systems)
@@ -276,62 +275,3 @@ def theory_to_obj(t: SequentTheory) -> dict:
 def maps_to_obj(f: Infomorphism) -> dict:
     """The type and instance maps of an infomorphism."""
     return {"type_map": f.type_map, "instance_map": f.instance_map}
-
-
-def _name_of(table: Mapping, value, what: str) -> str:
-    """The bundle's name for ``value``: the same object's, else an equal one's."""
-    for same in (operator.is_, operator.eq):
-        for name, known in table.items():
-            if same(known, value):
-                return name
-    raise IfkError(f"{what} is not part of the bundle")
-
-
-def serialize_bundle(bundle: Bundle) -> str:
-    """The bundle as ``canonical_json``, which sorts every object's keys."""
-    doc = {
-        "classifications": {
-            name: classification_to_obj(c)
-            for name, c in bundle.classifications.items()
-        },
-        "theories": {
-            name: theory_to_obj(t) for name, t in bundle.theories.items()
-        },
-        "infomorphisms": {
-            name: {
-                "source": _name_of(bundle.classifications, f.source,
-                                   f"classification {f.source.name}"),
-                "target": _name_of(bundle.classifications, f.target,
-                                   f"classification {f.target.name}"),
-                **maps_to_obj(f),
-            }
-            for name, f in bundle.infomorphisms.items()
-        },
-        "systems": {
-            name: {
-                "nodes": {
-                    n: {
-                        "theory": _name_of(bundle.theories, s.node_theory[n], "theory"),
-                        "classification": (
-                            _name_of(bundle.classifications, s.node_cls[n],
-                                     f"classification {s.node_cls[n].name}")
-                            if n in s.node_cls else None
-                        ),
-                    }
-                    for n in s.shape._traversal[0]  # a fixed order: runs name the same missing value
-                },
-                "edges": [
-                    {
-                        "id": e,
-                        "src": src,
-                        "dst": dst,
-                        "type_map": s.edge_type_map[e],
-                        "instance_map": s.edge_instance_map.get(e),
-                    }
-                    for e, src, dst in sorted(s.shape.edges)
-                ],
-            }
-            for name, s in bundle.systems.items()
-        },
-    }
-    return canonical_json(doc)

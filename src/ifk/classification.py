@@ -4,19 +4,19 @@ A classification is a finite incidence relation between instances and
 types.  The one index it derives is its incidence as bit masks: sorted
 types and sorted instances are bit positions, so an intent or an extent
 is one int, read back into names by the helpers of ``ifk.masks``.
-Intents, extents, derivation, concepts, logics and the theory lift read
-the masks; an infomorphism's invariance check and the sum channel test
-``(instance, type)`` pairs.  An infomorphism maps types forward and
-instances backward between two classifications so that classification
-is invariant: a source type holds of a pulled-back instance exactly when
-its image holds of the original instance.
+Intents, extents, derivation, concepts, and the logics and theory lift of
+``ifk.logics`` read the masks; an infomorphism's invariance check and the
+sum channel test ``(instance, type)`` pairs.  An infomorphism maps types
+forward and instances backward between two classifications so that
+classification is invariant: a source type holds of a pulled-back instance
+exactly when its image holds of the original instance.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import DEFAULT_THEORY_TYPE_CAP, CapExceeded, IfkError, ValidationResult, _map, _Value
+from .errors import IfkError, ValidationResult, _map, _Value
 from .masks import _named, valid_identifier
 
 
@@ -168,35 +168,3 @@ def compose_infomorphisms(f: Infomorphism, g: Infomorphism) -> Infomorphism:
 def instance_leq(c: Classification, i1: str, i2: str) -> bool:
     """``i1`` specializes ``i2``: every type of ``i2`` also holds of ``i1``."""
     return intent(c, i1) >= intent(c, i2)
-
-
-def theory_type_name(members: Iterable[str]) -> str:
-    return "{" + ",".join(sorted(members)) + "}"
-
-
-def lift_to_theory_classification(
-    c: Classification, cap: int = DEFAULT_THEORY_TYPE_CAP
-) -> Classification:
-    """Replace types by all flat theories (type subsets) of ``c``.
-
-    An instance falls under a theory-type exactly when the subset is
-    contained in its intent.  The 2^|types| blow-up is guarded by ``cap``.
-    """
-    required = 2 ** len(c.types)
-    if required > cap:
-        raise CapExceeded("theory classification", required, cap)
-    intents, extents = c._masks
-    subsets = [()]  # subsets[s]: the types of mask s, in sorted order
-    for t in extents:
-        subsets += [s + (t,) for s in subsets]
-    names = [theory_type_name(s) for s in subsets]
-    if len(set(names)) != required:
-        raise IfkError("theory-type name collision; rename types")
-    return Classification(
-        name=f"{c.name}.theories",
-        instances=c.instances,
-        types=frozenset(names),
-        incidence=frozenset(
-            (i, names[s]) for i, x in intents.items() for s in range(required) if s & ~x == 0
-        ),
-    )

@@ -6,10 +6,11 @@ Each command imports the modules only it runs: `entails` on theories loads
 no classification, closure, colimit, flow or lattice code, `lattice` on
 classifications no theory code, and a system command without classifications
 the language colimit (`ifk.colimit`) but not the sum (`ifk.diagrams`); of
-those, only `integrate` loads the closure kernel. A plain command line is
-read off the command table; argparse (its parser built once, then only read)
-loads only for help, a refusal or an unusual spelling. Files are opened by
-the path as typed."""
+those, only `integrate` loads `ifk.integration` and the closure kernel; none
+loads flat theories (`ifk.logics`) or the bundle serializer. A plain command
+line is read off the command table; argparse (its parser built once, then only
+read) loads only for help, a refusal or an unusual spelling. Files are opened
+by the path as typed."""
 
 from __future__ import annotations
 
@@ -37,12 +38,22 @@ class _UsageError(Exception):
     pass
 
 
+def _digits(text: str) -> int:
+    """A run of ASCII digits, read exactly at any length: by halves, each leaf under the
+    least digit limit ``int`` can be set to (640), each join one power of ten."""
+    if len(text) <= 600:
+        return int(text)
+    half = len(text) >> 1
+    return _digits(text[:-half]) * 10**half + _digits(text[-half:])
+
+
 def _size(text: str) -> int:
-    """A cap or bound flag: a non-negative int."""
+    """A cap or bound flag: a non-negative int, as ``int`` reads it, or a run of
+    ASCII digits longer than the interpreter's digit limit lets ``int`` read."""
     try:
         value = int(text)
     except ValueError:
-        value = -1
+        value = _digits(text) if text.isascii() and text.isdigit() else -1
     if value < 0:
         from argparse import ArgumentTypeError
         raise ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
@@ -185,7 +196,7 @@ def _cmd_integrate(args, bundle: Bundle) -> list[str]:
 
 
 def _cmd_consistency(args, bundle: Bundle) -> list[str]:
-    from .integration import VERDICT_MONOCOSMIC, VERDICT_POINTWISE_INCONSISTENT, system_verdict
+    from .systems import VERDICT_MONOCOSMIC, VERDICT_POINTWISE_INCONSISTENT, system_verdict
     system = _pick(bundle.systems, args.system, "system")
     verdict = system_verdict(system)
     return _json_pieces({"pointwise": verdict != VERDICT_POINTWISE_INCONSISTENT,

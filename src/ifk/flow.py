@@ -8,15 +8,15 @@ order the two form an inverse pair, with inverse flow on the left:
     inverse_flow(f, t')  <=  t      iff      t'  <=  direct_flow(f, t)
 
 Every flow renames a theory's axiom ints along its type map (``_renamed``).
-Flows need only a bare type function; a full infomorphism enters where
-instances matter (flat theories, which entail by extents, and borrowing),
-and only there is classification code imported."""
+Flows need only a bare type function, so no classification code is loaded;
+flat theories, which entail by extents, and borrowing along an infomorphism
+are ``ifk.logics``'s."""
 
 from __future__ import annotations
 
 from .errors import DEFAULT_SEQUENT_CAP, IfkError, ValidationResult, _map, _Value
 from .masks import _mask, _positions
-from .theories import Sequent, SequentTheory, _indexed, _names, _require_within, _theory_of_index, sequent_key
+from .theories import _indexed, _require_within, _theory_of_index, sequent_key
 
 
 def _renamed(t: SequentTheory, f: Mapping[str, str], index: Mapping[str, int]) -> dict[int, int]:
@@ -125,71 +125,3 @@ def check_theory_morphism(
     failed = [p for p, q in _renamed(t1, f, t2._index).items() if t2._compiled.refutes(q >> m, q & low)]
     defects = _theory_of_index(t1._index, failed).axioms  # built for the failed axioms alone
     return ValidationResult.from_defects(sorted(defects, key=sequent_key))
-
-
-# ---------------------------------------------------------------------------
-# flat theories
-
-class FlatTheory(_Value):
-    types: frozenset[str]
-    members: frozenset[str]
-    _freeze = {"types": lambda types: _names(types, "language"),
-               "members": lambda members: _names(members, "flat theory members")}
-
-    def __post_init__(self):
-        if not self.members <= self.types:
-            raise IfkError("flat theory members must be drawn from its types")
-
-
-def flat_entails(c: Classification, ft: FlatTheory, typ: str) -> bool:
-    """Every instance classified by the whole flat theory is classified by ``typ``."""
-    from .classification import extent
-    if ft.types != c.types:
-        raise IfkError("language mismatch: flat theory must share the classification's types")
-    if typ not in c.types:
-        raise IfkError(f"unknown type: {typ}")
-    return extent(c, ft.members) <= extent(c, [typ])
-
-
-def flat_closure(c: Classification, ft: FlatTheory) -> FlatTheory:
-    from .classification import extent
-    if ft.types != c.types:
-        raise IfkError("language mismatch: flat theory must share the classification's types")
-    base = extent(c, ft.members)
-    members = frozenset(t for t in c.types if base <= extent(c, [t]))
-    return FlatTheory(c.types, members)
-
-
-def flat_direct_flow(
-    type_map: Mapping[str, str], ft: FlatTheory, target_types: Iterable[str]
-) -> FlatTheory:
-    target_types = frozenset(target_types)
-    _require_total(type_map, ft.types, target_types)
-    return FlatTheory(target_types, frozenset(type_map[t] for t in ft.members))
-
-
-def flat_inverse_flow(
-    c_target: Classification,
-    type_map: Mapping[str, str],
-    ft_target: FlatTheory,
-    source_types: Iterable[str],
-) -> FlatTheory:
-    """Pull back the flat closure of the target theory along the type map."""
-    source_types = frozenset(source_types)
-    _require_total(type_map, source_types, c_target.types)
-    closed = flat_closure(c_target, ft_target)
-    return FlatTheory(
-        source_types, frozenset(t for t in source_types if type_map[t] in closed.members)
-    )
-
-
-def borrowing_holds(f: Infomorphism, ft: FlatTheory, typ: str) -> bool:
-    """Source-side entailment agrees with target-side entailment of the image."""
-    if ft.types != f.source.types:
-        raise IfkError("flat theory must live over the infomorphism's source types")
-    if typ not in f.source.types:
-        raise IfkError(f"unknown type: {typ}")
-    at_source = flat_entails(f.source, ft, typ)
-    image = flat_direct_flow(f.type_map, ft, f.target.types)
-    at_target = flat_entails(f.target, image, f.type_map[typ])
-    return at_source == at_target

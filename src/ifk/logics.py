@@ -10,6 +10,10 @@ Logics read the classification's masks.  Each keeps only its violators,
 found once in one scan over the classification's extent masks; its own
 check of the normal set, soundness and normalization read them.  A
 natural, restricted or normalized logic is born knowing them.
+
+Flat theories, sets of types that entail by extents, flow along bare type
+functions, and borrowing compares their entailment across an infomorphism;
+the theory classification lifts every flat theory to a type.
 """
 
 from __future__ import annotations
@@ -17,12 +21,13 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .classification import Classification, Infomorphism, intent
+from .classification import Classification, Infomorphism, extent, intent
 from .closure import _models, _sat, _theory_of_masks, _violating, theory_leq
-from .errors import DEFAULT_SEQUENT_CAP, IfkError, _Value
-from .flow import direct_flow, inverse_flow
+from .errors import DEFAULT_SEQUENT_CAP, DEFAULT_THEORY_TYPE_CAP, CapExceeded, IfkError, _Value
+from .flow import _require_total, direct_flow, inverse_flow
 from .masks import _named
-from .theories import Sequent, SequentTheory, _require_within, _theory_of_index, is_consistent, sequent_key
+from .theories import Sequent, SequentTheory, _names, _require_within, _theory_of_index, is_consistent
+from .theories import sequent_key
 
 
 class LocalLogic(_Value):
@@ -138,3 +143,101 @@ def logic_leq(l1: LocalLogic, l2: LocalLogic) -> bool:
     if l1.classification != l2.classification:
         raise IfkError("logics are ordered over a shared classification")
     return theory_leq(l1.theory, l2.theory) and l1.normal >= l2.normal
+
+
+# ---------------------------------------------------------------------------
+# flat theories and the theory classification
+
+class FlatTheory(_Value):
+    types: frozenset[str]
+    members: frozenset[str]
+    _freeze = {"types": lambda types: _names(types, "language"),
+               "members": lambda members: _names(members, "flat theory members")}
+
+    def __post_init__(self):
+        if not self.members <= self.types:
+            raise IfkError("flat theory members must be drawn from its types")
+
+
+def flat_entails(c: Classification, ft: FlatTheory, typ: str) -> bool:
+    """Every instance classified by the whole flat theory is classified by ``typ``."""
+    if ft.types != c.types:
+        raise IfkError("language mismatch: flat theory must share the classification's types")
+    if typ not in c.types:
+        raise IfkError(f"unknown type: {typ}")
+    return extent(c, ft.members) <= extent(c, [typ])
+
+
+def flat_closure(c: Classification, ft: FlatTheory) -> FlatTheory:
+    if ft.types != c.types:
+        raise IfkError("language mismatch: flat theory must share the classification's types")
+    base = extent(c, ft.members)
+    members = frozenset(t for t in c.types if base <= extent(c, [t]))
+    return FlatTheory(c.types, members)
+
+
+def flat_direct_flow(
+    type_map: Mapping[str, str], ft: FlatTheory, target_types: Iterable[str]
+) -> FlatTheory:
+    target_types = frozenset(target_types)
+    _require_total(type_map, ft.types, target_types)
+    return FlatTheory(target_types, frozenset(type_map[t] for t in ft.members))
+
+
+def flat_inverse_flow(
+    c_target: Classification,
+    type_map: Mapping[str, str],
+    ft_target: FlatTheory,
+    source_types: Iterable[str],
+) -> FlatTheory:
+    """Pull back the flat closure of the target theory along the type map."""
+    source_types = frozenset(source_types)
+    _require_total(type_map, source_types, c_target.types)
+    closed = flat_closure(c_target, ft_target)
+    return FlatTheory(
+        source_types, frozenset(t for t in source_types if type_map[t] in closed.members)
+    )
+
+
+def borrowing_holds(f: Infomorphism, ft: FlatTheory, typ: str) -> bool:
+    """Source-side entailment agrees with target-side entailment of the image."""
+    if ft.types != f.source.types:
+        raise IfkError("flat theory must live over the infomorphism's source types")
+    if typ not in f.source.types:
+        raise IfkError(f"unknown type: {typ}")
+    at_source = flat_entails(f.source, ft, typ)
+    image = flat_direct_flow(f.type_map, ft, f.target.types)
+    at_target = flat_entails(f.target, image, f.type_map[typ])
+    return at_source == at_target
+
+
+def theory_type_name(members: Iterable[str]) -> str:
+    return "{" + ",".join(sorted(members)) + "}"
+
+
+def lift_to_theory_classification(
+    c: Classification, cap: int = DEFAULT_THEORY_TYPE_CAP
+) -> Classification:
+    """Replace types by all flat theories (type subsets) of ``c``.
+
+    An instance falls under a theory-type exactly when the subset is
+    contained in its intent.  The 2^|types| blow-up is guarded by ``cap``.
+    """
+    required = 2 ** len(c.types)
+    if required > cap:
+        raise CapExceeded("theory classification", required, cap)
+    intents, extents = c._masks
+    subsets = [()]  # subsets[s]: the types of mask s, in sorted order
+    for t in extents:
+        subsets += [s + (t,) for s in subsets]
+    names = [theory_type_name(s) for s in subsets]
+    if len(set(names)) != required:
+        raise IfkError("theory-type name collision; rename types")
+    return Classification(
+        name=f"{c.name}.theories",
+        instances=c.instances,
+        types=frozenset(names),
+        incidence=frozenset(
+            (i, names[s]) for i, x in intents.items() for s in range(required) if s & ~x == 0
+        ),
+    )

@@ -47,7 +47,8 @@ from ifk import (
 from ifk.cli import run
 from ifk.closure import all_states, theory_of_states, _sat
 from ifk.fca import concepts, concepts_by_enumeration, derive, lattice, object_concept, attribute_concept
-from ifk.integration import VERDICT_POLYCOSMIC, bounded_sequents
+from ifk.integration import bounded_sequents
+from ifk.systems import VERDICT_POLYCOSMIC
 
 import support
 from conftest import FIXTURES, clash_system, seq, vee_system

@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifk import BundleError, ConceptLattice, close, entails, integrate, lattice, lattice_dot
-from ifk.bundle import parse_bundle, parse_sequent, serialize_bundle
+from ifk.bundle import parse_bundle, parse_sequent
 from ifk.cli import main, run
+from ifk.serialize import serialize_bundle
 from ifk.theories import sequent_key
 
 from conftest import FIXTURES, seq
@@ -247,6 +248,21 @@ def test_size_flags_take_non_negative_ints(args):
     # zero is a size like any other: parsed, then charged or used
     zero = [*args[:-2], "0", str(FIXTURES / args[-1])]
     assert json.loads(run(zero)[1]).get("error", {}).get("kind") != "usage"
+
+
+def test_size_flags_read_a_run_of_digits_of_any_length():
+    # int() refuses more than 4,300 digits; a run of ASCII digits is read exactly at
+    # any length, up to Linux's 131,072-byte limit on one argument, in well under 1 s
+    classics = str(FIXTURES / "classics.json")
+    default = run(["close", "--theory", "classical", classics])
+    assert default[0] == 0
+    assert run(["close", "--theory", "classical", "--cap", "9" * 5_000, classics]) == default
+    start = time.perf_counter()
+    assert run(["close", "--theory", "classical", "--cap", "9" * 131_071, classics]) == default
+    assert time.perf_counter() - start < 1
+    for flaw in ("-1", "x", "-" + "9" * 5_000, "9" * 5_000 + "x"):
+        status, report = run(["close", "--theory", "classical", "--cap", flaw, classics])
+        assert (status, json.loads(report)["error"]["kind"]) == (2, "usage"), flaw[:8]
 
 
 def test_close_cap_is_reported():
@@ -594,6 +610,32 @@ def test_a_large_report_is_written_within_a_300_mb_address_space(tmp_path):
     doc = json.loads(data[:k] + b"\n}")
     assert doc["classification"] == "C" and len(doc["concepts"]) == 31_505
     assert data.count(b"\n    [\n      ", k) == 2_449_378 and data.endswith(b"\n    ]\n  ]\n}\n")
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
+def test_the_32_node_ring_integrates_within_a_64_mb_address_space(tmp_path, monkeypatch):
+    # CI's ring of 32 hubs and 32 places, built as the workflow builds it: a cyclic shape,
+    # so integrate asks its engines per bounded sequent; the child peaks near 20 MB
+    import resource
+
+    monkeypatch.syspath_prepend(str(FIXTURES.parents[1] / "perfbench"))
+    import gen
+
+    doc, _ = gen.linked_system(random.Random(1), "ring", [[i, (i + 1) % 32] for i in range(32)], 32)
+    bundle = tmp_path / "ring32.json"
+    bundle.write_text(json.dumps(doc))
+    limit = 64 * 2**20
+
+    def bounded():  # in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-m", "ifk.cli", "integrate", "--system", "ring",
+                           "--delta-bound", "2", str(bundle)], env=env, capture_output=True,
+                          preexec_fn=bounded)
+    assert (done.returncode, done.stderr) == (0, b"")
+    report = json.loads(done.stdout)  # one document, whole
+    assert report["system"] == "ring" and len(report["deltas"]) == 64
 
 
 def test_integrate_cli_equals_library(vee):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-import ifk.integration
+import ifk.systems
 
 from ifk import (
     Classification,
@@ -28,12 +28,8 @@ from ifk import (
 from ifk.bundle import parse_bundle
 from ifk.closure import all_states
 from ifk.errors import DEFAULT_SEQUENT_CAP
-from ifk.integration import (
-    VERDICT_MONOCOSMIC,
-    VERDICT_POINTWISE_INCONSISTENT,
-    VERDICT_POLYCOSMIC,
-    _pulled_states,
-)
+from ifk.integration import _pulled_states
+from ifk.systems import VERDICT_MONOCOSMIC, VERDICT_POINTWISE_INCONSISTENT, VERDICT_POLYCOSMIC
 from ifk.theories import CompiledTheory, Sequent
 
 import support
@@ -186,13 +182,13 @@ def test_vee_deltas_against_state_enumeration(vee):
 
 def test_system_is_validated_once(monkeypatch):
     calls = []
-    check = ifk.integration.check_theory_morphism
+    check = ifk.systems.check_theory_morphism
 
     def counted(*args):
         calls.append(args)
         return check(*args)
 
-    monkeypatch.setattr(ifk.integration, "check_theory_morphism", counted)
+    monkeypatch.setattr(ifk.systems, "check_theory_morphism", counted)
     system = parse_bundle((FIXTURES / "vee.json").read_text()).systems["vee"]
     integrate(system, delta_bound=1)
     system_verdict(system)
@@ -202,13 +198,13 @@ def test_system_is_validated_once(monkeypatch):
 
 def test_system_sum_is_built_once(monkeypatch):
     calls = []
-    colimit = ifk.integration.colimit_language
+    colimit = ifk.systems.colimit_language
 
     def counted(d):
         calls.append(d)
         return colimit(d)
 
-    monkeypatch.setattr(ifk.integration, "colimit_language", counted)
+    monkeypatch.setattr(ifk.systems, "colimit_language", counted)
     system = vee_system()
     integrate(system, delta_bound=1)
     assert system_verdict(system) == VERDICT_MONOCOSMIC
@@ -316,13 +312,13 @@ def test_bottom_node_is_pointwise_inconsistent():
 
 def counted_direct_flow(monkeypatch) -> list:
     calls = []
-    flow = ifk.integration.direct_flow
+    flow = ifk.systems.direct_flow
 
     def counted(*args):
         calls.append(args)
         return flow(*args)
 
-    monkeypatch.setattr(ifk.integration, "direct_flow", counted)
+    monkeypatch.setattr(ifk.systems, "direct_flow", counted)
     return calls
 
 

@@ -115,17 +115,20 @@ def test_theory_commands_load_no_colimit_flow_or_lattice_module(tmp_path):
 
 def test_system_commands_load_only_the_side_of_the_system_they_run():
     # a system of theories alone flows to its sum through the language colimit:
-    # no classification code, no classification sum, and the closure kernel
-    # only for integrate's deltas; on a populated system only sum loads the sum
+    # no classification code, no classification sum, and the closure code
+    # (integration and the closure kernel) only for integrate's deltas; on a
+    # populated system only sum loads the sum; no command loads flat theories
+    # or the bundle writer
     fixtures = SRC.parent.parent / "tests" / "fixtures"
     core = {"ifk", "ifk.cli", "ifk.bundle", "ifk.errors", "ifk.masks", "ifk.theories",
-            "ifk.integration", "ifk.colimit", "ifk.flow"}
+            "ifk.systems", "ifk.colimit", "ifk.flow"}
+    closure = {"ifk.integration", "ifk.closure"}
     unpopulated = _ifk_modules_loaded_by(fixtures / "vee.json", {
         "validate": ["validate"],
         "consistency": ["consistency", "--system", "vee"],
         "integrate": ["integrate", "--system", "vee"],
     })
-    assert unpopulated == {"validate": core, "consistency": core, "integrate": core | {"ifk.closure"}}
+    assert unpopulated == {"validate": core, "consistency": core, "integrate": core | closure}
     populated = _ifk_modules_loaded_by(fixtures / "classics.json", {
         "validate": ["validate"],
         "consistency": ["consistency", "--system", "solo"],
@@ -133,7 +136,7 @@ def test_system_commands_load_only_the_side_of_the_system_they_run():
         "sum": ["sum", "--system", "solo"],
     })
     core |= {"ifk.classification"}
-    assert populated == {"validate": core, "consistency": core, "integrate": core | {"ifk.closure"},
+    assert populated == {"validate": core, "consistency": core, "integrate": core | closure,
                          "sum": core | {"ifk.diagrams"}}
 
 
@@ -148,6 +151,23 @@ def test_theories_keeps_the_names_the_benchmark_imports_without_loading_closure(
         "print(hasattr(ifk.theories, 'theory_leq'))\n"
     )
     assert out.split() == ["False", "True", "True", "False"]
+
+
+def test_every_name_the_benchmark_reads_from_ifk_resolves():
+    # perfbench imports names from the modules that define them, or once defined them;
+    # a module split must leave each one where the benchmark reads it
+    used = set()
+    for path in sorted((SRC.parent.parent / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("ifk."):
+                used |= {(node.module, alias.name) for alias in node.names}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+                  and isinstance(node.value.value, ast.Name) and node.value.value.id == "ifk"):
+                used.add((f"ifk.{node.value.attr}", node.attr))  # ifk.<module>.<name>
+    assert {("ifk.cli", "run"), ("ifk.integration", "validate_system"), ("ifk.integration", "integrate")} <= used
+    missing = [(module, name) for module, name in sorted(used)
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
 
 
 CLASSIFICATIONS_ONLY = {"classifications": {

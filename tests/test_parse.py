@@ -330,7 +330,8 @@ def test_corpus_systems_are_the_same_in_every_run():
     code = (
         "import hashlib, json, random\n"
         "import support\n"
-        "from ifk.bundle import Bundle, serialize_bundle\n"
+        "from ifk.bundle import Bundle\n"
+        "from ifk.serialize import serialize_bundle\n"
         "digests = []\n"
         "for kind in support.CYCLIC_SHAPES + support.FOREST_SHAPES:\n"
         "    for seed in range(25):\n"

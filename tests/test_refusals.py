@@ -30,8 +30,9 @@ from ifk import (
     system_leq,
     verify_channel_covers,
 )
-from ifk.bundle import Bundle, parse_sequent, serialize_bundle
+from ifk.bundle import Bundle, parse_sequent
 from ifk.logics import logic_direct_image, logic_inverse_image
+from ifk.serialize import serialize_bundle
 
 C = Classification("c", ["a"], ["t1", "t2"], [("a", "t1")])
 OTHER = Classification("o", ["b"], ["u"], [("b", "u")])

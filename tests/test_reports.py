@@ -30,13 +30,13 @@ from ifk.bundle import (
     canonical_json,
     parse_bundle,
     sequent_to_obj,
-    serialize_bundle,
     theory_to_obj,
 )
 from ifk.cli import run
 from ifk.errors import IfkError
 from ifk.flow import InverseFlowTheory
 from ifk.integration import integrate
+from ifk.serialize import serialize_bundle
 from ifk.theories import entails, sequent_key
 
 import support
