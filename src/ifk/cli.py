@@ -56,7 +56,8 @@ def _size(text: str) -> int:
         value = _digits(text) if text.isascii() and text.isdigit() else -1
     if value < 0:
         from argparse import ArgumentTypeError
-        raise ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+        got = repr(text) if len(text) <= 40 else f"{text[:10]!r}… ({len(text):,} characters)"
+        raise ArgumentTypeError(f"expected a non-negative integer, got {got}")
     return value
 
 

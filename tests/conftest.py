@@ -1,3 +1,6 @@
+import importlib.util
+import json
+import random
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,18 @@ settings.register_profile("ci", deadline=None, max_examples=60, derandomize=True
 settings.load_profile("ci")
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def ring32(directory: Path) -> Path:
+    """A ring of 32 hubs and 32 places from the benchmark's generator, written into
+    ``directory``: a cyclic shape, so integrate asks its engines per bounded sequent."""
+    spec = importlib.util.spec_from_file_location("perfbench_gen", FIXTURES.parents[1] / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    doc, _ = gen.linked_system(random.Random(1), "ring", [[i, (i + 1) % 32] for i in range(32)], 32)
+    path = directory / "ring32.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def seq(ant="", con=""):

@@ -17,7 +17,7 @@ from ifk.cli import main, run
 from ifk.serialize import serialize_bundle
 from ifk.theories import sequent_key
 
-from conftest import FIXTURES, seq
+from conftest import FIXTURES, ring32, seq
 
 
 def fixture_text(name: str) -> str:
@@ -263,6 +263,7 @@ def test_size_flags_read_a_run_of_digits_of_any_length():
     for flaw in ("-1", "x", "-" + "9" * 5_000, "9" * 5_000 + "x"):
         status, report = run(["close", "--theory", "classical", "--cap", flaw, classics])
         assert (status, json.loads(report)["error"]["kind"]) == (2, "usage"), flaw[:8]
+        assert len(report) < 512, flaw[:8]  # a long flag is echoed by its head and length
 
 
 def test_close_cap_is_reported():
@@ -487,13 +488,17 @@ def test_main_writes_output_file(tmp_path, capsys):
 
 
 def test_main_writes_a_large_report_as_run_returns_it(tmp_path, capsys):
-    # 10.5 MB in 121,912 pieces: many writes, each of many pieces
-    args = ["close", "--theory", "wide", str(FIXTURES / "wide.json")]
-    status, report = run(args)
-    out = tmp_path / "report.json"
-    assert main(["--output", str(out), *args]) == status == 0
-    assert out.read_text(encoding="utf-8") == report and capsys.readouterr().out == ""
-    assert main(args) == 0 and capsys.readouterr().out == report
+    # the wide closure is 10.5 MB in 121,912 pieces: many writes, each of many pieces
+    context = tmp_path / "context300.json"
+    context.write_text(json.dumps({"classifications": {"C": _context(random.Random(1), 300, 14, 7)}}))
+    for args in (["close", "--theory", "wide", str(FIXTURES / "wide.json")],
+                 ["lattice", "--classification", "CLF-A", "--format", "dot", str(FIXTURES / "classics.json")],
+                 ["lattice", "--classification", "C", str(context)]):
+        status, report = run(args)
+        out = tmp_path / "report"
+        assert main(["--output", str(out), *args]) == status == 0
+        assert out.read_text(encoding="utf-8") == report and capsys.readouterr().out == ""
+        assert main(args) == 0 and capsys.readouterr().out == report
 
 
 def test_main_reports_unwritable_output_file(tmp_path, capsys):
@@ -613,17 +618,11 @@ def test_a_large_report_is_written_within_a_300_mb_address_space(tmp_path):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
-def test_the_32_node_ring_integrates_within_a_64_mb_address_space(tmp_path, monkeypatch):
-    # CI's ring of 32 hubs and 32 places, built as the workflow builds it: a cyclic shape,
-    # so integrate asks its engines per bounded sequent; the child peaks near 20 MB
+def test_the_32_node_ring_integrates_within_a_64_mb_address_space(tmp_path):
+    # a cyclic shape, so integrate asks its engines per bounded sequent; the child peaks near 20 MB
     import resource
 
-    monkeypatch.syspath_prepend(str(FIXTURES.parents[1] / "perfbench"))
-    import gen
-
-    doc, _ = gen.linked_system(random.Random(1), "ring", [[i, (i + 1) % 32] for i in range(32)], 32)
-    bundle = tmp_path / "ring32.json"
-    bundle.write_text(json.dumps(doc))
+    bundle = ring32(tmp_path)
     limit = 64 * 2**20
 
     def bounded():  # in the child only
@@ -636,6 +635,7 @@ def test_the_32_node_ring_integrates_within_a_64_mb_address_space(tmp_path, monk
     assert (done.returncode, done.stderr) == (0, b"")
     report = json.loads(done.stdout)  # one document, whole
     assert report["system"] == "ring" and len(report["deltas"]) == 64
+    assert done.stdout.decode() == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def test_integrate_cli_equals_library(vee):
@@ -844,6 +844,7 @@ def test_a_plain_command_line_reads_as_argparse_reads_it(argv):
 
 def test_every_benchmark_and_ci_command_line_is_plain(tmp_path, monkeypatch):
     from ifk.cli import _build_parser, _read
+    from test_package import LOADS
 
     monkeypatch.syspath_prepend(str(FIXTURES.parents[1] / "perfbench"))
     import workloads
@@ -854,22 +855,8 @@ def test_every_benchmark_and_ci_command_line_is_plain(tmp_path, monkeypatch):
         workload = kind(tmp_path / name, 1)
         workload.setup()
         argvs += [op.argv for op in workload.cli_ops]
-    # the report rendering loop of the CI workflow
-    argvs += [line.split() for line in (
-        "close --theory classical classics.json",
-        "lattice --classification CLF-A classics.json",
-        "lattice --classification C context300.json",
-        "close --theory wide wide.json",
-        "integrate --system vee --delta-bound 1 vee.json",
-        "integrate --system clash --delta-bound 2 clash.json",
-        "integrate --system ring --delta-bound 1 ring.json",
-        "integrate --system ring --delta-bound 2 ring.json",
-        "integrate --system vee --delta-bound 0 vee.json",
-        "sum --system solo classics.json",
-        "consistency --system clash clash.json",
-        "entails --theory classical --sequent human|-philosopher classics.json",
-        "validate vee.json",
-    )]
+    # the load table's command lines, its one refusal aside
+    argvs += [[*line.split(), bundle] for line, bundle, status, _ in LOADS if status == 0]
     assert {argv[0] for argv in argvs} == set(COMMANDS)
     for argv in argvs:
         args = _read(argv)

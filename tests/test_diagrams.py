@@ -264,6 +264,10 @@ def test_sum_cap_charges_partial_tuples_on_a_cycle():
     assert err.value.phase == "sum classification instances (lower bound)"
     assert (err.value.required, err.value.cap) == (101, 100)
     assert sum_classification(d, instance_cap=200).core.instances == frozenset()
+    # 5,000 partial tuples over a and b pass the default cap: refused in the join, fast
+    with pytest.raises(CapExceeded) as err:
+        sum_classification(twisted_triangle(50, 100))
+    assert (err.value.required, err.value.cap) == (4097, 4096)
 
 
 # ---------------------------------------------------------------------------

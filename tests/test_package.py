@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import FIXTURES, ring32
+
 SRC = Path(__file__).parent.parent / "src" / "ifk"
 README = SRC.parent.parent / "README.md"
 
@@ -61,83 +63,13 @@ EXPORTED = """
     validate_classification validate_system verify_channel_covers
 """.split()
 
-HEAVY = ("ifk.fca", "ifk.integration", "ifk.diagrams", "ifk.flow", "ifk.logics")
 
-
-def _fresh(script: str, flags: tuple = ()) -> str:
-    """The output of ``script`` in a fresh interpreter, started with ``flags``, that
-    imports ifk from the source tree; in process, sys.modules is shared with every other test."""
+def _fresh(script: str) -> str:
+    """The output of ``script`` in a fresh interpreter that imports ifk from the
+    source tree; in process, sys.modules is shared with every other test."""
     env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
-    out = subprocess.run(
-        [sys.executable, *flags, "-c", script], env=env, capture_output=True, text=True, check=True
-    )
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     return out.stdout
-
-
-def _modules_loaded_by(*command_lines, flags: tuple = ()) -> set[str]:
-    """The modules a fresh interpreter loads to run the commands, beyond
-    those it held before importing ifk (``site`` may preload some)."""
-    return set(json.loads(_fresh(
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "from ifk.cli import run\n"
-        f"for argv in {list(command_lines)!r}:\n"
-        "    status, _ = run(argv)\n"
-        "    assert status == 0, argv\n"
-        "import json\n"
-        "print(json.dumps(sorted(set(sys.modules) - before)))\n",
-        flags,
-    )))
-
-
-def _ifk_modules_loaded_by(bundle, commands: dict) -> dict:
-    """Per named command, run alone on ``bundle``, the ``ifk`` modules it loads."""
-    return {name: {m for m in _modules_loaded_by([*argv, str(bundle)]) if m.split(".")[0] == "ifk"}
-            for name, argv in commands.items()}
-
-
-def test_theory_commands_load_no_colimit_flow_or_lattice_module(tmp_path):
-    # a theory without a structure: deciding entailment loads neither the
-    # classification module nor the closure kernel, and closing a theory
-    # loads the kernel alone
-    bundle = tmp_path / "theory.json"
-    bundle.write_text(json.dumps(
-        {"theories": {"T": {"types": ["a", "b"], "axioms": [{"ant": ["a"], "con": ["b"]}]}}}
-    ))
-    core = {"ifk", "ifk.cli", "ifk.bundle", "ifk.errors", "ifk.masks", "ifk.theories"}
-    loaded = _ifk_modules_loaded_by(bundle, {
-        "validate": ["validate"],
-        "entails": ["entails", "--theory", "T", "--sequent", "a |- b"],
-        "close": ["close", "--theory", "T"],
-    })
-    assert loaded == {"validate": core, "entails": core, "close": core | {"ifk.closure"}}
-
-
-def test_system_commands_load_only_the_side_of_the_system_they_run():
-    # a system of theories alone flows to its sum through the language colimit:
-    # no classification code, no classification sum, and the closure code
-    # (integration and the closure kernel) only for integrate's deltas; on a
-    # populated system only sum loads the sum; no command loads flat theories
-    # or the bundle writer
-    fixtures = SRC.parent.parent / "tests" / "fixtures"
-    core = {"ifk", "ifk.cli", "ifk.bundle", "ifk.errors", "ifk.masks", "ifk.theories",
-            "ifk.systems", "ifk.colimit", "ifk.flow"}
-    closure = {"ifk.integration", "ifk.closure"}
-    unpopulated = _ifk_modules_loaded_by(fixtures / "vee.json", {
-        "validate": ["validate"],
-        "consistency": ["consistency", "--system", "vee"],
-        "integrate": ["integrate", "--system", "vee"],
-    })
-    assert unpopulated == {"validate": core, "consistency": core, "integrate": core | closure}
-    populated = _ifk_modules_loaded_by(fixtures / "classics.json", {
-        "validate": ["validate"],
-        "consistency": ["consistency", "--system", "solo"],
-        "integrate": ["integrate", "--system", "solo"],
-        "sum": ["sum", "--system", "solo"],
-    })
-    core |= {"ifk.classification"}
-    assert populated == {"validate": core, "consistency": core, "integrate": core | closure,
-                         "sum": core | {"ifk.diagrams"}}
 
 
 def test_theories_keeps_the_names_the_benchmark_imports_without_loading_closure():
@@ -175,21 +107,6 @@ CLASSIFICATIONS_ONLY = {"classifications": {
 }}
 
 
-def test_classification_commands_load_no_theory_code(tmp_path):
-    # a classification is a structure without a theory: reading one loads
-    # neither the theory kernel nor anything built on it
-    bundle = tmp_path / "classification.json"
-    bundle.write_text(json.dumps(CLASSIFICATIONS_ONLY))
-    core = {"ifk", "ifk.cli", "ifk.bundle", "ifk.classification", "ifk.errors", "ifk.masks"}
-    loaded = _ifk_modules_loaded_by(bundle, {
-        "validate": ["validate"],
-        "lattice": ["lattice", "--classification", "C"],
-        "lattice --format dot": ["lattice", "--classification", "C", "--format", "dot"],
-    })
-    assert loaded == {"validate": core, "lattice": core | {"ifk.fca"},
-                      "lattice --format dot": core | {"ifk.fca"}}
-
-
 def test_bundle_reader_and_writer_load_no_theory_code(tmp_path):
     bundle = tmp_path / "classification.json"
     bundle.write_text(json.dumps(CLASSIFICATIONS_ONLY))
@@ -215,66 +132,80 @@ def test_bundle_reader_and_writer_load_no_theory_code(tmp_path):
     ]
 
 
-def test_commands_import_neither_dataclasses_nor_inspect():
-    # values get their methods from the value base type: importing
-    # dataclasses (and inspect with it) would cost every command start-up
-    fixtures = SRC.parent.parent / "tests" / "fixtures"
-    classics, vee = str(fixtures / "classics.json"), str(fixtures / "vee.json")
-    loaded = _modules_loaded_by(
-        ["validate", classics],
-        ["entails", "--theory", "classical", "--sequent", "human |- philosopher", classics],
-        ["close", "--theory", "classical", classics],
-        ["integrate", "--system", "vee", "--delta-bound", "1", vee],
-        ["sum", "--system", "solo", classics],
-        ["lattice", "--classification", "CLF-A", classics],
-    )
-    assert {"ifk.theories", "ifk.integration", "ifk.fca"} <= loaded
-    assert loaded.isdisjoint({"dataclasses", "inspect"})
+# The ifk modules a command loads, by what its bundle holds: a theory (unpopulated), a
+# classification (a structure) and a system of them each load only their own code.
+# ifk.cli runs as __main__, as under `python -m ifk.cli`, so it is not among them.
+BASE = {"ifk", "ifk.bundle", "ifk.errors", "ifk.masks"}
+THEORY = BASE | {"ifk.theories"}
+STRUCTURE = BASE | {"ifk.classification"}
+SYSTEM = THEORY | {"ifk.systems", "ifk.colimit", "ifk.flow"}
+POPULATED = SYSTEM | {"ifk.classification"}
+DELTAS = {"ifk.integration", "ifk.closure"}
+
+LOADS = [  # command line, bundle, exit status, the ifk modules it loads
+    ("validate", "wide.json", 0, THEORY),
+    ("entails --theory wide --sequent t0|-t1", "wide.json", 0, THEORY),
+    ("close --theory wide", "wide.json", 0, THEORY | {"ifk.closure"}),
+    ("validate", "structure.json", 0, STRUCTURE),
+    ("lattice --classification C", "structure.json", 0, STRUCTURE | {"ifk.fca"}),
+    ("lattice --classification C --format dot", "structure.json", 0, STRUCTURE | {"ifk.fca"}),
+    # a system of theories alone: no classification code, the closure code only for deltas
+    ("validate", "vee.json", 0, SYSTEM),
+    ("consistency --system vee", "vee.json", 0, SYSTEM),
+    ("integrate --system vee", "vee.json", 0, SYSTEM | DELTAS),
+    # a cyclic shape: the deltas are read off the closure handles, without the kernel
+    ("integrate --system ring --delta-bound 2", "ring32.json", 0, SYSTEM | {"ifk.integration"}),
+    # a populated system: only sum loads the classification sum
+    ("validate", "classics.json", 0, POPULATED),
+    ("entails --theory classical --sequent human|-philosopher", "classics.json", 0, POPULATED),
+    ("close --theory classical", "classics.json", 0, POPULATED | {"ifk.closure"}),
+    ("consistency --system solo", "classics.json", 0, POPULATED),
+    ("integrate --system solo", "classics.json", 0, POPULATED | DELTAS),
+    ("sum --system solo", "classics.json", 0, POPULATED | {"ifk.diagrams"}),
+    ("lattice --classification CLF-A", "classics.json", 0, POPULATED | {"ifk.fca"}),
+    (f"lattice --classification CLF-A --output {os.devnull}", "classics.json", 0, POPULATED | {"ifk.fca"}),
+    # a refusal is worded by argparse, before the bundle is read
+    ("close", "classics.json", 2, BASE),
+]
+
+# no command line loads these: argparse words only help, refusals and unusual spellings;
+# values need neither dataclasses nor inspect; annotations stay strings (typing) and the
+# theory engine's lock is the built-in one (threading); files are opened by the path as
+# typed (pathlib); -S keeps `site` from loading any of them first
+NEVER = {"argparse", "typing", "threading", "dataclasses", "inspect", "pathlib"}
+
+# runs the command line after it as `python -m ifk.cli` does, with its report discarded,
+# and prints the exit status and the modules the run added
+CHILD = """\
+import os, runpy, sys
+before = set(sys.modules)
+sys.stdout = open(os.devnull, "w", encoding="utf-8")
+try:
+    runpy.run_module("ifk.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exit:
+    print(exit.code, *sorted(set(sys.modules) - before), file=sys.__stdout__)
+"""
 
 
-def test_commands_import_neither_typing_nor_threading():
-    # annotations stay strings and the compiled theory's lock is the built-in one, so
-    # no command loads either; -S keeps ``site`` from loading them first, and -c keeps
-    # out what ``runpy`` would import for -m
-    fixtures = SRC.parent.parent / "tests" / "fixtures"
-    classics, vee, wide = (str(fixtures / name) for name in ("classics.json", "vee.json", "wide.json"))
-    loaded = _modules_loaded_by(
-        ["validate", wide],
-        ["entails", "--theory", "wide", "--sequent", "t0 |- t1", wide],
-        ["close", "--theory", "wide", wide],
-        ["integrate", "--system", "vee", vee],
-        ["consistency", "--system", "vee", vee],
-        ["lattice", "--classification", "CLF-A", classics],
-        ["sum", "--system", "solo", classics],
-        flags=("-S",),
-    )
-    assert {"ifk.closure", "ifk.integration", "ifk.fca", "ifk.diagrams"} <= loaded
-    assert loaded.isdisjoint({"typing", "threading"})
-
-
-def test_plain_command_lines_never_load_argparse():
-    # a plain command line is read off the command table; argparse, about 8 ms
-    # of start-up with its parser, is loaded to word a refusal; files are
-    # opened by the path as typed, so pathlib is never loaded (``site`` may
-    # have loaded it before ifk)
-    fixtures = SRC.parent.parent / "tests" / "fixtures"
-    classics, vee = str(fixtures / "classics.json"), str(fixtures / "vee.json")
-    plain = [
-        ["entails", "--theory", "classical", "--sequent", "human |- philosopher", classics],
-        ["integrate", "--system", "vee", "--delta-bound", "1", vee],
-        ["lattice", "--classification", "CLF-A", "--output", os.devnull, classics],
-    ]
-    out = _fresh(
-        "import sys\n"
-        "before = set(sys.modules)\n"
-        "from ifk.cli import main, run\n"
-        f"assert [run(argv)[0] for argv in {plain[:2]!r}] == [0, 0]\n"
-        f"assert main({plain[2]!r}) == 0\n"
-        "print('argparse' in sys.modules, 'pathlib' in set(sys.modules) - before)\n"
-        f"assert run(['close', {classics!r}])[0] == 2\n"
-        "print('argparse' in sys.modules)\n"
-    )
-    assert out.split() == ["False", "False", "True"]
+@pytest.mark.parametrize("line, bundle, status, loads", LOADS,
+                         ids=[f"{line} {bundle}" for line, bundle, *_ in LOADS])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, line, bundle, status, loads):
+    if bundle == "structure.json":
+        path = tmp_path / bundle
+        path.write_text(json.dumps(CLASSIFICATIONS_ONLY))
+    elif bundle == "ring32.json":
+        path = ring32(tmp_path)
+    else:
+        path = FIXTURES / bundle
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    done = subprocess.run([sys.executable, "-S", "-c", CHILD, *line.split(), str(path)],
+                          env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    code, *added = done.stdout.split()
+    assert int(code) == status
+    assert {module for module in added if module.split(".")[0] == "ifk"} == loads
+    # the refusal row loads argparse, which shows that this check can fire
+    assert NEVER.intersection(added) == ({"argparse"} if status == 2 else set())
 
 
 def test_lazy_exports_keep_the_public_names():

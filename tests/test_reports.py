@@ -165,7 +165,8 @@ def _every_command(path: Path):
         yield ["lattice", "--classification", c, p]
     for s in sorted(raw.get("systems", {})):
         yield ["sum", "--system", s, p]
-        yield ["integrate", "--system", s, "--delta-bound", "1", p]
+        for bound in "012":
+            yield ["integrate", "--system", s, "--delta-bound", bound, p]
         yield ["consistency", "--system", s, p]
     yield ["close", "--theory", "ghost", p]
 
