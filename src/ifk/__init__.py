@@ -11,22 +11,21 @@ import importlib
 
 # submodule -> the names it exports
 _EXPORTS = {
-    "classification": """Classification Infomorphism check_infomorphism
-        compose_infomorphisms extent identity_infomorphism instance_leq intent
-        validate_classification""",
-    "closure": """analogy bottom_theory close contract entails_by_enumeration expand
-        is_consistent_by_enumeration revise state_satisfies theory_leq top_theory""",
+    "classification": "Classification Infomorphism check_infomorphism validate_classification",
+    "closure": "close",
     "colimit": "LanguageDiagram ShapeGraph colimit_language",
-    "diagrams": "Channel ClsDiagram mediating_morphism sum_classification verify_channel_covers",
+    "diagrams": "Channel ClsDiagram sum_classification",
     "errors": "BundleError CapExceeded IfkError ValidationResult",
-    "fca": """ConceptLattice FormalConcept attribute_concept concepts derive join
-        lattice lattice_dot meet object_concept""",
+    "fca": "ConceptLattice FormalConcept concepts join lattice lattice_dot meet",
     "flow": "InverseFlowTheory check_theory_morphism direct_flow inverse_flow",
-    "integration": "IntegrationResult integrate system_entails system_entails_at system_leq",
-    "logics": """FlatTheory LocalLogic borrowing_holds flat_closure flat_direct_flow
-        flat_entails flat_inverse_flow is_complete is_sound lift_to_theory_classification
-        logic_direct_image logic_inverse_image logic_leq natural_entails natural_logic
-        normalize restriction""",
+    "integration": "IntegrationResult integrate",
+    "logics": """FlatTheory LocalLogic analogy attribute_concept borrowing_holds bottom_theory
+        compose_infomorphisms contract derive expand extent flat_closure flat_direct_flow
+        flat_entails flat_inverse_flow identity_infomorphism instance_leq intent is_complete
+        is_sound lift_to_theory_classification logic_direct_image logic_inverse_image logic_leq
+        mediating_morphism natural_entails natural_logic normalize object_concept restriction revise
+        system_entails system_entails_at system_leq theory_leq top_theory verify_channel_covers""",
+    "oracles": "entails_by_enumeration is_consistent_by_enumeration state_satisfies",
     "systems": """InformationSystem is_monocosmic is_pointwise_consistent is_polycosmic
         system_verdict validate_system""",
     "theories": "Sequent SequentTheory entails is_consistent",

@@ -2,12 +2,11 @@
 classifications, theories, infomorphisms and systems of an analysis.
 
 Parsing resolves every cross-reference and runs each module's checker,
-so a returned bundle is fully valid; a theory is read straight to its
-masks, with no ``Sequent`` per axiom, and each kind of entry loads its
-module only when a bundle holds one.  One reader, ``_entries``, checks
-each named entry and one check, ``_ref``, each reference, so a malformed
-bundle is refused for its first fault in document order; its message is
-worded only then.  ``canonical_json`` writes every CLI report and, in
+so a returned bundle is fully valid; each kind's own module reads its
+entries, loaded only for a bundle that holds one.  One reader,
+``_entries``, checks each named entry and one check, ``_ref``, each
+reference, so a malformed bundle is refused for its first fault in
+document order; its message is worded only then.  ``canonical_json`` writes every CLI report and, in
 ``ifk.serialize``, a bundle back as text that round-trips: the bytes of
 ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
 It takes read-only maps and tuples as they are, and a value with a
@@ -19,12 +18,11 @@ report builds a dict per sequent or a list per pair.
 from __future__ import annotations
 
 import json
-from itertools import groupby
 from json.encoder import encode_basestring_ascii as _quote
 from types import MappingProxyType
 
 from .errors import BundleError, IfkError, _decimal, _map, _Value
-from .masks import _NOT_IN_IDENTIFIER, valid_identifier
+from .masks import _expect, valid_identifier
 
 TOP_LEVEL_KEYS = ("classifications", "theories", "infomorphisms", "systems")
 
@@ -36,39 +34,6 @@ class Bundle(_Value):
     systems: Mapping[str, InformationSystem] = _map({})
     _freeze = dict.fromkeys(TOP_LEVEL_KEYS, _map)
     __hash__ = None  # type: ignore[assignment]
-
-
-def parse_sequent(literal: str) -> Sequent:
-    """Command-line sequent literal: ``a, b |- c`` (either side may be empty)."""
-    from .theories import Sequent
-    if literal.count("|-") != 1:
-        raise BundleError(f"sequent literal needs exactly one '|-': {literal!r}")
-    left, right = ([part.strip() for part in side.split(",") if part.strip()]
-                   for side in literal.split("|-"))
-    for name in left + right:
-        if not valid_identifier(name):
-            raise BundleError(f"bad identifier in sequent literal: {name!r}")
-    return Sequent(left, right)
-
-
-def _expect(condition: bool, message: str) -> None:
-    if not condition:
-        raise BundleError(message)
-
-
-def _ident_list(raw, where: str) -> list[str]:
-    _expect(isinstance(raw, list), f"{where}: expected a list")
-    try:  # one pass over the whole list; the loop below only words a refusal
-        if all(raw) and len(set(raw)) == len(raw) and not _NOT_IN_IDENTIFIER.search("".join(raw)):
-            return list(raw)
-    except TypeError:  # a name that is not a str
-        pass
-    seen = set()
-    for name in raw:
-        _expect(valid_identifier(name), f"{where}: bad identifier {name!r}")
-        _expect(name not in seen, f"{where}: duplicate identifier {name!r}")
-        seen.add(name)
-    return list(raw)
 
 
 def _entries(raw, where: str):
@@ -99,58 +64,6 @@ def _str_map(raw, where: str) -> dict[str, str]:
     return dict(raw)
 
 
-def _parse_classification(name: str, raw: dict, where: str) -> Classification:
-    from .classification import Classification, validate_classification
-    instances = _ident_list(raw.get("instances", []), f"{where}.instances")
-    types = _ident_list(raw.get("types", []), f"{where}.types")
-    incidence_raw = raw.get("incidence", [])
-    _expect(isinstance(incidence_raw, list), f"{where}.incidence: expected a list")
-    incidence = []
-    for k, pair in enumerate(incidence_raw):
-        if not (isinstance(pair, list) and len(pair) == 2
-                and isinstance(pair[0], str) and isinstance(pair[1], str)):
-            raise BundleError(f"{where}.incidence[{k}]: expected an [instance, type] pair")
-        incidence.append((pair[0], pair[1]))
-    c = Classification(name, frozenset(instances), frozenset(types), frozenset(incidence))
-    result = validate_classification(c)
-    if not result.ok:
-        raise BundleError(f"{where}: {result.defects[0]}")
-    return c
-
-
-def _parse_theory(raw: dict, where: str) -> SequentTheory:
-    from .theories import _indexed, _text, _theory_of_index
-    types = _ident_list(raw.get("types", []), f"{where}.types")
-    axioms_raw = raw.get("axioms", [])
-    _expect(isinstance(axioms_raw, list), f"{where}.axioms: expected a list")
-    index, n = _indexed(types), len(types)
-    bit = {name: 1 << k for name, k in index.items()}
-    masks, outside = [], None  # outside: the first axiom over other types, as text
-    for k, a in enumerate(axioms_raw):
-        if not isinstance(a, dict):
-            raise BundleError(f"{where}.axioms[{k}]: expected an object")
-        if not a.keys() <= {"ant", "con"}:
-            raise BundleError(f"{where}.axioms[{k}]: unknown keys {sorted(a.keys() - {'ant', 'con'})}")
-        ant, con = a.get("ant", []), a.get("con", [])
-        try:
-            if type(ant) is list and type(con) is list:
-                g = d = 0
-                for name in ant:
-                    g |= bit[name]
-                for name in con:
-                    d |= bit[name]
-                if (p := g << n | d).bit_count() == len(ant) + len(con):  # else a duplicate name
-                    masks.append(p)
-                    continue
-        except (KeyError, TypeError):  # a name outside the language, or unhashable
-            pass
-        for side in ("ant", "con"):  # the first bad or duplicate identifier, if any
-            _ident_list(a.get(side, []), f"{where}.axioms[{k}].{side}")
-        outside = outside or _text(ant, con)
-    _expect(not outside, f"{where}: axiom {outside} uses types outside the language")
-    return _theory_of_index(index, [p for p, _ in groupby(sorted(masks))])  # no duplicate axiom
-
-
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     out = dict(pairs)
     if len(out) < len(pairs):
@@ -177,10 +90,15 @@ def parse_bundle(text: str) -> Bundle:
     for key, body in sections.items():
         _expect(isinstance(body, dict), f"{key}: expected an object")
 
-    classifications = {name: _parse_classification(name, body, where)
-                       for name, body, where in _entries(sections["classifications"], "classifications")}
-    theories = {name: _parse_theory(body, where)
-                for name, body, where in _entries(sections["theories"], "theories")}
+    classifications, theories = {}, {}  # each kind's module loads only for a bundle that holds one
+    if sections["classifications"]:
+        from .classification import _parse_classification
+        classifications = {name: _parse_classification(name, body, where)
+                           for name, body, where in _entries(sections["classifications"], "classifications")}
+    if sections["theories"]:
+        from .theories import _parse_theory
+        theories = {name: _parse_theory(body, where)
+                    for name, body, where in _entries(sections["theories"], "theories")}
     infomorphisms = {}
     for name, body, where in _entries(sections["infomorphisms"], "infomorphisms"):
         from .classification import Infomorphism
@@ -200,7 +118,7 @@ def parse_bundle(text: str) -> Bundle:
             raise BundleError(f"{where}: invariance fails at ({b}, {t}, {side})")
         infomorphisms[name] = info
     systems = {}
-    if sections["systems"]:  # only a bundle with systems loads the colimit and flow modules
+    if sections["systems"]:
         from .systems import _parse_system
         systems = {name: _parse_system(theories, classifications, body, where)
                    for name, body, where in _entries(sections["systems"], "systems")}

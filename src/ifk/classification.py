@@ -4,20 +4,22 @@ A classification is a finite incidence relation between instances and
 types.  The one index it derives is its incidence as bit masks: sorted
 types and sorted instances are bit positions, so an intent or an extent
 is one int, read back into names by the helpers of ``ifk.masks``.
-Intents, extents, derivation, concepts, and the logics and theory lift of
-``ifk.logics`` read the masks; an infomorphism's invariance check and the
-sum channel test ``(instance, type)`` pairs.  An infomorphism maps types
-forward and instances backward between two classifications so that
-classification is invariant: a source type holds of a pulled-back instance
-exactly when its image holds of the original instance.
+Concepts, and what ``ifk.logics`` builds on a classification (intents,
+extents, derivation, the logics and the theory lift), read the masks; an
+infomorphism's invariance check and the sum channel test
+``(instance, type)`` pairs.  An infomorphism maps types forward and
+instances backward between two classifications so that classification
+is invariant: a source type holds of a pulled-back instance exactly when
+its image holds of the original instance.  The bundle reader of a
+classification is here, and composition ``ifk.logics``'s.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import IfkError, ValidationResult, _map, _Value
-from .masks import _named, valid_identifier
+from .errors import BundleError, IfkError, ValidationResult, _map, _Value
+from .masks import _expect, _ident_list, valid_identifier
 
 
 class Classification(_Value):
@@ -84,27 +86,6 @@ def validate_classification(c: Classification) -> ValidationResult:
     return ValidationResult.from_defects(defects)
 
 
-def intent(c: Classification, i: str) -> frozenset[str]:
-    """All types incident with instance ``i``."""
-    if i not in c.instances:
-        raise IfkError(f"unknown instance: {i}")
-    intents, extents = c._masks
-    return _named(list(extents), intents[i])
-
-
-def extent(c: Classification, types: Iterable[str]) -> frozenset[str]:
-    """All instances incident with every type in ``types``."""
-    types = frozenset(types)
-    unknown = types - c.types
-    if unknown:
-        raise IfkError(f"unknown type(s): {', '.join(sorted(unknown))}")
-    intents, extents = c._masks
-    m = (1 << len(intents)) - 1
-    for t in types:
-        m &= extents[t]
-    return _named(list(intents), m)
-
-
 def check_infomorphism(f: Infomorphism) -> ValidationResult:
     """Verify invariance of classification for every (instance, type) pair.
 
@@ -139,32 +120,19 @@ def check_infomorphism(f: Infomorphism) -> ValidationResult:
     return ValidationResult.from_defects(defects)
 
 
-def identity_infomorphism(c: Classification) -> Infomorphism:
-    return Infomorphism(
-        name=f"id:{c.name}",
-        source=c,
-        target=c,
-        type_map={t: t for t in c.types},
-        instance_map={i: i for i in c.instances},
-    )
-
-
-def compose_infomorphisms(f: Infomorphism, g: Infomorphism) -> Infomorphism:
-    """Composite of ``f : A -> B`` and ``g : B -> C``."""
-    if f.target != g.source:
-        raise IfkError(
-            f"endpoint mismatch: {f.name} ends at {f.target.name}, "
-            f"{g.name} starts at {g.source.name}"
-        )
-    return Infomorphism(
-        name=f"{f.name};{g.name}",
-        source=f.source,
-        target=g.target,
-        type_map={t: g.type_map[v] for t, v in f.type_map.items()},
-        instance_map={c: f.instance_map[g.instance_map[c]] for c in g.instance_map},
-    )
-
-
-def instance_leq(c: Classification, i1: str, i2: str) -> bool:
-    """``i1`` specializes ``i2``: every type of ``i2`` also holds of ``i1``."""
-    return intent(c, i1) >= intent(c, i2)
+def _parse_classification(name: str, raw: dict, where: str) -> Classification:
+    instances = _ident_list(raw.get("instances", []), f"{where}.instances")
+    types = _ident_list(raw.get("types", []), f"{where}.types")
+    incidence_raw = raw.get("incidence", [])
+    _expect(isinstance(incidence_raw, list), f"{where}.incidence: expected a list")
+    incidence = []
+    for k, pair in enumerate(incidence_raw):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and isinstance(pair[0], str) and isinstance(pair[1], str)):
+            raise BundleError(f"{where}.incidence[{k}]: expected an [instance, type] pair")
+        incidence.append((pair[0], pair[1]))
+    c = Classification(name, frozenset(instances), frozenset(types), frozenset(incidence))
+    result = validate_classification(c)
+    if not result.ok:
+        raise BundleError(f"{where}: {result.defects[0]}")
+    return c

@@ -6,11 +6,11 @@ Each command imports the modules only it runs: `entails` on theories loads
 no classification, closure, colimit, flow or lattice code, `lattice` on
 classifications no theory code, and a system command without classifications
 the language colimit (`ifk.colimit`) but not the sum (`ifk.diagrams`); of
-those, only `integrate` loads `ifk.integration` and the closure kernel; none
-loads flat theories (`ifk.logics`) or the bundle serializer. A plain command
-line is read off the command table; argparse (its parser built once, then only
-read) loads only for help, a refusal or an unusual spelling. Files are opened
-by the path as typed."""
+those, only `integrate` loads `ifk.integration` and the closure kernel; only a
+query compiles `ifk.engine`; none loads `ifk.logics` or the serializer. A
+plain command line is read off the command table; argparse (its parser built
+once, then only read) loads only for help, a refusal or an unusual spelling.
+Files are opened by the path as typed."""
 
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .bundle import (
     classification_to_obj,
     maps_to_obj,
     parse_bundle,
-    parse_sequent,
     sequent_to_obj,
     theory_to_obj,
 )
@@ -143,7 +142,7 @@ def _cmd_close(args, bundle: Bundle) -> list[str]:
 
 
 def _cmd_entails(args, bundle: Bundle) -> list[str]:
-    from .theories import entails
+    from .theories import entails, parse_sequent
     theory = _pick(bundle.theories, args.theory, "theory")
     q = parse_sequent(args.sequent)
     return _json_pieces(

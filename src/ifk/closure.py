@@ -1,23 +1,23 @@
-"""Theories as sets of states: models, closure and the moves between theories.
+"""Theories as sets of states: models, closure and theories of state sets.
 
 A theory's models are found in one bit-parallel scan over its 2^|types|
 states.  The theory of a state set is read off one row per antecedent
 ``g``: the consequents that meet every state above ``g``, as a bitset,
 and each theorem is one int.  Every materialization charges its cap
-before reading a state.  The entailment order, top and bottom,
-contraction, expansion, revision and analogy are here too, and so are the
-2^|types| state-enumeration oracles that check the engine of
-``ifk.theories``.  Renaming axiom ints along a type map (``_renamed``,
-``_flowed``) is ``ifk.flow``'s, so a flow loads no state-set code.
+before reading a state, and none compiles an entailment engine.  The
+entailment order and the moves between theories are ``ifk.logics``'s,
+the state-enumeration oracles ``ifk.oracles``'s, and renaming axiom ints
+along a type map (``_renamed``, ``_flowed``) is ``ifk.flow``'s, so a
+flow loads no state-set code.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from .errors import DEFAULT_SEQUENT_CAP, CapExceeded, IfkError
+from .errors import DEFAULT_SEQUENT_CAP, CapExceeded
 from .masks import _FLAGS, _canonical, _common, _mask, _named, _positions
-from .theories import Sequent, SequentTheory, _indexed, _require_within, _theory_of_index, sequent_key
+from .theories import _indexed, _theory_of_index
 
 
 def _state_columns(n: int) -> list[int]:
@@ -101,7 +101,7 @@ def _theory_of_masks(names: list[str], states: Iterable[int], cap: int, phase: s
 
 
 # ---------------------------------------------------------------------------
-# closure and the entailment order
+# closure
 
 def theory_of_states(
     types: Iterable[str],
@@ -120,105 +120,3 @@ def theory_of_states(
 def close(t: SequentTheory, cap: int = DEFAULT_SEQUENT_CAP) -> SequentTheory:
     """Materialize the closure: all sequents over the language entailed by ``t``."""
     return _theory_of_masks(list(t._index), _models(t), cap, "theory closure")
-
-
-def theory_leq(t1: SequentTheory, t2: SequentTheory) -> bool:
-    """``t1`` is at or below ``t2``: every axiom of ``t2`` is a theorem of ``t1``."""
-    if t1.types != t2.types:
-        raise IfkError("language mismatch: theories are ordered over a shared language")
-    # t2's masks are over t1's index.  An axiom of t2 with an axiom of t2
-    # one type smaller on either side (one bit fewer in its int) follows
-    # from that one by weakening; descending so ends at an axiom that is
-    # checked.
-    masks, n = t2._masks, len(t2.types)
-    held, low = set(masks), (1 << n) - 1
-    return not any(
-        t1._compiled.refutes(p >> n, p & low)
-        for p in masks
-        if not p >> n & p  # g & d: a tautology holds in every theory
-        and not any(p ^ (1 << k) in held for k in _positions(p))
-    )
-
-
-def top_theory(types: Iterable[str]) -> SequentTheory:
-    """The empty theory; its closure is exactly the tautologies."""
-    return SequentTheory(frozenset(types), frozenset())
-
-
-def bottom_theory(types: Iterable[str]) -> SequentTheory:
-    """The inconsistent theory; it entails every sequent over the language."""
-    return SequentTheory(frozenset(types), frozenset([Sequent(frozenset(), frozenset())]))
-
-
-# ---------------------------------------------------------------------------
-# lattice-of-theories moves
-
-def contract(t: SequentTheory, axioms: Iterable[Sequent]) -> SequentTheory:
-    axioms = frozenset(axioms)
-    missing = axioms - t.axioms
-    if missing:
-        raise IfkError(
-            "unknown axiom(s): " + ", ".join(repr(a) for a in sorted(missing, key=sequent_key))
-        )
-    return SequentTheory(t.types, t.axioms - axioms)
-
-
-def expand(t: SequentTheory, axioms: Iterable[Sequent]) -> SequentTheory:
-    return SequentTheory(t.types, t.axioms | frozenset(axioms))
-
-
-def revise(t: SequentTheory, delete: Iterable[Sequent], add: Iterable[Sequent]) -> SequentTheory:
-    return expand(contract(t, delete), add)
-
-
-def analogy(t: SequentTheory, renaming: Mapping[str, str]) -> SequentTheory:
-    """Systematic renaming of the language along a bijection: the flow along it."""
-    from .flow import _flowed
-    if frozenset(renaming) != t.types:
-        raise IfkError("renaming must be defined on exactly the language")
-    if len(set(renaming.values())) != len(renaming):
-        raise IfkError("renaming is not a bijection")
-    return _flowed(renaming.values(), [(t, renaming)])
-
-
-# ---------------------------------------------------------------------------
-# state-enumeration oracles
-
-def _sat(antecedent: frozenset[str], consequent: frozenset[str], holds: frozenset[str]) -> bool:
-    return not (antecedent <= holds and consequent.isdisjoint(holds))
-
-
-def state_satisfies(s: Sequent, holds: frozenset[str], sigma: Iterable[str] | None = None) -> bool:
-    """Satisfaction of one sequent in the state where exactly ``holds``
-    holds; when ``sigma`` is given, both must stay inside it."""
-    if sigma is not None:
-        outside = (s.types() | holds).difference(sigma)
-        if outside:
-            raise IfkError(f"type(s) outside the language: {', '.join(sorted(outside))}")
-    return _sat(s.antecedent, s.consequent, holds)
-
-
-def all_states(types: Iterable[str]) -> Iterator[frozenset[str]]:
-    """Every subset of ``types``, smallest first, lexicographic within a size."""
-    elems = sorted(types)
-    for r in range(len(elems) + 1):
-        for combo in itertools.combinations(elems, r):
-            yield frozenset(combo)
-
-
-def is_consistent_by_enumeration(t: SequentTheory) -> bool:
-    """State-enumeration oracle for ``is_consistent``; kept independent of the engine."""
-    return any(
-        all(_sat(a.antecedent, a.consequent, x) for a in t.axioms) for x in all_states(t.types)
-    )
-
-
-def entails_by_enumeration(t: SequentTheory, s: Sequent) -> bool:
-    """State-enumeration oracle for ``entails``; kept independent of the engine."""
-    _require_within(t.types, s)
-    for holds in all_states(t.types):
-        if all(_sat(a.antecedent, a.consequent, holds) for a in t.axioms) and not _sat(
-            s.antecedent, s.consequent, holds
-        ):
-            return False
-    return True

@@ -5,14 +5,14 @@ The sum of a classification diagram has its language colimit as its types
 and the edge-compatible instance tuples, cut by ``_semijoin`` and joined
 under one instance cap, as its instances; its legs form the universal
 covering channel: any other covering channel factors through it by a
-unique mediator.
+unique mediator.  The cover check and that mediator are ``ifk.logics``'s.
 """
 
 from __future__ import annotations
 
 from .classification import Classification, Infomorphism
 from .colimit import LanguageColimit, LanguageDiagram, ShapeGraph, _semijoin, colimit_language
-from .errors import DEFAULT_INSTANCE_CAP, CapExceeded, IfkError, ValidationResult, _map, _Value
+from .errors import DEFAULT_INSTANCE_CAP, CapExceeded, IfkError, _map, _Value
 
 
 class ClsDiagram(_Value):
@@ -137,79 +137,3 @@ def sum_classification(d: ClsDiagram, instance_cap: int = DEFAULT_INSTANCE_CAP) 
         for n in d.shape.nodes
     }
     return Channel(core, legs)
-
-
-def verify_channel_covers(ch: Channel, d: ClsDiagram) -> ValidationResult:
-    """Legs are valid infomorphisms into the core and commute with every edge."""
-    if set(ch.legs) != set(d.shape.nodes):
-        raise IfkError("shape mismatch: channel legs do not match the diagram nodes")
-    for n in sorted(d.shape.nodes):
-        leg = ch.legs[n]
-        if leg.source != d.node_cls[n] or leg.target != ch.core:
-            raise IfkError(f"shape mismatch: leg {n} endpoints are wrong")
-    defects = []
-    broken = set()
-    for n in sorted(d.shape.nodes):
-        try:
-            result = ch.legs[n]._invariance
-        except IfkError as exc:
-            defects.append(("leg", n, str(exc)))
-            broken.add(n)
-            continue
-        defects.extend(("leg", n, viol) for viol in result.defects)
-    for e, src, dst in sorted(d.shape.edges):
-        if src in broken or dst in broken:
-            continue
-        edge = d.edge_info[e]
-        for t in sorted(d.node_cls[src].types):
-            if ch.legs[dst].type_map[edge.type_map[t]] != ch.legs[src].type_map[t]:
-                defects.append(("edge", e, "type", t))
-        for z in sorted(ch.core.instances):
-            if edge.instance_map[ch.legs[dst].instance_map[z]] != ch.legs[src].instance_map[z]:
-                defects.append(("edge", e, "instance", z))
-    return ValidationResult.from_defects(defects)
-
-
-def mediating_morphism(ch: Channel, other: Channel, d: ClsDiagram) -> Infomorphism:
-    """The unique infomorphism from the sum core through which ``other`` factors.
-
-    Types are forced classwise by the legs of ``other``; instances are
-    forced componentwise because the sum legs project tuples.
-    """
-    cover = verify_channel_covers(other, d)
-    if not cover.ok:
-        raise IfkError(f"channel does not cover the diagram: {cover.defects[0]}")
-
-    type_map: dict[str, str] = {}
-    for n in sorted(d.shape.nodes):
-        for t in sorted(d.node_cls[n].types):
-            cls = ch.legs[n].type_map[t]
-            want = other.legs[n].type_map[t]
-            if type_map.get(cls, want) != want:
-                raise IfkError(f"no mediator: class {cls} is forced to two different types")
-            type_map[cls] = want
-    uncovered = ch.core.types - type_map.keys()
-    if uncovered:
-        raise IfkError(
-            f"core types outside every leg image: {', '.join(sorted(uncovered))}"
-        )
-
-    nodes = sorted(d.shape.nodes)
-    tuples: dict[tuple[str, ...], list[str]] = {}
-    for z in sorted(ch.core.instances):
-        tuples.setdefault(tuple(ch.legs[n].instance_map[z] for n in nodes), []).append(z)
-    instance_map: dict[str, str] = {}
-    for b in sorted(other.core.instances):
-        matches = tuples.get(tuple(other.legs[n].instance_map[b] for n in nodes), [])
-        if len(matches) != 1:
-            raise IfkError(
-                f"no unique mediator: instance {b} has {len(matches)} compatible tuples"
-            )
-        instance_map[b] = matches[0]
-    return Infomorphism(
-        name=f"mediator:{other.core.name}",
-        source=ch.core,
-        target=other.core,
-        type_map=type_map,
-        instance_map=instance_map,
-    )

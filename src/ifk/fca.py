@@ -5,7 +5,9 @@ its common instances; a concept is a fixed pair of the two.  Concepts
 are enumerated by FCbO (Outrata & Vychodil, 2012) on the
 classification's own masks: Close-by-One adds to a concept only types
 past its own, and a child skips the closures whose canonicity test
-failed at its parent.  A naive all-pairs scan is the testing oracle.
+failed at its parent.  Derivation itself and the object and attribute
+concepts are ``ifk.logics``'s, and the all-pairs scan that tests FCbO is
+``ifk.oracles``'s.
 
 A lattice stores what FCbO computes: the sorted instances and types are
 bit positions, and each concept is its extent and its intent as ints, so
@@ -24,7 +26,6 @@ from __future__ import annotations
 from functools import cached_property
 from operator import attrgetter
 
-from .classification import Classification, extent
 from .errors import CONCEPT_TYPE_GUARD, CapExceeded, IfkError, _Value
 from .masks import _at, _canonical, _columns, _common, _mask, _named, _positions
 
@@ -104,43 +105,9 @@ def _lattice_of(*fields) -> ConceptLattice:
     return l
 
 
-def derive(c: Classification, side: str, s: Iterable[str]) -> frozenset[str]:
-    """Common types of an instance set (side "instances"), or common instances of a type set ("types")."""
-    s = frozenset(s)
-    if side == "instances":
-        unknown = s - c.instances
-        if unknown:
-            raise IfkError(f"unknown instance(s): {', '.join(sorted(unknown))}")
-        intents, extents = c._masks
-        m = (1 << len(extents)) - 1
-        for i in s:
-            m &= intents[i]
-        return _named(list(extents), m)
-    if side == "types":
-        return extent(c, s)
-    raise IfkError(f"side must be 'instances' or 'types', got {side!r}")
-
-
 def concepts(c: Classification) -> tuple[FormalConcept, ...]:
     """All concepts in canonical order (extent size, then lexicographic extent)."""
     return lattice(c).concepts
-
-
-def concepts_by_enumeration(c: Classification) -> tuple[FormalConcept, ...]:
-    """Oracle: scan every (extent, intent) pair for fixed pairs of derivation."""
-    instance_subsets = [frozenset()]
-    for i in sorted(c.instances):
-        instance_subsets += [s | {i} for s in instance_subsets]
-    type_subsets = [frozenset()]
-    for t in sorted(c.types):
-        type_subsets += [s | {t} for s in type_subsets]
-    found = [
-        FormalConcept(e, i)
-        for e in instance_subsets
-        for i in type_subsets
-        if derive(c, "instances", e) == i and derive(c, "types", i) == e
-    ]
-    return tuple(sorted(found, key=lambda k: (len(k.extent), sorted(k.extent))))
 
 
 def lattice(c: Classification) -> ConceptLattice:
@@ -191,20 +158,6 @@ def meet(l: ConceptLattice, i: int, j: int) -> FormalConcept:
 def join(l: ConceptLattice, i: int, j: int) -> FormalConcept:
     """Intent intersection; intents are closed under intersection."""
     return _bound(l, i, j, 1)
-
-
-def object_concept(c: Classification, i: str) -> FormalConcept:
-    if i not in c.instances:
-        raise IfkError(f"unknown instance: {i}")
-    intent_ = derive(c, "instances", [i])
-    return FormalConcept(derive(c, "types", intent_), intent_)
-
-
-def attribute_concept(c: Classification, t: str) -> FormalConcept:
-    if t not in c.types:
-        raise IfkError(f"unknown type: {t}")
-    extent_ = derive(c, "types", [t])
-    return FormalConcept(extent_, derive(c, "instances", extent_))
 
 
 def _covers(l: ConceptLattice) -> list[tuple[int, int]]:

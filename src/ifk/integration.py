@@ -6,8 +6,9 @@ axioms), and inverse flow of the sum theory back to each node, as handles that
 ask the sum theory's engine.  ``integrate`` reads the bounded new consequences
 (deltas) off ``colimit._semijoin`` iff the shape is a forest (undirected, loops
 and parallel edges ignored) with at most 16 node states per bounded sequent,
-else by asking the engines on side masks.  The closure kernel, and the system
-orders' theory order, are imported where used.
+else by asking the engines on side masks; the closure kernel is imported only
+for the semijoin.  Entailment at a node and the system orders are
+``ifk.logics``'s.
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from __future__ import annotations
 import itertools
 
 from .colimit import _semijoin
-from .errors import DEFAULT_DELTA_BOUND, DEFAULT_SEQUENT_CAP, CapExceeded, IfkError, _map, _maps, _sets, _Value
-from .flow import check_theory_morphism
+from .errors import DEFAULT_DELTA_BOUND, DEFAULT_SEQUENT_CAP, CapExceeded, _map, _maps, _sets, _Value
 from .masks import _common, _from_positions, _mask, _positions
 from .systems import _require_valid, system_verdict
 # unused here: perfbench/workloads.py imports these three from this module
@@ -138,40 +138,3 @@ def integrate(
         deltas=deltas,
         verdict=system_verdict(s),
     )
-
-
-def system_entails_at(s: InformationSystem, node: str, q: Sequent) -> bool:
-    """The sum theory entails the image of ``q`` at ``node``."""
-    if node not in s.shape.nodes:
-        raise IfkError(f"unknown node: {node}")
-    outside = q.types() - s.node_theory[node].types
-    if outside:
-        raise IfkError(f"sequent uses types outside the node language: {', '.join(sorted(outside))}")
-    return s._sum.handles[node].entails(q)
-
-
-def _require_comparable(s1: InformationSystem, s2: InformationSystem) -> None:
-    if s1.shape != s2.shape:
-        raise IfkError("systems must share their shape")
-    if {n: t.types for n, t in s1.node_theory.items()} != {
-        n: t.types for n, t in s2.node_theory.items()
-    }:
-        raise IfkError("systems must share their node languages")
-    if s1.edge_type_map != s2.edge_type_map:
-        raise IfkError("systems must share their edge type functions")
-
-
-def system_leq(s1: InformationSystem, s2: InformationSystem) -> bool:
-    """Pointwise entailment order on systems over one indexing shape."""
-    from .closure import theory_leq
-    _require_comparable(s1, s2)
-    return all(
-        theory_leq(s1.node_theory[n], s2.node_theory[n]) for n in s1.shape.nodes
-    )
-
-
-def system_entails(s1: InformationSystem, s2: InformationSystem) -> bool:
-    """The closure of ``s1`` lies pointwise below ``s2``."""
-    _require_comparable(s1, s2)
-    colim, theory, _ = s1._sum
-    return all(check_theory_morphism(colim.cocone[n], s2.node_theory[n], theory) for n in s1.shape.nodes)

@@ -14,6 +14,11 @@ natural, restricted or normalized logic is born knowing them.
 Flat theories, sets of types that entail by extents, flow along bare type
 functions, and borrowing compares their entailment across an infomorphism;
 the theory classification lifts every flat theory to a type.
+
+Here too is what no command runs, so that none compiles it: the order,
+bounds and revisions of theories; intents, extents, derivation, concepts
+of one object or attribute, identities, composition and the instance
+order; the cover check and mediators of channels; and system orders.
 """
 
 from __future__ import annotations
@@ -21,11 +26,13 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 
-from .classification import Classification, Infomorphism, extent, intent
-from .closure import _models, _sat, _theory_of_masks, _violating, theory_leq
-from .errors import DEFAULT_SEQUENT_CAP, DEFAULT_THEORY_TYPE_CAP, CapExceeded, IfkError, _Value
-from .flow import _require_total, direct_flow, inverse_flow
-from .masks import _named
+from .classification import Classification, Infomorphism
+from .closure import _models, _theory_of_masks, _violating
+from .errors import DEFAULT_SEQUENT_CAP, DEFAULT_THEORY_TYPE_CAP, CapExceeded, IfkError, ValidationResult
+from .errors import _Value
+from .fca import FormalConcept
+from .flow import _flowed, _require_total, check_theory_morphism, direct_flow, inverse_flow
+from .masks import _named, _positions
 from .theories import Sequent, SequentTheory, _names, _require_within, _theory_of_index, is_consistent
 from .theories import sequent_key
 
@@ -46,7 +53,8 @@ class LocalLogic(_Value):
         if bad:
             i = min(bad)
             holds = intent(self.classification, i)
-            broken = (a for a in self.theory.axioms if not _sat(a.antecedent, a.consequent, holds))
+            axioms = self.theory.axioms
+            broken = (a for a in axioms if a.antecedent <= holds and a.consequent.isdisjoint(holds))
             a = min(broken, key=sequent_key)
             raise IfkError(f"normal instance {i} violates axiom {a!r}")
 
@@ -241,3 +249,256 @@ def lift_to_theory_classification(
             (i, names[s]) for i, x in intents.items() for s in range(required) if s & ~x == 0
         ),
     )
+
+
+# ---------------------------------------------------------------------------
+# what no command runs, so that none compiles it
+
+def theory_leq(t1: SequentTheory, t2: SequentTheory) -> bool:
+    """``t1`` is at or below ``t2``: every axiom of ``t2`` is a theorem of ``t1``."""
+    if t1.types != t2.types:
+        raise IfkError("language mismatch: theories are ordered over a shared language")
+    # t2's masks are over t1's index.  An axiom of t2 with an axiom of t2
+    # one type smaller on either side (one bit fewer in its int) follows
+    # from that one by weakening; descending so ends at an axiom that is
+    # checked.
+    masks, n = t2._masks, len(t2.types)
+    held, low = set(masks), (1 << n) - 1
+    return not any(
+        t1._compiled.refutes(p >> n, p & low)
+        for p in masks
+        if not p >> n & p  # g & d: a tautology holds in every theory
+        and not any(p ^ (1 << k) in held for k in _positions(p))
+    )
+
+
+def top_theory(types: Iterable[str]) -> SequentTheory:
+    """The empty theory; its closure is exactly the tautologies."""
+    return SequentTheory(frozenset(types), frozenset())
+
+
+def bottom_theory(types: Iterable[str]) -> SequentTheory:
+    """The inconsistent theory; it entails every sequent over the language."""
+    return SequentTheory(frozenset(types), frozenset([Sequent(frozenset(), frozenset())]))
+
+
+def contract(t: SequentTheory, axioms: Iterable[Sequent]) -> SequentTheory:
+    axioms = frozenset(axioms)
+    missing = axioms - t.axioms
+    if missing:
+        raise IfkError(
+            "unknown axiom(s): " + ", ".join(repr(a) for a in sorted(missing, key=sequent_key))
+        )
+    return SequentTheory(t.types, t.axioms - axioms)
+
+
+def expand(t: SequentTheory, axioms: Iterable[Sequent]) -> SequentTheory:
+    return SequentTheory(t.types, t.axioms | frozenset(axioms))
+
+
+def revise(t: SequentTheory, delete: Iterable[Sequent], add: Iterable[Sequent]) -> SequentTheory:
+    return expand(contract(t, delete), add)
+
+
+def analogy(t: SequentTheory, renaming: Mapping[str, str]) -> SequentTheory:
+    """Systematic renaming of the language along a bijection: the flow along it."""
+    if frozenset(renaming) != t.types:
+        raise IfkError("renaming must be defined on exactly the language")
+    if len(set(renaming.values())) != len(renaming):
+        raise IfkError("renaming is not a bijection")
+    return _flowed(renaming.values(), [(t, renaming)])
+
+
+def intent(c: Classification, i: str) -> frozenset[str]:
+    """All types incident with instance ``i``."""
+    if i not in c.instances:
+        raise IfkError(f"unknown instance: {i}")
+    intents, extents = c._masks
+    return _named(list(extents), intents[i])
+
+
+def extent(c: Classification, types: Iterable[str]) -> frozenset[str]:
+    """All instances incident with every type in ``types``."""
+    types = frozenset(types)
+    unknown = types - c.types
+    if unknown:
+        raise IfkError(f"unknown type(s): {', '.join(sorted(unknown))}")
+    intents, extents = c._masks
+    m = (1 << len(intents)) - 1
+    for t in types:
+        m &= extents[t]
+    return _named(list(intents), m)
+
+
+def derive(c: Classification, side: str, s: Iterable[str]) -> frozenset[str]:
+    """Common types of an instance set (side "instances"), or common instances of a type set ("types")."""
+    s = frozenset(s)
+    if side == "instances":
+        unknown = s - c.instances
+        if unknown:
+            raise IfkError(f"unknown instance(s): {', '.join(sorted(unknown))}")
+        intents, extents = c._masks
+        m = (1 << len(extents)) - 1
+        for i in s:
+            m &= intents[i]
+        return _named(list(extents), m)
+    if side == "types":
+        return extent(c, s)
+    raise IfkError(f"side must be 'instances' or 'types', got {side!r}")
+
+
+def object_concept(c: Classification, i: str) -> FormalConcept:
+    if i not in c.instances:
+        raise IfkError(f"unknown instance: {i}")
+    intent_ = derive(c, "instances", [i])
+    return FormalConcept(derive(c, "types", intent_), intent_)
+
+
+def attribute_concept(c: Classification, t: str) -> FormalConcept:
+    if t not in c.types:
+        raise IfkError(f"unknown type: {t}")
+    extent_ = derive(c, "types", [t])
+    return FormalConcept(extent_, derive(c, "instances", extent_))
+
+
+def identity_infomorphism(c: Classification) -> Infomorphism:
+    return Infomorphism(
+        name=f"id:{c.name}",
+        source=c,
+        target=c,
+        type_map={t: t for t in c.types},
+        instance_map={i: i for i in c.instances},
+    )
+
+
+def compose_infomorphisms(f: Infomorphism, g: Infomorphism) -> Infomorphism:
+    """Composite of ``f : A -> B`` and ``g : B -> C``."""
+    if f.target != g.source:
+        raise IfkError(
+            f"endpoint mismatch: {f.name} ends at {f.target.name}, "
+            f"{g.name} starts at {g.source.name}"
+        )
+    return Infomorphism(
+        name=f"{f.name};{g.name}",
+        source=f.source,
+        target=g.target,
+        type_map={t: g.type_map[v] for t, v in f.type_map.items()},
+        instance_map={c: f.instance_map[g.instance_map[c]] for c in g.instance_map},
+    )
+
+
+def instance_leq(c: Classification, i1: str, i2: str) -> bool:
+    """``i1`` specializes ``i2``: every type of ``i2`` also holds of ``i1``."""
+    return intent(c, i1) >= intent(c, i2)
+
+
+def verify_channel_covers(ch: Channel, d: ClsDiagram) -> ValidationResult:
+    """Legs are valid infomorphisms into the core and commute with every edge."""
+    if set(ch.legs) != set(d.shape.nodes):
+        raise IfkError("shape mismatch: channel legs do not match the diagram nodes")
+    for n in sorted(d.shape.nodes):
+        leg = ch.legs[n]
+        if leg.source != d.node_cls[n] or leg.target != ch.core:
+            raise IfkError(f"shape mismatch: leg {n} endpoints are wrong")
+    defects = []
+    broken = set()
+    for n in sorted(d.shape.nodes):
+        try:
+            result = ch.legs[n]._invariance
+        except IfkError as exc:
+            defects.append(("leg", n, str(exc)))
+            broken.add(n)
+            continue
+        defects.extend(("leg", n, viol) for viol in result.defects)
+    for e, src, dst in sorted(d.shape.edges):
+        if src in broken or dst in broken:
+            continue
+        edge = d.edge_info[e]
+        for t in sorted(d.node_cls[src].types):
+            if ch.legs[dst].type_map[edge.type_map[t]] != ch.legs[src].type_map[t]:
+                defects.append(("edge", e, "type", t))
+        for z in sorted(ch.core.instances):
+            if edge.instance_map[ch.legs[dst].instance_map[z]] != ch.legs[src].instance_map[z]:
+                defects.append(("edge", e, "instance", z))
+    return ValidationResult.from_defects(defects)
+
+
+def mediating_morphism(ch: Channel, other: Channel, d: ClsDiagram) -> Infomorphism:
+    """The unique infomorphism from the sum core through which ``other`` factors.
+
+    Types are forced classwise by the legs of ``other``; instances are
+    forced componentwise because the sum legs project tuples.
+    """
+    cover = verify_channel_covers(other, d)
+    if not cover.ok:
+        raise IfkError(f"channel does not cover the diagram: {cover.defects[0]}")
+
+    type_map: dict[str, str] = {}
+    for n in sorted(d.shape.nodes):
+        for t in sorted(d.node_cls[n].types):
+            cls = ch.legs[n].type_map[t]
+            want = other.legs[n].type_map[t]
+            if type_map.get(cls, want) != want:
+                raise IfkError(f"no mediator: class {cls} is forced to two different types")
+            type_map[cls] = want
+    uncovered = ch.core.types - type_map.keys()
+    if uncovered:
+        raise IfkError(
+            f"core types outside every leg image: {', '.join(sorted(uncovered))}"
+        )
+
+    nodes = sorted(d.shape.nodes)
+    tuples: dict[tuple[str, ...], list[str]] = {}
+    for z in sorted(ch.core.instances):
+        tuples.setdefault(tuple(ch.legs[n].instance_map[z] for n in nodes), []).append(z)
+    instance_map: dict[str, str] = {}
+    for b in sorted(other.core.instances):
+        matches = tuples.get(tuple(other.legs[n].instance_map[b] for n in nodes), [])
+        if len(matches) != 1:
+            raise IfkError(
+                f"no unique mediator: instance {b} has {len(matches)} compatible tuples"
+            )
+        instance_map[b] = matches[0]
+    return Infomorphism(
+        name=f"mediator:{other.core.name}",
+        source=ch.core,
+        target=other.core,
+        type_map=type_map,
+        instance_map=instance_map,
+    )
+
+
+def system_entails_at(s: InformationSystem, node: str, q: Sequent) -> bool:
+    """The sum theory entails the image of ``q`` at ``node``."""
+    if node not in s.shape.nodes:
+        raise IfkError(f"unknown node: {node}")
+    outside = q.types() - s.node_theory[node].types
+    if outside:
+        raise IfkError(f"sequent uses types outside the node language: {', '.join(sorted(outside))}")
+    return s._sum.handles[node].entails(q)
+
+
+def _require_comparable(s1: InformationSystem, s2: InformationSystem) -> None:
+    if s1.shape != s2.shape:
+        raise IfkError("systems must share their shape")
+    if {n: t.types for n, t in s1.node_theory.items()} != {
+        n: t.types for n, t in s2.node_theory.items()
+    }:
+        raise IfkError("systems must share their node languages")
+    if s1.edge_type_map != s2.edge_type_map:
+        raise IfkError("systems must share their edge type functions")
+
+
+def system_leq(s1: InformationSystem, s2: InformationSystem) -> bool:
+    """Pointwise entailment order on systems over one indexing shape."""
+    _require_comparable(s1, s2)
+    return all(
+        theory_leq(s1.node_theory[n], s2.node_theory[n]) for n in s1.shape.nodes
+    )
+
+
+def system_entails(s1: InformationSystem, s2: InformationSystem) -> bool:
+    """The closure of ``s1`` lies pointwise below ``s2``."""
+    _require_comparable(s1, s2)
+    colim, theory, _ = s1._sum
+    return all(check_theory_morphism(colim.cocone[n], s2.node_theory[n], theory) for n in s1.shape.nodes)

@@ -3,14 +3,16 @@
 Sorted names are bit positions, so a set of names (an intent, an
 extent, a state, a sequent side) is one int; ``_at`` or ``_named`` turns
 a mask back into names and ``_positions``, the one reader of set bits,
-into positions.  Every module imports these helpers from here, so a
-command loads only the layers it runs.
+into positions.  The checks the bundle readers share are here too; every
+module imports these helpers from here, so a command loads only its layers.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import compress, count
+
+from .errors import BundleError
 
 _NOT_IN_IDENTIFIER = re.compile(r"[\s\ud800-\udfff]")  # \s is str.isspace
 
@@ -19,6 +21,26 @@ def valid_identifier(name: str) -> bool:
     """Identifiers are non-empty Unicode text without whitespace: a lone
     surrogate, which has no UTF-8 encoding, is not text."""
     return isinstance(name, str) and bool(name) and not _NOT_IN_IDENTIFIER.search(name)
+
+
+def _expect(condition: bool, message: str) -> None:
+    if not condition:
+        raise BundleError(message)
+
+
+def _ident_list(raw, where: str) -> list[str]:
+    _expect(isinstance(raw, list), f"{where}: expected a list")
+    try:  # one pass over the whole list; the loop below only words a refusal
+        if all(raw) and len(set(raw)) == len(raw) and not _NOT_IN_IDENTIFIER.search("".join(raw)):
+            return list(raw)
+    except TypeError:  # a name that is not a str
+        pass
+    seen = set()
+    for name in raw:
+        _expect(valid_identifier(name), f"{where}: bad identifier {name!r}")
+        _expect(name not in seen, f"{where}: duplicate identifier {name!r}")
+        seen.add(name)
+    return list(raw)
 
 
 _FLAGS = bytes.maketrans(b"01", b"\0\1")  # binary digits to flags and back

@@ -14,7 +14,7 @@ from functools import cached_property
 from .colimit import LanguageDiagram, ShapeGraph, colimit_language
 from .errors import BundleError, IfkError, ValidationResult, _map, _maps, _Value
 from .flow import _flowed, check_theory_morphism, direct_flow, inverse_flow
-from .masks import valid_identifier
+from .masks import _expect, valid_identifier
 from .theories import is_consistent
 
 VERDICT_MONOCOSMIC = "monocosmic"
@@ -143,7 +143,7 @@ def _require_valid(s: InformationSystem) -> None:
 
 def _parse_system(theories: dict, classifications: dict, raw: dict, where: str) -> InformationSystem:
     """A bundle's system entry, each reference resolved and the system validated."""
-    from .bundle import _entries, _expect, _ref, _str_map  # the caller's, so loaded already
+    from .bundle import _entries, _ref, _str_map  # the caller's, so loaded already
 
     node_theory: dict[str, SequentTheory] = {}
     node_cls: dict[str, Classification] = {}

@@ -23,7 +23,8 @@ from ifk import (
     restriction,
     validate_system,
 )
-from ifk.closure import _sat, all_states, theory_of_states
+from ifk.closure import theory_of_states
+from ifk.oracles import _sat, all_states
 from ifk.theories import sequent_key
 
 

@@ -45,8 +45,10 @@ from ifk import (
     validate_system,
 )
 from ifk.cli import run
-from ifk.closure import all_states, theory_of_states, _sat
-from ifk.fca import concepts, concepts_by_enumeration, derive, lattice, object_concept, attribute_concept
+from ifk.closure import theory_of_states
+from ifk.fca import concepts, lattice
+from ifk.logics import attribute_concept, derive, object_concept
+from ifk.oracles import _sat, all_states, concepts_by_enumeration
 from ifk.integration import bounded_sequents
 from ifk.systems import VERDICT_POLYCOSMIC
 

@@ -12,10 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifk import BundleError, ConceptLattice, close, entails, integrate, lattice, lattice_dot
-from ifk.bundle import parse_bundle, parse_sequent
+from ifk.bundle import parse_bundle
 from ifk.cli import main, run
 from ifk.serialize import serialize_bundle
-from ifk.theories import sequent_key
+from ifk.theories import parse_sequent, sequent_key
 
 from conftest import FIXTURES, ring32, seq
 
@@ -856,7 +856,7 @@ def test_every_benchmark_and_ci_command_line_is_plain(tmp_path, monkeypatch):
         workload.setup()
         argvs += [op.argv for op in workload.cli_ops]
     # the load table's command lines, its one refusal aside
-    argvs += [[*line.split(), bundle] for line, bundle, status, _ in LOADS if status == 0]
+    argvs += [[*line.split(), bundle] for line, bundle, status, *_ in LOADS if status == 0]
     assert {argv[0] for argv in argvs} == set(COMMANDS)
     for argv in argvs:
         args = _read(argv)

@@ -1,5 +1,9 @@
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -25,6 +29,7 @@ from ifk import (
 from ifk.diagrams import _compatible_tuples, _semijoin
 
 import support
+from conftest import FIXTURES
 
 
 def vee_language_diagram() -> LanguageDiagram:
@@ -268,6 +273,43 @@ def test_sum_cap_charges_partial_tuples_on_a_cycle():
     with pytest.raises(CapExceeded) as err:
         sum_classification(twisted_triangle(50, 100))
     assert (err.value.required, err.value.cap) == (4097, 4096)
+
+
+def _system_of(d: ClsDiagram) -> dict:
+    """A bundle of one system ``S`` over the classifications of ``d``, which have no types."""
+    nodes = {n: {"theory": "T", "classification": n} for n in d.node_cls}
+    edges = [{"id": e, "src": src, "dst": dst, "type_map": {}, "instance_map": dict(d.edge_info[e].instance_map)}
+             for e, src, dst in sorted(d.shape.edges)]
+    return {"classifications": {n: {"instances": sorted(c.instances)} for n, c in d.node_cls.items()},
+            "theories": {"T": {}}, "systems": {"S": {"nodes": nodes, "edges": edges}}}
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS bounds the address space on Linux")
+@pytest.mark.parametrize("name, diagram, mb, status", [
+    # each child's address space peaks near 25 MB (VmPeak, Python 3.11 with site); about 1.5 times that
+    ("hub", lambda: hub_diagram(8), 37, 0),
+    ("twisted triangle", lambda: twisted_triangle(50, 100), 38, 1),
+], ids=["hub", "twisted triangle"])
+def test_sum_command_ends_in_one_report_within_its_address_space(tmp_path, name, diagram, mb, status):
+    import resource
+
+    bundle = tmp_path / "system.json"
+    bundle.write_text(json.dumps(_system_of(diagram())))
+    limit = mb * 2**20
+
+    def bounded():  # in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    env = {**os.environ, "PYTHONPATH": str(FIXTURES.parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-m", "ifk.cli", "sum", "--system", "S", str(bundle)],
+                          env=env, capture_output=True, preexec_fn=bounded)
+    assert (done.returncode, done.stderr) == (status, b"")
+    report = json.loads(done.stdout)  # one document, whole
+    if name == "hub":
+        assert len(report["core"]["instances"]) == 3**7
+    else:
+        assert report == {"ok": False, "error": {"kind": "cap-exceeded", "cap": 4096, "required": 4097,
+                                                 "phase": "sum classification instances (lower bound)"}}
 
 
 # ---------------------------------------------------------------------------

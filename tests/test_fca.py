@@ -24,7 +24,7 @@ from ifk import (
 )
 from ifk.bundle import parse_bundle
 from ifk.cli import run
-from ifk.fca import concepts_by_enumeration
+from ifk.oracles import concepts_by_enumeration
 from ifk.masks import _positions
 
 import support

@@ -26,11 +26,12 @@ from ifk import (
     verify_channel_covers,
 )
 from ifk.bundle import parse_bundle
-from ifk.closure import all_states
+from ifk.oracles import all_states
 from ifk.errors import DEFAULT_SEQUENT_CAP
 from ifk.integration import _pulled_states
 from ifk.systems import VERDICT_MONOCOSMIC, VERDICT_POINTWISE_INCONSISTENT, VERDICT_POLYCOSMIC
-from ifk.theories import CompiledTheory, Sequent
+from ifk.engine import CompiledTheory
+from ifk.theories import Sequent
 
 import support
 from conftest import FIXTURES, seq, vee_system

@@ -4,8 +4,8 @@ from functools import partial
 
 import pytest
 
+import ifk.engine
 import ifk.logics
-import ifk.theories
 from ifk import (
     CapExceeded,
     Classification,
@@ -26,7 +26,8 @@ from ifk import (
     normalize,
     restriction,
 )
-from ifk.closure import all_states, satisfying_states
+from ifk.closure import satisfying_states
+from ifk.oracles import all_states
 from ifk.theories import Sequent
 
 import support
@@ -112,8 +113,8 @@ def test_is_complete_agrees_with_satisfying_states():
 
 def test_is_complete_asks_the_engine_once(monkeypatch):
     calls = []
-    refutes = ifk.theories.CompiledTheory.refutes
-    monkeypatch.setattr(ifk.theories.CompiledTheory, "refutes",
+    refutes = ifk.engine.CompiledTheory.refutes
+    monkeypatch.setattr(ifk.engine.CompiledTheory, "refutes",
                         lambda self, g, d: calls.append((g, d)) or refutes(self, g, d))
     # 2^20 states: a scan of them took seconds
     types = [f"t{k:02d}" for k in range(20)]
@@ -193,7 +194,7 @@ def test_normalize_of_sound_logic_keeps_everything(clf_a):
 
 def test_normalize_keeps_exactly_the_satisfying_instances():
     from ifk import intent
-    from ifk.closure import _sat
+    from ifk.oracles import _sat
 
     rng = random.Random(131)
     for _ in range(40):
@@ -333,7 +334,7 @@ def _scrambled_classifications(rng, count):
 
 def test_mask_readers_match_plain_scans():
     from ifk import lift_to_theory_classification
-    from ifk.closure import _sat
+    from ifk.oracles import _sat
 
     rng = random.Random(149)
     cases = 0

@@ -133,39 +133,44 @@ def test_bundle_reader_and_writer_load_no_theory_code(tmp_path):
 
 
 # The ifk modules a command loads, by what its bundle holds: a theory (unpopulated), a
-# classification (a structure) and a system of them each load only their own code.
+# classification (a structure) and a system of them each load only their own code, and
+# only a command that asks a theory a query compiles its engine.
 # ifk.cli runs as __main__, as under `python -m ifk.cli`, so it is not among them.
 BASE = {"ifk", "ifk.bundle", "ifk.errors", "ifk.masks"}
 THEORY = BASE | {"ifk.theories"}
 STRUCTURE = BASE | {"ifk.classification"}
 SYSTEM = THEORY | {"ifk.systems", "ifk.colimit", "ifk.flow"}
 POPULATED = SYSTEM | {"ifk.classification"}
-DELTAS = {"ifk.integration", "ifk.closure"}
+ENGINE = {"ifk.engine"}
+DELTAS = ENGINE | {"ifk.integration", "ifk.closure"}
 
-LOADS = [  # command line, bundle, exit status, the ifk modules it loads
-    ("validate", "wide.json", 0, THEORY),
-    ("entails --theory wide --sequent t0|-t1", "wide.json", 0, THEORY),
-    ("close --theory wide", "wide.json", 0, THEORY | {"ifk.closure"}),
-    ("validate", "structure.json", 0, STRUCTURE),
-    ("lattice --classification C", "structure.json", 0, STRUCTURE | {"ifk.fca"}),
-    ("lattice --classification C --format dot", "structure.json", 0, STRUCTURE | {"ifk.fca"}),
+# command line, bundle, exit status, the ifk modules it loads, and a budget for their
+# source lines, cli.py's included
+LOADS = [
+    ("validate", "wide.json", 0, THEORY, 1050),
+    ("entails --theory wide --sequent t0|-t1", "wide.json", 0, THEORY | ENGINE, 1260),
+    ("close --theory wide", "wide.json", 0, THEORY | {"ifk.closure"}, 1170),
+    ("validate", "structure.json", 0, STRUCTURE, 970),
+    ("lattice --classification C", "structure.json", 0, STRUCTURE | {"ifk.fca"}, 1160),
+    ("lattice --classification C --format dot", "structure.json", 0, STRUCTURE | {"ifk.fca"}, 1160),
     # a system of theories alone: no classification code, the closure code only for deltas
-    ("validate", "vee.json", 0, SYSTEM),
-    ("consistency --system vee", "vee.json", 0, SYSTEM),
-    ("integrate --system vee", "vee.json", 0, SYSTEM | DELTAS),
+    ("validate", "vee.json", 0, SYSTEM, 1530),
+    ("consistency --system vee", "vee.json", 0, SYSTEM | ENGINE, 1740),
+    ("integrate --system vee", "vee.json", 0, SYSTEM | DELTAS, 2010),
     # a cyclic shape: the deltas are read off the closure handles, without the kernel
-    ("integrate --system ring --delta-bound 2", "ring32.json", 0, SYSTEM | {"ifk.integration"}),
+    ("integrate --system ring --delta-bound 2", "ring32.json", 0,
+     SYSTEM | ENGINE | {"ifk.integration"}, 1880),
     # a populated system: only sum loads the classification sum
-    ("validate", "classics.json", 0, POPULATED),
-    ("entails --theory classical --sequent human|-philosopher", "classics.json", 0, POPULATED),
-    ("close --theory classical", "classics.json", 0, POPULATED | {"ifk.closure"}),
-    ("consistency --system solo", "classics.json", 0, POPULATED),
-    ("integrate --system solo", "classics.json", 0, POPULATED | DELTAS),
-    ("sum --system solo", "classics.json", 0, POPULATED | {"ifk.diagrams"}),
-    ("lattice --classification CLF-A", "classics.json", 0, POPULATED | {"ifk.fca"}),
-    (f"lattice --classification CLF-A --output {os.devnull}", "classics.json", 0, POPULATED | {"ifk.fca"}),
+    ("validate", "classics.json", 0, POPULATED, 1670),
+    ("entails --theory classical --sequent human|-philosopher", "classics.json", 0, POPULATED | ENGINE, 1880),
+    ("close --theory classical", "classics.json", 0, POPULATED | {"ifk.closure"}, 1790),
+    ("consistency --system solo", "classics.json", 0, POPULATED | ENGINE, 1880),
+    ("integrate --system solo", "classics.json", 0, POPULATED | DELTAS, 2140),
+    ("sum --system solo", "classics.json", 0, POPULATED | {"ifk.diagrams"}, 1810),
+    ("lattice --classification CLF-A", "classics.json", 0, POPULATED | {"ifk.fca"}, 1860),
+    (f"lattice --classification CLF-A --output {os.devnull}", "classics.json", 0, POPULATED | {"ifk.fca"}, 1860),
     # a refusal is worded by argparse, before the bundle is read
-    ("close", "classics.json", 2, BASE),
+    ("close", "classics.json", 2, BASE, 830),
 ]
 
 # no command line loads these: argparse words only help, refusals and unusual spellings;
@@ -175,7 +180,8 @@ LOADS = [  # command line, bundle, exit status, the ifk modules it loads
 NEVER = {"argparse", "typing", "threading", "dataclasses", "inspect", "pathlib"}
 
 # runs the command line after it as `python -m ifk.cli` does, with its report discarded,
-# and prints the exit status and the modules the run added
+# and prints the exit status, the source lines of the ifk modules the run added and of
+# cli.py, and the modules the run added
 CHILD = """\
 import os, runpy, sys
 before = set(sys.modules)
@@ -183,13 +189,17 @@ sys.stdout = open(os.devnull, "w", encoding="utf-8")
 try:
     runpy.run_module("ifk.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exit:
-    print(exit.code, *sorted(set(sys.modules) - before), file=sys.__stdout__)
+    added = sorted(set(sys.modules) - before)
+    files = [sys.modules[m].__file__ for m in added if m.split(".")[0] == "ifk"]
+    files.append(os.path.join(os.path.dirname(sys.modules["ifk"].__file__), "cli.py"))
+    lines = sum(len(open(f, encoding="utf-8").readlines()) for f in files)
+    print(exit.code, lines, *added, file=sys.__stdout__)
 """
 
 
-@pytest.mark.parametrize("line, bundle, status, loads", LOADS,
+@pytest.mark.parametrize("line, bundle, status, loads, budget", LOADS,
                          ids=[f"{line} {bundle}" for line, bundle, *_ in LOADS])
-def test_each_command_loads_only_the_modules_it_runs(tmp_path, line, bundle, status, loads):
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, line, bundle, status, loads, budget):
     if bundle == "structure.json":
         path = tmp_path / bundle
         path.write_text(json.dumps(CLASSIFICATIONS_ONLY))
@@ -201,9 +211,11 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, line, bundle, sta
     done = subprocess.run([sys.executable, "-S", "-c", CHILD, *line.split(), str(path)],
                           env=env, capture_output=True, text=True)
     assert (done.returncode, done.stderr) == (0, "")
-    code, *added = done.stdout.split()
+    code, lines, *added = done.stdout.split()
     assert int(code) == status
     assert {module for module in added if module.split(".")[0] == "ifk"} == loads
+    # without a bytecode cache, as under PYTHONDONTWRITEBYTECODE=1, a child compiles every line
+    assert int(lines) <= budget
     # the refusal row loads argparse, which shows that this check can fire
     assert NEVER.intersection(added) == ({"argparse"} if status == 2 else set())
 

@@ -30,9 +30,10 @@ from ifk import (
     system_leq,
     verify_channel_covers,
 )
-from ifk.bundle import Bundle, parse_sequent
+from ifk.bundle import Bundle
 from ifk.logics import logic_direct_image, logic_inverse_image
 from ifk.serialize import serialize_bundle
+from ifk.theories import parse_sequent
 
 C = Classification("c", ["a"], ["t1", "t2"], [("a", "t1")])
 OTHER = Classification("o", ["b"], ["u"], [("b", "u")])

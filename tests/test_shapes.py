@@ -15,7 +15,7 @@ import random
 import pytest
 
 from ifk import CapExceeded, ShapeGraph, entails_by_enumeration, integrate, sum_classification
-from ifk.closure import all_states
+from ifk.oracles import all_states
 from ifk.integration import _handle_deltas, _pulled_states
 from ifk.systems import VERDICT_MONOCOSMIC
 from ifk.theories import Sequent, sequent_key

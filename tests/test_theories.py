@@ -31,8 +31,10 @@ from ifk import (
     theory_leq,
     top_theory,
 )
-from ifk.closure import _models, all_states, satisfying_states, theory_of_states
-from ifk.theories import CompiledTheory, sequent_key
+from ifk.closure import _models, satisfying_states, theory_of_states
+from ifk.engine import CompiledTheory
+from ifk.oracles import all_states
+from ifk.theories import sequent_key
 
 import support
 from conftest import seq
