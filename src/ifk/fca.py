@@ -14,15 +14,14 @@ bit positions, and each concept is its extent and its intent as ints, so
 intersection is ``&`` and inclusion is ``a & ~b == 0``; its
 ``FormalConcept`` values are built only when ``concepts`` is read.  The
 order (extent inclusion), covers, meet/join, DOT and the CLI's order
-report are derived from the masks.  Per instance, the set of concepts
-holding it is a mask too, so the up-set of a concept is the AND of those
-sets over its extent.  Its upper covers are the minimal elements of its
-strict up-set (Lindig, "Fast Concept Analysis", 2000), which a scan that
-takes only covers finds in canonical order.
+report are derived from the masks.  A concept's up-set, for ``order``
+and the report, is the AND over its extent of each instance's concepts.
+Covers are Lindig's neighbour count ("Fast Concept Analysis", 2000).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import cached_property
 from operator import attrgetter
 
@@ -69,7 +68,7 @@ class ConceptLattice(_Value):
 
     @cached_property
     def _first(self) -> tuple[dict[int, int], dict[int, int]]:
-        """Per side, extent and intent, the first concept holding each mask."""
+        """Per side, extent and intent, the first concept holding each mask: for meet, join and covers."""
         sides = (self._extents, self._intents)
         return tuple({m: k for k, m in reversed(list(enumerate(masks)))} for masks in sides)
 
@@ -161,20 +160,21 @@ def join(l: ConceptLattice, i: int, j: int) -> FormalConcept:
 
 
 def _covers(l: ConceptLattice) -> list[tuple[int, int]]:
-    """Sorted pairs (i, j) where concept j is an upper cover of concept i:
-    the minimal strict supersets of each extent.  Of the concepts above i,
-    take the lowest not yet taken and drop all above it; what is left is
-    minimal, and in canonical order only covers are ever taken."""
-    ups, covers = list(l._ups()), []
-    for i, up in enumerate(ups):
-        left = rest = up ^ (1 << i)  # the concepts strictly above i
-        k = -1
-        while rest:  # rest: the concepts of left past k, the last one taken
-            k += (rest & -rest).bit_length()
-            left &= ~(ups[k] ^ (1 << k))
-            rest = left >> k + 1
-        covers += [(i, j) for j in _positions(left)]
-    return covers
+    """Sorted pairs (i, j) where concept j is an upper cover of concept i, by
+    Lindig's count: each type outside j's intent leads from j's extent to the
+    concept of its intersection with that type's extent, and a concept led to
+    by as many types as it adds to j's intent is a lower cover of j."""
+    extents, intents, index = l._extents, l._intents, l._first[0]
+    ext, every_type = [0] * len(l._types), (1 << len(l._types)) - 1
+    for e, b in zip(extents, intents):
+        for m in _positions(b):  # ext[m]: the OR of the extents whose intent holds m
+            ext[m] |= e
+    try:
+        led = Counter((index[e & ext[m]], j) for j, (e, b) in enumerate(zip(extents, intents))
+                      for m in _positions(every_type & ~b))
+    except KeyError:
+        raise IfkError("lattice is missing a meet/join; was it built by lattice()?") from None
+    return sorted(p for p, n in led.items() if n == (intents[p[0]] & ~intents[p[1]]).bit_count())
 
 
 def lattice_dot(l: ConceptLattice) -> str:

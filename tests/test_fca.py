@@ -263,6 +263,15 @@ def test_cover_scan_finds_the_covers_of_a_lattice_in_any_order():
     assert reordered > 30
 
 
+def test_covers_of_hand_built_lists_that_are_not_lattices():
+    # a repeated concept: from each copy, type x leads down to the bottom, so both copies cover it
+    repeated = ConceptLattice([FormalConcept([], ["x"]), FormalConcept(["a"], []), FormalConcept(["a"], [])])
+    assert lattice_dot(repeated).endswith("  c0 -> c1;\n  c0 -> c2;\n}\n")
+    # pairs that are not closed: every type is in both intents, so no type leads anywhere
+    unclosed = ConceptLattice([FormalConcept(["a"], ["x"]), FormalConcept(["a", "b"], ["x"])])
+    assert _dot_edges(unclosed) == set()
+
+
 def test_dot_labels_escape_quotes_and_backslashes():
     # identifiers exclude only whitespace, so both characters can occur
     c = Classification("q", ['a"b', "c\\d"], ["t"], [('a"b', "t")])

@@ -23,6 +23,7 @@ from ifk import (
     flat_closure,
     flat_entails,
     identity_infomorphism,
+    lattice_dot,
     meet,
     mediating_morphism,
     object_concept,
@@ -82,6 +83,10 @@ CASES = {
     # fca
     "lattice without the meet": (
         lambda: meet(ConceptLattice([FormalConcept(["a"], []), FormalConcept(["b"], [])]), 0, 1),
+        "lattice is missing a meet/join"),
+    "covers of a lattice without the meet": (
+        lambda: lattice_dot(ConceptLattice([FormalConcept(["a"], ["x"]), FormalConcept(["b"], ["y"]),
+                                            FormalConcept(["a", "b"], [])])),
         "lattice is missing a meet/join"),
     "object concept of an unknown instance": (lambda: object_concept(C, "ghost"),
                                               "unknown instance: ghost"),

@@ -18,7 +18,9 @@ from ifk.theories import SequentTheory
 
 from conftest import FIXTURES
 
-FIXTURE_SYSTEMS = {"vee.json": "vee", "clash.json": "clash", "classics.json": "solo"}
+# per fixture, the system, theory and classification (if it has one) that commands name
+FIXTURE_NAMES = {"vee.json": ("vee", "T_M", None), "clash.json": ("clash", "T_M", None),
+                 "classics.json": ("solo", "classical", "CLF-A")}
 MUTATIONS_PER_FIXTURE = 150
 JUNK = [None, True, 0, -1, 2.5, "", " ", "a b", "ghost", [], {}, ["ghost"], {"ghost": "ghost"},
         [["ghost", "ghost"]], {"ant": ["ghost"], "con": []}]
@@ -73,9 +75,21 @@ def _mutate(rng: random.Random, doc) -> None:
 def test_mutated_bundles_never_end_as_internal_errors(tmp_path):
     rng = random.Random(20180601)
     path = tmp_path / "mutant.json"
-    outcomes: Counter = Counter()
-    for fixture, system in sorted(FIXTURE_SYSTEMS.items()):
+    outcomes: dict[str, Counter] = {}
+    for fixture, (system, theory, classification) in sorted(FIXTURE_NAMES.items()):
         original = json.loads((FIXTURES / fixture).read_text())
+        types = sorted(original["theories"][theory]["types"])
+        commands = {
+            "validate": ["validate"],
+            "integrate": ["integrate", "--system", system, "--delta-bound", "1"],
+            "consistency": ["consistency", "--system", system],
+            "entails": ["entails", "--theory", theory, "--sequent", f"{types[0]} |- {types[-1]}"],
+            "close": ["close", "--theory", theory],
+            "sum": ["sum", "--system", system],
+        }
+        if classification:
+            commands["lattice"] = ["lattice", "--classification", classification]
+            commands["lattice dot"] = [*commands["lattice"], "--format", "dot"]
         for _ in range(MUTATIONS_PER_FIXTURE):
             doc = json.loads(json.dumps(original))
             for _ in range(rng.randint(1, 3)):
@@ -84,21 +98,24 @@ def test_mutated_bundles_never_end_as_internal_errors(tmp_path):
             if rng.random() < 0.05:
                 text = text[: rng.randrange(len(text))]  # a truncated document
             path.write_text(text)
-            for argv in (
-                ["validate", str(path)],
-                ["integrate", "--system", system, "--delta-bound", "1", str(path)],
-                ["consistency", "--system", system, str(path)],
-            ):
-                status, report = run(argv)
-                assert status in (0, 1, 2), (argv[0], text)
-                error = json.loads(report).get("error")
-                kind = "ok" if error is None else error["kind"]
-                assert (status == 0) == (kind == "ok"), (argv[0], text, report)
-                assert kind == "ok" or kind in EXPECTED_KINDS, (argv[0], text, report)
-                outcomes[kind] += 1
-    print(f"mutated bundles: {3 * MUTATIONS_PER_FIXTURE}, command outcomes {dict(outcomes)}")
+            for command, argv in commands.items():
+                status, report = run([*argv, str(path)])
+                assert status in (0, 1, 2), (argv, text)
+                if status == 0 and command == "lattice dot":  # a DOT report is not JSON
+                    assert report.startswith("digraph concept_lattice {"), (argv, text, report)
+                    kind = "ok"
+                else:
+                    error = json.loads(report).get("error")
+                    kind = "ok" if error is None else error["kind"]
+                assert (status == 0) == (kind == "ok"), (argv, text, report)
+                assert kind == "ok" or kind in EXPECTED_KINDS, (argv, text, report)
+                outcomes.setdefault(command, Counter())[kind] += 1
+    print(f"mutated bundles: {3 * MUTATIONS_PER_FIXTURE}, outcomes per command "
+          f"{ {command: dict(kinds) for command, kinds in sorted(outcomes.items())} }")
     # the mutations reach past the parser: some inputs stay valid, some fail later checks
-    assert outcomes["ok"] and outcomes["bundle"] and outcomes["invalid"]
+    every = sum(outcomes.values(), Counter())
+    assert every["ok"] and every["bundle"] and every["invalid"]
+    assert all(kinds["ok"] for kinds in outcomes.values()), outcomes
 
 
 SIZES = ["0", "1", str(2**63 - 1), str(10**20)]  # 2^63 - 1 is sys.maxsize on 64-bit builds
