@@ -3,14 +3,12 @@
 A classification is a finite incidence relation between instances and
 types.  The one index it derives is its incidence as bit masks: sorted
 types and sorted instances are bit positions, so an intent or an extent
-is one int, read back into names by the helpers of ``ifk.masks``.
-Concepts, and what ``ifk.logics`` builds on a classification (intents,
-extents, derivation, the logics and the theory lift), read the masks; an
-infomorphism's invariance check and the sum channel test
-``(instance, type)`` pairs.  An infomorphism maps types forward and
-instances backward between two classifications so that classification
-is invariant: a source type holds of a pulled-back instance exactly when
-its image holds of the original instance.  The bundle reader of a
+is one int, read back into names by the helpers of ``ifk.masks``.  Every
+reader of the incidence reads the masks: concepts, what ``ifk.logics``
+builds on a classification, the sum channel and the invariance check of
+an infomorphism, which maps types forward and instances backward so that
+classification is invariant: a source type holds of a pulled-back instance
+exactly when its image holds of the original one.  The bundle reader of a
 classification is here, and composition ``ifk.logics``'s.
 """
 
@@ -87,11 +85,13 @@ def validate_classification(c: Classification) -> ValidationResult:
 
 
 def check_infomorphism(f: Infomorphism) -> ValidationResult:
-    """Verify invariance of classification for every (instance, type) pair.
+    """Verify invariance of classification, one intent mask at a time.
 
     Structurally broken maps (non-total or landing outside the declared
-    sets) raise; invariance violations come back as defect triples
-    ``(instance, type, side)`` with side naming where incidence holds.
+    sets) raise, as does an incidence pair with an undeclared instance or
+    type, with ``validate_classification``'s first defect.  Invariance
+    violations come back as defect triples ``(instance, type, side)``, by
+    sorted instance then type, with side naming where incidence holds.
     """
     src, dst = f.source, f.target
     structure = (
@@ -108,15 +108,14 @@ def check_infomorphism(f: Infomorphism) -> ValidationResult:
         if names:
             raise IfkError(f"{message}: {', '.join(sorted(names))}")
 
-    defects = []
-    for b in sorted(dst.instances):
-        a = f.instance_map[b]
-        for t in sorted(src.types):
-            at_source = (a, t) in src.incidence
-            at_target = (b, f.type_map[t]) in dst.incidence
-            if at_source != at_target:
-                side = "source-only" if at_source else "target-only"
-                defects.append((b, t, side))
+    (intents, types), (target, columns) = src._masks, dst._masks
+    bit = {t: 1 << k for k, t in enumerate(columns)}
+    images = [(1 << k, bit[f.type_map[t]]) for k, t in enumerate(types)]
+    # each distinct target intent over the source types: a type's bit is set iff its image is in it
+    pulled = {y: sum(own for own, image in images if y & image) for y in set(target.values())}
+    defects = [(b, t, "source-only" if x >> k & 1 else "target-only")
+               for b, y in target.items() if (x := intents[f.instance_map[b]]) != pulled[y]
+               for k, t in enumerate(types) if (x ^ pulled[y]) >> k & 1]  # by sorted instance, type
     return ValidationResult.from_defects(defects)
 
 
@@ -131,8 +130,9 @@ def _parse_classification(name: str, raw: dict, where: str) -> Classification:
                 and isinstance(pair[0], str) and isinstance(pair[1], str)):
             raise BundleError(f"{where}.incidence[{k}]: expected an [instance, type] pair")
         incidence.append((pair[0], pair[1]))
-    c = Classification(name, frozenset(instances), frozenset(types), frozenset(incidence))
-    result = validate_classification(c)
-    if not result.ok:
-        raise BundleError(f"{where}: {result.defects[0]}")
+    c = Classification(name, instances, types, incidence)
+    try:  # the masks every later reader reads; an undeclared name raises
+        c._masks
+    except IfkError as exc:
+        raise BundleError(f"{where}: {exc}") from None
     return c

@@ -32,8 +32,7 @@ class ClsDiagram(_Value):
             f = self.edge_info[e]
             if f.source != self.node_cls[src] or f.target != self.node_cls[dst]:
                 raise IfkError(f"edge {e}: infomorphism endpoints do not match the shape")
-            result = f._invariance
-            if not result.ok:
+            if not (result := f._invariance).ok:
                 raise IfkError(f"edge {e}: invariance fails at {result.defects[0]}")
 
     def language_diagram(self) -> LanguageDiagram:
@@ -49,10 +48,6 @@ class Channel(_Value):
     legs: Mapping[str, Infomorphism]
     _freeze = {"legs": _map}
     __hash__ = None  # type: ignore[assignment]
-
-
-def tuple_instance_name(components: Mapping[str, str]) -> str:
-    return "tup:" + ",".join(f"{n}.{x}" for n, x in sorted(components.items()))
 
 
 def _compatible_tuples(d: ClsDiagram, cap: int) -> list[dict[str, str]]:
@@ -103,28 +98,33 @@ def sum_classification(d: ClsDiagram, instance_cap: int = DEFAULT_INSTANCE_CAP) 
     """The universal covering channel of a classification diagram.
 
     Core types are the language-colimit classes; core instances are the
-    edge-compatible tuples; a tuple falls under a class when its
-    component at any member node does (invariance makes the choice of
-    member immaterial).  At each node the partial tuples may number at
-    most ``instance_cap``, and a refusal reports the count at which that
-    node stopped, a lower bound.  An instance product within the cap
-    always passes, and so does a forest without parallel edges whose
-    tuples are within it.
+    edge-compatible tuples; a tuple falls under a class when the intent
+    of its component at the class's least member holds that member's type
+    (invariance makes the choice of member immaterial).  At each node the
+    partial tuples may number at most ``instance_cap``, and a refusal
+    reports the count at which that node stopped, a lower bound.  An
+    instance product within the cap always passes, and so does a forest
+    without parallel edges whose tuples are within it.
     """
     tuples = _compatible_tuples(d, instance_cap)
     colim: LanguageColimit = colimit_language(d.language_diagram())
-    names = [tuple_instance_name(tup) for tup in tuples]
+    prefix = {n: f"{n}." for n in sorted(d.shape.nodes)}  # one per node, in name order
+    names = ["tup:" + ",".join([p + tup[n] for n, p in prefix.items()]) for tup in tuples]
     if len(set(names)) != len(names):
         raise IfkError("tuple name collision; rename node or instance identifiers")
-
-    reps = {cls_name: min(group) for cls_name, group in colim.members.items()}
-    incidence = [(name, cls_name) for name, tup in zip(names, tuples)
-                 for cls_name, (n0, t0) in reps.items() if (tup[n0], t0) in d.node_cls[n0].incidence]
+    rep_of = {min(group): cls_name for cls_name, group in colim.members.items()}
+    held = {}  # per node holding a least member: per instance, the classes its intent holds
+    for n in {n for n, _ in rep_of}:
+        intents, columns = d.node_cls[n]._masks
+        bits = [(1 << k, rep_of[n, t]) for k, t in enumerate(columns) if (n, t) in rep_of]
+        held[n] = {i: [c for bit, c in bits if y & bit] for i, y in intents.items()}
+    incidence = [(name, c) for name, tup in zip(names, tuples)
+                 for n, row in held.items() for c in row[tup[n]]]  # the union of the components' rows
     core = Classification(
-        name="sum(" + ",".join(sorted(d.shape.nodes)) + ")",
+        name="sum(" + ",".join(prefix) + ")",
         instances=frozenset(names),
         types=frozenset(colim.types),
-        incidence=frozenset(incidence),
+        incidence=incidence,
     )
     legs = {
         n: Infomorphism(

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from ifk import (
     CapExceeded,
     Classification,
+    ClsDiagram,
     IfkError,
     Infomorphism,
     Sequent,
+    ShapeGraph,
     check_infomorphism,
     compose_infomorphisms,
     derive,
@@ -100,6 +102,66 @@ def test_check_infomorphism_requires_total_maps(clf_a):
     f = Infomorphism("partial", clf_a, clf_a, {"human": "human"}, {i: i for i in clf_a.instances})
     with pytest.raises(IfkError, match="not total"):
         check_infomorphism(f)
+
+
+def pair_defects(f: Infomorphism) -> tuple:
+    """Invariance by its definition: every (target instance, source type) pair, in sorted order."""
+    defects = []
+    for b in sorted(f.target.instances):
+        a = f.instance_map[b]
+        for t in sorted(f.source.types):
+            at_source = (a, t) in f.source.incidence
+            at_target = (b, f.type_map[t]) in f.target.incidence
+            if at_source != at_target:
+                defects.append((b, t, "source-only" if at_source else "target-only"))
+    return tuple(defects)
+
+
+def near_infomorphism(rng: random.Random) -> Infomorphism:
+    """Total maps into a target of at most 3 types and 12 instances from a random
+    source of at most 5 and 5, so type maps collide and target intents repeat; the
+    target incidence is the image of the source incidence with a share flipped."""
+    src = support.rand_classification(rng, 5, 5, "A")
+    types = [f"u{k}" for k in range(rng.randint(1 if src.types else 0, 3))]
+    instances = [f"b{k}" for k in range(rng.randint(0, 12) if src.instances else 0)]
+    type_map = {t: rng.choice(types) for t in sorted(src.types)}
+    instance_map = {b: rng.choice(sorted(src.instances)) for b in instances}
+    flip = rng.choice([0, 0, 0.05, 0.5])
+    incidence = [(b, u) for b in instances for u in types
+                 if any(type_map[t] == u and (instance_map[b], t) in src.incidence for t in src.types)
+                 != (rng.random() < flip)]
+    return Infomorphism("f", src, Classification("B", instances, types, incidence), type_map, instance_map)
+
+
+def test_invariance_defects_match_the_pair_loop():
+    rng = random.Random(0x1F0)
+    empty, typed = Classification("E", [], [], []), Classification("T", [], ["u"], [])
+    cases = [Infomorphism("e", empty, empty, {}, {}), Infomorphism("e", empty, typed, {}, {}),
+             Infomorphism("e", typed, typed, {"u": "u"}, {})]
+    cases += [near_infomorphism(rng) for _ in range(600)]
+    cases += [support.rand_infomorphism(rng, 4) for _ in range(30)]
+    outcomes = set()
+    for f in cases:
+        result = check_infomorphism(f)
+        assert result.defects == pair_defects(f), f
+        outcomes.add((result.ok, len(set(f.type_map.values())) < len(f.type_map)))
+    assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
+
+
+def test_invariance_refuses_undeclared_incidence():
+    bad = Classification("c", ["i"], ["t"], [("i", "t"), ("j", "t")])
+    good = Classification("d", ["i"], ["t"], [("i", "t")])
+    first = validate_classification(bad).defects[0]
+    assert first == "incidence pair (j, t) references undeclared instance j"
+    shape = ShapeGraph(["a", "b"], [("e", "a", "b")])
+    for src, dst in ((bad, good), (good, bad)):
+        f = Infomorphism("e", src, dst, {"t": "t"}, {"i": "i"})
+        with pytest.raises(IfkError) as raised:
+            check_infomorphism(f)
+        assert str(raised.value) == first
+        with pytest.raises(IfkError) as raised:
+            ClsDiagram(shape, {"a": src, "b": dst}, {"e": f})
+        assert str(raised.value) == first
 
 
 def test_compose_identity_laws(clf_a):

@@ -523,6 +523,28 @@ def test_sum_channel_covers_random_diagrams():
             assert check_infomorphism(leg).ok
 
 
+def test_sum_incidence_and_names_match_the_pair_definition():
+    rng = random.Random(0x5C)
+    held = merged = 0
+    for _ in range(150):
+        d = support.rand_cls_diagram(rng, max_nodes=4, max_size=3, max_edges=4)
+        ch = sum_classification(d)
+        members = colimit_language(d.language_diagram()).members
+        expected = set()
+        for name in ch.core.instances:
+            tup = {n: leg.instance_map[name] for n, leg in ch.legs.items()}
+            assert name == "tup:" + ",".join(f"{n}.{x}" for n, x in sorted(tup.items()))
+            for c, group in members.items():
+                holds = {(tup[n], t) in d.node_cls[n].incidence for n, t in group}
+                assert len(holds) == 1  # invariance: every member agrees
+                if holds == {True}:
+                    expected.add((name, c))
+        assert ch.core.incidence == expected
+        held += len(expected)
+        merged += sum(len(group) > 1 for group in members.values())
+    assert held > 2000 and merged > 40  # classes with several members, each read at its least
+
+
 def test_perturbed_leg_is_reported():
     d = vee_cls_diagram()
     ch = sum_classification(d)
