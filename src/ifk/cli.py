@@ -8,9 +8,9 @@ classifications no theory code, and a system command without classifications
 the language colimit (`ifk.colimit`) but not the sum (`ifk.diagrams`); of
 those, only `integrate` loads `ifk.integration` and the closure kernel; only a
 query compiles `ifk.engine`; none loads `ifk.logics` or the serializer. A
-plain command line is read off the command table; argparse (its parser built
-once, then only read) loads only for help, a refusal or an unusual spelling.
-Files are opened by the path as typed."""
+plain command line is read off the command table; argparse, with `ifk.usage`
+(its parser built once, then only read), loads only for help, a refusal or an
+unusual spelling.  Files are opened by the path as typed."""
 
 from __future__ import annotations
 
@@ -29,12 +29,8 @@ from .bundle import (
     theory_to_obj,
 )
 from .errors import DEFAULT_DELTA_BOUND, DEFAULT_INSTANCE_CAP, DEFAULT_SEQUENT_CAP
-from .errors import BundleError, CapExceeded, IfkError
+from .errors import BundleError, CapExceeded, IfkError, _UsageError
 from .masks import _at
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _digits(text: str) -> int:
@@ -62,28 +58,8 @@ def _size(text: str) -> int:
 
 @functools.cache  # one parser serves every in-process run
 def _build_parser():
-    """The whole parser, every command with its arguments, built once; a
-    built parser is only read, so runs may share it across threads."""
-    import argparse
-
-    class _Parser(argparse.ArgumentParser):
-        def error(self, message):  # keep argparse from exiting the process
-            raise _UsageError(message)
-
-    parser = _Parser(prog="ifk", description="information-flow toolkit")
-    parser.add_argument("--output", metavar="FILE", default=None,
-                        help="write the report here instead of stdout")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    for name, (handler, summary, flags) in _COMMANDS.items():
-        command = sub.add_parser(name, help=summary)
-        # the global flag is accepted on either side of the command name;
-        # SUPPRESS keeps the subparser from clobbering a top-level value
-        command.add_argument("--output", metavar="FILE", default=argparse.SUPPRESS)
-        command.add_argument("bundle", metavar="BUNDLE", help="bundle JSON file")
-        for flag, kwargs in flags.items():
-            command.add_argument(flag, **kwargs)
-        command.set_defaults(handler=handler)
-    return parser
+    from . import usage  # help, a refusal or an unusual spelling: argparse's, in its own module
+    return usage._build_parser(_COMMANDS)
 
 
 def _read(argv: Sequence[str]) -> SimpleNamespace | None:
@@ -205,7 +181,7 @@ def _cmd_consistency(args, bundle: Bundle) -> list[str]:
 
 _REQUIRED = {"required": True}
 _CAP = {"type": _size, "default": DEFAULT_SEQUENT_CAP}
-# name -> (handler, summary, flags), read by both _read and _build_parser
+# name -> (handler, summary, flags), read by both _read and ifk.usage's parser
 _COMMANDS = {
     "validate": (_cmd_validate, "validate a bundle", {}),
     "close": (_cmd_close, "materialize the closure of a theory",

@@ -100,11 +100,11 @@ def sum_classification(d: ClsDiagram, instance_cap: int = DEFAULT_INSTANCE_CAP) 
     Core types are the language-colimit classes; core instances are the
     edge-compatible tuples; a tuple falls under a class when the intent
     of its component at the class's least member holds that member's type
-    (invariance makes the choice of member immaterial).  At each node the
-    partial tuples may number at most ``instance_cap``, and a refusal
-    reports the count at which that node stopped, a lower bound.  An
-    instance product within the cap always passes, and so does a forest
-    without parallel edges whose tuples are within it.
+    (invariance makes the choice of member immaterial); those pairs, made
+    once, are the core's incidence.  At each node the partial tuples may
+    number at most ``instance_cap``; a refusal reports the count at which
+    that node stopped, a lower bound.  An instance product within the cap
+    passes, as does a forest without parallel edges whose tuples are within it.
     """
     tuples = _compatible_tuples(d, instance_cap)
     colim: LanguageColimit = colimit_language(d.language_diagram())
@@ -118,14 +118,12 @@ def sum_classification(d: ClsDiagram, instance_cap: int = DEFAULT_INSTANCE_CAP) 
         intents, columns = d.node_cls[n]._masks
         bits = [(1 << k, rep_of[n, t]) for k, t in enumerate(columns) if (n, t) in rep_of]
         held[n] = {i: [c for bit, c in bits if y & bit] for i, y in intents.items()}
-    incidence = [(name, c) for name, tup in zip(names, tuples)
-                 for n, row in held.items() for c in row[tup[n]]]  # the union of the components' rows
-    core = Classification(
-        name="sum(" + ",".join(prefix) + ")",
-        instances=frozenset(names),
-        types=frozenset(colim.types),
-        incidence=incidence,
-    )
+    # the union of the components' rows, as the core's pairs: its constructor would re-walk them
+    incidence = frozenset([(name, c) for name, tup in zip(names, tuples)
+                           for n, row in held.items() for c in row[tup[n]]])
+    core = Classification.__new__(Classification)
+    core.__dict__.update(name="sum(" + ",".join(prefix) + ")", instances=frozenset(names),
+                         types=frozenset(colim.types), incidence=incidence)
     legs = {
         n: Infomorphism(
             name=f"leg:{n}",

@@ -48,6 +48,10 @@ class CapExceeded(IfkError):
         super().__init__(f"{phase}: requires {_decimal(required)} > cap {_decimal(cap)}")
 
 
+class _UsageError(Exception):
+    """A command line the CLI cannot run: exit status 2 and a ``usage`` report."""
+
+
 class BundleError(IfkError):
     """A bundle document failed to parse or validate."""
 

@@ -6,9 +6,9 @@ axioms), and inverse flow of the sum theory back to each node, as handles that
 ask the sum theory's engine.  ``integrate`` reads the bounded new consequences
 (deltas) off ``colimit._semijoin`` iff the shape is a forest (undirected, loops
 and parallel edges ignored) with at most 16 node states per bounded sequent,
-else by asking the engines on side masks; the closure kernel is imported only
-for the semijoin.  Entailment at a node and the system orders are
-``ifk.logics``'s.
+else by asking the engines; either reader builds each bounded side's state sets
+or masks one step from its prefix's.  The closure kernel is imported only for
+the semijoin.  Entailment at a node and the system orders are ``ifk.logics``'s.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import itertools
 
 from .colimit import _semijoin
 from .errors import DEFAULT_DELTA_BOUND, DEFAULT_SEQUENT_CAP, CapExceeded, _map, _maps, _sets, _Value
-from .masks import _common, _from_positions, _mask, _positions
+from .masks import _from_positions, _positions
 from .systems import _require_valid, system_verdict
 # unused here: perfbench/workloads.py imports these three from this module
 from .systems import is_monocosmic, is_pointwise_consistent, validate_system
@@ -42,15 +42,21 @@ class IntegrationResult(_Value):
     __hash__ = None  # type: ignore[assignment]
 
 
-def _sides(names: list[str], bound: int) -> list[frozenset[str]]:
-    """The sets of at most ``bound`` of the sorted ``names``, in ``sequent_key`` order."""
-    sides = (c for r in range(min(bound, len(names)) + 1) for c in itertools.combinations(names, r))
-    return [frozenset(side) for side in sorted(sides)]
+def _bounded_sides(names: list[str], bound: int, columns: list[int], everywhere: int):
+    """The sets of at most ``bound`` of the sorted ``names`` in ``sequent_key`` order, each with its mask
+    and the positions in ``everywhere`` where all, and where none, of it holds by ``columns``."""
+    stack = [(frozenset(), 0, everywhere, everywhere, 0)]  # depth first, each set one AND from its prefix's
+    while stack:
+        side, m, hold, fail, k = stack.pop()
+        yield side, m, hold, fail
+        if len(side) < bound:  # the highest type pushed first, so popped last
+            stack += [(side | {names[j]}, m | 1 << j, hold & columns[j], fail & ~columns[j], j + 1)
+                      for j in range(len(names) - 1, k - 1, -1)]
 
 
 def bounded_sequents(types: frozenset[str], bound: int):
     """All sequents over ``types`` with at most ``bound`` types per side, in ``sequent_key`` order."""
-    sides = _sides(sorted(types), bound)
+    sides = [side for side, *_ in _bounded_sides(sorted(types), bound, [0] * len(types), 0)]
     return (Sequent(g, d) for g in sides for d in sides)
 
 
@@ -79,27 +85,23 @@ def _pulled_states(s: InformationSystem) -> dict[str, tuple[int, int]]:
 
 
 def _deltas(t: SequentTheory, models: int, pulled: int, bound: int) -> tuple[Sequent, ...]:
-    """The sequents of at most ``bound`` types a side that some state of
-    ``models`` violates and none of ``pulled`` does, in ``sequent_key`` order."""
+    """The sequents of at most ``bound`` types a side that some state of ``models`` violates and
+    none of ``pulled`` does, in ``sequent_key`` order, by each side's states off ``_bounded_sides``."""
     from .closure import _state_columns
-    columns = _state_columns(len(t.types))
-    negated = [~column for column in columns]
-    sides = _sides(sorted(t.types), bound)
-    holding = [_common(columns, _mask(t._index, g), models) for g in sides]  # where all of g holds
-    failing = [_common(negated, _mask(t._index, d), models) for d in sides]  # where none of d does
-    return tuple(Sequent(g, d) for g, above in zip(sides, holding) if above & ~pulled
-                 for d, below in zip(sides, failing) if above & below and not above & below & pulled)
+    sides = list(_bounded_sides(sorted(t.types), bound, _state_columns(len(t.types)), models))
+    return tuple(Sequent(g, d) for g, _, above, _ in sides if above & ~pulled
+                 for d, _, _, below in sides if above & below and not above & below & pulled)
 
 
 def _handle_deltas(s: InformationSystem, n: str, bound: int) -> tuple[Sequent, ...]:
     """The bounded sequents that the sum theory entails at node ``n`` and the
     node's theory does not, in ``sequent_key`` order, asked on side masks."""
     t, total, leg = s.node_theory[n], s._sum.theory, s._sum.colimit.cocone[n]
-    sides = [(g, _mask(t._index, g), _mask(total._index, (leg[name] for name in g)))
-             for g in _sides(sorted(t.types), bound)]
+    names = sorted(t.types)  # from all ones, fail clears each image bit: ~fail is a side's sum mask
+    sides = list(_bounded_sides(names, bound, [1 << total._index[leg[name]] for name in names], -1))
     joint = total._compiled.refutes  # the node's engine is compiled only once it is asked
-    return tuple(Sequent(g, d) for g, g_own, g_sum in sides for d, d_own, d_sum in sides
-                 if not joint(g_sum, d_sum) and t._compiled.refutes(g_own, d_own))
+    return tuple(Sequent(g, d) for g, g_own, _, g_off in sides for d, d_own, _, d_off in sides
+                 if not joint(~g_off, ~d_off) and t._compiled.refutes(g_own, d_own))
 
 
 def integrate(

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -543,6 +544,25 @@ def test_sum_incidence_and_names_match_the_pair_definition():
         held += len(expected)
         merged += sum(len(group) > 1 for group in members.values())
     assert held > 2000 and merged > 40  # classes with several members, each read at its least
+
+
+def test_the_sum_core_is_the_classification_its_pairs_construct():
+    rng, pairs = random.Random(0xC0), 0
+    for _ in range(60):
+        core = sum_classification(support.rand_cls_diagram(rng, max_nodes=4, max_size=3, max_edges=4)).core
+        built = Classification(core.name, core.instances, core.types, list(core.incidence))
+        assert type(core.incidence) is frozenset
+        assert core == built and hash(core) == hash(built)
+        assert core.__reduce__() == built.__reduce__()
+        copied = pickle.loads(pickle.dumps(core))
+        assert copied == built and hash(copied) == hash(built) and copied._masks == built._masks
+        pairs += len(core.incidence)
+    assert pairs > 500
+    # the public constructor still refuses a pair that is not two items
+    with pytest.raises(ValueError, match=r"^not enough values to unpack \(expected 2, got 1\)$"):
+        Classification("c", {"i"}, {"t"}, [("i",)])
+    with pytest.raises(ValueError, match=r"^too many values to unpack \(expected 2"):
+        Classification("c", {"i"}, {"t"}, [("i", "t", "u")])
 
 
 def test_perturbed_leg_is_reported():

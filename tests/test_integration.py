@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -28,10 +29,12 @@ from ifk import (
 from ifk.bundle import parse_bundle
 from ifk.oracles import all_states
 from ifk.errors import DEFAULT_SEQUENT_CAP
-from ifk.integration import _pulled_states
+from ifk.closure import _state_columns
+from ifk.integration import _deltas, _pulled_states, bounded_sequents
+from ifk.masks import _common, _mask
 from ifk.systems import VERDICT_MONOCOSMIC, VERDICT_POINTWISE_INCONSISTENT, VERDICT_POLYCOSMIC
 from ifk.engine import CompiledTheory
-from ifk.theories import Sequent
+from ifk.theories import Sequent, sequent_key
 
 import support
 from conftest import FIXTURES, seq, vee_system
@@ -537,3 +540,43 @@ def test_pulled_back_sets_are_all_empty_iff_the_verdict_is_not_monocosmic():
         verdicts.add(system_verdict(s))
         assert (not any(pulled)) == (system_verdict(s) != VERDICT_MONOCOSMIC)
     assert verdicts == {VERDICT_MONOCOSMIC, VERDICT_POLYCOSMIC, VERDICT_POINTWISE_INCONSISTENT}
+
+
+def _deltas_side_by_side(t: SequentTheory, models: int, pulled: int, bound: int) -> tuple:
+    """The deltas as each bounded side's state sets read off its own mask, one side at a time."""
+    names = sorted(t.types)
+    sides = sorted(c for r in range(min(bound, len(names)) + 1) for c in itertools.combinations(names, r))
+    columns = _state_columns(len(names))
+    negated = [~column for column in columns]
+    holding = [_common(columns, _mask(t._index, g), models) for g in sides]
+    failing = [_common(negated, _mask(t._index, d), models) for d in sides]
+    return tuple(Sequent(frozenset(g), frozenset(d)) for g, above in zip(sides, holding) if above & ~pulled
+                 for d, below in zip(sides, failing) if above & below and not above & below & pulled)
+
+
+def test_deltas_off_the_side_walk_match_the_sets_of_each_side():
+    rng, found = random.Random(43), 0
+    for width in range(10):
+        # names that sort apart from the order they are drawn in
+        t = SequentTheory(rng.sample([f"{chr(97 + k)}{rng.randrange(9)}" for k in range(10)], width), [])
+        everywhere = (1 << (1 << width)) - 1
+        for bound in range(width + 2):
+            drawn = rng.getrandbits(1 << width) & everywhere
+            # no models, nothing pulled back, all pulled back, some, and every state a model
+            cases = [(0, 0), (drawn, 0), (drawn, drawn), (drawn, drawn & rng.getrandbits(1 << width)),
+                     (everywhere, drawn)]
+            for models, pulled in cases:
+                assert pulled & ~models == 0
+                expected = _deltas_side_by_side(t, models, pulled, bound)
+                assert _deltas(t, models, pulled, bound) == expected, (width, bound)
+                found += len(expected)
+    assert found > 10000
+
+
+def test_bounded_sequents_are_every_bounded_sequent_in_sequent_key_order():
+    for width in range(7):
+        types = frozenset(f"{chr(100 - k)}{k % 3}" for k in range(width))
+        subsets = [frozenset(c) for r in range(width + 1) for c in itertools.combinations(types, r)]
+        for bound in range(width + 2):
+            every = [Sequent(g, d) for g in subsets for d in subsets if max(len(g), len(d)) <= bound]
+            assert list(bounded_sequents(types, bound)) == sorted(every, key=sequent_key), (width, bound)

@@ -147,30 +147,30 @@ DELTAS = ENGINE | {"ifk.integration", "ifk.closure"}
 # command line, bundle, exit status, the ifk modules it loads, and a budget for their
 # source lines, cli.py's included
 LOADS = [
-    ("validate", "wide.json", 0, THEORY, 1050),
-    ("entails --theory wide --sequent t0|-t1", "wide.json", 0, THEORY | ENGINE, 1260),
-    ("close --theory wide", "wide.json", 0, THEORY | {"ifk.closure"}, 1170),
-    ("validate", "structure.json", 0, STRUCTURE, 970),
-    ("lattice --classification C", "structure.json", 0, STRUCTURE | {"ifk.fca"}, 1160),
-    ("lattice --classification C --format dot", "structure.json", 0, STRUCTURE | {"ifk.fca"}, 1160),
+    ("validate", "wide.json", 0, THEORY, 1030),
+    ("entails --theory wide --sequent t0|-t1", "wide.json", 0, THEORY | ENGINE, 1240),
+    ("close --theory wide", "wide.json", 0, THEORY | {"ifk.closure"}, 1150),
+    ("validate", "structure.json", 0, STRUCTURE, 950),
+    ("lattice --classification C", "structure.json", 0, STRUCTURE | {"ifk.fca"}, 1140),
+    ("lattice --classification C --format dot", "structure.json", 0, STRUCTURE | {"ifk.fca"}, 1140),
     # a system of theories alone: no classification code, the closure code only for deltas
-    ("validate", "vee.json", 0, SYSTEM, 1530),
-    ("consistency --system vee", "vee.json", 0, SYSTEM | ENGINE, 1740),
-    ("integrate --system vee", "vee.json", 0, SYSTEM | DELTAS, 2010),
+    ("validate", "vee.json", 0, SYSTEM, 1510),
+    ("consistency --system vee", "vee.json", 0, SYSTEM | ENGINE, 1720),
+    ("integrate --system vee", "vee.json", 0, SYSTEM | DELTAS, 1990),
     # a cyclic shape: the deltas are read off the closure handles, without the kernel
     ("integrate --system ring --delta-bound 2", "ring32.json", 0,
-     SYSTEM | ENGINE | {"ifk.integration"}, 1880),
+     SYSTEM | ENGINE | {"ifk.integration"}, 1860),
     # a populated system: only sum loads the classification sum
-    ("validate", "classics.json", 0, POPULATED, 1670),
-    ("entails --theory classical --sequent human|-philosopher", "classics.json", 0, POPULATED | ENGINE, 1880),
-    ("close --theory classical", "classics.json", 0, POPULATED | {"ifk.closure"}, 1790),
-    ("consistency --system solo", "classics.json", 0, POPULATED | ENGINE, 1880),
-    ("integrate --system solo", "classics.json", 0, POPULATED | DELTAS, 2140),
-    ("sum --system solo", "classics.json", 0, POPULATED | {"ifk.diagrams"}, 1810),
-    ("lattice --classification CLF-A", "classics.json", 0, POPULATED | {"ifk.fca"}, 1860),
-    (f"lattice --classification CLF-A --output {os.devnull}", "classics.json", 0, POPULATED | {"ifk.fca"}, 1860),
-    # a refusal is worded by argparse, before the bundle is read
-    ("close", "classics.json", 2, BASE, 830),
+    ("validate", "classics.json", 0, POPULATED, 1650),
+    ("entails --theory classical --sequent human|-philosopher", "classics.json", 0, POPULATED | ENGINE, 1860),
+    ("close --theory classical", "classics.json", 0, POPULATED | {"ifk.closure"}, 1770),
+    ("consistency --system solo", "classics.json", 0, POPULATED | ENGINE, 1860),
+    ("integrate --system solo", "classics.json", 0, POPULATED | DELTAS, 2120),
+    ("sum --system solo", "classics.json", 0, POPULATED | {"ifk.diagrams"}, 1790),
+    ("lattice --classification CLF-A", "classics.json", 0, POPULATED | {"ifk.fca"}, 1840),
+    (f"lattice --classification CLF-A --output {os.devnull}", "classics.json", 0, POPULATED | {"ifk.fca"}, 1840),
+    # a refusal is worded by argparse, from ifk.usage, before the bundle is read
+    ("close", "classics.json", 2, BASE | {"ifk.usage"}, 830),
 ]
 
 # no command line loads these: argparse words only help, refusals and unusual spellings;
